@@ -14,9 +14,7 @@ from hetsvrg import problem as prob
 
 p = prob.generate_heterogeneous(prob.LINEAR, 8, 500, 10, 3.0, seed=1)
 info = prob.lipschitz_info(p)
-A = np.vstack([s.aug for s in p.shards])
-y = np.concatenate([s.y for s in p.shards])
-x_star, *_ = np.linalg.lstsq(A, y, rcond=None)
+x_star, *_ = np.linalg.lstsq(p.aug, p.y, rcond=None)
 f_star = prob.full_loss(p, x_star)
 f0 = prob.full_loss(p, np.zeros(p.param_dim))
 print(f"preset: L_bar {info.l_bar:.2f}, L_max {info.l_max:.2f}, "

@@ -18,6 +18,7 @@ virtual slots never send chargeable messages and can never be sampled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -104,9 +105,12 @@ def _checked_weights(weights) -> list[float]:
     w = [float(v) for v in weights]
     if not w:
         raise ValueError("need at least one worker weight")
-    if any(v < 0 for v in w):
-        raise ValueError("weights must be nonnegative")
-    if all(v == 0.0 for v in w):
+    # one pass: NaN fails both comparisons; a local inf keeps the per-item
+    # check as cheap as the old sign test on wide topologies
+    inf = math.inf
+    if not all(0.0 <= v < inf for v in w):
+        raise ValueError("weights must be finite and nonnegative")
+    if not any(w):
         raise ValueError("at least one weight must be positive")
     return w
 

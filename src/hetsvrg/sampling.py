@@ -201,27 +201,111 @@ def subsample_size(config: EstimationConfig, d: int, range_norm: float, mean_nor
     return max(1, math.ceil(n - 1e-9))
 
 
+def _segment_starts(counts: np.ndarray) -> np.ndarray:
+    return np.cumsum(counts) - counts
+
+
+def _segment_bounds(deltas: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(range_norm, mean_norm) of each run of ``counts`` consecutive delta rows."""
+    starts = _segment_starts(counts)
+    span = np.maximum.reduceat(deltas, starts, axis=0) - np.minimum.reduceat(deltas, starts, axis=0)
+    means = np.add.reduceat(deltas, starts, axis=0) / counts[:, None]
+    return np.linalg.norm(span, axis=1), np.linalg.norm(means, axis=1)
+
+
 def lemma_bounds(problem, shard_id: int, x, x_anchor) -> tuple[float, float]:
     """(range_norm, mean_norm) of one shard's per-sample gradient differences.
 
     range_norm is ||b - a|| for the coordinate-wise min/max envelope of the
     difference vectors; mean_norm is the norm of their average (the exact
-    shard weight).  Requires a full pass over the shard, so this feeds tests
-    and the ``lemma1`` policy, not the default estimation path.
+    shard weight).  Requires a full pass over the shard.  This is the
+    one-shard case of the bounds :func:`subsample_sizes` computes for the
+    ``lemma1`` policy.
     """
     deltas = prob.gradient_delta_matrix(problem, shard_id, x, x_anchor)
-    span = deltas.max(axis=0) - deltas.min(axis=0)
-    return float(np.linalg.norm(span)), float(np.linalg.norm(deltas.mean(axis=0)))
+    ranges, means = _segment_bounds(deltas, np.array([deltas.shape[0]]))
+    return float(ranges[0]), float(means[0])
+
+
+def subsample_sizes(problem, x, x_anchor, config: EstimationConfig) -> np.ndarray:
+    """Every worker's subsample size under ``config``'s policy.
+
+    ``full`` gives the shard sizes and ``fixed`` the capped fixed size.
+    ``lemma1`` applies :func:`subsample_size` to every shard's
+    :func:`lemma_bounds`, computed for all shards in one pass over the
+    stacked rows; a shard whose exact weight is zero gets size 0.
+    """
+    sizes = problem.sizes
+    if config.subsample_policy == "full":
+        return sizes.copy()
+    if config.subsample_policy == "fixed":
+        return np.array([config.size_for_shard(int(n)) for n in sizes])
+    deltas = prob.gradient_deltas(problem, slice(None), x, x_anchor)
+    out = np.zeros(problem.m_workers, dtype=int)
+    for m, (range_norm, mean_norm) in enumerate(zip(*_segment_bounds(deltas, sizes))):
+        try:
+            n = subsample_size(config, problem.param_dim, float(range_norm), float(mean_norm))
+        except DegenerateWeights:
+            continue  # exact weight is zero, nothing to estimate
+        out[m] = min(int(sizes[m]), n)
+    return out
 
 
 def _partial_fisher_yates(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """First k entries of a Fisher-Yates shuffle of range(n): a uniform
-    without-replacement draw of k indices."""
-    idx = np.arange(n)
-    for i in range(k):
-        j = i + int(rng.integers(n - i))
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx[:k]
+    without-replacement draw of k indices.
+
+    Step i swaps position i with i + rng.integers(n - i).  One vectorised
+    ``rng.integers`` call returns exactly those k sequential draws, and the
+    swaps are kept in a dict, so the cost is O(k) whatever n is.
+    """
+    targets = (rng.integers(0, np.arange(n, n - k, -1)) + np.arange(k)).tolist()
+    moved: dict[int, int] = {}
+    out = []
+    for i, j in enumerate(targets):
+        out.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return np.array(out, dtype=np.intp)
+
+
+def estimate_weights(problem, x, x_anchor, sizes=None, rngs=None) -> np.ndarray:
+    """Subsampled gradient-difference norms of all workers in one batched pass.
+
+    Worker m draws ``sizes[m]`` of its sample indices uniformly without
+    replacement from its own generator ``rngs[m]``, by
+    :func:`_partial_fisher_yates`; a size of 0 gives weight 0 and draws
+    nothing.  With ``sizes`` None every worker takes all its rows and nothing
+    is drawn, which gives the exact weights.  All drawn rows are then gathered
+    from the stacked matrix at once, the residual differences
+    r(a'x) - r(a'x_anchor) are formed on them, and each worker's weight is the
+    norm of its segment mean of (residual difference) * a.
+    """
+    M = problem.m_workers
+    weights = np.zeros(M)
+    if sizes is None:
+        workers, counts, rows = np.arange(M), problem.sizes, slice(None)
+    else:
+        sizes = np.asarray(sizes, dtype=int)
+        if sizes.shape != (M,) or np.any(sizes < 0) or np.any(sizes > problem.sizes):
+            raise ValueError(f"sizes must give each of the {M} workers 0..shard size rows")
+        workers = np.flatnonzero(sizes)
+        if not workers.size:
+            return weights
+        counts = sizes[workers]
+        shard_sizes = problem.sizes[workers].tolist()
+        local = np.concatenate(
+            [
+                _partial_fisher_yates(n, k, rngs[m])
+                for m, n, k in zip(workers.tolist(), shard_sizes, counts.tolist())
+            ]
+        )
+        # the workers' row ranges are disjoint and ascending, so one sort
+        # orders the rows within every worker and keeps the workers in order
+        rows = np.sort(local + np.repeat(problem.offsets[workers], counts))
+    deltas = prob.gradient_deltas(problem, rows, x, x_anchor)
+    means = np.add.reduceat(deltas, _segment_starts(counts), axis=0) / counts[:, None]
+    weights[workers] = np.linalg.norm(means, axis=1)
+    return weights
 
 
 def estimate_shard_weight(problem, shard_id: int, x, x_anchor, n_m: int, rng) -> float:
@@ -229,16 +313,16 @@ def estimate_shard_weight(problem, shard_id: int, x, x_anchor, n_m: int, rng) ->
 
     Draws ``n_m`` sample indices uniformly without replacement and returns
     || mean_j (grad f_j(x) - grad f_j(x_anchor)) ||_2 over the draw.  With
-    ``n_m`` equal to the shard size this is the exact difference norm.
+    ``n_m`` equal to the shard size this is the exact difference norm.  This
+    is the one-shard case of :func:`estimate_weights`.
     """
     shard = problem.shard(shard_id)
     if not 1 <= n_m <= shard.size:
         raise ValueError(f"n_m must be in [1, {shard.size}], got {n_m}")
-    idx = np.sort(_partial_fisher_yates(shard.size, n_m, rng))
-    diff = prob.shard_gradient(problem, shard_id, x, sample_indices=idx) - prob.shard_gradient(
-        problem, shard_id, x_anchor, sample_indices=idx
-    )
-    return float(np.linalg.norm(diff))
+    sizes = np.zeros(problem.m_workers, dtype=int)
+    sizes[shard_id] = n_m
+    rngs = {shard_id: rng}
+    return float(estimate_weights(problem, x, x_anchor, sizes, rngs)[shard_id])
 
 
 def sample_categorical(dist: Categorical, rng) -> int:

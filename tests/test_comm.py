@@ -210,6 +210,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             comm.pc_sample([1.0, -1.0], 1, comm.CommLedger(), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("protocol", [comm.pc_sample, comm.optimal_comm_sample])
+    @pytest.mark.parametrize(
+        "weights",
+        [[math.nan, 1.0, 2.0, 3.0], [math.inf, 1.0, 2.0, 3.0], [-math.inf, 1.0, 2.0, 3.0], [math.nan] * 4],
+        ids=["nan", "inf", "-inf", "all-nan"],
+    )
+    def test_non_finite_weight(self, protocol, weights):
+        # a NaN or infinite weight would be silently skipped or win every draw
+        with pytest.raises(ValueError, match="finite"):
+            protocol(weights, 2, comm.CommLedger(), np.random.default_rng(0))
+
     def test_bad_group_size(self):
         with pytest.raises(ValueError):
             comm.pc_sample([1.0, 1.0], 0, comm.CommLedger(), np.random.default_rng(0))

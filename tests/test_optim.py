@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetsvrg import optim
 from hetsvrg import problem as prob
@@ -318,6 +320,83 @@ class TestReproducibility:
         assert len(lines) == 1 + 6
         counters = [tuple(int(v) for v in ln.split(",")[5:]) for ln in lines[1:]]
         assert counters == sorted(counters)  # ledger snapshots never decrease
+
+
+def reference_weights(p, x, anchor, est, seed, k, t):
+    """Per-worker estimates, one worker at a time, each on a stream built
+    directly from SeedSequence(seed + (channel, k, t, m))."""
+    out = []
+    for m in range(p.m_workers):
+        size = p.shard(m).size
+        if est.subsample_policy == "full":
+            out.append(np.linalg.norm(prob.shard_gradient(p, m, x) - prob.shard_gradient(p, m, anchor)))
+            continue
+        if est.subsample_policy == "lemma1":
+            range_norm, mean_norm = smp.lemma_bounds(p, m, x, anchor)
+            if mean_norm == 0.0:
+                out.append(0.0)
+                continue
+            n = min(size, smp.subsample_size(est, p.param_dim, range_norm, mean_norm))
+        else:
+            n = est.size_for_shard(size)
+        key = seed + (optim._CH_WEIGHTS, k, t, m)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+        out.append(smp.estimate_shard_weight(p, m, x, anchor, n, rng))
+    return np.array(out)
+
+
+class TestEstimateWeights:
+    SEED = (2**40 + 3, 2**64 + 5)  # big-int cell seed: several words per entry
+
+    def problem(self, task):
+        # shard sizes 40, 40, 47 (a remainder shard); worker 1 has an all-zero
+        # first feature, so moving only that coordinate leaves it at weight 0;
+        # features centred away from 0 keep lemma1's sizes below the shard sizes
+        rng = np.random.default_rng(12)
+        shards = []
+        for m, n in enumerate([40, 40, 47]):
+            X = 2.0 + 0.2 * 1.5**m * rng.normal(size=(n, 3))
+            if m == 1:
+                X[:, 0] = 0.0
+            y = rng.normal(size=n) if task == prob.LINEAR else (rng.random(n) < 0.5).astype(float)
+            shards.append(prob.Shard(m, X, y))
+        return prob.ShardedProblem(shards, task)
+
+    @pytest.mark.parametrize("task", prob.TASKS)
+    @pytest.mark.parametrize("policy", ["fixed", "lemma1", "full"])
+    def test_batched_matches_per_shard(self, task, policy):
+        p = self.problem(task)
+        rng = np.random.default_rng(4)
+        anchor = rng.normal(size=p.param_dim)
+        first_only = anchor + 0.7 * np.eye(p.param_dim)[0]
+        est = smp.EstimationConfig(tau=0.5, subsample_policy=policy, fixed_n=20)
+        for x in (first_only, rng.normal(size=p.param_dim)):
+            for k, t in ((1, 1), (3, 17)):
+                got = optim._estimate_weights(p, x, anchor, est, self.SEED, k, t)
+                ref = reference_weights(p, x, anchor, est, self.SEED, k, t)
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+        assert got[1] > 0.0
+        assert optim._estimate_weights(p, first_only, anchor, est, self.SEED, 2, 5)[1] == 0.0
+
+    def test_bad_sizes_rejected(self):
+        p = self.problem(prob.LINEAR)
+        x = np.ones(p.param_dim)
+        rngs = [np.random.default_rng(m) for m in range(3)]
+        for sizes in ([1, 1], [1, -1, 1], [1, 41, 1]):
+            with pytest.raises(ValueError):
+                smp.estimate_weights(p, x, np.zeros(p.param_dim), sizes, rngs)
+
+
+class TestStreams:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.lists(st.integers(0, 2**96), min_size=1, max_size=3),
+        tags=st.lists(st.integers(0, 2**40), max_size=4),
+    )
+    def test_stream_matches_seed_sequence_of_key(self, seed, tags):
+        key = tuple(seed) + tuple(tags)
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+        assert optim._stream(tuple(seed), *tags).bit_generator.state == ref.bit_generator.state
 
 
 class TestConfigValidation:

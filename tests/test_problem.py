@@ -329,3 +329,38 @@ class TestEvaluation:
         p = prob.ShardedProblem([shard], prob.LINEAR)
         loss, acc = prob.test_metrics(p, np.zeros(2))
         assert np.isnan(loss) and np.isnan(acc)
+
+
+class TestStackedRows:
+    def remainder_problem(self, task):
+        # 3 workers over 40 training rows: the last shard holds the remainder
+        return prob.generate_heterogeneous(task, 3, 50, 4, 1.7, seed=5)
+
+    @pytest.mark.parametrize("task", prob.TASKS)
+    def test_full_loss_is_mean_of_shard_losses(self, task):
+        p = self.remainder_problem(task)
+        assert [s.size for s in p.shards] == [13, 13, 14]
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            x = rng.normal(size=p.param_dim)
+            per_shard = np.mean([prob.shard_loss(p, m, x) for m in range(p.m_workers)])
+            assert prob.full_loss(p, x) == pytest.approx(per_shard, rel=1e-12)
+
+    def test_shards_view_the_stacked_matrix(self):
+        p = self.remainder_problem(prob.LINEAR)
+        assert p.aug.shape == (p.n_total, p.param_dim)
+        np.testing.assert_array_equal(p.offsets, [0, 13, 26, 40])
+        np.testing.assert_array_equal(p.aug[:, -1], 1.0)
+        for m, s in enumerate(p.shards):
+            assert np.shares_memory(s.aug, p.aug)
+            assert np.shares_memory(s.X, p.aug)
+            assert np.shares_memory(s.y, p.y)
+            np.testing.assert_array_equal(s.aug, p.aug[p.offsets[m] : p.offsets[m + 1]])
+            np.testing.assert_array_equal(s.X, s.aug[:, :-1])
+
+    def test_input_shards_left_untouched(self):
+        X = np.arange(6.0).reshape(3, 2)
+        shard = prob.Shard(0, X, [1.0, 2.0, 3.0])
+        p = prob.ShardedProblem([shard], prob.LINEAR)
+        assert shard.X is X and p.shards[0] is not shard
+        np.testing.assert_array_equal(p.shards[0].X, X)

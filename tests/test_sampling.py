@@ -4,10 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from hetsvrg import problem as prob
 from hetsvrg import sampling as smp
+
+
+def sequential_fisher_yates(n, k, rng):
+    """Reference partial Fisher-Yates: step i swaps position i with
+    i + rng.integers(n - i), one scalar draw per step; positions never
+    touched keep their own index, so no array of length n is needed."""
+    held = {}
+    out = []
+    for i in range(k):
+        j = i + int(rng.integers(n - i))
+        at_i, at_j = held.get(i, i), held.get(j, j)
+        held[i], held[j] = at_j, at_i
+        out.append(at_j)
+    return out
 
 
 def random_pair(rng, m=6, max_rel=0.3):
@@ -242,6 +258,32 @@ class TestEstimateShardWeight:
             np.linalg.norm(deltas.max(axis=0) - deltas.min(axis=0))
         )
         assert mean_norm == pytest.approx(np.linalg.norm(deltas.mean(axis=0)))
+
+    def test_matches_subsample_gradient_difference(self):
+        # the estimate is the norm of the shard-gradient difference on the
+        # sorted reference draw from the same stream
+        for m in range(self.problem.m_workers):
+            size = self.problem.shard(m).size
+            idx = np.sort(sequential_fisher_yates(size, 9, np.random.default_rng(m)))
+            ref = np.linalg.norm(
+                prob.shard_gradient(self.problem, m, self.x, sample_indices=idx)
+                - prob.shard_gradient(self.problem, m, self.anchor, sample_indices=idx)
+            )
+            w = smp.estimate_shard_weight(self.problem, m, self.x, self.anchor, 9, np.random.default_rng(m))
+            assert w == pytest.approx(ref, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 2**62), k_share=st.floats(0.0, 1.0), seed=st.integers(0, 2**128))
+    @example(n=2**32 + 1, k_share=1e-9, seed=2**64 + 7)
+    @example(n=2**40, k_share=1e-11, seed=0)
+    @example(n=25, k_share=1.0, seed=3)
+    def test_fisher_yates_matches_sequential_reference(self, n, k_share, seed):
+        # same indices as k scalar draws, and the generator ends in the same
+        # state, so every later draw from it is unchanged too
+        k = min(n, 40, round(k_share * n))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert smp._partial_fisher_yates(n, k, rng).tolist() == sequential_fisher_yates(n, k, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_without_replacement(self):
         # a subsample of the full shard size must visit every index exactly once
