@@ -10,6 +10,11 @@ drawn with replacement proportionally to locally-held weights:
   spread over R parallel single-index merge chains, trading a stage of R
   rounds up front for O(R + log(M/R)) total latency.
 
+Both make the draws of the tree run one node and one uniform at a time, so
+from the same generator state they return the same histogram and differ only
+in the messages and rounds they charge.  Weights must be 1-D, finite and
+nonnegative, with a positive, finite total; otherwise ``ValueError``.
+
 Scalars are counted per the message contents: an (index, weight) pair costs
 2, an (R indices, weight) tuple costs R + 1.  Worker counts that are not a
 power-of-two multiple of R are padded with virtual zero-weight workers; the
@@ -18,8 +23,11 @@ virtual slots never send chargeable messages and can never be sampled.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass
@@ -92,152 +100,140 @@ class SampleHistogram:
         return sorted(self.counts.items())
 
 
-@dataclass
-class NodeState:
-    """What one tree node holds mid-protocol: candidate indices and the
-    cumulative weight of the subtree it represents."""
-
-    held_indices: list = field(default_factory=list)
-    cumulative_weight: float = 0.0
-
-
-def _checked_weights(weights) -> list[float]:
-    w = [float(v) for v in weights]
-    if not w:
+def _checked_weights(weights) -> np.ndarray:
+    """Weights as a 1-D array of nonnegative floats; ``_tree_draw`` checks
+    their total, which it forms anyway."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1:
+        raise ValueError(f"weights must be one-dimensional, got shape {w.shape}")
+    if not w.size:
         raise ValueError("need at least one worker weight")
-    # one pass: NaN fails both comparisons; a local inf keeps the per-item
-    # check as cheap as the old sign test on wide topologies
-    inf = math.inf
-    if not all(0.0 <= v < inf for v in w):
+    if not w.min() >= 0.0:  # a NaN minimum fails too
         raise ValueError("weights must be finite and nonnegative")
-    if not any(w):
-        raise ValueError("at least one weight must be positive")
     return w
 
 
-def _draw_index(weights: list[float], offset: int, total: float, rng) -> int:
-    """Inverse-CDF draw over ``weights``; zero-weight entries are never picked."""
-    u = rng.random() * total
-    acc = 0.0
-    last = offset
-    for j, wv in enumerate(weights):
-        if wv > 0.0:
-            acc += wv
-            last = offset + j
-            if u < acc:
-                return last
-    return last  # u landed on the top boundary; return the last positive entry
+def _tree_draw(w: np.ndarray, R: int, topo: Topology, rng) -> list[int]:
+    """The R candidates that reach the root of the sampling tree, in O(log G)
+    array operations over its G groups.
+
+    The draws are those of the tree run one node at a time: each group with a
+    positive total spends R uniforms on inverse-CDF leaf draws (in group
+    order), then each merge with a positive total R coin flips (level by
+    level, in receiver order), keeping the sender's candidate where
+    ``u < sender_total / total``.  Which nodes draw depends only on the
+    weights, so one ``rng.random`` call covers them all.
+    """
+    groups = topo.padded_workers // R
+    padded = w
+    if w.size < topo.padded_workers:
+        padded = np.zeros(topo.padded_workers)
+        padded[: w.size] = w
+    padded = padded.reshape(groups, R)
+    cum = padded.cumsum(axis=1) if R > 1 else padded  # left to right, as a leader adds
+
+    # node totals, leaves first and then each merge level; blocks have even
+    # length, so the pairs (2i, 2i + 1) are always (sender, receiver) and node
+    # groups + i is their merge.  An overflow reaches the root and is raised.
+    totals = np.empty(2 * groups - 1)
+    totals[:groups] = cum[:, -1]
+    lo, n = 0, groups
+    while n > 1:
+        np.add(totals[lo + 1 : lo + n : 2], totals[lo : lo + n : 2], out=totals[lo + n : lo + n + n // 2])
+        lo, n = lo + n, n // 2
+    if not math.isfinite(totals[-1]):
+        raise ValueError("weights must be finite and have a finite total")
+    if not totals[-1] > 0.0:
+        raise ValueError("at least one weight must be positive")
+    live = totals > 0.0
+    u = np.zeros((totals.size, R))
+    u[live] = rng.random(R * np.count_nonzero(live)).reshape(-1, R)
+
+    # leaf stage: the count of cum <= u in a group is its first entry whose
+    # cum exceeds u, always a positive one; u == total falls back to the
+    # group's last positive entry.  Complex keys sort by (group, value), so
+    # one searchsorted answers every group at once with no arithmetic on cum.
+    rows = np.arange(groups)[:, None]
+    if R == 1:
+        cand = rows  # a one-worker group always draws its worker
+    else:
+        keys = np.empty((groups, R), dtype=complex)
+        keys.real, keys.imag = rows, cum
+        queries = np.empty_like(keys)
+        queries.real, queries.imag = rows, u[:groups] * totals[:groups, None]
+        first = np.searchsorted(keys.ravel(), queries.ravel(), side="right").reshape(groups, R)
+        last = R * rows + (R - 1) - (padded[:, ::-1] > 0.0).argmax(axis=1)[:, None]
+        cand = np.minimum(first, last)
+
+    # a dead merge has sender total 0 and so threshold 0: it never takes the
+    # sender.  5e-324 is the smallest positive double, so flooring with it
+    # leaves every live total as it is and only keeps 0 / 0 away.
+    take_sender = u[groups:] < (totals[:-1:2] / np.maximum(totals[groups:], 5e-324))[:, None]
+    lo, n = 0, groups // 2
+    while n:
+        cand = np.where(take_sender[lo : lo + n], cand[0::2], cand[1::2])
+        lo, n = lo + n, n // 2
+    return cand[0].tolist()
 
 
-def _group_states(w: list[float], R: int, groups: int, rng) -> list[NodeState]:
-    """Leaders sample R in-group indices with replacement (the leaf stage)."""
-    states = []
-    for g in range(groups):
-        local = w[g * R : (g + 1) * R]
-        total = sum(local)
-        node = NodeState(cumulative_weight=total)
-        if total > 0.0:
-            node.held_indices = [_draw_index(local, g * R, total, rng) for _ in range(R)]
-        states.append(node)
-    return states
+def _senders(levels: int):
+    """The sending group of every merge, level by level."""
+    for h in range(1, levels + 1):
+        yield from range((1 << (h - 1)) - 1, 1 << levels, 1 << h)
 
 
-def _line1_scalars(m_real: int, R: int) -> int:
-    """Gather-to-leader cost: every real non-leader sends an (index, weight) pair."""
-    real_leaders = len(range(R - 1, m_real, R))
-    return 2 * (m_real - real_leaders)
+@functools.lru_cache(maxsize=64)
+def _pc_schedule(m_real: int, R: int) -> tuple[int, int]:
+    """Worker-worker scalars and rounds of one ``pc_sample`` call: 2 per real
+    non-leader's (index, weight) pair to its leader, R + 1 per merge send from
+    a real leader."""
+    levels = Topology(m_real, R).levels
+    merges = sum((sg + 1) * R <= m_real for sg in _senders(levels))
+    return 2 * (m_real - m_real // R) + (R + 1) * merges, 1 + levels
+
+
+@functools.lru_cache(maxsize=64)
+def _optimal_schedule(m_real: int, R: int) -> tuple[int, int]:
+    """Worker-worker scalars and rounds of one ``optimal_comm_sample`` call:
+    the same leader pairs, 2(R - 1) per real leader spreading its candidates,
+    and 2 per chain link sent by a real worker."""
+    levels = Topology(m_real, R).levels
+    full = m_real // R
+    links = sum(min(R, max(0, m_real - sg * R)) for sg in _senders(levels))
+    return 2 * (m_real - full) + 2 * (R - 1) * full + 2 * links, R + 1 + levels
+
+
+def _sample(weights, R: int, ledger: CommLedger, rng, schedule) -> SampleHistogram:
+    w = _checked_weights(weights)
+    if R < 1:
+        raise ValueError("R must be at least 1")
+    indices = _tree_draw(w, R, Topology(w.size, R), rng)
+    scalars, rounds = schedule(w.size, R)
+    ledger.worker_worker_scalars += scalars
+    ledger.parallel_rounds += rounds
+    counts: dict[int, int] = {}
+    for i in indices:
+        counts[i] = counts.get(i, 0) + 1
+    return SampleHistogram(counts=counts, total=R)
 
 
 def pc_sample(weights, R: int, ledger: CommLedger, rng) -> SampleHistogram:
     """Tree-structured weighted sampling of R indices with replacement.
 
     Marginal of every slot is w_i / sum(w).  Charges the ledger with the
-    exact message schedule: 2 scalars per leader-bound send, R + 1 per merge send,
-    and 1 + log2(padded M / R) synchronous rounds.
+    exact message schedule: 2 scalars per leader-bound send, R + 1 per merge
+    send, and 1 + log2(padded M / R) synchronous rounds.
     """
-    w = _checked_weights(weights)
-    if R < 1:
-        raise ValueError("R must be at least 1")
-    topo = Topology(len(w), R)
-    w_pad = w + [0.0] * (topo.padded_workers - len(w))
-    groups = topo.padded_workers // R
-
-    ledger.worker_worker_scalars += _line1_scalars(len(w), R)
-    ledger.parallel_rounds += 1 + topo.levels
-
-    nodes = _group_states(w_pad, R, groups, rng)
-    for h in range(1, topo.levels + 1):
-        step = 1 << h
-        for rg in range(step - 1, groups, step):
-            sg = rg - step // 2
-            sender_slot = sg * R + R - 1
-            if sender_slot < len(w):
-                ledger.worker_worker_scalars += R + 1
-            _merge_into(nodes[rg], nodes[sg], R, rng)
-
-    final = nodes[groups - 1]
-    counts: dict[int, int] = {}
-    for i in final.held_indices:
-        counts[i] = counts.get(i, 0) + 1
-    return SampleHistogram(counts=counts, total=R)
-
-
-def _merge_into(receiver: NodeState, sender: NodeState, R: int, rng) -> None:
-    """Receiver resamples each slot between its own and the sender's candidate,
-    weighted by the two subtree totals."""
-    total = receiver.cumulative_weight + sender.cumulative_weight
-    if total > 0.0:
-        thresh = sender.cumulative_weight / total
-        receiver.held_indices = [
-            sender.held_indices[j] if rng.random() < thresh else receiver.held_indices[j]
-            for j in range(R)
-        ]
-    receiver.cumulative_weight = total
+    return _sample(weights, R, ledger, rng, _pc_schedule)
 
 
 def optimal_comm_sample(weights, R: int, ledger: CommLedger, rng) -> SampleHistogram:
-    """Latency-optimised variant: same marginals and O(M) scalars as
+    """Latency-optimised variant: same draws and O(M) scalars as
     ``pc_sample``, but R single-index merge chains run in parallel so the
     round count is R (leader receive stage) + 1 (candidate spread) +
     log2(padded M / R) instead of per-round R-sized payloads.
     """
-    w = _checked_weights(weights)
-    if R < 1:
-        raise ValueError("R must be at least 1")
-    topo = Topology(len(w), R)
-    w_pad = w + [0.0] * (topo.padded_workers - len(w))
-    groups = topo.padded_workers // R
-
-    ledger.worker_worker_scalars += _line1_scalars(len(w), R)
-    ledger.parallel_rounds += R + 1 + topo.levels
-
-    group_nodes = _group_states(w_pad, R, groups, rng)
-    # candidate spread: leader keeps slot R-1, sends (index, weight) pairs to
-    # the other R-1 machines of its group
-    slots = []
-    for g, node in enumerate(group_nodes):
-        leader_slot = g * R + R - 1
-        if leader_slot < len(w):
-            ledger.worker_worker_scalars += 2 * (R - 1)
-        for j in range(R):
-            held = [node.held_indices[j]] if node.held_indices else []
-            slots.append(NodeState(held_indices=held, cumulative_weight=node.cumulative_weight))
-
-    for h in range(1, topo.levels + 1):
-        step = 1 << h
-        for rg in range(step - 1, groups, step):
-            sg = rg - step // 2
-            for j in range(R):
-                sender_slot = sg * R + j
-                if sender_slot < len(w):
-                    ledger.worker_worker_scalars += 2
-                _merge_into(slots[rg * R + j], slots[sender_slot], 1, rng)
-
-    counts: dict[int, int] = {}
-    for j in range(R):
-        i = slots[(groups - 1) * R + j].held_indices[0]
-        counts[i] = counts.get(i, 0) + 1
-    return SampleHistogram(counts=counts, total=R)
+    return _sample(weights, R, ledger, rng, _optimal_schedule)
 
 
 def server_broadcast(ledger: CommLedger, payload_scalars: int, m_workers: int) -> None:

@@ -39,6 +39,8 @@ class Categorical:
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite and nonnegative")
         total = float(w.sum())
+        if not math.isfinite(total):
+            raise ValueError("categorical weights must have a finite total")
         if total <= 0:
             raise DegenerateWeights("all categorical weights are zero")
         return cls(weights=w.copy(), probabilities=w / total)

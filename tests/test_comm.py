@@ -221,6 +221,32 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             protocol(weights, 2, comm.CommLedger(), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("protocol", [comm.pc_sample, comm.optimal_comm_sample])
+    @pytest.mark.parametrize(
+        "weights,R",
+        [([1e308, 1e308, 1.0, 1.0], 1), ([1e308, 1e308], 2), ([1e308, 1.0, 1e308, 1.0], 2)],
+    )
+    def test_overflowing_total(self, protocol, weights, R):
+        # an infinite subtree total turns a merge threshold into inf/inf = nan
+        # (that sender never wins) or a leaf draw into inf * u (the last
+        # positive worker always wins); numpy reports the overflow first
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ValueError, match="finite total"):
+            protocol(weights, R, comm.CommLedger(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("protocol", [comm.pc_sample, comm.optimal_comm_sample])
+    def test_largest_finite_total_accepted(self, protocol):
+        rng = np.random.default_rng(0)
+        seen = set()
+        for _ in range(200):
+            seen.update(protocol([8e307, 8e307, 1e307, 1.0], 1, comm.CommLedger(), rng).counts)
+        assert {0, 1, 2} <= seen
+
+    @pytest.mark.parametrize("protocol", [comm.pc_sample, comm.optimal_comm_sample])
+    @pytest.mark.parametrize("weights", [3.0, [[1.0, 2.0], [3.0, 4.0]], np.ones((4, 1))], ids=["0-d", "2-d", "column"])
+    def test_weights_must_be_one_dimensional(self, protocol, weights):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            protocol(weights, 1, comm.CommLedger(), np.random.default_rng(0))
+
     def test_bad_group_size(self):
         with pytest.raises(ValueError):
             comm.pc_sample([1.0, 1.0], 0, comm.CommLedger(), np.random.default_rng(0))

@@ -79,6 +79,13 @@ class TestOptimalDistribution:
         with pytest.raises(ValueError):
             smp.optimal_distribution([1.0, -0.1])
 
+    def test_overflowing_total_rejected(self):
+        # finite weights whose sum overflows would give all-zero probabilities,
+        # and sample_categorical would then always return the last index
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ValueError, match="finite total"):
+            smp.Categorical.from_weights([1e308, 1e308, 1.0])
+        assert smp.Categorical.from_weights([1e308, 7e307, 1.0]).probabilities.sum() == pytest.approx(1.0)
+
 
 class TestDecomposition:
     def test_worked_example(self):

@@ -1,0 +1,233 @@
+"""The array tree draw against the sequential tree it replaces.
+
+``sequential_pc`` and ``sequential_optimal`` run the sampling tree one node
+and one uniform at a time and charge the ledger one message at a time.  Their
+sums are explicit left-to-right loops, the order a leader adding its group's
+weights one by one would use (``sum()`` is compensated on Python >= 3.12 and
+can differ by an ulp).  Both protocols must match them on histogram, ledger
+and final generator state.
+"""
+
+from dataclasses import dataclass, field
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hetsvrg import comm
+
+
+@dataclass
+class Node:
+    """Candidate indices held by a tree node and its subtree's total weight."""
+
+    held: list = field(default_factory=list)
+    total: float = 0.0
+
+
+def _left_sum(values) -> float:
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc
+
+
+def _draw_index(local, offset, total, rng) -> int:
+    """Inverse-CDF draw over ``local``; zero-weight entries are never picked."""
+    u = rng.random() * total
+    acc = 0.0
+    last = offset
+    for j, wv in enumerate(local):
+        if wv > 0.0:
+            acc += wv
+            last = offset + j
+            if u < acc:
+                return last
+    return last  # u landed on the top boundary: the last positive entry
+
+
+def _leaf_stage(w, R, groups, rng) -> list[Node]:
+    nodes = []
+    for g in range(groups):
+        local = w[g * R : (g + 1) * R]
+        node = Node(total=_left_sum(local))
+        if node.total > 0.0:
+            node.held = [_draw_index(local, g * R, node.total, rng) for _ in range(R)]
+        nodes.append(node)
+    return nodes
+
+
+def _merge_into(receiver: Node, sender: Node, R: int, rng) -> None:
+    total = receiver.total + sender.total
+    if total > 0.0:
+        thresh = sender.total / total
+        receiver.held = [
+            sender.held[j] if rng.random() < thresh else receiver.held[j] for j in range(R)
+        ]
+    receiver.total = total
+
+
+def _merges(groups):
+    """(level, receiver group, sender group) in protocol order."""
+    h = 1
+    while (1 << h) <= groups:
+        step = 1 << h
+        for rg in range(step - 1, groups, step):
+            yield h, rg, rg - step // 2
+        h += 1
+
+
+def _histogram(indices):
+    counts = {}
+    for i in indices:
+        counts[i] = counts.get(i, 0) + 1
+    return counts
+
+
+def _padded(weights, R):
+    topo = comm.Topology(len(weights), R)
+    w = [float(v) for v in weights] + [0.0] * (topo.padded_workers - len(weights))
+    return w, topo, topo.padded_workers // R
+
+
+def sequential_pc(weights, R, ledger, rng) -> dict:
+    w, topo, groups = _padded(weights, R)
+    m = len(weights)
+    for i in range(m):
+        if i % R != R - 1:
+            ledger.worker_worker_scalars += 2  # (index, weight) to the leader
+    ledger.parallel_rounds += 1 + topo.levels
+    nodes = _leaf_stage(w, R, groups, rng)
+    for _, rg, sg in _merges(groups):
+        if sg * R + R - 1 < m:
+            ledger.worker_worker_scalars += R + 1  # (R indices, weight)
+        _merge_into(nodes[rg], nodes[sg], R, rng)
+    return _histogram(nodes[groups - 1].held)
+
+
+def sequential_optimal(weights, R, ledger, rng) -> dict:
+    w, topo, groups = _padded(weights, R)
+    m = len(weights)
+    for i in range(m):
+        if i % R != R - 1:
+            ledger.worker_worker_scalars += 2
+    ledger.parallel_rounds += R + 1 + topo.levels
+    group_nodes = _leaf_stage(w, R, groups, rng)
+    slots = []
+    for g, node in enumerate(group_nodes):
+        for j in range(R):
+            if g * R + R - 1 < m and j != R - 1:
+                ledger.worker_worker_scalars += 2  # leader spreads one candidate
+            held = [node.held[j]] if node.held else []
+            slots.append(Node(held=held, total=node.total))
+    for _, rg, sg in _merges(groups):
+        for j in range(R):
+            if sg * R + j < m:
+                ledger.worker_worker_scalars += 2  # one chain link
+            _merge_into(slots[rg * R + j], slots[sg * R + j], 1, rng)
+    return _histogram(slot.held[0] for slot in slots[(groups - 1) * R :])
+
+
+class ScriptedRng:
+    """Uniforms from a fixed cycle, scalar or batched, counting what it hands
+    out; lets boundary values such as 0 and the largest double below 1 reach
+    every comparison."""
+
+    def __init__(self, values):
+        self.values = values
+        self.used = 0
+
+    def random(self, size=None):
+        n = 1 if size is None else size
+        out = [self.values[(self.used + k) % len(self.values)] for k in range(n)]
+        self.used += n
+        return out[0] if size is None else np.array(out)
+
+
+WEIGHT = st.one_of(
+    st.just(0.0),
+    st.integers(1, 4).map(float),  # ties between cumulative sums and draws
+    st.sampled_from([-0.0, 5e-324, 1e-300, 1e-20]),  # signed zero, subnormal, absorbed
+    st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True),
+)
+
+
+@st.composite
+def cases(draw, max_m=64):
+    m = draw(st.integers(1, max_m))
+    R = draw(st.integers(1, m))
+    weights = draw(st.lists(WEIGHT, min_size=m, max_size=m))
+    if not any(v > 0.0 for v in weights):
+        weights[draw(st.integers(0, m - 1))] = draw(st.floats(min_value=1e-300, max_value=1e300))
+    return weights, R
+
+
+PAIRS = [(comm.pc_sample, sequential_pc), (comm.optimal_comm_sample, sequential_optimal)]
+
+
+def _run(protocol, weights, R, rng, calls=3):
+    ledger = comm.CommLedger()
+    hists = [protocol(weights, R, ledger, rng) for _ in range(calls)]
+    return hists, ledger.snapshot()
+
+
+class TestMatchesSequentialTree:
+    @settings(max_examples=300, deadline=None)
+    @given(cases(), st.integers(0, 2**64 - 1))
+    @example(([1.0, 2.0, 3.0, 4.0], 4), 0)  # R = M: no merge level
+    @example(([2.5], 1), 7)  # M = 1
+    @example(([0.0, 0.0, 5.0, 0.0, 1.0], 2), 3)  # padded, zero groups
+    def test_histogram_ledger_and_stream(self, case, seed):
+        weights, R = case
+        for protocol, reference in PAIRS:
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            hists, snapshot = _run(protocol, weights, R, rng)
+            ref_ledger = comm.CommLedger()
+            ref_counts = [reference(weights, R, ref_ledger, ref_rng) for _ in range(3)]
+            assert [list(h.counts.items()) for h in hists] == [list(c.items()) for c in ref_counts]
+            assert all(type(i) is int for h in hists for i in h.counts)
+            assert snapshot == ref_ledger.snapshot()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(cases(max_m=24), st.lists(st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53, 0.25]), min_size=1))
+    @example(([5e-324, 5e-324], 2), [1.0 - 2.0**-53])  # u * total == total
+    @example(([5e-324, 5e-324, 0.0], 3), [1.0 - 2.0**-53])  # ... before a zero weight
+    @example(([1.0, 1e-20, 0.0, 3.0], 2), [0.0, 1.0 - 2.0**-53])
+    def test_boundary_uniforms(self, case, values):
+        weights, R = case
+        for protocol, reference in PAIRS:
+            rng, ref_rng = ScriptedRng(values), ScriptedRng(values)
+            hists, _ = _run(protocol, weights, R, rng, calls=2)
+            ref_counts = [reference(weights, R, comm.CommLedger(), ref_rng) for _ in range(2)]
+            assert [h.counts for h in hists] == ref_counts
+            assert rng.used == ref_rng.used
+
+
+class TestLedgerSchedule:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 1200).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))))
+    @example((4096, 16))
+    @example((1000, 8))
+    @example((7, 7))
+    def test_closed_form_matches_message_count(self, shape):
+        # the charge depends only on the shape, so one positive weight will do
+        m, R = shape
+        weights = [0.0] * (m - 1) + [1.0]
+        for protocol, reference in PAIRS:
+            ledger, ref_ledger = comm.CommLedger(), comm.CommLedger()
+            protocol(weights, R, ledger, np.random.default_rng(0))
+            reference(weights, R, ref_ledger, np.random.default_rng(0))
+            assert ledger.snapshot() == ref_ledger.snapshot()
+
+
+class TestSameDraws:
+    @settings(max_examples=200, deadline=None)
+    @given(cases(max_m=200), st.integers(0, 2**64 - 1))
+    def test_protocols_share_every_draw(self, case, seed):
+        weights, R = case
+        pc_rng, oc_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        pc, _ = _run(comm.pc_sample, weights, R, pc_rng)
+        oc, _ = _run(comm.optimal_comm_sample, weights, R, oc_rng)
+        assert [list(h.counts.items()) for h in pc] == [list(h.counts.items()) for h in oc]
+        assert pc_rng.bit_generator.state == oc_rng.bit_generator.state
