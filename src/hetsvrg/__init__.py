@@ -26,7 +26,6 @@ from .problem import (
     LINEAR,
     LOGISTIC,
     LipschitzInfo,
-    Sample,
     Shard,
     ShardedProblem,
     atomic_gradient,

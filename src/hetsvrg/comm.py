@@ -113,6 +113,14 @@ def _checked_weights(weights) -> np.ndarray:
     return w
 
 
+@functools.lru_cache(maxsize=64)
+def _group_column(groups: int) -> np.ndarray:
+    """0 .. groups - 1 as a read-only column."""
+    rows = np.arange(groups)
+    rows.flags.writeable = False
+    return rows[:, None]
+
+
 def _tree_draw(w: np.ndarray, R: int, topo: Topology, rng) -> list[int]:
     """The R candidates that reach the root of the sampling tree, in O(log G)
     array operations over its G groups.
@@ -124,10 +132,11 @@ def _tree_draw(w: np.ndarray, R: int, topo: Topology, rng) -> list[int]:
     ``u < sender_total / total``.  Which nodes draw depends only on the
     weights, so one ``rng.random`` call covers them all.
     """
-    groups = topo.padded_workers // R
+    padded_workers = topo.padded_workers
+    groups = padded_workers // R
     padded = w
-    if w.size < topo.padded_workers:
-        padded = np.zeros(topo.padded_workers)
+    if w.size < padded_workers:
+        padded = np.zeros(padded_workers)
         padded[: w.size] = w
     padded = padded.reshape(groups, R)
     cum = padded.cumsum(axis=1) if R > 1 else padded  # left to right, as a leader adds
@@ -141,19 +150,25 @@ def _tree_draw(w: np.ndarray, R: int, topo: Topology, rng) -> list[int]:
     while n > 1:
         np.add(totals[lo + 1 : lo + n : 2], totals[lo : lo + n : 2], out=totals[lo + n : lo + n + n // 2])
         lo, n = lo + n, n // 2
-    if not math.isfinite(totals[-1]):
+    root = float(totals[-1])
+    if not math.isfinite(root):
         raise ValueError("weights must be finite and have a finite total")
-    if not totals[-1] > 0.0:
+    if not root > 0.0:
         raise ValueError("at least one weight must be positive")
-    live = totals > 0.0
-    u = np.zeros((totals.size, R))
-    u[live] = rng.random(R * np.count_nonzero(live)).reshape(-1, R)
+    # totals are sums of nonnegative weights and the root is finite, so a
+    # nonzero total is a live node
+    n_live = np.count_nonzero(totals)
+    if n_live == totals.size:
+        u = rng.random(R * n_live).reshape(-1, R)
+    else:
+        u = np.zeros((totals.size, R))
+        u[totals > 0.0] = rng.random(R * n_live).reshape(-1, R)
 
     # leaf stage: the count of cum <= u in a group is its first entry whose
     # cum exceeds u, always a positive one; u == total falls back to the
     # group's last positive entry.  Complex keys sort by (group, value), so
     # one searchsorted answers every group at once with no arithmetic on cum.
-    rows = np.arange(groups)[:, None]
+    rows = _group_column(groups)
     if R == 1:
         cand = rows  # a one-worker group always draws its worker
     else:

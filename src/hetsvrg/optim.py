@@ -14,11 +14,14 @@ executed concurrently without changing results.
 The adaptive step computes all workers' weight estimates in one batched pass
 over the problem's stacked rows (``sampling.estimate_weights``), and the
 divergence guard evaluates the loss in one mat-vec (``problem.full_loss``).
-Batching keeps every stream and every draw: worker m's subsample is exactly
-the one ``sampling.estimate_shard_weight`` draws from stream (seed, weights
-channel, k, t, m).  Only the order of float sums differs from a
-worker-by-worker evaluation, so weights and losses agree with it to rounding
-(about 1e-13 relative on the presets).
+Batching keeps every stream and every draw: worker m's subsample is still
+keyed by (seed, weights channel, k, t, m) and is exactly the one
+``sampling.estimate_shard_weight`` draws from that stream.  The workers'
+stream states are derived together in one batched pass
+(``sampling._draw_subsamples``) instead of building a Generator per worker.
+Only the order of float sums differs from a worker-by-worker evaluation, so
+weights and losses agree with it to rounding (about 1e-13 relative on the
+presets).
 """
 
 from __future__ import annotations
@@ -102,24 +105,9 @@ def _seed_tuple(seed) -> tuple[int, ...]:
     return out
 
 
-def _key_words(parts: tuple[int, ...]) -> np.ndarray:
-    """The uint32 words ``SeedSequence`` makes of a tuple of nonnegative ints:
-    each int's little-endian 32-bit words, at least one per int."""
-    words = []
-    for v in parts:
-        words.append(v & 0xFFFFFFFF)
-        v >>= 32
-        while v:
-            words.append(v & 0xFFFFFFFF)
-            v >>= 32
-    return np.array(words, dtype=np.uint32)
-
-
 def _stream(seed_parts: tuple[int, ...], *tags: int) -> np.random.Generator:
-    # same state as SeedSequence(seed_parts + tags), without its slower
-    # per-int coercion
-    words = _key_words(seed_parts + tags)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+    """The generator of ``SeedSequence(seed_parts + tags)``."""
+    return sampling._stream(seed_parts + tags)
 
 
 @dataclass(frozen=True)
@@ -297,8 +285,8 @@ def _estimate_weights(problem, x, anchor, est, seed, k, t) -> list[float]:
     if est.subsample_policy == "full":
         return sampling.estimate_weights(problem, x, anchor).tolist()
     sizes = sampling.subsample_sizes(problem, x, anchor, est)
-    rngs = [_stream(seed, _CH_WEIGHTS, k, t, m) if n else None for m, n in enumerate(sizes)]
-    return sampling.estimate_weights(problem, x, anchor, sizes, rngs).tolist()
+    local = sampling._draw_subsamples(seed + (_CH_WEIGHTS, k, t), problem.sizes, sizes)
+    return sampling.estimate_weights(problem, x, anchor, sizes, local).tolist()
 
 
 def run_asd_svrg(problem, config: OptimizerConfig, x0=None) -> RunTrace:

@@ -44,14 +44,6 @@ class DatasetFormatError(ValueError):
     """A dataset CSV could not be parsed into a ShardedProblem."""
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One data point: raw features (no bias coordinate) and a target."""
-
-    features: np.ndarray
-    target: float
-
-
 class Shard:
     """The block of samples held by one worker.
 
@@ -85,10 +77,6 @@ class Shard:
     def aug(self) -> np.ndarray:
         """Feature matrix with the trailing all-ones bias column, ``(n, dim+1)``."""
         return np.hstack([self.X, np.ones((self.size, 1))])
-
-    @property
-    def samples(self) -> list[Sample]:
-        return [Sample(self.X[i].copy(), float(self.y[i])) for i in range(self.size)]
 
 
 class ShardedProblem:

@@ -8,6 +8,7 @@ categorical distribution into (1 - gamma) * exact + gamma * residual.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,23 +99,25 @@ class Decomposition:
 def decompose_perturbed(pair: PerturbedPair) -> Decomposition:
     """Split a perturbed categorical into its exact part and a residual.
 
-    With base weights w, deltas d and r = min_i d_i / w_i, the residual has
-    weights d_i - w_i * r (zero at the minimizing index) and the mixture mass
-    is gamma = 1 - min_i p̃_i / p_i, the smallest mass for which the
-    decomposition stays a valid distribution.
+    With base weights w, perturbed weights w̃ = w + d and c = min_i w̃_i / w_i,
+    the residual has weights w̃_i - c * w_i (zero at the minimizing index) and
+    the mixture mass is gamma = 1 - min_i p̃_i / p_i, the smallest mass for
+    which the decomposition stays a valid distribution.  The ratio is taken
+    of the perturbed weights themselves: forming it as 1 + d_i / w_i would
+    cancel digits wherever w̃_i is far below w_i.
     """
     w = pair.base.weights
     if np.any(w <= 0):
         raise ValueError("base weights must be strictly positive (delta/weight ratios)")
-    d = pair.deltas
-    ratios = d / w
+    wt = pair.perturbed.weights
+    ratios = wt / w
     i0 = int(np.argmin(ratios))
-    r = ratios[i0]
-    q = d - w * r
+    c = ratios[i0]
+    q = wt - w * c
     q[i0] = 0.0
     q = np.maximum(q, 0.0)
 
-    gamma = 1.0 - (1.0 + r) * float(w.sum()) / float(pair.perturbed.weights.sum())
+    gamma = 1.0 - c * float(w.sum()) / float(wt.sum())
     gamma = max(gamma, 0.0)
     if gamma >= 1.0:
         raise ValueError("perturbation drives a category to zero mass; gamma would be 1")
@@ -178,10 +181,13 @@ class EstimationConfig:
         if self.fixed_n is not None and self.fixed_n < 1:
             raise ValueError("fixed_n must be at least 1")
 
-    def size_for_shard(self, shard_size: int) -> int:
-        """Subsample size under the fixed policy, capped at the shard size."""
-        n = self.fixed_n if self.fixed_n is not None else max(16, math.ceil(0.1 * shard_size))
-        return min(shard_size, n)
+    def size_for_shard(self, shard_size):
+        """Subsample size under the fixed policy, capped at the shard size;
+        elementwise for an integer array of shard sizes."""
+        sizes = np.asarray(shard_size)
+        n = self.fixed_n if self.fixed_n is not None else np.maximum(16, np.ceil(0.1 * sizes).astype(int))
+        out = np.minimum(sizes, n)
+        return out if out.ndim else int(out)
 
 
 def subsample_size(config: EstimationConfig, d: int, range_norm: float, mean_norm: float) -> int:
@@ -241,7 +247,7 @@ def subsample_sizes(problem, x, x_anchor, config: EstimationConfig) -> np.ndarra
     if config.subsample_policy == "full":
         return sizes.copy()
     if config.subsample_policy == "fixed":
-        return np.array([config.size_for_shard(int(n)) for n in sizes])
+        return config.size_for_shard(sizes)
     deltas = prob.gradient_deltas(problem, slice(None), x, x_anchor)
     out = np.zeros(problem.m_workers, dtype=int)
     for m, (range_norm, mean_norm) in enumerate(zip(*_segment_bounds(deltas, sizes))):
@@ -253,34 +259,173 @@ def subsample_sizes(problem, x, x_anchor, config: EstimationConfig) -> np.ndarra
     return out
 
 
-def _partial_fisher_yates(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """First k entries of a Fisher-Yates shuffle of range(n): a uniform
-    without-replacement draw of k indices.
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words, hashmix constants INIT_A * MULT_A**c for its c-th call,
+# generate_state constants INIT_B * MULT_B**c, and mix(x, y) = L*x - R*y,
+# all mod 2**32.  PCG64 seeded from words (s, i) has inc = 2i + 1 and state
+# (inc + s) * PCG64_MULT + inc, mod 2**128.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-    Step i swaps position i with i + rng.integers(n - i).  One vectorised
-    ``rng.integers`` call returns exactly those k sequential draws, and the
-    swaps are kept in a dict, so the cost is O(k) whatever n is.
+
+def _key_words(key) -> list[int]:
+    """The uint32 words ``SeedSequence`` makes of a tuple of nonnegative ints:
+    each int's little-endian 32-bit words, at least one per int."""
+    words = []
+    for v in key:
+        words.append(v & _MASK32)
+        v >>= 32
+        while v:
+            words.append(v & _MASK32)
+            v >>= 32
+    return words
+
+
+def _stream(key) -> np.random.Generator:
+    """The generator of ``SeedSequence(key)``: the same state, without
+    SeedSequence's slower per-int coercion of the key."""
+    words = np.array(_key_words(key), dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+
+
+@functools.lru_cache(maxsize=16)
+def _hash_constants(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """init * mult**c mod 2**32 for c = first .. first + count, as a
+    read-only uint32 column."""
+    out = np.array([init * pow(mult, c, 1 << 32) & _MASK32 for c in range(first, first + count + 1)], dtype=np.uint32)
+    out.flags.writeable = False
+    return out[:, None]
+
+
+# generate_state(4, uint64) reads the pool twice for its 8 uint32 words
+_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE)
+
+
+def _seed_words(seq: np.random.SeedSequence, last: np.ndarray) -> np.ndarray:
+    """``SeedSequence(key + [w]).generate_state(4, np.uint64)`` for every word
+    w of ``last``, one row each, where ``seq`` is ``SeedSequence(key)`` built
+    from a uint32 array of key words.
+
+    The hash constants do not depend on the data, and a word past the pool's
+    fourth is hashed with four consecutive constants and mixed into the four
+    pool words.  So ``seq``'s pool is extended by every w at once, in uint32
+    array operations that wrap mod 2**32 as the hash does.  A key shorter
+    than the pool would put w into the pool's first rounds instead; no
+    optimizer key is that short, and such keys are hashed one by one.
     """
-    targets = (rng.integers(0, np.arange(n, n - k, -1)) + np.arange(k)).tolist()
+    key = seq.entropy
+    if len(key) < _POOL_SIZE:
+        return np.array(
+            [np.random.SeedSequence(np.append(key, w)).generate_state(4, np.uint64) for w in last.tolist()],
+            dtype=np.uint64,
+        ).reshape(-1, 4)
+    mix_hash = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * len(key), _POOL_SIZE)
+    v = np.asarray(last, dtype=np.uint32) ^ mix_hash[:-1]
+    v *= mix_hash[1:]
+    v ^= v >> 16
+    v *= np.uint32(-_MIX_R & _MASK32)
+    v += seq.pool[:, None] * np.uint32(_MIX_L)
+    v ^= v >> 16
+    state = np.concatenate((v, v)) ^ _STATE_HASH[:-1]
+    state *= _STATE_HASH[1:]
+    state ^= state >> 16
+    # consecutive little-endian word pairs, as generate_state combines them
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
+
+
+def _resolve_swaps(targets: list[int]) -> list[int]:
+    """First k entries of range(n) after swapping position i with
+    ``targets[i] >= i`` for i = 0..k-1 in turn.  The swaps are kept in a dict,
+    so the cost is O(k) whatever n is."""
     moved: dict[int, int] = {}
     out = []
     for i, j in enumerate(targets):
         out.append(moved.get(j, j))
         moved[j] = moved.get(i, i)
+    return out
+
+
+def _partial_fisher_yates(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """First k entries of a Fisher-Yates shuffle of range(n): a uniform
+    without-replacement draw of k indices.
+
+    Step i swaps position i with i + rng.integers(n - i).  One vectorised
+    ``rng.integers`` call returns exactly those k sequential draws.
+    """
+    targets = rng.integers(0, np.arange(n, n - k, -1)) + np.arange(k)
+    return np.array(_resolve_swaps(targets.tolist()), dtype=np.intp)
+
+
+def _draw_subsamples(key: tuple[int, ...], shard_sizes, sizes) -> np.ndarray:
+    """Every worker's subsample, concatenated in worker order: worker m with
+    ``sizes[m] > 0`` draws ``_partial_fisher_yates(shard_sizes[m], sizes[m],
+    _stream(key + (m,)))``, and all workers are drawn in one batched pass.
+
+    The workers' seed words come from :func:`_seed_words`, and one PCG64 is
+    set to each worker's state in turn to read its raw outputs.  For bounds
+    up to 2**32, ``rng.integers`` spends the low and then the high uint32 of
+    each output on Lemire's rule: the draw is ``u * bound >> 32``, unless the
+    low word of that product is below ``2**32 % bound``, when it rejects u and
+    takes the next word (a bound of 1 spends no word; the rule gives its 0
+    too).  That rule is applied to all workers at once.  A worker whose draw
+    would be rejected is drawn from its own stream by
+    ``_partial_fisher_yates`` instead.  A bound above 2**32 (a shard of more
+    than 2**32 rows, which numpy draws from whole 64-bit outputs) always
+    counts as rejected, because 2**32 % bound is then 2**32.
+    """
+    sizes = np.asarray(sizes)
+    workers = np.flatnonzero(sizes)
+    if not workers.size:
+        return np.zeros(0, dtype=np.intp)
+    n, k = np.asarray(shard_sizes)[workers], sizes[workers]
+    seq = np.random.SeedSequence(np.array(_key_words(key), dtype=np.uint32))
+    bitgen = np.random.PCG64(seq)  # every worker's state replaces this one
+    half = (k + 1) // 2  # raw outputs that hold a worker's k uint32 draws
+    raw = []
+    for (s0, s1, i0, i1), r in zip(_seed_words(seq, workers).tolist(), half.tolist()):
+        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        raw.append(bitgen.random_raw(r))
+    u = np.concatenate(raw).astype("<u8", copy=False).view("<u4")
+    first = np.cumsum(k) - k  # each worker's first draw
+    draw = np.arange(first[-1] + k[-1])
+    step = draw - np.repeat(first, k)
+    bound = (np.repeat(n, k) - step).astype(np.uint64)
+    product = u[draw + np.repeat(2 * (np.cumsum(half) - half) - first, k)] * bound
+    targets = ((product >> 32).astype(np.intp) + step).tolist()
+    rejected = (product & _MASK32) < 2**32 % bound
+    redraw = np.logical_or.reduceat(rejected, first).tolist()
+    out: list[int] = []
+    for m, n_m, k_m, f, redo in zip(workers.tolist(), n.tolist(), k.tolist(), first.tolist(), redraw):
+        if redo:
+            out += _partial_fisher_yates(n_m, k_m, _stream(key + (m,))).tolist()
+        else:
+            out += _resolve_swaps(targets[f : f + k_m])
     return np.array(out, dtype=np.intp)
 
 
-def estimate_weights(problem, x, x_anchor, sizes=None, rngs=None) -> np.ndarray:
+def estimate_weights(problem, x, x_anchor, sizes=None, local=None) -> np.ndarray:
     """Subsampled gradient-difference norms of all workers in one batched pass.
 
-    Worker m draws ``sizes[m]`` of its sample indices uniformly without
-    replacement from its own generator ``rngs[m]``, by
-    :func:`_partial_fisher_yates`; a size of 0 gives weight 0 and draws
-    nothing.  With ``sizes`` None every worker takes all its rows and nothing
-    is drawn, which gives the exact weights.  All drawn rows are then gathered
-    from the stacked matrix at once, the residual differences
-    r(a'x) - r(a'x_anchor) are formed on them, and each worker's weight is the
-    norm of its segment mean of (residual difference) * a.
+    Worker m averages over ``sizes[m]`` of its sample indices; ``local``
+    holds them, as indices into each shard, concatenated in worker order (as
+    :func:`_draw_subsamples` draws them).  A size of 0 gives weight 0.  With
+    ``sizes`` None every worker takes all its rows, which gives the exact
+    weights.  All drawn rows are gathered from the stacked matrix at once,
+    the residual differences r(a'x) - r(a'x_anchor) are formed on them, and
+    each worker's weight is the norm of its segment mean of
+    (residual difference) * a.
     """
     M = problem.m_workers
     weights = np.zeros(M)
@@ -294,13 +439,10 @@ def estimate_weights(problem, x, x_anchor, sizes=None, rngs=None) -> np.ndarray:
         if not workers.size:
             return weights
         counts = sizes[workers]
-        shard_sizes = problem.sizes[workers].tolist()
-        local = np.concatenate(
-            [
-                _partial_fisher_yates(n, k, rngs[m])
-                for m, n, k in zip(workers.tolist(), shard_sizes, counts.tolist())
-            ]
-        )
+        local = np.asarray(local, dtype=np.intp)
+        shard_sizes = np.repeat(problem.sizes[workers], counts)
+        if local.shape != (counts.sum(),) or np.any(local < 0) or np.any(local >= shard_sizes):
+            raise ValueError("local must hold sizes[m] indices into each sampled shard, in worker order")
         # the workers' row ranges are disjoint and ascending, so one sort
         # orders the rows within every worker and keeps the workers in order
         rows = np.sort(local + np.repeat(problem.offsets[workers], counts))
@@ -323,8 +465,8 @@ def estimate_shard_weight(problem, shard_id: int, x, x_anchor, n_m: int, rng) ->
         raise ValueError(f"n_m must be in [1, {shard.size}], got {n_m}")
     sizes = np.zeros(problem.m_workers, dtype=int)
     sizes[shard_id] = n_m
-    rngs = {shard_id: rng}
-    return float(estimate_weights(problem, x, x_anchor, sizes, rngs)[shard_id])
+    local = _partial_fisher_yates(shard.size, n_m, rng)
+    return float(estimate_weights(problem, x, x_anchor, sizes, local)[shard_id])
 
 
 def sample_categorical(dist: Categorical, rng) -> int:

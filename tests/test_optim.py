@@ -386,6 +386,15 @@ class TestEstimateWeights:
             with pytest.raises(ValueError):
                 smp.estimate_weights(p, x, np.zeros(p.param_dim), sizes, rngs)
 
+    def test_bad_local_rejected(self):
+        p = self.problem(prob.LINEAR)
+        x = np.ones(p.param_dim)
+        sizes = [2, 0, 1]
+        for local in ([0, 1], [0, 1, 2, 3], [0, 40, 1], [0, -1, 1]):
+            with pytest.raises(ValueError):
+                smp.estimate_weights(p, x, np.zeros(p.param_dim), sizes, local)
+        smp.estimate_weights(p, x, np.zeros(p.param_dim), sizes, [0, 39, 46])
+
 
 class TestStreams:
     @settings(max_examples=200, deadline=None)

@@ -112,6 +112,19 @@ class TestDecomposition:
             assert np.all(dec.residual.weights >= 0)
             assert dec.residual.weights.min() == 0.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6)), min_size=1, max_size=40
+        )
+    )
+    def test_mixture_identity_for_any_positive_weights(self, pairs):
+        base, perturbed = zip(*pairs)
+        pair = smp.PerturbedPair.from_weights(base, perturbed)
+        dec = smp.decompose_perturbed(pair)
+        mix = (1 - dec.gamma) * pair.base.probabilities + dec.gamma * dec.residual.probabilities
+        np.testing.assert_allclose(mix, pair.perturbed.probabilities, rtol=0, atol=1e-12)
+
     def test_gamma_is_minimal(self):
         rng = np.random.default_rng(7)
         checked = 0
@@ -210,6 +223,14 @@ class TestSubsampleSize:
         assert cfg.size_for_shard(10) == 10
         assert smp.EstimationConfig(fixed_n=5).size_for_shard(50) == 5
 
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 2**40), min_size=1, max_size=20), fixed_n=st.none() | st.integers(1, 300))
+    def test_fixed_sizes_match_per_shard_rule(self, sizes, fixed_n):
+        cfg = smp.EstimationConfig(fixed_n=fixed_n)
+        expected = [min(n, fixed_n or max(16, math.ceil(0.1 * n))) for n in sizes]
+        assert cfg.size_for_shard(np.array(sizes)).tolist() == expected
+        assert [cfg.size_for_shard(n) for n in sizes] == expected
+
 
 class TestEstimateShardWeight:
     def setup_method(self):
@@ -298,6 +319,79 @@ class TestEstimateShardWeight:
         assert sorted(idx) == list(range(20))
         small = smp._partial_fisher_yates(20, 7, np.random.default_rng(4))
         assert len(set(small.tolist())) == 7
+
+
+def worker_stream(key, m):
+    """Worker m's stream, built by numpy from the full key."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(tuple(key) + (m,))))
+
+
+def per_worker_draws(key, shard_sizes, sizes):
+    """Every worker's subsample drawn one worker at a time from its own stream."""
+    out = []
+    for m, (n, k) in enumerate(zip(shard_sizes, sizes)):
+        if k:
+            out += smp._partial_fisher_yates(n, k, worker_stream(key, m)).tolist()
+    return out
+
+
+KEY_INTS = st.integers(0, 2**32 - 1) | st.integers(2**32, 2**96)
+
+
+class TestBatchedDraws:
+    @settings(max_examples=300, deadline=None)
+    @given(prefix=st.lists(KEY_INTS, max_size=9), last=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
+    @example(prefix=[2**40 + 3, 2**64 + 5, 2, 3, 17], last=[0, 1, 2])
+    @example(prefix=[], last=[7])
+    def test_seed_words_match_seed_sequence(self, prefix, last):
+        # prefixes of 0 to 9 ints give keys of 1 to 10 words, and multi-word
+        # ints longer ones
+        words = np.array(smp._key_words(prefix), dtype=np.uint32)
+        got = smp._seed_words(np.random.SeedSequence(words), np.array(last))
+        want = [np.random.SeedSequence(tuple(prefix) + (w,)).generate_state(4, np.uint64).tolist() for w in last]
+        assert got.tolist() == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        key=st.lists(KEY_INTS, max_size=6),
+        shards=st.lists(
+            st.tuples(st.integers(1, 300) | st.integers(1, 2**62), st.integers(0, 40), st.booleans()),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @example(key=[2**40 + 3, 2**64 + 5, 2, 3, 17], shards=[(40, 20, False), (40, 0, False), (47, 47, False)])
+    @example(key=[1, 2, 1, 1], shards=[(1, 1, False), (25, 25, True), (2**32, 3, False), (2**32 - 1, 3, False)])
+    @example(key=[9, 2, 4, 4], shards=[(3 * 2**30 + c, 6, False) for c in range(12)])
+    @example(key=[1, 2, 3, 4], shards=[(5, 0, False), (6, 0, False)])
+    def test_draws_match_per_worker_fisher_yates(self, key, shards):
+        # ragged sizes; k = 0, k = n and n = 1; a bound of exactly 2**32 is a
+        # plain uint32 draw; shards of more than 2**32 rows, and bounds near
+        # 3 * 2**30 (Lemire rejects about a quarter of the draws there), take
+        # the per-worker path on the worker's own stream
+        shard_sizes = [n for n, _, _ in shards]
+        sizes = [n if full and n <= 300 else min(n, k) for n, k, full in shards]
+        got = smp._draw_subsamples(tuple(key), np.array(shard_sizes), np.array(sizes))
+        assert got.dtype == np.intp
+        assert got.tolist() == per_worker_draws(key, shard_sizes, sizes)
+
+    def test_rejections_fall_back_to_the_worker_stream(self, monkeypatch):
+        # bounds near 3 * 2**30: some workers hit a rejection and are redrawn
+        # from their own streams, the others are drawn in the batch
+        redrawn = []
+        oracle = smp._partial_fisher_yates
+
+        def spy(n, k, rng):
+            redrawn.append(n)
+            return oracle(n, k, rng)
+
+        monkeypatch.setattr(smp, "_partial_fisher_yates", spy)
+        shard_sizes = np.full(16, 3 * 2**30 + 1)
+        sizes = np.full(16, 3)
+        got = smp._draw_subsamples((5, 2, 1, 1), shard_sizes, sizes).tolist()
+        assert 0 < len(redrawn) < 16
+        monkeypatch.setattr(smp, "_partial_fisher_yates", oracle)
+        assert got == per_worker_draws((5, 2, 1, 1), shard_sizes.tolist(), sizes.tolist())
 
 
 class TestSampleCategorical:
