@@ -12,16 +12,20 @@ step, worker), so runs are bit-reproducible and per-worker work could be
 executed concurrently without changing results.
 
 The adaptive step computes all workers' weight estimates in one batched pass
-over the problem's stacked rows (``sampling.estimate_weights``), and the
-divergence guard evaluates the loss in one mat-vec (``problem.full_loss``).
-Batching keeps every stream and every draw: worker m's subsample is still
-keyed by (seed, weights channel, k, t, m) and is exactly the one
-``sampling.estimate_shard_weight`` draws from that stream.  The workers'
-stream states are derived together in one batched pass
+over the problem's stacked rows (``sampling.estimate_weights``).  The
+divergence guard and the recorded losses call ``problem.full_loss`` and
+``problem.test_metrics``: for linear regression these read quadratic forms
+cached on the problem, O(p**2) per step, and for logistic regression they make
+one pass over the rows.  Batching keeps every stream and every draw: worker
+m's subsample is still keyed by (seed, weights channel, k, t, m) and is
+exactly the one ``sampling.estimate_shard_weight`` draws from that stream.
+The workers' stream states are derived together in one batched pass
 (``sampling._draw_subsamples``) instead of building a Generator per worker.
-Only the order of float sums differs from a worker-by-worker evaluation, so
-weights and losses agree with it to rounding (about 1e-13 relative on the
-presets).
+Only the order of float operations differs from a worker-by-worker, row-by-row
+evaluation, so weights and losses agree with it to rounding (about 1e-13
+relative on the presets).  The losses are only recorded, never fed back into a
+step, so the iterates are the same whichever way a loss is evaluated, and a
+run is bit-identical from run to run.
 """
 
 from __future__ import annotations

@@ -16,11 +16,20 @@ A :class:`ShardedProblem` holds its training data once, stacked row-major in
 worker order: ``aug`` is the ``(n_total, dim + 1)`` matrix of bias-augmented
 rows, ``y`` the matching targets, and shard m owns the ``sizes[m]`` rows
 ``offsets[m]:offsets[m + 1]``.  Each shard's ``X``, ``aug`` and ``y`` are
-views into these arrays, so batched passes over all workers (the full loss,
-the adaptive weight estimates) are one gather or one mat-vec over the stack.
-Stacked evaluation sums in a different order than a shard-by-shard loop, so
-``full_loss`` matches the mean of ``shard_loss`` only up to float rounding
-(about 1e-13 relative); no random stream or draw depends on the layout.
+views into these arrays, so batched passes over all workers (the logistic
+loss, the adaptive weight estimates) are one gather or one mat-vec over the
+stack.
+
+For linear regression the objective is an exact quadratic, so ``full_loss``
+and the test loss of ``test_metrics`` are read from quadratic forms cached on
+the problem, in O(p**2) per call (p = dim + 1), not from a pass over the
+rows.  Each form is built once, on first use and block by block (shard by
+shard for the training rows), as the triangular QR factor of the weighted
+rows; see :class:`_QuadraticLoss`.  Stacked evaluation and the quadratic
+forms sum in a different order than a shard-by-shard loop, so ``full_loss``
+matches the mean of ``shard_loss`` (kept row by row, as the reference) only
+up to float rounding (about 1e-13 relative on the presets); no random stream
+or draw depends on either.
 """
 
 from __future__ import annotations
@@ -84,18 +93,18 @@ class ShardedProblem:
 
     The shards' rows are copied once into the stacked ``aug``/``y`` arrays
     (see the module docstring) and ``shards`` holds new Shard objects viewing
-    them; the Shard objects passed in are left untouched.
+    them; the Shard objects passed in are left untouched.  The linear losses
+    are cached as quadratic forms of the training and test rows, so neither
+    may be modified after construction.
 
     Parameters
     ----------
     shards : list of Shard, worker ids 0..M-1 in order.
     task : ``"linear_regression"`` or ``"logistic_regression"``.
-    l2_coefficient : dataset-suggested L2 rate; only applied by optimizers
-        that explicitly enable it (plain SGD in the experiment presets).
     test_X, test_y : optional held-out rows used for test loss/accuracy.
     """
 
-    def __init__(self, shards, task, l2_coefficient=0.0, test_X=None, test_y=None):
+    def __init__(self, shards, task, *, test_X=None, test_y=None):
         if task not in TASKS:
             raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
         if not shards:
@@ -106,8 +115,6 @@ class ShardedProblem:
         ids = [s.worker_id for s in shards]
         if ids != list(range(len(shards))):
             raise ValueError(f"worker ids must be 0..{len(shards) - 1} in order, got {ids}")
-        if l2_coefficient < 0:
-            raise ValueError("l2_coefficient must be nonnegative")
 
         self.sizes = np.array([s.size for s in shards])
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
@@ -122,7 +129,6 @@ class ShardedProblem:
             view.aug = self.aug[lo:hi]
             self.shards.append(view)
         self.task = task
-        self.l2_coefficient = float(l2_coefficient)
         if test_X is None:
             self.test_X = np.zeros((0, shards[0].dim))
             self.test_y = np.zeros(0)
@@ -157,6 +163,19 @@ class ShardedProblem:
     def test_aug(self) -> np.ndarray:
         return np.hstack([self.test_X, np.ones((self.test_X.shape[0], 1))])
 
+    @cached_property
+    def _train_form(self) -> _QuadraticLoss:
+        """The linear training loss, factored one shard at a time."""
+        blocks = ((s.aug, s.y, self.m_workers * s.size) for s in self.shards)
+        return _QuadraticLoss.factor(blocks, self.param_dim)
+
+    @cached_property
+    def _test_form(self) -> _QuadraticLoss:
+        """The linear loss on the held-out rows, factored 256 rows at a time."""
+        A, y = self.test_aug, self.test_y
+        blocks = ((A[lo : lo + 256], y[lo : lo + 256], y.size) for lo in range(0, y.size, 256))
+        return _QuadraticLoss.factor(blocks, self.param_dim)
+
     def shard(self, shard_id: int) -> Shard:
         if not 0 <= shard_id < self.m_workers:
             raise IndexError(f"shard_id {shard_id} out of range [0, {self.m_workers})")
@@ -178,6 +197,42 @@ def _pointwise_loss(task: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
         return (z - y) ** 2
     # log(1 + e^z) - y*z, stable for large |z|
     return np.logaddexp(0.0, z) - y * z
+
+
+@dataclass(frozen=True)
+class _QuadraticLoss:
+    """A linear-regression loss F(x) = x'Hx - 2g'x + c held as a square root:
+    F(x) = ||R x - z||**2, with R'R = H, R'z = g and z'z = c.
+
+    [R | z] is the upper triangular factor of the QR factorisation of the
+    weighted rows [A | y]: weight 1/sqrt(M n_m) on shard m's training rows,
+    1/sqrt(n) on n held-out rows.  Its last row is (0, ..., 0, rho), rho**2 the least-squares minimum, so
+    F(x) is a sum of squares and cancels no digits near the optimum; the Gram
+    form x'Hx - 2g'x + c cancels against c instead (4e-10 relative near the
+    optimum once shard feature scales span 1e-5 to 1e2).  Householder QR
+    rounds relative to the largest rows, so where a few large rows are
+    fitted exactly and small rows carry the residual, F near the optimum is
+    off by up to about 1e-11 relative (the row-by-row loss loses digits
+    there too).  A non-finite or overflowing x gives a non-finite value, as
+    the row-by-row loss does.
+    """
+
+    R: np.ndarray
+    z: np.ndarray
+
+    @classmethod
+    def factor(cls, blocks, param_dim: int) -> "_QuadraticLoss":
+        """Factor the (A, y, count) blocks one at a time, each stacked under
+        the factor so far, so no temporary holds more than one block."""
+        Rz = np.zeros((0, param_dim + 1))
+        for A, y, count in blocks:
+            rows = np.column_stack([A, y]) / np.sqrt(count)
+            Rz = np.linalg.qr(np.vstack([Rz, rows]), mode="r")
+        return cls(np.ascontiguousarray(Rz[:, :-1]), Rz[:, -1].copy())
+
+    def __call__(self, x: np.ndarray) -> float:
+        r = self.R @ x - self.z
+        return float(r @ r)
 
 
 def _pointwise_residual(task: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -253,9 +308,13 @@ def shard_loss(problem: ShardedProblem, shard_id: int, x) -> float:
 def full_loss(problem: ShardedProblem, x) -> float:
     """Training objective F(x): mean over workers of the per-shard mean loss.
 
-    One mat-vec over the stacked rows, then one segmented sum per shard.
+    O(p**2) from the cached quadratic form for linear regression; for
+    logistic regression one mat-vec over the stacked rows, then one segmented
+    sum per shard.
     """
     x = _check_x(problem, x)
+    if problem.task == LINEAR:
+        return problem._train_form(x)
     losses = _pointwise_loss(problem.task, problem.aug @ x, problem.y)
     shard_means = np.add.reduceat(losses, problem.offsets[:-1]) / problem.sizes
     return float(np.mean(shard_means))
@@ -265,11 +324,14 @@ def test_metrics(problem: ShardedProblem, x) -> tuple[float, float]:
     """(test loss, test accuracy) on the held-out rows.
 
     Accuracy is the 0/1 rate of sign(logit) for classification and NaN for
-    regression; both are NaN when the problem has no test rows.
+    regression, whose loss comes from the cached quadratic form; both are NaN
+    when the problem has no test rows.
     """
     x = _check_x(problem, x)
     if problem.test_X.shape[0] == 0:
         return float("nan"), float("nan")
+    if problem.task == LINEAR:
+        return problem._test_form(x), float("nan")
     z = problem.test_aug @ x
     loss = float(np.mean(_pointwise_loss(problem.task, z, problem.test_y)))
     if problem.task == LOGISTIC:
@@ -415,7 +477,7 @@ def save_csv(problem: ShardedProblem, path) -> None:
             )
 
 
-def load_csv(path, task: str, l2_coefficient: float = 0.0) -> ShardedProblem:
+def load_csv(path, task: str) -> ShardedProblem:
     """Parse a dataset CSV written by :func:`save_csv` (or hand-built to match).
 
     Raises DatasetFormatError with the offending row/column on malformed input.
@@ -473,4 +535,4 @@ def load_csv(path, task: str, l2_coefficient: float = 0.0) -> ShardedProblem:
         test_y = np.array([t for t, _ in test_rows])
     else:
         test_X = test_y = None
-    return ShardedProblem(shards, task, l2_coefficient, test_X=test_X, test_y=test_y)
+    return ShardedProblem(shards, task, test_X=test_X, test_y=test_y)

@@ -269,6 +269,14 @@ class TestValidation:
         hist = comm.SampleHistogram(counts={3: 1, 1: 2}, total=3)
         assert hist.items() == [(1, 2), (3, 1)]
 
+    @pytest.mark.parametrize("sampler", [comm.pc_sample, comm.optimal_comm_sample])
+    def test_protocol_histograms_pass_validation(self, sampler):
+        # the protocols build their histograms without the constructor's check
+        rng = np.random.default_rng(5)
+        for M, R in [(1, 1), (6, 4), (13, 3), (64, 8)]:
+            hist = sampler(rng.random(M), R, comm.CommLedger(), rng)
+            assert hist == comm.SampleHistogram(counts=dict(hist.counts), total=R)
+
     def test_ledger_csv_row(self):
         ledger = comm.CommLedger(worker_worker_scalars=3, parallel_rounds=2)
         assert comm.CommLedger.CSV_HEADER == "phase,worker_worker,worker_server,server_worker,rounds"

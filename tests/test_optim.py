@@ -1,10 +1,12 @@
 """Optimizer loops: unbiasedness, convergence behaviour, ledger schedules, rates."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hetsvrg import optim
@@ -320,6 +322,46 @@ class TestReproducibility:
         assert len(lines) == 1 + 6
         counters = [tuple(int(v) for v in ln.split(",")[5:]) for ln in lines[1:]]
         assert counters == sorted(counters)  # ledger snapshots never decrease
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        task=st.sampled_from(prob.TASKS),
+        m=st.integers(1, 5),
+        r_share=st.floats(0.0, 1.0),
+        policy=st.sampled_from(smp.SUBSAMPLE_POLICIES),
+        mode=st.sampled_from(["sgd", "uniform", "lipschitz_importance", "adaptive"]),
+        log_eta=st.floats(-3.0, 1.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(task=prob.LINEAR, m=4, r_share=0.5, policy="fixed", mode="adaptive", log_eta=1.5, seed=0)
+    def test_trace_csv_identical_across_problem_instances(self, task, m, r_share, policy, mode, log_eta, seed):
+        """Byte-identical trace CSVs for two runs on one problem, a run on a
+        fresh copy of it, and a run on a copy whose cached quadratic forms were
+        built before the run; diverging etas write their partial trace."""
+        cfg = optim.OptimizerConfig(
+            eta=10.0**log_eta, epochs=2, inner_iters=4, group_size=1 + int(r_share * (m - 1)),
+            estimation=smp.EstimationConfig(subsample_policy=policy), seed=(seed, 1),
+            distribution_mode="uniform" if mode == "sgd" else mode,
+        )
+        runner = {"sgd": optim.run_sgd, "adaptive": optim.run_asd_svrg}.get(mode, optim.run_svrg)
+
+        def fresh():
+            return prob.generate_heterogeneous(task, m, 25 * m, 3, 2.0, seed)
+
+        prebuilt = fresh()
+        prob.full_loss(prebuilt, np.ones(prebuilt.param_dim))
+        prob.test_metrics(prebuilt, np.ones(prebuilt.param_dim))
+        shared = fresh()
+        with tempfile.TemporaryDirectory() as out:
+            files = []
+            for i, p in enumerate([shared, shared, fresh(), prebuilt]):
+                try:
+                    trace = runner(p, cfg)
+                except optim.Diverged as exc:
+                    trace = exc.trace
+                trace.to_csv(Path(out) / f"{i}.csv")
+                files.append((Path(out) / f"{i}.csv").read_bytes())
+        assert files[1:] == files[:1] * 3
 
 
 def reference_weights(p, x, anchor, est, seed, k, t):

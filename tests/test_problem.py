@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from hetsvrg import comm, optim
 from hetsvrg import problem as prob
 
 
@@ -364,3 +367,106 @@ class TestStackedRows:
         p = prob.ShardedProblem([shard], prob.LINEAR)
         assert shard.X is X and p.shards[0] is not shard
         np.testing.assert_array_equal(p.shards[0].X, X)
+
+
+@st.composite
+def scaled_linear_problems(draw):
+    """Linear problems with ragged shards whose feature scales span 1e-5 to
+    1e2, and 1 to 40 held-out rows at randomly chosen shards' scales.  Every
+    shard has at least two rows per parameter, and each shard and the
+    held-out set get noise of 1% to 100% of their targets' root mean square,
+    so no shard is fitted exactly: the row-by-row oracle itself loses digits,
+    about eps * |y| / residual, on rows fitted almost exactly (see
+    ``problem._QuadraticLoss``)."""
+    m = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 5))
+    sizes = draw(st.lists(st.integers(2 * (dim + 1), 2 * (dim + 1) + 30), min_size=m, max_size=m))
+    scales = 10.0 ** np.array(draw(st.lists(st.floats(-5.0, 2.0), min_size=m, max_size=m)))
+    noise = 10.0 ** draw(st.floats(-2.0, 0.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x_true = rng.normal(size=dim + 1)
+
+    def rows(row_scales):
+        X = rng.normal(size=(row_scales.size, dim)) * row_scales[:, None]
+        z = X @ x_true[:-1] + x_true[-1]
+        return X, z + noise * np.sqrt(np.mean(z**2)) * rng.normal(size=z.size)
+
+    shards = [prob.Shard(k, *rows(np.full(n, scales[k]))) for k, n in enumerate(sizes)]
+    test_X, test_y = rows(scales[rng.integers(m, size=draw(st.integers(1, 40)))])
+    return prob.ShardedProblem(shards, prob.LINEAR, test_X=test_X, test_y=test_y)
+
+
+def direct_loss(p, x):
+    """The stacked row-by-row training loss: one mat-vec, per-shard means."""
+    residuals = (p.aug @ x - p.y) ** 2
+    return float(np.mean(np.add.reduceat(residuals, p.offsets[:-1]) / p.sizes))
+
+
+def direct_test_loss(p, x):
+    return float(np.mean((p.test_aug @ x - p.test_y) ** 2))
+
+
+def least_squares_minimum(p):
+    weights = np.repeat(1.0 / np.sqrt(p.m_workers * p.sizes), p.sizes)
+    return np.linalg.lstsq(p.aug * weights[:, None], p.y * weights, rcond=None)[0]
+
+
+class TestQuadraticForm:
+    @settings(max_examples=300, deadline=None)
+    @given(p=scaled_linear_problems(), seed=st.integers(0, 2**32 - 1), far=st.floats(0.0, 3.0))
+    def test_matches_direct_evaluation(self, p, seed, far):
+        rng = np.random.default_rng(seed)
+        x_star = least_squares_minimum(p)
+        points = [
+            x_star,
+            x_star + 1e-6 * rng.normal(size=p.param_dim),
+            np.zeros(p.param_dim),
+            10.0**far * rng.normal(size=p.param_dim),
+        ]
+        for x in points:
+            assert prob.full_loss(p, x) == pytest.approx(direct_loss(p, x), rel=1e-12, abs=0.0)
+            loss, acc = prob.test_metrics(p, x)
+            assert loss == pytest.approx(direct_test_loss(p, x), rel=1e-12, abs=0.0)
+            assert np.isnan(acc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=scaled_linear_problems(),
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.sampled_from([0, 3, 4, 100, 154, 160, 200, 308]),
+        special=st.sampled_from([None, np.inf, -np.inf, np.nan]),
+    )
+    def test_guard_diverges_exactly_when_direct_form_does(self, p, seed, exponent, special):
+        rng = np.random.default_rng(seed)
+        cfg = optim.OptimizerConfig(eta=0.1, epochs=1, inner_iters=1)
+        recorder = optim._Recorder(p, comm.CommLedger(), cfg, np.zeros(p.param_dim))
+        with np.errstate(all="ignore"):
+            x = rng.normal(size=p.param_dim) * 10.0**exponent
+            if special is not None:
+                x[rng.integers(p.param_dim)] = special
+            direct = direct_loss(p, x)
+            assume(not np.isfinite(direct) or abs(direct - recorder.limit) > 1e-6 * recorder.limit)
+            try:
+                recorder.observe(1, 1, x)
+                diverged = False
+            except optim.Diverged:
+                diverged = True
+        assert diverged == (not np.isfinite(direct) or direct > recorder.limit)
+
+    def test_held_out_rows_factored_in_blocks(self):
+        # 600 held-out rows: blocks of 256, 256 and 88
+        p = prob.generate_heterogeneous(prob.LINEAR, 4, 3000, 5, 1.5, seed=1)
+        assert p.test_y.size == 600
+        rng = np.random.default_rng(2)
+        for x in [least_squares_minimum(p), np.zeros(p.param_dim), rng.normal(size=p.param_dim)]:
+            assert prob.test_metrics(p, x)[0] == pytest.approx(direct_test_loss(p, x), rel=1e-12, abs=0.0)
+
+    def test_forms_are_built_once(self):
+        p = small_problem(seed=4)
+        x = np.ones(p.param_dim)
+        prob.full_loss(p, x)
+        prob.test_metrics(p, x)
+        train, test = p._train_form, p._test_form
+        prob.full_loss(p, 2 * x)
+        prob.test_metrics(p, 2 * x)
+        assert p._train_form is train and p._test_form is test
