@@ -19,12 +19,12 @@ x = rng.normal(size=p.param_dim)
 anchor = np.zeros(p.param_dim)
 
 print("worker | shard |  exact w_m |   n(tau=1/3) | typical estimate")
-cfg = smp.EstimationConfig(tau=1.0 / 3.0, delta=0.05)
+cfg = smp.EstimationConfig(tau=1.0 / 3.0, delta=0.05, subsample_policy="lemma1")
+sizes = smp.subsample_sizes(p, x, anchor, cfg)  # the concentration-driven sizes
 for m in range(p.m_workers):
     size = p.shard(m).size
     exact = smp.estimate_shard_weight(p, m, x, anchor, size, np.random.default_rng(0))
-    range_norm, mean_norm = smp.lemma_bounds(p, m, x, anchor)
-    n = min(size, smp.subsample_size(cfg, p.param_dim, range_norm, mean_norm))
+    n = int(sizes[m])
     est = smp.estimate_shard_weight(p, m, x, anchor, n, np.random.default_rng(m))
     print(f"  {m}    |  {size}   | {exact:10.4f} | {n:6d}/{size}   | {est:10.4f}")
 
@@ -32,8 +32,7 @@ for m in range(p.m_workers):
 m, tau, delta, trials = 4, 1.0 / 3.0, 0.05, 2000
 size = p.shard(m).size
 exact = smp.estimate_shard_weight(p, m, x, anchor, size, np.random.default_rng(0))
-range_norm, mean_norm = smp.lemma_bounds(p, m, x, anchor)
-n = min(size, smp.subsample_size(cfg, p.param_dim, range_norm, mean_norm))
+n = int(sizes[m])
 draw = np.random.default_rng(123)
 fails = sum(
     abs(smp.estimate_shard_weight(p, m, x, anchor, n, draw) - exact) > tau * exact

@@ -20,7 +20,6 @@ from .optim import (
     run_sgd,
     run_svrg,
     theoretical_rate,
-    vr_direction,
 )
 from .problem import (
     LINEAR,

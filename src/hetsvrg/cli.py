@@ -20,22 +20,17 @@ import numpy as np
 
 from . import comm, harness, optim, sampling
 
+# short names; any other name is passed on as given, and ExperimentSpec
+# rejects the unknown ones
 _PRESET_ALIASES = {
     "linear": "linear_synthetic",
     "logistic": "logistic_synthetic",
     "custom": "custom_csv",
-    "linear_synthetic": "linear_synthetic",
-    "logistic_synthetic": "logistic_synthetic",
-    "custom_csv": "custom_csv",
 }
 
 _ALGO_ALIASES = {
-    "sgd": "sgd",
     "svrg": "svrg_uniform",
-    "svrg_uniform": "svrg_uniform",
-    "svrg_importance": "svrg_importance",
     "asd": "asd_svrg",
-    "asd_svrg": "asd_svrg",
 }
 
 
@@ -83,29 +78,25 @@ _RUN_OPTION_TYPES = {
     "fixed_n": int,
 }
 
-_RUN_DEFAULTS = {
-    "preset": "linear",
-    "csv": None,
-    "task": None,
-    "algos": "sgd,svrg,asd",
-    "etas": None,
-    "epochs": 30,
-    "inner": 100,
-    "R": 1,
-    "seeds": "1",
-    "out": "runs",
-    "growth_base": 3.0,
-    "eval_every": 1,
-    "l2_sgd": 0.02,
-    "estimation": "fixed",
-    "tau": 1.0 / 3.0,
-    "delta": 0.05,
-    "fixed_n": None,
+# the CLI's own defaults; every other option left unset takes the default of
+# its ExperimentSpec or EstimationConfig field
+_RUN_DEFAULTS = {"preset": "linear", "algos": "sgd,svrg,asd", "seeds": "1"}
+
+# options named differently from their dataclass field
+_FIELD_NAMES = {
+    "csv": "csv_path",
+    "inner": "inner_iters",
+    "R": "group_size",
+    "out": "out_dir",
+    "l2_sgd": "l2_for_sgd",
+    "estimation": "subsample_policy",
 }
+_ESTIMATION_OPTIONS = ("estimation", "tau", "delta", "fixed_n")
 
 
 def _resolve_run_options(args) -> dict:
-    """Merge CLI flags over config-file values over built-in defaults."""
+    """Merge CLI flags over config-file values over the CLI defaults; an
+    option set nowhere is left out."""
     from_file = {}
     if args.config:
         raw = _parse_config_file(args.config)
@@ -125,38 +116,18 @@ def _resolve_run_options(args) -> dict:
 
 def _cmd_run(args) -> int:
     opts = _resolve_run_options(args)
-    preset = _PRESET_ALIASES.get(opts["preset"])
-    if preset is None:
-        raise ValueError(f"unknown preset {opts['preset']!r}")
-    algos = []
-    for name in opts["algos"].split(","):
-        name = name.strip()
-        if not name:
-            continue
-        if name not in _ALGO_ALIASES:
-            raise ValueError(f"unknown algorithm {name!r}")
-        algos.append(_ALGO_ALIASES[name])
-    estimation = sampling.EstimationConfig(
-        tau=opts["tau"],
-        delta=opts["delta"],
-        subsample_policy=opts["estimation"],
-        fixed_n=opts["fixed_n"],
-    )
+    preset = opts.pop("preset")
+    etas = opts.pop("etas", None)
+    seeds = opts.pop("seeds")
+    algos = (name.strip() for name in opts.pop("algos").split(","))
+    estimation = {_FIELD_NAMES.get(key, key): opts.pop(key) for key in _ESTIMATION_OPTIONS if key in opts}
     spec = harness.ExperimentSpec(
-        preset=preset,
-        algorithms=tuple(dict.fromkeys(algos)),
-        eta_grid=_csv_floats(opts["etas"]) if opts["etas"] else None,
-        seeds=_csv_ints(opts["seeds"]),
-        epochs=opts["epochs"],
-        inner_iters=opts["inner"],
-        group_size=opts["R"],
-        estimation=estimation,
-        out_dir=opts["out"],
-        csv_path=opts["csv"],
-        task=opts["task"],
-        growth_base=opts["growth_base"],
-        l2_for_sgd=opts["l2_sgd"],
-        eval_every=opts["eval_every"],
+        preset=_PRESET_ALIASES.get(preset, preset),
+        algorithms=tuple(dict.fromkeys(_ALGO_ALIASES.get(name, name) for name in algos if name)),
+        eta_grid=_csv_floats(etas) if etas else None,
+        seeds=_csv_ints(seeds),
+        estimation=sampling.EstimationConfig(**estimation),
+        **{_FIELD_NAMES.get(key, key): value for key, value in opts.items()},
     )
     report = harness.run_experiment(spec)
     harness.emit_plotdata(report, spec.out_dir)
@@ -232,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a learning-rate grid sweep")
     run.add_argument("--config", help="flat key=value config file")
-    run.add_argument("--preset", choices=sorted(set(_PRESET_ALIASES)), default=None)
+    run.add_argument("--preset", choices=sorted({*_PRESET_ALIASES, *harness.PRESETS}), default=None)
     run.add_argument("--csv", default=None, help="dataset CSV for --preset custom")
     run.add_argument("--task", default=None, help="objective for --preset custom")
     run.add_argument("--algos", default=None, help="comma list: sgd,svrg,svrg_importance,asd")

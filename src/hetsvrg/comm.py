@@ -261,7 +261,7 @@ def optimal_comm_sample(weights, R: int, ledger: CommLedger, rng) -> SampleHisto
 
 
 def server_broadcast(ledger: CommLedger, payload_scalars: int, m_workers: int) -> None:
-    """Server pushes ``payload_scalars`` values to every worker (one round)."""
+    """Server pushes ``payload_scalars`` values to each of ``m_workers`` workers (one round)."""
     if payload_scalars < 0:
         raise ValueError("payload_scalars must be nonnegative")
     ledger.server_worker_scalars += m_workers * payload_scalars
@@ -269,7 +269,7 @@ def server_broadcast(ledger: CommLedger, payload_scalars: int, m_workers: int) -
 
 
 def server_gather(ledger: CommLedger, payload_scalars: int, m_workers: int) -> None:
-    """Every worker pushes ``payload_scalars`` values to the server (one round)."""
+    """Each of ``m_workers`` workers pushes ``payload_scalars`` values to the server (one round)."""
     if payload_scalars < 0:
         raise ValueError("payload_scalars must be nonnegative")
     ledger.worker_server_scalars += m_workers * payload_scalars

@@ -1,11 +1,14 @@
 """Optimizer loops over the simulated cluster, plus convergence-factor calculators.
 
 All three optimizers share the trace format and the communication ledger.
-``run_svrg`` samples workers from a distribution fixed for the whole run
-(uniform, or proportional to per-shard smoothness); ``run_asd_svrg``
-re-estimates per-worker weights from subsampled gradient differences at every
-inner step and samples through the tree protocol; ``run_sgd`` is the plain
-baseline with optional L2.
+Uniform, importance-sampled and adaptive SVRG are one variance-reduced loop
+(``_vr_loop``) and one direction function (``_direction``); they differ only
+in a per-algorithm ``draw``, which picks each inner step's workers, charges
+the messages that takes and gives the sampling probabilities.  ``run_svrg``
+draws from a distribution fixed for the whole run (uniform, or proportional
+to per-shard smoothness); ``run_asd_svrg`` re-estimates per-worker weights
+from subsampled gradient differences at every inner step and samples through
+the tree protocol.  ``run_sgd`` is the plain baseline with optional L2.
 
 Every random decision draws from a stream keyed by (seed, channel, epoch,
 step, worker), so runs are bit-reproducible and per-worker work could be
@@ -199,14 +202,17 @@ class _Recorder:
         return RunTrace(rows=self.rows, final_x=np.array(x), ledger=self.ledger)
 
 
-def vr_direction(problem, m: int, x, x_anchor, anchor_full_grad, p_m: float) -> np.ndarray:
-    """Variance-reduced direction for worker m under sampling probability p_m:
-    (grad F_m(x) - grad F_m(anchor)) / (M p_m) + anchor full gradient."""
-    if p_m <= 0:
-        raise ValueError(f"sampling probability must be positive, got {p_m}")
-    g_x = prob.shard_gradient(problem, m, x)
-    g_a = prob.shard_gradient(problem, m, x_anchor)
-    return (g_x - g_a) / (problem.m_workers * p_m) + np.asarray(anchor_full_grad, dtype=float)
+def _direction(problem, x, anchor_grads, g_anchor, picks, probs, R: int) -> np.ndarray:
+    """Variance-reduced direction of one inner step: the anchor full gradient
+    plus the mean over the R draws of (grad F_m(x) - grad F_m(anchor)) /
+    (M p_m), where ``picks`` holds each drawn worker m with its multiplicity
+    and ``probs[m]`` is its sampling probability p_m."""
+    M = problem.m_workers
+    step_dir = np.zeros(problem.param_dim)
+    for m, mult in picks:
+        g_x = prob.shard_gradient(problem, m, x)
+        step_dir += mult * (g_x - anchor_grads[m]) / (M * probs[m])
+    return step_dir / R + g_anchor
 
 
 def _initial_x(problem, x0) -> np.ndarray:
@@ -218,69 +224,75 @@ def _initial_x(problem, x0) -> np.ndarray:
     return x0.copy()
 
 
-def _epoch_anchor_setup(problem, anchor, ledger):
-    """Epoch prologue: anchor out, shard gradients in, full gradient out."""
-    p = problem.param_dim
-    comm.server_broadcast(ledger, p, problem.m_workers)
-    comm.server_gather(ledger, p, problem.m_workers)
-    comm.server_broadcast(ledger, p, problem.m_workers)
-    anchor_grads = [prob.shard_gradient(problem, m, anchor) for m in range(problem.m_workers)]
-    g_anchor = np.mean(anchor_grads, axis=0)
-    return anchor_grads, g_anchor
+def _vr_loop(problem, config: OptimizerConfig, x0, draw) -> RunTrace:
+    """The variance-reduced loop shared by every worker distribution.
 
-
-def _pick_anchor(iterates, x_last, rule, rng) -> np.ndarray:
-    if rule == "last_iterate":
-        return x_last
-    return iterates[int(rng.integers(len(iterates)))]
-
-
-def run_svrg(problem, config: OptimizerConfig, distribution_mode: str | None = None, x0=None) -> RunTrace:
-    """Variance-reduced loop with a distribution fixed for the whole run.
-
-    ``uniform`` picks every worker equally; ``lipschitz_importance`` draws
-    proportionally to the per-shard smoothness constants.  Each inner step
-    averages ``group_size`` independent draws; the epoch anchor is a uniformly
-    random iterate of the epoch unless configured otherwise.
+    ``draw(k)`` is called once per epoch and returns ``step(ledger, x,
+    anchor, t)``, which samples the inner step's workers, charges the
+    messages that takes, and returns the sorted (worker, multiplicity) pairs
+    and every worker's sampling probability.  The loop charges the epoch
+    prologue and the sampled workers' parameter-sized payloads back.
     """
-    mode = distribution_mode if distribution_mode is not None else config.distribution_mode
-    if mode not in ("uniform", "lipschitz_importance"):
-        raise ValueError(f"run_svrg supports uniform / lipschitz_importance, got {mode!r}")
-    if mode == "uniform":
-        dist = sampling.Categorical.uniform(problem.m_workers)
-    else:
-        dist = sampling.Categorical.from_weights(prob.lipschitz_info(problem).per_shard)
-
     seed = _seed_tuple(config.seed)
-    M, p = problem.m_workers, problem.param_dim
-    R = config.group_size
+    M, p, R = problem.m_workers, problem.param_dim, config.group_size
     ledger = comm.CommLedger()
     anchor = _initial_x(problem, x0)
     recorder = _Recorder(problem, ledger, config, anchor)
 
     for k in range(1, config.epochs + 1):
-        anchor_grads, g_anchor = _epoch_anchor_setup(problem, anchor, ledger)
-        x = anchor.copy()
-        iterates = [x.copy()]
-        draw_rng = _stream(seed, _CH_FIXED_DRAW, k)
+        # prologue: anchor out, shard gradients in, full gradient out
+        comm.server_broadcast(ledger, p, M)
+        comm.server_gather(ledger, p, M)
+        comm.server_broadcast(ledger, p, M)
+        anchor_grads = [prob.shard_gradient(problem, m, anchor) for m in range(M)]
+        g_anchor = np.mean(anchor_grads, axis=0)
+        step = draw(k)
+        x = anchor
+        iterates = [x]  # x is rebound every step, never written in place
         for t in range(1, config.inner_iters + 1):
-            picks = Counter(sampling.sample_categorical(dist, draw_rng) for _ in range(R))
-            distinct = len(picks)
-            comm_payload = p * distinct
-            ledger.server_worker_scalars += comm_payload  # x_{t-1} to sampled workers
-            ledger.worker_server_scalars += comm_payload  # scaled gradient gaps back
-            ledger.parallel_rounds += 2
-            step_dir = np.zeros(p)
-            for m, mult in sorted(picks.items()):
-                g_x = prob.shard_gradient(problem, m, x)
-                step_dir += mult * (g_x - anchor_grads[m]) / (M * dist.probabilities[m])
-            x = x - config.eta * (step_dir / R + g_anchor)
+            picks, probs = step(ledger, x, anchor, t)
+            x = x - config.eta * _direction(problem, x, anchor_grads, g_anchor, picks, probs, R)
+            comm.server_gather(ledger, p, len(picks))  # payloads back
             if t < config.inner_iters:
-                iterates.append(x.copy())
+                iterates.append(x)
             recorder.observe(k, t, x)
-        anchor = _pick_anchor(iterates, x, config.anchor_rule, _stream(seed, _CH_ANCHOR, k))
+        if config.anchor_rule == "last_iterate":
+            anchor = x
+        else:
+            anchor = iterates[int(_stream(seed, _CH_ANCHOR, k).integers(len(iterates)))]
 
     return RunTrace(rows=recorder.rows, final_x=anchor, ledger=ledger)
+
+
+def run_svrg(problem, config: OptimizerConfig, x0=None) -> RunTrace:
+    """Variance-reduced loop with a distribution fixed for the whole run.
+
+    ``uniform`` picks every worker equally; ``lipschitz_importance`` draws
+    proportionally to the per-shard smoothness constants.  Each inner step
+    averages ``group_size`` independent draws, and the parameters go to the
+    sampled workers only; the epoch anchor is a uniformly random iterate of
+    the epoch unless configured otherwise.
+    """
+    mode = config.distribution_mode
+    if mode == "uniform":
+        dist = sampling.Categorical.uniform(problem.m_workers)
+    elif mode == "lipschitz_importance":
+        dist = sampling.Categorical.from_weights(prob.lipschitz_info(problem).per_shard)
+    else:
+        raise ValueError(f"run_svrg supports uniform / lipschitz_importance, got {mode!r}")
+    seed = _seed_tuple(config.seed)
+
+    def draw(k):
+        rng = _stream(seed, _CH_FIXED_DRAW, k)
+
+        def step(ledger, x, anchor, t):
+            picks = Counter(sampling.sample_categorical(dist, rng) for _ in range(config.group_size))
+            comm.server_broadcast(ledger, problem.param_dim, len(picks))  # x_{t-1} to sampled workers
+            return sorted(picks.items()), dist.probabilities
+
+        return step
+
+    return _vr_loop(problem, config, x0, draw)
 
 
 def _estimate_weights(problem, x, anchor, est, seed, k, t) -> list[float]:
@@ -311,44 +323,24 @@ def run_asd_svrg(problem, config: OptimizerConfig, x0=None) -> RunTrace:
     if config.distribution_mode != "adaptive":
         raise ValueError("run_asd_svrg requires distribution_mode='adaptive'")
     seed = _seed_tuple(config.seed)
-    M, p = problem.m_workers, problem.param_dim
-    R = config.group_size
-    ledger = comm.CommLedger()
-    anchor = _initial_x(problem, x0)
-    recorder = _Recorder(problem, ledger, config, anchor)
+    M = problem.m_workers
 
-    for k in range(1, config.epochs + 1):
-        anchor_grads, g_anchor = _epoch_anchor_setup(problem, anchor, ledger)
-        x = anchor.copy()
-        iterates = [x.copy()]
-        for t in range(1, config.inner_iters + 1):
-            comm.server_broadcast(ledger, p, M)  # x_{t-1} to every worker
+    def draw(k):
+        def step(ledger, x, anchor, t):
+            comm.server_broadcast(ledger, problem.param_dim, M)  # x_{t-1} to every worker
             weights = _estimate_weights(problem, x, anchor, config.estimation, seed, k, t)
             if sum(weights) <= 0.0:
                 weights = [1.0] * M  # degenerate estimates: uniform fallback
-            hist = comm.pc_sample(weights, R, ledger, _stream(seed, _CH_PC, k, t))
-            ledger.worker_server_scalars += R  # histogram to the server
-            ledger.parallel_rounds += 1
-            distinct = len(hist.counts)
-            ledger.server_worker_scalars += distinct  # weight normaliser out
-            ledger.parallel_rounds += 1
-
+            hist = comm.pc_sample(weights, config.group_size, ledger, _stream(seed, _CH_PC, k, t))
+            comm.server_gather(ledger, config.group_size, 1)  # histogram to the server
+            comm.server_broadcast(ledger, 1, len(hist.counts))  # weight normaliser out
+            # Python's sequential sum: numpy's pairwise sum rounds differently
             total_w = sum(weights)
-            step_dir = np.zeros(p)
-            for m, mult in hist.items():
-                p_m = weights[m] / total_w
-                g_x = prob.shard_gradient(problem, m, x)
-                step_dir += mult * (g_x - anchor_grads[m]) / (M * p_m)
-            x = x - config.eta * (step_dir / R + g_anchor)
+            return hist.items(), [w / total_w for w in weights]
 
-            ledger.worker_server_scalars += p * distinct  # updates back to server
-            ledger.parallel_rounds += 1
-            if t < config.inner_iters:
-                iterates.append(x.copy())
-            recorder.observe(k, t, x)
-        anchor = _pick_anchor(iterates, x, config.anchor_rule, _stream(seed, _CH_ANCHOR, k))
+        return step
 
-    return RunTrace(rows=recorder.rows, final_x=anchor, ledger=ledger)
+    return _vr_loop(problem, config, x0, draw)
 
 
 def run_sgd(problem, config: OptimizerConfig, x0=None) -> RunTrace:
@@ -367,9 +359,8 @@ def run_sgd(problem, config: OptimizerConfig, x0=None) -> RunTrace:
             m = int(rng.integers(M))
             grad = prob.shard_gradient(problem, m, x) + config.l2_for_sgd * x
             x = x - config.eta * grad
-            ledger.server_worker_scalars += p
-            ledger.worker_server_scalars += p
-            ledger.parallel_rounds += 2
+            comm.server_broadcast(ledger, p, 1)  # x_{t-1} to the drawn worker
+            comm.server_gather(ledger, p, 1)  # its gradient back
             recorder.observe(k, t, x)
 
     return RunTrace(rows=recorder.rows, final_x=x, ledger=ledger)

@@ -292,13 +292,6 @@ def gradient_deltas(problem: ShardedProblem, rows, x, x_anchor) -> np.ndarray:
     return r[:, None] * A
 
 
-def gradient_delta_matrix(problem: ShardedProblem, shard_id: int, x, x_anchor) -> np.ndarray:
-    """Per-sample gradient differences of one shard, one row per sample."""
-    problem.shard(shard_id)  # validates the id
-    rows = slice(problem.offsets[shard_id], problem.offsets[shard_id + 1])
-    return gradient_deltas(problem, rows, x, x_anchor)
-
-
 def shard_loss(problem: ShardedProblem, shard_id: int, x) -> float:
     x = _check_x(problem, x)
     shard = problem.shard(shard_id)

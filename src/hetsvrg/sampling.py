@@ -221,27 +221,16 @@ def _segment_bounds(deltas: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray,
     return np.linalg.norm(span, axis=1), np.linalg.norm(means, axis=1)
 
 
-def lemma_bounds(problem, shard_id: int, x, x_anchor) -> tuple[float, float]:
-    """(range_norm, mean_norm) of one shard's per-sample gradient differences.
-
-    range_norm is ||b - a|| for the coordinate-wise min/max envelope of the
-    difference vectors; mean_norm is the norm of their average (the exact
-    shard weight).  Requires a full pass over the shard.  This is the
-    one-shard case of the bounds :func:`subsample_sizes` computes for the
-    ``lemma1`` policy.
-    """
-    deltas = prob.gradient_delta_matrix(problem, shard_id, x, x_anchor)
-    ranges, means = _segment_bounds(deltas, np.array([deltas.shape[0]]))
-    return float(ranges[0]), float(means[0])
-
-
 def subsample_sizes(problem, x, x_anchor, config: EstimationConfig) -> np.ndarray:
     """Every worker's subsample size under ``config``'s policy.
 
     ``full`` gives the shard sizes and ``fixed`` the capped fixed size.
-    ``lemma1`` applies :func:`subsample_size` to every shard's
-    :func:`lemma_bounds`, computed for all shards in one pass over the
-    stacked rows; a shard whose exact weight is zero gets size 0.
+    ``lemma1`` applies :func:`subsample_size`, capped at the shard, to every
+    shard's bounds: range_norm is ||b - a|| for the coordinate-wise min/max
+    envelope of its per-sample gradient differences, and mean_norm the norm of
+    their average (the exact shard weight).  The bounds of all shards come
+    from one pass over the stacked rows; a shard whose exact weight is zero
+    gets size 0.
     """
     sizes = problem.sizes
     if config.subsample_policy == "full":

@@ -165,11 +165,11 @@ def test_05_subsample_coverage():
         rng = np.random.default_rng(123)
         fails = trials = 0
         per_shard = 2000 // p.m_workers
+        sizes = smp.subsample_sizes(p, x, anchor, cfg)  # the optimizer's lemma1 sizes
         for m in range(p.m_workers):
             size = p.shard(m).size
             exact = smp.estimate_shard_weight(p, m, x, anchor, size, np.random.default_rng(0))
-            range_norm, mean_norm = smp.lemma_bounds(p, m, x, anchor)
-            n = min(size, smp.subsample_size(cfg, p.param_dim, range_norm, mean_norm))
+            n = int(sizes[m])
             for _ in range(per_shard):
                 est = smp.estimate_shard_weight(p, m, x, anchor, n, rng)
                 trials += 1
@@ -193,9 +193,10 @@ def test_06_direction_unbiasedness():
         x, anchor = rng.normal(size=(2, p.param_dim))
         weights = rng.uniform(0.05, 3.0, size=5)
         probs = weights / weights.sum()
+        anchor_grads = [prob.shard_gradient(p, m, anchor) for m in range(5)]
         g_anchor = prob.full_gradient(p, anchor)
         mean = sum(
-            probs[m] * optim.vr_direction(p, m, x, anchor, g_anchor, probs[m]) for m in range(5)
+            probs[m] * optim._direction(p, x, anchor_grads, g_anchor, [(m, 1)], probs, 1) for m in range(5)
         )
         worst = max(worst, float(np.abs(mean - prob.full_gradient(p, x)).max()))
     ok = worst <= 1e-10

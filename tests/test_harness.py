@@ -1,6 +1,7 @@
 """Sweep harness: specs, grid selection, report/trace emission, CLI."""
 
 import csv
+import dataclasses
 import hashlib
 
 import pytest
@@ -298,6 +299,25 @@ class TestCli:
     def test_unknown_algorithm_fails(self, capsys):
         rc = cli.main(["run", "--algos", "adamw", "--etas", "0.1", "--out", "x"])
         assert rc == 1
+
+    def test_run_defaults_come_from_the_dataclasses(self, monkeypatch):
+        specs = []
+
+        class Captured(Exception):
+            pass
+
+        def capture(spec):
+            specs.append(spec)
+            raise Captured
+
+        monkeypatch.setattr(harness, "run_experiment", capture)
+        for argv in (["run"], ["run", "--preset", "linear_synthetic", "--algos", "svrg_uniform"]):
+            with pytest.raises(Captured):
+                cli.main(argv)
+        assert specs[0] == harness.ExperimentSpec(
+            preset="linear_synthetic", algorithms=("sgd", "svrg_uniform", "asd_svrg"), eta_grid=None, seeds=(1,)
+        )
+        assert specs[1] == dataclasses.replace(specs[0], algorithms=("svrg_uniform",))
 
 
 def comm_header_in(out: str) -> bool:

@@ -31,19 +31,31 @@ def exact_minimum(problem):
     return x_star, prob.full_loss(problem, x_star)
 
 
+def shard_gradients(problem, x):
+    return [prob.shard_gradient(problem, m, x) for m in range(problem.m_workers)]
+
+
+def step_deltas(trace, prologue):
+    """Per-step ledger increments (ww, ws, sw, rounds) of a one-epoch trace
+    with a row per step; ``prologue`` is the ledger after the epoch prologue."""
+    snaps = [prologue] + [(r.worker_worker, r.worker_server, r.server_worker, r.rounds) for r in trace.rows]
+    return [tuple(b - a for a, b in zip(s0, s1)) for s0, s1 in zip(snaps, snaps[1:])]
+
+
 class TestVrDirection:
     def test_at_anchor_returns_anchor_gradient(self):
         p = preset()
         anchor = np.ones(p.param_dim)
         g = prob.full_gradient(p, anchor)
-        v = optim.vr_direction(p, 3, anchor, anchor, g, 0.125)
+        probs = np.full(p.m_workers, 0.125)
+        v = optim._direction(p, anchor, shard_gradients(p, anchor), g, [(3, 1)], probs, 1)
         np.testing.assert_array_equal(v, g)
 
     def test_single_worker_recovers_full_gradient(self):
         p = prob.generate_heterogeneous(prob.LINEAR, 1, 30, 3, 1.0, seed=0)
         rng = np.random.default_rng(1)
         x, anchor = rng.normal(size=(2, p.param_dim))
-        v = optim.vr_direction(p, 0, x, anchor, prob.full_gradient(p, anchor), 1.0)
+        v = optim._direction(p, x, shard_gradients(p, anchor), prob.full_gradient(p, anchor), [(0, 1)], [1.0], 1)
         np.testing.assert_allclose(v, prob.full_gradient(p, x), rtol=1e-12, atol=1e-12)
 
     def test_unbiased_under_any_distribution(self):
@@ -53,9 +65,9 @@ class TestVrDirection:
             x, anchor = rng.normal(size=(2, p.param_dim))
             weights = rng.uniform(0.1, 2.0, size=5)
             probs = weights / weights.sum()
-            g_anchor = prob.full_gradient(p, anchor)
+            anchor_grads, g_anchor = shard_gradients(p, anchor), prob.full_gradient(p, anchor)
             mean = sum(
-                probs[m] * optim.vr_direction(p, m, x, anchor, g_anchor, probs[m])
+                probs[m] * optim._direction(p, x, anchor_grads, g_anchor, [(m, 1)], probs, 1)
                 for m in range(5)
             )
             np.testing.assert_allclose(mean, prob.full_gradient(p, x), rtol=1e-10, atol=1e-10)
@@ -74,17 +86,24 @@ class TestVrDirection:
                 ]
             )
             probs = weights / weights.sum()
-            g_anchor = prob.full_gradient(p, anchor)
+            anchor_grads, g_anchor = shard_gradients(p, anchor), prob.full_gradient(p, anchor)
             mean = sum(
-                probs[m] * optim.vr_direction(p, m, x, anchor, g_anchor, probs[m])
+                probs[m] * optim._direction(p, x, anchor_grads, g_anchor, [(m, 1)], probs, 1)
                 for m in range(5)
             )
             np.testing.assert_allclose(mean, prob.full_gradient(p, x), rtol=1e-10, atol=1e-10)
 
-    def test_nonpositive_probability_rejected(self):
-        p = preset()
-        with pytest.raises(ValueError):
-            optim.vr_direction(p, 0, np.zeros(11), np.zeros(11), np.zeros(11), 0.0)
+    def test_group_is_mean_of_single_draws(self):
+        # R draws with multiplicities average the single-draw directions
+        p = prob.generate_heterogeneous(prob.LINEAR, 5, 100, 4, 2.0, seed=2)
+        rng = np.random.default_rng(9)
+        x, anchor = rng.normal(size=(2, p.param_dim))
+        probs = rng.uniform(0.1, 2.0, size=5)
+        probs /= probs.sum()
+        args = (p, x, shard_gradients(p, anchor), prob.full_gradient(p, anchor))
+        single = [optim._direction(*args, [(m, 1)], probs, 1) for m in range(5)]
+        group = optim._direction(*args, [(0, 2), (3, 1)], probs, 3)
+        np.testing.assert_allclose(group, (2 * single[0] + single[3]) / 3, rtol=1e-12, atol=1e-12)
 
 
 class TestRunSvrg:
@@ -148,6 +167,16 @@ class TestRunSvrg:
         assert trace.ledger.worker_worker_scalars == 0
         assert trace.ledger.parallel_rounds == 3 + 2
 
+    def test_ledger_schedule_group_steps(self):
+        # R = 2: parameters out to, and payloads back from, each distinct
+        # sampled worker (10 scalars each way), in 2 rounds
+        p = prob.generate_heterogeneous(prob.LINEAR, 8, 100, 9, 1.5, seed=0)
+        cfg = optim.OptimizerConfig(eta=1e-4, epochs=1, inner_iters=20, group_size=2, seed=0)
+        deltas = step_deltas(optim.run_svrg(p, cfg), prologue=(0, 80, 160, 3))
+        distinct = [sw // 10 for _, _, sw, _ in deltas]
+        assert set(distinct) <= {1, 2} and max(distinct) == 2
+        assert deltas == [(0, 10 * d, 10 * d, 2) for d in distinct]
+
     def test_anchor_last_iterate(self):
         p = preset()
         cfg = optim.OptimizerConfig(eta=1e-3, epochs=1, inner_iters=4, seed=9,
@@ -209,6 +238,18 @@ class TestRunAsdSvrg:
         # prologue 80 + histogram (R) + one worker's parameter payload
         assert trace.ledger.worker_server_scalars == 80 + 1 + 10
         assert trace.ledger.parallel_rounds == 3 + 1 + (1 + 3) + 1 + 1 + 1
+
+    def test_ledger_schedule_group_steps(self):
+        # R = 2 over 8 workers: 4 leader-bound sends of 2 scalars and 3 merge
+        # sends of R + 1 in 1 + log2(4) rounds; d distinct sampled workers get
+        # the normaliser (1 scalar each) and send 10-scalar payloads back
+        p = prob.generate_heterogeneous(prob.LINEAR, 8, 100, 9, 1.5, seed=0)
+        cfg = optim.OptimizerConfig(eta=1e-4, epochs=1, inner_iters=20, group_size=2, seed=0,
+                                    distribution_mode="adaptive")
+        deltas = step_deltas(optim.run_asd_svrg(p, cfg), prologue=(0, 80, 160, 3))
+        distinct = [sw - 80 for _, _, sw, _ in deltas]
+        assert set(distinct) <= {1, 2} and max(distinct) == 2
+        assert deltas == [(4 * 2 + 3 * 3, 2 + 10 * d, 80 + d, 1 + (1 + 2) + 1 + 1 + 1) for d in distinct]
 
     def test_faster_than_uniform_on_heterogeneous_preset(self):
         p = preset(seed=1)
@@ -374,11 +415,10 @@ def reference_weights(p, x, anchor, est, seed, k, t):
             out.append(np.linalg.norm(prob.shard_gradient(p, m, x) - prob.shard_gradient(p, m, anchor)))
             continue
         if est.subsample_policy == "lemma1":
-            range_norm, mean_norm = smp.lemma_bounds(p, m, x, anchor)
-            if mean_norm == 0.0:
+            n = int(smp.subsample_sizes(p, x, anchor, est)[m])
+            if n == 0:
                 out.append(0.0)
                 continue
-            n = min(size, smp.subsample_size(est, p.param_dim, range_norm, mean_norm))
         else:
             n = est.size_for_shard(size)
         key = seed + (optim._CH_WEIGHTS, k, t, m)
@@ -423,10 +463,10 @@ class TestEstimateWeights:
     def test_bad_sizes_rejected(self):
         p = self.problem(prob.LINEAR)
         x = np.ones(p.param_dim)
-        rngs = [np.random.default_rng(m) for m in range(3)]
-        for sizes in ([1, 1], [1, -1, 1], [1, 41, 1]):
-            with pytest.raises(ValueError):
-                smp.estimate_weights(p, x, np.zeros(p.param_dim), sizes, rngs)
+        # each local holds in-range indices, as many as the positive sizes ask for
+        for sizes, local in (([1, 1], [0, 0]), ([1, -1, 1], [0, 0]), ([1, 41, 1], [0] * 43)):
+            with pytest.raises(ValueError, match="sizes must give"):
+                smp.estimate_weights(p, x, np.zeros(p.param_dim), sizes, local)
 
     def test_bad_local_rejected(self):
         p = self.problem(prob.LINEAR)

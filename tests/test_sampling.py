@@ -265,12 +265,11 @@ class TestEstimateShardWeight:
     @pytest.mark.parametrize("delta", [0.05, 0.1])
     def test_concentration_coverage(self, tau, delta):
         # empirical failure rate of the relative-error guarantee stays below delta
-        cfg = smp.EstimationConfig(tau=tau, delta=delta)
+        cfg = smp.EstimationConfig(tau=tau, delta=delta, subsample_policy="lemma1")
         m = 2
         size = self.problem.shard(m).size
         exact = smp.estimate_shard_weight(self.problem, m, self.x, self.anchor, size, np.random.default_rng(0))
-        range_norm, mean_norm = smp.lemma_bounds(self.problem, m, self.x, self.anchor)
-        n = min(size, smp.subsample_size(cfg, self.problem.param_dim, range_norm, mean_norm))
+        n = int(smp.subsample_sizes(self.problem, self.x, self.anchor, cfg)[m])
         rng = np.random.default_rng(99)
         fails = sum(
             abs(smp.estimate_shard_weight(self.problem, m, self.x, self.anchor, n, rng) - exact)
@@ -280,12 +279,19 @@ class TestEstimateShardWeight:
         assert fails / 2000 <= delta
 
     def test_lemma_bounds_match_brute_force(self):
-        deltas = prob.gradient_delta_matrix(self.problem, 0, self.x, self.anchor)
-        range_norm, mean_norm = smp.lemma_bounds(self.problem, 0, self.x, self.anchor)
-        assert range_norm == pytest.approx(
-            np.linalg.norm(deltas.max(axis=0) - deltas.min(axis=0))
-        )
-        assert mean_norm == pytest.approx(np.linalg.norm(deltas.mean(axis=0)))
+        # lemma1 sizes from a brute-force range / mean over each shard's rows,
+        # on a preset whose sizes span 1 to the shard size
+        p = prob.generate_heterogeneous(prob.LINEAR, 8, 500, 10, 3.0, seed=42)
+        x, anchor = np.random.default_rng(7).normal(size=p.param_dim), np.zeros(p.param_dim)
+        for tau in (0.2, 1.0 / 3.0, 1.0):
+            cfg = smp.EstimationConfig(tau=tau, subsample_policy="lemma1")
+            expected = []
+            for m in range(p.m_workers):
+                deltas = prob.gradient_deltas(p, slice(p.offsets[m], p.offsets[m + 1]), x, anchor)
+                range_norm = np.linalg.norm(deltas.max(axis=0) - deltas.min(axis=0))
+                mean_norm = np.linalg.norm(deltas.mean(axis=0))
+                expected.append(min(p.shard(m).size, smp.subsample_size(cfg, p.param_dim, range_norm, mean_norm)))
+            assert smp.subsample_sizes(p, x, anchor, cfg).tolist() == expected
 
     def test_matches_subsample_gradient_difference(self):
         # the estimate is the norm of the shard-gradient difference on the
