@@ -10,25 +10,24 @@ to per-shard smoothness); ``run_asd_svrg`` re-estimates per-worker weights
 from subsampled gradient differences at every inner step and samples through
 the tree protocol.  ``run_sgd`` is the plain baseline with optional L2.
 
-Every random decision draws from a stream keyed by (seed, channel, epoch,
-step, worker), so runs are bit-reproducible and per-worker work could be
-executed concurrently without changing results.
+Every random decision is keyed by (seed, channel, epoch, step, worker), so
+runs are bit-reproducible and per-worker work could run concurrently without
+changing results.  The anchor, SGD, fixed-draw and tree-protocol channels
+read ``Generator``s seeded by ``SeedSequence`` of the key (``_stream``).  The
+weights channel is a counter hash (``sampling._draw_subsamples``): worker m's
+subsample at (k, t) is a pure function of (seed, channel, k, t, m), uniform
+over the subsets of its size up to a 2**-53 rounding.
 
 The adaptive step computes all workers' weight estimates in one batched pass
 over the problem's stacked rows (``sampling.estimate_weights``).  The
 divergence guard and the recorded losses call ``problem.full_loss`` and
 ``problem.test_metrics``: for linear regression these read quadratic forms
 cached on the problem, O(p**2) per step, and for logistic regression they make
-one pass over the rows.  Batching keeps every stream and every draw: worker
-m's subsample is still keyed by (seed, weights channel, k, t, m) and is
-exactly the one ``sampling.estimate_shard_weight`` draws from that stream.
-The workers' stream states are derived together in one batched pass
-(``sampling._draw_subsamples``) instead of building a Generator per worker.
-Only the order of float operations differs from a worker-by-worker, row-by-row
-evaluation, so weights and losses agree with it to rounding (about 1e-13
-relative on the presets).  The losses are only recorded, never fed back into a
-step, so the iterates are the same whichever way a loss is evaluated, and a
-run is bit-identical from run to run.
+one pass over the rows.  Only the order of float operations differs from a
+worker-by-worker, row-by-row evaluation, so weights and losses agree with it
+to rounding (about 1e-13 relative on the presets).  The losses are only
+recorded, never fed back into a step, so the iterates are the same whichever
+way a loss is evaluated, and a run is bit-identical from run to run.
 """
 
 from __future__ import annotations
@@ -296,8 +295,9 @@ def run_svrg(problem, config: OptimizerConfig, x0=None) -> RunTrace:
 
 
 def _estimate_weights(problem, x, anchor, est, seed, k, t) -> list[float]:
-    """Per-step weight estimates for every worker in one batched pass; worker
-    m draws its subsample from the stream (seed, weights channel, k, t, m)."""
+    """Per-step weight estimates for every worker in one batched pass, on the
+    counter-hash subsamples keyed by (seed, weights channel, k, t); no
+    worker's subsample depends on another's."""
     if est.subsample_policy == "full":
         return sampling.estimate_weights(problem, x, anchor).tolist()
     sizes = sampling.subsample_sizes(problem, x, anchor, est)

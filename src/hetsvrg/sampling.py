@@ -8,7 +8,7 @@ categorical distribution into (1 - gamma) * exact + gamma * residual.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -213,6 +213,11 @@ def _segment_starts(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(counts) - counts
 
 
+def _segment_ranks(counts: np.ndarray) -> np.ndarray:
+    """0, 1, .., counts[i] - 1 for every segment i, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(_segment_starts(counts), counts)
+
+
 def _segment_bounds(deltas: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(range_norm, mean_norm) of each run of ``counts`` consecutive delta rows."""
     starts = _segment_starts(counts)
@@ -248,18 +253,10 @@ def subsample_sizes(problem, x, x_anchor, config: EstimationConfig) -> np.ndarra
     return out
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
-# uint32 words, hashmix constants INIT_A * MULT_A**c for its c-th call,
-# generate_state constants INIT_B * MULT_B**c, and mix(x, y) = L*x - R*y,
-# all mod 2**32.  PCG64 seeded from words (s, i) has inc = 2i + 1 and state
-# (inc + s) * PCG64_MULT + inc, mod 2**128.
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's increment, 2**64 / golden ratio
+_ROUNDS_AHEAD = 4  # redraw rounds hashed per pass over the slots
 
 
 def _key_words(key) -> list[int]:
@@ -282,126 +279,67 @@ def _stream(key) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
-@functools.lru_cache(maxsize=16)
-def _hash_constants(init: int, mult: int, first: int, count: int) -> np.ndarray:
-    """init * mult**c mod 2**32 for c = first .. first + count, as a
-    read-only uint32 column."""
-    out = np.array([init * pow(mult, c, 1 << 32) & _MASK32 for c in range(first, first + count + 1)], dtype=np.uint32)
-    out.flags.writeable = False
-    return out[:, None]
-
-
-# generate_state(4, uint64) reads the pool twice for its 8 uint32 words
-_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE)
-
-
-def _seed_words(seq: np.random.SeedSequence, last: np.ndarray) -> np.ndarray:
-    """``SeedSequence(key + [w]).generate_state(4, np.uint64)`` for every word
-    w of ``last``, one row each, where ``seq`` is ``SeedSequence(key)`` built
-    from a uint32 array of key words.
-
-    The hash constants do not depend on the data, and a word past the pool's
-    fourth is hashed with four consecutive constants and mixed into the four
-    pool words.  So ``seq``'s pool is extended by every w at once, in uint32
-    array operations that wrap mod 2**32 as the hash does.  A key shorter
-    than the pool would put w into the pool's first rounds instead; no
-    optimizer key is that short, and such keys are hashed one by one.
-    """
-    key = seq.entropy
-    if len(key) < _POOL_SIZE:
-        return np.array(
-            [np.random.SeedSequence(np.append(key, w)).generate_state(4, np.uint64) for w in last.tolist()],
-            dtype=np.uint64,
-        ).reshape(-1, 4)
-    mix_hash = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * len(key), _POOL_SIZE)
-    v = np.asarray(last, dtype=np.uint32) ^ mix_hash[:-1]
-    v *= mix_hash[1:]
-    v ^= v >> 16
-    v *= np.uint32(-_MIX_R & _MASK32)
-    v += seq.pool[:, None] * np.uint32(_MIX_L)
-    v ^= v >> 16
-    state = np.concatenate((v, v)) ^ _STATE_HASH[:-1]
-    state *= _STATE_HASH[1:]
-    state ^= state >> 16
-    # consecutive little-endian word pairs, as generate_state combines them
-    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
-
-
-def _resolve_swaps(targets: list[int]) -> list[int]:
-    """First k entries of range(n) after swapping position i with
-    ``targets[i] >= i`` for i = 0..k-1 in turn.  The swaps are kept in a dict,
-    so the cost is O(k) whatever n is."""
-    moved: dict[int, int] = {}
-    out = []
-    for i, j in enumerate(targets):
-        out.append(moved.get(j, j))
-        moved[j] = moved.get(i, i)
-    return out
-
-
-def _partial_fisher_yates(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """First k entries of a Fisher-Yates shuffle of range(n): a uniform
-    without-replacement draw of k indices.
-
-    Step i swaps position i with i + rng.integers(n - i).  One vectorised
-    ``rng.integers`` call returns exactly those k sequential draws.
-    """
-    targets = rng.integers(0, np.arange(n, n - k, -1)) + np.arange(k)
-    return np.array(_resolve_swaps(targets.tolist()), dtype=np.intp)
+def _mix64(z):
+    """SplitMix64's finaliser, a bijection of 64-bit words; works on a
+    Python int below 2**64 and elementwise on a uint64 array."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def _draw_subsamples(key: tuple[int, ...], shard_sizes, sizes) -> np.ndarray:
-    """Every worker's subsample, concatenated in worker order: worker m with
-    ``sizes[m] > 0`` draws ``_partial_fisher_yates(shard_sizes[m], sizes[m],
-    _stream(key + (m,)))``, and all workers are drawn in one batched pass.
+    """Every worker's subsample, uniform without replacement: worker m draws
+    ``sizes[m]`` of ``range(shard_sizes[m])`` in ascending order, the workers
+    are concatenated in order, and all are drawn in one array pass.
 
-    The workers' seed words come from :func:`_seed_words`, and one PCG64 is
-    set to each worker's state in turn to read its raw outputs.  For bounds
-    up to 2**32, ``rng.integers`` spends the low and then the high uint32 of
-    each output on Lemire's rule: the draw is ``u * bound >> 32``, unless the
-    low word of that product is below ``2**32 % bound``, when it rejects u and
-    takes the next word (a bound of 1 spends no word; the rule gives its 0
-    too).  That rule is applied to all workers at once.  A worker whose draw
-    would be rejected is drawn from its own stream by
-    ``_partial_fisher_yates`` instead.  A bound above 2**32 (a shard of more
-    than 2**32 rows, which numpy draws from whole 64-bit outputs) always
-    counts as rejected, because 2**32 % bound is then 2**32.
+    Counter-based (Salmon et al., SC'11): slot j of worker m in redraw round
+    r reads the top 53 bits of SplitMix64's output at position j + r * 2**32
+    of a stream seeded by hashing (key, m), so every draw is a pure function
+    of (key, m, j, r) and no worker's draw depends on another's.  Slot j
+    takes floor(u * n_m); a slot that repeats an index of a lower slot of its
+    worker is redrawn until all are distinct.  The rule treats every index
+    alike, so every subset is equally likely, up to the 2**-53 rounding of
+    u * n_m (shards below 2**53 rows, sizes below 2**32).  A worker with
+    2 k_m > n_m draws the n_m - k_m rows it leaves out instead.
     """
     sizes = np.asarray(sizes)
     workers = np.flatnonzero(sizes)
-    if not workers.size:
-        return np.zeros(0, dtype=np.intp)
     n, k = np.asarray(shard_sizes)[workers], sizes[workers]
-    seq = np.random.SeedSequence(np.array(_key_words(key), dtype=np.uint32))
-    bitgen = np.random.PCG64(seq)  # every worker's state replaces this one
-    half = (k + 1) // 2  # raw outputs that hold a worker's k uint32 draws
-    raw = []
-    for (s0, s1, i0, i1), r in zip(_seed_words(seq, workers).tolist(), half.tolist()):
-        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-        state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        raw.append(bitgen.random_raw(r))
-    u = np.concatenate(raw).astype("<u8", copy=False).view("<u4")
-    first = np.cumsum(k) - k  # each worker's first draw
-    draw = np.arange(first[-1] + k[-1])
-    step = draw - np.repeat(first, k)
-    bound = (np.repeat(n, k) - step).astype(np.uint64)
-    product = u[draw + np.repeat(2 * (np.cumsum(half) - half) - first, k)] * bound
-    targets = ((product >> 32).astype(np.intp) + step).tolist()
-    rejected = (product & _MASK32) < 2**32 % bound
-    redraw = np.logical_or.reduceat(rejected, first).tolist()
-    out: list[int] = []
-    for m, n_m, k_m, f, redo in zip(workers.tolist(), n.tolist(), k.tolist(), first.tolist(), redraw):
-        if redo:
-            out += _partial_fisher_yates(n_m, k_m, _stream(key + (m,))).tolist()
-        else:
-            out += _resolve_swaps(targets[f : f + k_m])
-    return np.array(out, dtype=np.intp)
+    flip = 2 * k > n
+    d = np.where(flip, n - k, k)  # slots each worker draws
+    # rows are numbered across the drawn workers' stacked shards, so one sort
+    # finds the repeats of every worker
+    stacked = _segment_starts(n)
+    first, scale = np.repeat(stacked, d), np.repeat(n * 2.0**-53, d)
+    h = 0  # the key's hash, folded over its words
+    for w in _key_words(key):
+        h = _mix64(((h + _GOLDEN) & _MASK64) ^ w)
+    seeds = _mix64(h + (workers.astype(np.uint64) + 1) * np.uint64(_GOLDEN))
+    counters = np.repeat(seeds, d) + _segment_ranks(d).astype(np.uint64) * np.uint64(_GOLDEN)
+
+    def draw_rows(rounds):  # one row of the result per round
+        r = np.asarray(rounds, dtype=np.uint64)[:, None]
+        z = _mix64(counters + (r << np.uint64(32)) * np.uint64(_GOLDEN))
+        return first + ((z >> 11) * scale).astype(np.intp)
+
+    ahead = draw_rows(range(_ROUNDS_AHEAD))  # few slots repeat: hash rounds in blocks
+    rows = ahead[0]
+    for r in itertools.count(1):
+        order = np.argsort(rows, kind="stable")  # a repeat's lowest slot comes first
+        repeat = order[1:][rows[order[1:]] == rows[order[:-1]]]
+        if not repeat.size:
+            break
+        if r % _ROUNDS_AHEAD == 0:
+            ahead = draw_rows(range(r, r + _ROUNDS_AHEAD))
+        rows[repeat] = ahead[r % _ROUNDS_AHEAD, repeat]
+    out = rows[order]
+    if flip.any():  # such a worker keeps the rows it did not draw
+        left_out = np.repeat(flip, d)[order]
+        flip_rows = np.repeat(stacked[flip], n[flip]) + _segment_ranks(n[flip])
+        kept = np.ones(flip_rows.size, dtype=bool)
+        kept[np.searchsorted(flip_rows, out[left_out])] = False
+        out = np.sort(np.concatenate((out[~left_out], flip_rows[kept])))
+    return out - np.repeat(stacked, k)
 
 
 def estimate_weights(problem, x, x_anchor, sizes=None, local=None) -> np.ndarray:
@@ -444,7 +382,8 @@ def estimate_weights(problem, x, x_anchor, sizes=None, local=None) -> np.ndarray
 def estimate_shard_weight(problem, shard_id: int, x, x_anchor, n_m: int, rng) -> float:
     """Norm of the subsampled mean gradient difference for one shard.
 
-    Draws ``n_m`` sample indices uniformly without replacement and returns
+    Draws ``n_m`` sample indices uniformly without replacement, with
+    ``rng.choice(shard size, n_m, replace=False)``, and returns
     || mean_j (grad f_j(x) - grad f_j(x_anchor)) ||_2 over the draw.  With
     ``n_m`` equal to the shard size this is the exact difference norm.  This
     is the one-shard case of :func:`estimate_weights`.
@@ -454,7 +393,7 @@ def estimate_shard_weight(problem, shard_id: int, x, x_anchor, n_m: int, rng) ->
         raise ValueError(f"n_m must be in [1, {shard.size}], got {n_m}")
     sizes = np.zeros(problem.m_workers, dtype=int)
     sizes[shard_id] = n_m
-    local = _partial_fisher_yates(shard.size, n_m, rng)
+    local = rng.choice(shard.size, n_m, replace=False)
     return float(estimate_weights(problem, x, x_anchor, sizes, local)[shard_id])
 
 

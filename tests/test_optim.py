@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hetsvrg import optim
+from hetsvrg import comm, harness, optim
 from hetsvrg import problem as prob
 from hetsvrg import sampling as smp
 
@@ -406,24 +406,21 @@ class TestReproducibility:
 
 
 def reference_weights(p, x, anchor, est, seed, k, t):
-    """Per-worker estimates, one worker at a time, each on a stream built
-    directly from SeedSequence(seed + (channel, k, t, m))."""
+    """Per-worker estimates, one worker at a time: worker m's subsample is
+    drawn with every other worker's size set to 0, and estimated alone."""
     out = []
     for m in range(p.m_workers):
         size = p.shard(m).size
         if est.subsample_policy == "full":
             out.append(np.linalg.norm(prob.shard_gradient(p, m, x) - prob.shard_gradient(p, m, anchor)))
             continue
+        alone = np.zeros(p.m_workers, dtype=int)
         if est.subsample_policy == "lemma1":
-            n = int(smp.subsample_sizes(p, x, anchor, est)[m])
-            if n == 0:
-                out.append(0.0)
-                continue
+            alone[m] = smp.subsample_sizes(p, x, anchor, est)[m]
         else:
-            n = est.size_for_shard(size)
-        key = seed + (optim._CH_WEIGHTS, k, t, m)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
-        out.append(smp.estimate_shard_weight(p, m, x, anchor, n, rng))
+            alone[m] = est.size_for_shard(size)
+        local = smp._draw_subsamples(seed + (optim._CH_WEIGHTS, k, t), p.sizes, alone)
+        out.append(smp.estimate_weights(p, x, anchor, alone, local)[m])
     return np.array(out)
 
 
@@ -488,6 +485,43 @@ class TestStreams:
         key = tuple(seed) + tuple(tags)
         ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
         assert optim._stream(tuple(seed), *tags).bit_generator.state == ref.bit_generator.state
+
+
+class TestStreamPins:
+    """The exact integers every random channel gives for one fixed cell key.
+
+    A change to any channel's stream fails here, so it has to be made on
+    purpose and stated.  The anchor, SGD, fixed-draw and tree-protocol
+    channels read ``SeedSequence`` generators; the weights channel is the
+    counter-hash drawer.
+    """
+
+    SEED = harness._cell_seed(7, "asd_svrg", 0.125)
+
+    def test_anchor_sgd_and_fixed_draw_channels(self):
+        assert int(optim._stream(self.SEED, optim._CH_ANCHOR, 2).integers(100)) == 62
+        rng = optim._stream(self.SEED, optim._CH_SGD, 2)
+        assert [int(rng.integers(8)) for _ in range(6)] == [5, 3, 6, 0, 5, 1]
+        rng = optim._stream(self.SEED, optim._CH_FIXED_DRAW, 2)
+        dist = smp.Categorical.from_weights([1.0, 2.0, 3.0, 4.0])
+        assert [smp.sample_categorical(dist, rng) for _ in range(6)] == [3, 3, 0, 1, 2, 2]
+
+    def test_tree_protocol_channel(self):
+        weights = [1.0, 0.0, 2.0, 3.0, 0.5, 4.0, 1.0, 1.0]
+        rng = optim._stream(self.SEED, optim._CH_PC, 2, 3)
+        hist = comm.pc_sample(weights, 4, comm.CommLedger(), rng)
+        assert hist.items() == [(2, 1), (3, 1), (5, 1), (7, 1)]
+
+    def test_weights_channel(self):
+        # a direct draw (16 of 50), a complement draw (16 of 30), a whole
+        # shard and an idle worker
+        key = self.SEED + (optim._CH_WEIGHTS, 2, 3)
+        got = smp._draw_subsamples(key, np.array([50, 30, 7, 9]), np.array([16, 16, 7, 0]))
+        assert got.tolist() == [
+            6, 7, 9, 10, 12, 13, 15, 19, 25, 27, 30, 35, 39, 41, 45, 48,
+            0, 1, 2, 5, 8, 9, 12, 14, 16, 17, 19, 20, 21, 23, 25, 26,
+            0, 1, 2, 3, 4, 5, 6,
+        ]
 
 
 class TestConfigValidation:

@@ -12,20 +12,6 @@ from hetsvrg import problem as prob
 from hetsvrg import sampling as smp
 
 
-def sequential_fisher_yates(n, k, rng):
-    """Reference partial Fisher-Yates: step i swaps position i with
-    i + rng.integers(n - i), one scalar draw per step; positions never
-    touched keep their own index, so no array of length n is needed."""
-    held = {}
-    out = []
-    for i in range(k):
-        j = i + int(rng.integers(n - i))
-        at_i, at_j = held.get(i, i), held.get(j, j)
-        held[i], held[j] = at_j, at_i
-        out.append(at_j)
-    return out
-
-
 def random_pair(rng, m=6, max_rel=0.3):
     """A strictly positive base and a perturbation bounded by max_rel * w."""
     w = rng.uniform(0.5, 5.0, size=m)
@@ -264,19 +250,28 @@ class TestEstimateShardWeight:
     @pytest.mark.parametrize("tau", [0.2, 1.0 / 3.0])
     @pytest.mark.parametrize("delta", [0.05, 0.1])
     def test_concentration_coverage(self, tau, delta):
-        # empirical failure rate of the relative-error guarantee stays below delta
+        # empirical failure rate of the relative-error guarantee stays below
+        # delta, on shards whose lemma1 sizes (20 to 124 of 200 rows) make the
+        # estimate a real subsample; features centred away from 0 keep the
+        # sizes below the shard size
+        rng = np.random.default_rng(12)
+        shards = [
+            prob.Shard(m, 2.0 + 0.2 * 1.5**m * rng.normal(size=(200, 3)), rng.normal(size=200)) for m in range(4)
+        ]
+        p = prob.ShardedProblem(shards, prob.LINEAR)
         cfg = smp.EstimationConfig(tau=tau, delta=delta, subsample_policy="lemma1")
-        m = 2
-        size = self.problem.shard(m).size
-        exact = smp.estimate_shard_weight(self.problem, m, self.x, self.anchor, size, np.random.default_rng(0))
-        n = int(smp.subsample_sizes(self.problem, self.x, self.anchor, cfg)[m])
-        rng = np.random.default_rng(99)
-        fails = sum(
-            abs(smp.estimate_shard_weight(self.problem, m, self.x, self.anchor, n, rng) - exact)
-            > tau * exact
-            for _ in range(2000)
-        )
-        assert fails / 2000 <= delta
+        x, anchor = np.random.default_rng(1).normal(size=p.param_dim), np.zeros(p.param_dim)
+        sizes = smp.subsample_sizes(p, x, anchor, cfg)
+        for m in (0, 1):
+            size = p.shard(m).size
+            n = int(sizes[m])
+            assert n < size
+            exact = smp.estimate_shard_weight(p, m, x, anchor, size, np.random.default_rng(0))
+            rng = np.random.default_rng(99)
+            fails = sum(
+                abs(smp.estimate_shard_weight(p, m, x, anchor, n, rng) - exact) > tau * exact for _ in range(2000)
+            )
+            assert fails / 2000 <= delta
 
     def test_lemma_bounds_match_brute_force(self):
         # lemma1 sizes from a brute-force range / mean over each shard's rows,
@@ -295,10 +290,10 @@ class TestEstimateShardWeight:
 
     def test_matches_subsample_gradient_difference(self):
         # the estimate is the norm of the shard-gradient difference on the
-        # sorted reference draw from the same stream
+        # sorted reference draw from the same generator
         for m in range(self.problem.m_workers):
             size = self.problem.shard(m).size
-            idx = np.sort(sequential_fisher_yates(size, 9, np.random.default_rng(m)))
+            idx = np.sort(np.random.default_rng(m).choice(size, 9, replace=False))
             ref = np.linalg.norm(
                 prob.shard_gradient(self.problem, m, self.x, sample_indices=idx)
                 - prob.shard_gradient(self.problem, m, self.anchor, sample_indices=idx)
@@ -306,98 +301,86 @@ class TestEstimateShardWeight:
             w = smp.estimate_shard_weight(self.problem, m, self.x, self.anchor, 9, np.random.default_rng(m))
             assert w == pytest.approx(ref, rel=1e-12)
 
-    @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(1, 2**62), k_share=st.floats(0.0, 1.0), seed=st.integers(0, 2**128))
-    @example(n=2**32 + 1, k_share=1e-9, seed=2**64 + 7)
-    @example(n=2**40, k_share=1e-11, seed=0)
-    @example(n=25, k_share=1.0, seed=3)
-    def test_fisher_yates_matches_sequential_reference(self, n, k_share, seed):
-        # same indices as k scalar draws, and the generator ends in the same
-        # state, so every later draw from it is unchanged too
-        k = min(n, 40, round(k_share * n))
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert smp._partial_fisher_yates(n, k, rng).tolist() == sequential_fisher_yates(n, k, ref_rng)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    def test_without_replacement(self):
-        # a subsample of the full shard size must visit every index exactly once
-        idx = smp._partial_fisher_yates(20, 20, np.random.default_rng(3))
-        assert sorted(idx) == list(range(20))
-        small = smp._partial_fisher_yates(20, 7, np.random.default_rng(4))
-        assert len(set(small.tolist())) == 7
+def slices(draw, sizes):
+    """Each worker's indices out of a draw concatenated in worker order."""
+    return np.split(draw, np.cumsum(sizes)[:-1])
 
 
-def worker_stream(key, m):
-    """Worker m's stream, built by numpy from the full key."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(tuple(key) + (m,))))
+# ragged (shard size, subsample size) pairs: k = 0, k = 1, k = n, 2k > n and
+# n = 1 all occur, and shards far larger than any subsample
+SHARD_DRAWS = st.lists(
+    st.integers(1, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
+    | st.tuples(st.integers(61, 2**40), st.integers(0, 40)),
+    min_size=1,
+    max_size=10,
+)
+KEYS = st.lists(st.integers(0, 2**32 - 1) | st.integers(2**32, 2**96), min_size=1, max_size=6).map(tuple)
 
 
-def per_worker_draws(key, shard_sizes, sizes):
-    """Every worker's subsample drawn one worker at a time from its own stream."""
-    out = []
-    for m, (n, k) in enumerate(zip(shard_sizes, sizes)):
-        if k:
-            out += smp._partial_fisher_yates(n, k, worker_stream(key, m)).tolist()
-    return out
-
-
-KEY_INTS = st.integers(0, 2**32 - 1) | st.integers(2**32, 2**96)
-
-
-class TestBatchedDraws:
+class TestSubsampleDrawer:
     @settings(max_examples=300, deadline=None)
-    @given(prefix=st.lists(KEY_INTS, max_size=9), last=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
-    @example(prefix=[2**40 + 3, 2**64 + 5, 2, 3, 17], last=[0, 1, 2])
-    @example(prefix=[], last=[7])
-    def test_seed_words_match_seed_sequence(self, prefix, last):
-        # prefixes of 0 to 9 ints give keys of 1 to 10 words, and multi-word
-        # ints longer ones
-        words = np.array(smp._key_words(prefix), dtype=np.uint32)
-        got = smp._seed_words(np.random.SeedSequence(words), np.array(last))
-        want = [np.random.SeedSequence(tuple(prefix) + (w,)).generate_state(4, np.uint64).tolist() for w in last]
-        assert got.tolist() == want
+    @given(key=KEYS, shards=SHARD_DRAWS)
+    @example(key=(2**40 + 3, 2**64 + 5, 2, 3, 17), shards=[(1, 1), (1, 0), (50, 16), (30, 16), (47, 47), (2, 1)])
+    def test_each_worker_gets_its_size_in_distinct_ascending_indices(self, key, shards):
+        shard_sizes, sizes = np.array(shards).T
+        got = smp._draw_subsamples(key, shard_sizes, sizes)
+        assert got.dtype == np.intp and got.shape == (sizes.sum(),)
+        for idx, n in zip(slices(got, sizes), shard_sizes):
+            assert np.all(np.diff(idx) > 0)  # ascending, so distinct
+            assert idx.size == 0 or 0 <= idx[0] and idx[-1] < n
+        # the same key gives the same draw
+        assert smp._draw_subsamples(key, shard_sizes, sizes).tolist() == got.tolist()
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        key=st.lists(KEY_INTS, max_size=6),
-        shards=st.lists(
-            st.tuples(st.integers(1, 300) | st.integers(1, 2**62), st.integers(0, 40), st.booleans()),
-            min_size=1,
-            max_size=12,
-        ),
-    )
-    @example(key=[2**40 + 3, 2**64 + 5, 2, 3, 17], shards=[(40, 20, False), (40, 0, False), (47, 47, False)])
-    @example(key=[1, 2, 1, 1], shards=[(1, 1, False), (25, 25, True), (2**32, 3, False), (2**32 - 1, 3, False)])
-    @example(key=[9, 2, 4, 4], shards=[(3 * 2**30 + c, 6, False) for c in range(12)])
-    @example(key=[1, 2, 3, 4], shards=[(5, 0, False), (6, 0, False)])
-    def test_draws_match_per_worker_fisher_yates(self, key, shards):
-        # ragged sizes; k = 0, k = n and n = 1; a bound of exactly 2**32 is a
-        # plain uint32 draw; shards of more than 2**32 rows, and bounds near
-        # 3 * 2**30 (Lemire rejects about a quarter of the draws there), take
-        # the per-worker path on the worker's own stream
-        shard_sizes = [n for n, _, _ in shards]
-        sizes = [n if full and n <= 300 else min(n, k) for n, k, full in shards]
-        got = smp._draw_subsamples(tuple(key), np.array(shard_sizes), np.array(sizes))
-        assert got.dtype == np.intp
-        assert got.tolist() == per_worker_draws(key, shard_sizes, sizes)
+    @given(key=KEYS, shards=SHARD_DRAWS)
+    def test_worker_drawn_alone_matches_its_slice(self, key, shards):
+        shard_sizes, sizes = np.array(shards).T
+        batch = slices(smp._draw_subsamples(key, shard_sizes, sizes), sizes)
+        for m in range(sizes.size):
+            alone = np.zeros_like(sizes)
+            alone[m] = sizes[m]
+            assert smp._draw_subsamples(key, shard_sizes, alone).tolist() == batch[m].tolist()
 
-    def test_rejections_fall_back_to_the_worker_stream(self, monkeypatch):
-        # bounds near 3 * 2**30: some workers hit a rejection and are redrawn
-        # from their own streams, the others are drawn in the batch
-        redrawn = []
-        oracle = smp._partial_fisher_yates
+    @pytest.mark.parametrize("n, k", [(20, 5), (20, 15), (7, 4)])
+    def test_inclusion_frequencies_match_k_over_n(self, n, k):
+        # 4000 draws (80 keys of 50 workers each); every index's inclusion
+        # count is Binomial(4000, k/n), and each must lie within 5 standard
+        # deviations (a false alarm has probability below 1e-5 over all
+        # indices).  (20, 5) takes the direct path, (20, 15) and (7, 4) the
+        # complement path.
+        workers, keys = 50, 80
+        counts = np.zeros(n, dtype=int)
+        for t in range(keys):
+            draw = smp._draw_subsamples((3, 2, 1, t), np.full(workers, n), np.full(workers, k))
+            counts += np.bincount(draw, minlength=n)
+        trials, p = workers * keys, k / n
+        bound = 5.0 * math.sqrt(trials * p * (1 - p))
+        assert np.abs(counts - trials * p).max() <= bound
 
-        def spy(n, k, rng):
-            redrawn.append(n)
-            return oracle(n, k, rng)
+    @pytest.mark.parametrize("n, k", [(50, 16), (30, 16)])
+    def test_draws_at_different_keys_and_workers_overlap_as_independent_ones(self, n, k):
+        # two independent uniform k-subsets of n share k**2 / n indices on
+        # average (hypergeometric); the mean over 1000 pairs must lie within
+        # 5 standard errors of it, for pairs that differ in the epoch, in the
+        # step, or in the worker
+        workers, pairs = 10, 1000
+        var = k * (k / n) * ((n - k) / n) * ((n - k) / (n - 1))
+        bound = 5.0 * math.sqrt(var / pairs)
+        shard_sizes, sizes = np.full(workers, n), np.full(workers, k)
 
-        monkeypatch.setattr(smp, "_partial_fisher_yates", spy)
-        shard_sizes = np.full(16, 3 * 2**30 + 1)
-        sizes = np.full(16, 3)
-        got = smp._draw_subsamples((5, 2, 1, 1), shard_sizes, sizes).tolist()
-        assert 0 < len(redrawn) < 16
-        monkeypatch.setattr(smp, "_partial_fisher_yates", oracle)
-        assert got == per_worker_draws((5, 2, 1, 1), shard_sizes.tolist(), sizes.tolist())
+        def draws(epoch, step):
+            return slices(smp._draw_subsamples((9, 2, epoch, step), shard_sizes, sizes), sizes)
+
+        by_epoch, by_step, by_worker = [], [], []
+        for t in range(pairs // workers):
+            a, b, c = draws(1, t), draws(2, t), draws(1, t + pairs)
+            for m in range(workers):
+                by_epoch.append(np.intersect1d(a[m], b[m]).size)
+                by_step.append(np.intersect1d(a[m], c[m]).size)
+                by_worker.append(np.intersect1d(a[m], a[(m + 1) % workers]).size)
+        for overlaps in (by_epoch, by_step, by_worker):
+            assert abs(np.mean(overlaps) - k * k / n) <= bound
 
 
 class TestSampleCategorical:
