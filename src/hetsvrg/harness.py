@@ -2,16 +2,18 @@
 
 A sweep runs every (algorithm, eta, seed) cell on a shared dataset and a
 shared all-zeros initial parameter vector, writes one trace CSV per cell plus
-a report CSV, and summarises the best learning rate per algorithm.  Diverged
-cells are recorded, never fatal, and cannot perturb other cells: every cell
-derives its random streams from (seed, algorithm, eta) alone.
+a report CSV, and summarises the best learning rate per algorithm.  The step
+sizes of one variance-reduced (algorithm, seed) are stepped together
+(``optim.run_grid``).  Diverged cells are recorded, never fatal, and cannot
+perturb other cells: every cell derives its random streams from (seed,
+algorithm, eta) alone, and its run is bit-identical to its run alone.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -200,28 +202,26 @@ def _cell_seed(seed: int, algorithm: str, eta: float) -> tuple[int, int, int]:
     return (int(seed), _ALGO_CODE[algorithm], eta_bits)
 
 
-def _run_cell(problem, spec: ExperimentSpec, algorithm: str, eta: float, seed: int, x0):
-    config = optim.OptimizerConfig(
-        eta=eta,
-        epochs=spec.epochs,
-        inner_iters=spec.inner_iters,
-        group_size=spec.group_size,
-        estimation=spec.estimation,
-        distribution_mode="adaptive" if algorithm == "asd_svrg" else (
-            "lipschitz_importance" if algorithm == "svrg_importance" else "uniform"
-        ),
+def _run_grid(problem, spec: ExperimentSpec, algorithm: str, seed: int, x0) -> list:
+    """(trace, diverged) of every step size of one (algorithm, seed): the
+    variance-reduced algorithms step their whole grid together, SGD runs
+    cell by cell."""
+    mode = {"asd_svrg": "adaptive", "svrg_importance": "lipschitz_importance"}.get(algorithm, "uniform")
+    base = optim.OptimizerConfig(
+        eta=0.0, epochs=spec.epochs, inner_iters=spec.inner_iters, group_size=spec.group_size,
+        estimation=spec.estimation, distribution_mode=mode, eval_every=spec.eval_every,
         l2_for_sgd=spec.l2_for_sgd if algorithm == "sgd" else 0.0,
-        seed=_cell_seed(seed, algorithm, eta),
-        eval_every=spec.eval_every,
     )
-    try:
-        if algorithm == "sgd":
-            return optim.run_sgd(problem, config, x0=x0), False
-        if algorithm == "asd_svrg":
-            return optim.run_asd_svrg(problem, config, x0=x0), False
-        return optim.run_svrg(problem, config, x0=x0), False
-    except optim.Diverged as exc:
-        return exc.trace, True
+    configs = [replace(base, eta=eta, seed=_cell_seed(seed, algorithm, eta)) for eta in spec.grid_for(algorithm)]
+    if algorithm != "sgd":
+        return optim.run_grid(problem, configs, x0=x0)
+    out = []
+    for config in configs:
+        try:
+            out.append((optim.run_sgd(problem, config, x0=x0), False))
+        except optim.Diverged as exc:
+            out.append((exc.trace, True))
+    return out
 
 
 def _trace_name(algorithm: str, eta: float, seed: int) -> str:
@@ -249,15 +249,17 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
     out.mkdir(parents=True, exist_ok=True)
 
     rows: list[CellResult] = []
+    # a custom dataset does not depend on the seed: parse it once
+    shared = make_problem(spec, spec.seeds[0]) if spec.preset == "custom_csv" else None
     for seed in spec.seeds:
-        problem = make_problem(spec, seed)
+        problem = shared if shared is not None else make_problem(spec, seed)
         x0 = np.zeros(problem.param_dim)
         initial_loss = prob.full_loss(problem, x0)
 
         cells = []
         for algorithm in spec.algorithms:
-            for eta in spec.grid_for(algorithm):
-                trace, diverged = _run_cell(problem, spec, algorithm, eta, seed, x0)
+            runs = _run_grid(problem, spec, algorithm, seed, x0)
+            for eta, (trace, diverged) in zip(spec.grid_for(algorithm), runs):
                 name = _trace_name(algorithm, eta, seed)
                 trace.to_csv(out / name)
                 cells.append((algorithm, eta, trace, diverged, name))

@@ -9,32 +9,28 @@ draws from a distribution fixed for the whole run (uniform, or proportional
 to per-shard smoothness); ``run_asd_svrg`` re-estimates per-worker weights
 from subsampled gradient differences at every inner step and samples through
 the tree protocol.  ``run_sgd`` is the plain baseline with optional L2.
+``run_grid`` steps the cells of a step-size grid together: the loop is the
+same, with one cell for a solo run, and only the per-call glue (the
+subsample draw and the weight estimates) is batched over cells.
 
 Every random decision is keyed by (seed, channel, epoch, step, worker), so
-runs are bit-reproducible and per-worker work could run concurrently without
-changing results.  The anchor, SGD, fixed-draw and tree-protocol channels
-read ``Generator``s seeded by ``SeedSequence`` of the key (``_stream``).  The
-weights channel is a counter hash (``sampling._draw_subsamples``): worker m's
-subsample at (k, t) is a pure function of (seed, channel, k, t, m), uniform
-over the subsets of its size up to a 2**-53 rounding.
+runs are bit-reproducible and neither other workers nor other cells can
+change them.  The anchor, SGD, fixed-draw and tree-protocol channels read
+``Generator``s seeded by ``SeedSequence`` of the key (``_stream``); the
+weights channel is a counter hash (``sampling._draw_subsamples``).
 
-The adaptive step computes all workers' weight estimates in one batched pass
-over the problem's stacked rows (``sampling.estimate_weights``).  The
-divergence guard and the recorded losses call ``problem.full_loss`` and
-``problem.test_metrics``: for linear regression these read quadratic forms
-cached on the problem, O(p**2) per step, and for logistic regression they make
-one pass over the rows.  Only the order of float operations differs from a
-worker-by-worker, row-by-row evaluation, so weights and losses agree with it
-to rounding (about 1e-13 relative on the presets).  The losses are only
-recorded, never fed back into a step, so the iterates are the same whichever
-way a loss is evaluated, and a run is bit-identical from run to run.
+The divergence guard and the recorded losses call ``problem.full_loss`` and
+``problem.test_metrics`` (O(p**2) per step from cached quadratic forms for
+linear regression, one pass over the rows for logistic).  They agree with a
+row-by-row evaluation to rounding (about 1e-13 relative on the presets) and
+are only recorded, never fed back into a step.
 """
 
 from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -173,32 +169,33 @@ class RunTrace:
                 )
 
 
-class _Recorder:
-    """Loss bookkeeping shared by the optimizer loops: evaluation cadence,
-    trace rows, and the divergence guard (checked every step)."""
+class _Cell:
+    """One run's state: its seed, ledger, iterate and epoch anchor, its trace
+    rows (at the evaluation cadence) and divergence guard (checked every
+    step), and its outcome once it has one."""
 
-    def __init__(self, problem, ledger, config, x0):
+    def __init__(self, problem, config, x0):
         self.problem = problem
-        self.ledger = ledger
         self.config = config
+        self.seed = _seed_tuple(config.seed)
+        self.ledger = comm.CommLedger()
         self.rows: list[TraceRow] = []
         initial = prob.full_loss(problem, x0)
         self.limit = config.divergence_factor * max(initial, np.finfo(float).tiny)
+        self.anchor = self.x = x0
+        self.outcome: RunTrace | Diverged | None = None
 
     def observe(self, k: int, t: int, x: np.ndarray) -> None:
         train = prob.full_loss(self.problem, x)
         if not np.isfinite(train) or train > self.limit:
             raise Diverged(
                 f"train loss {train} exceeded the guard at epoch {k}, step {t}",
-                trace=self._trace(x),
+                trace=RunTrace(rows=self.rows, final_x=np.array(x), ledger=self.ledger),
             )
         if t % self.config.eval_every == 0:
             test_loss, test_acc = prob.test_metrics(self.problem, x)
             ww, ws, sw, rounds = self.ledger.snapshot()
             self.rows.append(TraceRow(k, t, train, test_loss, test_acc, ww, ws, sw, rounds))
-
-    def _trace(self, x) -> RunTrace:
-        return RunTrace(rows=self.rows, final_x=np.array(x), ledger=self.ledger)
 
 
 def _direction(problem, x, anchor_grads, g_anchor, picks, probs, R: int) -> np.ndarray:
@@ -223,44 +220,83 @@ def _initial_x(problem, x0) -> np.ndarray:
     return x0.copy()
 
 
-def _vr_loop(problem, config: OptimizerConfig, x0, draw) -> RunTrace:
-    """The variance-reduced loop shared by every worker distribution.
+def _vr_loop(problem, configs, x0) -> list:
+    """The variance-reduced loop, stepping the cells of ``configs`` (equal
+    but for eta and seed) together; returns each cell's ``RunTrace``, or the
+    ``Diverged`` with its partial trace.  A cell drops out at the (k, t) where
+    its guard trips, and every product of its iterates is its own, so each
+    cell's run is bit-identical to its run alone.  ``draw(k, cells)`` returns
+    the epoch's ``step(t, live)``, which samples each live cell's workers,
+    charges the messages that takes and returns per cell the sorted (worker,
+    multiplicity) pairs and every worker's sampling probability."""
+    M, p, first = problem.m_workers, problem.param_dim, configs[0]
+    R, T = first.group_size, first.inner_iters
+    draw = (_asd_draw if first.distribution_mode == "adaptive" else _svrg_draw)(problem, first)
+    x0 = _initial_x(problem, x0)
+    cells = live = [_Cell(problem, config, x0) for config in configs]
 
-    ``draw(k)`` is called once per epoch and returns ``step(ledger, x,
-    anchor, t)``, which samples the inner step's workers, charges the
-    messages that takes, and returns the sorted (worker, multiplicity) pairs
-    and every worker's sampling probability.  The loop charges the epoch
-    prologue and the sampled workers' parameter-sized payloads back.
-    """
-    seed = _seed_tuple(config.seed)
-    M, p, R = problem.m_workers, problem.param_dim, config.group_size
-    ledger = comm.CommLedger()
-    anchor = _initial_x(problem, x0)
-    recorder = _Recorder(problem, ledger, config, anchor)
+    for k in range(1, first.epochs + 1):
+        for c in live:
+            # prologue: anchor out, shard gradients in, full gradient out
+            comm.server_broadcast(c.ledger, p, M)
+            comm.server_gather(c.ledger, p, M)
+            comm.server_broadcast(c.ledger, p, M)
+            c.anchor_grads = [prob.shard_gradient(problem, m, c.anchor) for m in range(M)]
+            c.g_anchor = np.mean(c.anchor_grads, axis=0)
+            c.x = c.anchor
+            c.iterates = [c.x]  # x is rebound every step, never written in place
+        step = draw(k, live)
+        for t in range(1, T + 1):
+            for c, (picks, probs) in zip(live, step(t, live)):
+                c.x = c.x - c.config.eta * _direction(problem, c.x, c.anchor_grads, c.g_anchor, picks, probs, R)
+                comm.server_gather(c.ledger, p, len(picks))  # payloads back
+                if t < T:
+                    c.iterates.append(c.x)
+                try:
+                    c.observe(k, t, c.x)
+                except Diverged as exc:
+                    c.outcome = exc.with_traceback(None)  # its frames would hold every cell
+            live = [c for c in live if c.outcome is None]
+            if not live:
+                return [c.outcome for c in cells]
+        for c in live:
+            if first.anchor_rule == "last_iterate":
+                c.anchor = c.x
+            else:
+                c.anchor = c.iterates[int(_stream(c.seed, _CH_ANCHOR, k).integers(len(c.iterates)))]
 
-    for k in range(1, config.epochs + 1):
-        # prologue: anchor out, shard gradients in, full gradient out
-        comm.server_broadcast(ledger, p, M)
-        comm.server_gather(ledger, p, M)
-        comm.server_broadcast(ledger, p, M)
-        anchor_grads = [prob.shard_gradient(problem, m, anchor) for m in range(M)]
-        g_anchor = np.mean(anchor_grads, axis=0)
-        step = draw(k)
-        x = anchor
-        iterates = [x]  # x is rebound every step, never written in place
-        for t in range(1, config.inner_iters + 1):
-            picks, probs = step(ledger, x, anchor, t)
-            x = x - config.eta * _direction(problem, x, anchor_grads, g_anchor, picks, probs, R)
-            comm.server_gather(ledger, p, len(picks))  # payloads back
-            if t < config.inner_iters:
-                iterates.append(x)
-            recorder.observe(k, t, x)
-        if config.anchor_rule == "last_iterate":
-            anchor = x
-        else:
-            anchor = iterates[int(_stream(seed, _CH_ANCHOR, k).integers(len(iterates)))]
+    for c in live:
+        c.outcome = RunTrace(rows=c.rows, final_x=c.anchor, ledger=c.ledger)
+    return [c.outcome for c in cells]
 
-    return RunTrace(rows=recorder.rows, final_x=anchor, ledger=ledger)
+
+def _solo(problem, config, x0) -> RunTrace:
+    (outcome,) = _vr_loop(problem, [config], x0)
+    if isinstance(outcome, Diverged):
+        raise outcome
+    return outcome
+
+
+def _svrg_draw(problem, config: OptimizerConfig):
+    if config.distribution_mode == "uniform":
+        dist = sampling.Categorical.uniform(problem.m_workers)
+    else:
+        dist = sampling.Categorical.from_weights(prob.lipschitz_info(problem).per_shard)
+
+    def draw(k, cells):
+        rngs = {c: _stream(c.seed, _CH_FIXED_DRAW, k) for c in cells}
+
+        def step(t, live):
+            out = []
+            for c in live:
+                picks = Counter(sampling.sample_categorical(dist, rngs[c]) for _ in range(config.group_size))
+                comm.server_broadcast(c.ledger, problem.param_dim, len(picks))  # x_{t-1} to sampled workers
+                out.append((sorted(picks.items()), dist.probabilities))
+            return out
+
+        return step
+
+    return draw
 
 
 def run_svrg(problem, config: OptimizerConfig, x0=None) -> RunTrace:
@@ -272,37 +308,49 @@ def run_svrg(problem, config: OptimizerConfig, x0=None) -> RunTrace:
     sampled workers only; the epoch anchor is a uniformly random iterate of
     the epoch unless configured otherwise.
     """
-    mode = config.distribution_mode
-    if mode == "uniform":
-        dist = sampling.Categorical.uniform(problem.m_workers)
-    elif mode == "lipschitz_importance":
-        dist = sampling.Categorical.from_weights(prob.lipschitz_info(problem).per_shard)
+    if config.distribution_mode == "adaptive":
+        raise ValueError("run_svrg supports uniform / lipschitz_importance, got 'adaptive'")
+    return _solo(problem, config, x0)
+
+
+def _estimate_weights(problem, x, anchor, est, seeds, k, t) -> np.ndarray:
+    """Weight estimates, (C, M), of the cells at ``x`` against ``anchor`` in
+    one batched pass; cell c's subsamples are keyed by (seeds[c], weights
+    channel, k, t), so none depends on another worker's or cell's."""
+    if est.subsample_policy == "full":
+        return sampling.estimate_weights(problem, x, anchor)
+    if est.subsample_policy == "lemma1":  # sizes that depend on the cell's point
+        sizes = np.array([sampling.subsample_sizes(problem, xc, ac, est) for xc, ac in zip(x, anchor)])
     else:
-        raise ValueError(f"run_svrg supports uniform / lipschitz_importance, got {mode!r}")
-    seed = _seed_tuple(config.seed)
+        sizes = np.tile(sampling.subsample_sizes(problem, x[0], anchor[0], est), (len(seeds), 1))
+    local = sampling._draw_subsamples([seed + (_CH_WEIGHTS, k, t) for seed in seeds], problem.sizes, sizes)
+    return sampling.estimate_weights(problem, x, anchor, sizes, local)
 
-    def draw(k):
-        rng = _stream(seed, _CH_FIXED_DRAW, k)
 
-        def step(ledger, x, anchor, t):
-            picks = Counter(sampling.sample_categorical(dist, rng) for _ in range(config.group_size))
-            comm.server_broadcast(ledger, problem.param_dim, len(picks))  # x_{t-1} to sampled workers
-            return sorted(picks.items()), dist.probabilities
+def _asd_draw(problem, config: OptimizerConfig):
+    M, R = problem.m_workers, config.group_size
+
+    def draw(k, cells):
+        def step(t, live):
+            for c in live:
+                comm.server_broadcast(c.ledger, problem.param_dim, M)  # x_{t-1} to every worker
+            x, anchor = np.array([c.x for c in live]), np.array([c.anchor for c in live])
+            estimates = _estimate_weights(problem, x, anchor, config.estimation, [c.seed for c in live], k, t)
+            out = []
+            for c, weights in zip(live, estimates.tolist()):
+                if sum(weights) <= 0.0:
+                    weights = [1.0] * M  # degenerate estimates: uniform fallback
+                hist = comm.pc_sample(weights, R, c.ledger, _stream(c.seed, _CH_PC, k, t))
+                comm.server_gather(c.ledger, R, 1)  # histogram to the server
+                comm.server_broadcast(c.ledger, 1, len(hist.counts))  # weight normaliser out
+                # Python's sequential sum: numpy's pairwise sum rounds differently
+                total_w = sum(weights)
+                out.append((hist.items(), [w / total_w for w in weights]))
+            return out
 
         return step
 
-    return _vr_loop(problem, config, x0, draw)
-
-
-def _estimate_weights(problem, x, anchor, est, seed, k, t) -> list[float]:
-    """Per-step weight estimates for every worker in one batched pass, on the
-    counter-hash subsamples keyed by (seed, weights channel, k, t); no
-    worker's subsample depends on another's."""
-    if est.subsample_policy == "full":
-        return sampling.estimate_weights(problem, x, anchor).tolist()
-    sizes = sampling.subsample_sizes(problem, x, anchor, est)
-    local = sampling._draw_subsamples(seed + (_CH_WEIGHTS, k, t), problem.sizes, sizes)
-    return sampling.estimate_weights(problem, x, anchor, sizes, local).tolist()
+    return draw
 
 
 def run_asd_svrg(problem, config: OptimizerConfig, x0=None) -> RunTrace:
@@ -322,48 +370,38 @@ def run_asd_svrg(problem, config: OptimizerConfig, x0=None) -> RunTrace:
     """
     if config.distribution_mode != "adaptive":
         raise ValueError("run_asd_svrg requires distribution_mode='adaptive'")
-    seed = _seed_tuple(config.seed)
-    M = problem.m_workers
+    return _solo(problem, config, x0)
 
-    def draw(k):
-        def step(ledger, x, anchor, t):
-            comm.server_broadcast(ledger, problem.param_dim, M)  # x_{t-1} to every worker
-            weights = _estimate_weights(problem, x, anchor, config.estimation, seed, k, t)
-            if sum(weights) <= 0.0:
-                weights = [1.0] * M  # degenerate estimates: uniform fallback
-            hist = comm.pc_sample(weights, config.group_size, ledger, _stream(seed, _CH_PC, k, t))
-            comm.server_gather(ledger, config.group_size, 1)  # histogram to the server
-            comm.server_broadcast(ledger, 1, len(hist.counts))  # weight normaliser out
-            # Python's sequential sum: numpy's pairwise sum rounds differently
-            total_w = sum(weights)
-            return hist.items(), [w / total_w for w in weights]
 
-        return step
-
-    return _vr_loop(problem, config, x0, draw)
+def run_grid(problem, configs, x0=None) -> list[tuple[RunTrace, bool]]:
+    """``run_asd_svrg`` (adaptive mode) or ``run_svrg`` for every config of
+    the list, all stepped together; returns (trace, diverged) per config, in
+    order, each bit-identical to the solo run's, a diverged cell's trace
+    partial.  The configs may differ only in eta and seed, else ``ValueError``."""
+    if not configs or len({replace(c, eta=0.0, seed=0) for c in configs}) != 1:
+        raise ValueError("run_grid needs one or more configs that differ only in eta and seed")
+    return [(o.trace, True) if isinstance(o, Diverged) else (o, False) for o in _vr_loop(problem, configs, x0)]
 
 
 def run_sgd(problem, config: OptimizerConfig, x0=None) -> RunTrace:
     """Constant-step SGD over uniformly drawn workers, with optional L2 on the
     update (never on the recorded loss).  Traced on the same (epoch, step)
     grid as the variance-reduced runs for comparability."""
-    seed = _seed_tuple(config.seed)
     M, p = problem.m_workers, problem.param_dim
-    ledger = comm.CommLedger()
     x = _initial_x(problem, x0)
-    recorder = _Recorder(problem, ledger, config, x)
+    cell = _Cell(problem, config, x)
 
     for k in range(1, config.epochs + 1):
-        rng = _stream(seed, _CH_SGD, k)
+        rng = _stream(cell.seed, _CH_SGD, k)
         for t in range(1, config.inner_iters + 1):
             m = int(rng.integers(M))
             grad = prob.shard_gradient(problem, m, x) + config.l2_for_sgd * x
             x = x - config.eta * grad
-            comm.server_broadcast(ledger, p, 1)  # x_{t-1} to the drawn worker
-            comm.server_gather(ledger, p, 1)  # its gradient back
-            recorder.observe(k, t, x)
+            comm.server_broadcast(cell.ledger, p, 1)  # x_{t-1} to the drawn worker
+            comm.server_gather(cell.ledger, p, 1)  # its gradient back
+            cell.observe(k, t, x)
 
-    return RunTrace(rows=recorder.rows, final_x=x, ledger=ledger)
+    return RunTrace(rows=cell.rows, final_x=x, ledger=cell.ledger)
 
 
 RATE_KINDS = ("svrg_uniform", "svrg_importance", "asd_main", "asd_lemma4", "asd_appendix")

@@ -8,6 +8,7 @@ categorical distribution into (1 - gamma) * exact + gamma * residual.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -287,10 +288,12 @@ def _mix64(z):
     return z ^ (z >> 31)
 
 
-def _draw_subsamples(key: tuple[int, ...], shard_sizes, sizes) -> np.ndarray:
+def _draw_subsamples(key, shard_sizes, sizes) -> np.ndarray:
     """Every worker's subsample, uniform without replacement: worker m draws
     ``sizes[m]`` of ``range(shard_sizes[m])`` in ascending order, the workers
-    are concatenated in order, and all are drawn in one array pass.
+    are concatenated in order, and all are drawn in one array pass.  For C
+    cells at once, ``key`` is a list of C keys and ``sizes`` is (C, M); the
+    cells' draws are concatenated in cell order, each equal to its own.
 
     Counter-based (Salmon et al., SC'11): slot j of worker m in redraw round
     r reads the top 53 bits of SplitMix64's output at position j + r * 2**32
@@ -303,18 +306,18 @@ def _draw_subsamples(key: tuple[int, ...], shard_sizes, sizes) -> np.ndarray:
     2 k_m > n_m draws the n_m - k_m rows it leaves out instead.
     """
     sizes = np.asarray(sizes)
-    workers = np.flatnonzero(sizes)
-    n, k = np.asarray(shard_sizes)[workers], sizes[workers]
+    keys = [key] if sizes.ndim == 1 else key
+    cells, workers = np.nonzero(sizes.reshape(len(keys), -1))
+    n, k = np.asarray(shard_sizes)[workers], sizes.reshape(len(keys), -1)[cells, workers]
     flip = 2 * k > n
-    d = np.where(flip, n - k, k)  # slots each worker draws
-    # rows are numbered across the drawn workers' stacked shards, so one sort
-    # finds the repeats of every worker
+    d = np.where(flip, n - k, k)  # slots each (cell, worker) segment draws
+    # rows are numbered across the segments' stacked shards, so one sort
+    # finds the repeats of every segment
     stacked = _segment_starts(n)
     first, scale = np.repeat(stacked, d), np.repeat(n * 2.0**-53, d)
-    h = 0  # the key's hash, folded over its words
-    for w in _key_words(key):
-        h = _mix64(((h + _GOLDEN) & _MASK64) ^ w)
-    seeds = _mix64(h + (workers.astype(np.uint64) + 1) * np.uint64(_GOLDEN))
+    fold = lambda h, w: _mix64(((h + _GOLDEN) & _MASK64) ^ w)  # noqa: E731
+    hashes = np.array([functools.reduce(fold, _key_words(key), 0) for key in keys], dtype=np.uint64)
+    seeds = _mix64(hashes[cells] + (workers.astype(np.uint64) + 1) * np.uint64(_GOLDEN))
     counters = np.repeat(seeds, d) + _segment_ranks(d).astype(np.uint64) * np.uint64(_GOLDEN)
 
     def draw_rows(rounds):  # one row of the result per round
@@ -333,7 +336,7 @@ def _draw_subsamples(key: tuple[int, ...], shard_sizes, sizes) -> np.ndarray:
             ahead = draw_rows(range(r, r + _ROUNDS_AHEAD))
         rows[repeat] = ahead[r % _ROUNDS_AHEAD, repeat]
     out = rows[order]
-    if flip.any():  # such a worker keeps the rows it did not draw
+    if flip.any():  # such a segment keeps the rows it did not draw
         left_out = np.repeat(flip, d)[order]
         flip_rows = np.repeat(stacked[flip], n[flip]) + _segment_ranks(n[flip])
         kept = np.ones(flip_rows.size, dtype=bool)
@@ -349,34 +352,41 @@ def estimate_weights(problem, x, x_anchor, sizes=None, local=None) -> np.ndarray
     holds them, as indices into each shard, concatenated in worker order (as
     :func:`_draw_subsamples` draws them).  A size of 0 gives weight 0.  With
     ``sizes`` None every worker takes all its rows, which gives the exact
-    weights.  All drawn rows are gathered from the stacked matrix at once,
-    the residual differences r(a'x) - r(a'x_anchor) are formed on them, and
-    each worker's weight is the norm of its segment mean of
-    (residual difference) * a.
+    weights.  For C cells at once, ``x``, ``x_anchor`` and ``sizes`` get a
+    leading cell axis, ``local`` is in (cell, worker) order and so is the
+    (C, M) result.  All drawn rows are gathered from the stacked matrix at
+    once, the residual differences r(a'x) - r(a'x_anchor) are formed on them
+    (per cell, see :func:`problem.gradient_deltas`), and each worker's weight
+    is the norm of its segment mean of (residual difference) * a.
     """
-    M = problem.m_workers
-    weights = np.zeros(M)
+    M, n_total = problem.m_workers, problem.n_total
+    shape = (M,) if np.ndim(x) == 1 else (len(x), M)
+    C = 1 if len(shape) == 1 else shape[0]
+    weights = np.zeros((C, M))
     if sizes is None:
-        workers, counts, rows = np.arange(M), problem.sizes, slice(None)
+        cells, workers = np.divmod(np.arange(C * M), M)
+        counts, rows = problem.sizes[workers], np.tile(np.arange(n_total), C)
     else:
         sizes = np.asarray(sizes, dtype=int)
-        if sizes.shape != (M,) or np.any(sizes < 0) or np.any(sizes > problem.sizes):
+        if sizes.shape != shape or np.any(sizes < 0) or np.any(sizes > problem.sizes):
             raise ValueError(f"sizes must give each of the {M} workers 0..shard size rows")
-        workers = np.flatnonzero(sizes)
+        cells, workers = np.nonzero(sizes.reshape(C, M))
         if not workers.size:
-            return weights
-        counts = sizes[workers]
+            return weights.reshape(shape)
+        counts = sizes.reshape(C, M)[cells, workers]
         local = np.asarray(local, dtype=np.intp)
         shard_sizes = np.repeat(problem.sizes[workers], counts)
         if local.shape != (counts.sum(),) or np.any(local < 0) or np.any(local >= shard_sizes):
             raise ValueError("local must hold sizes[m] indices into each sampled shard, in worker order")
-        # the workers' row ranges are disjoint and ascending, so one sort
-        # orders the rows within every worker and keeps the workers in order
-        rows = np.sort(local + np.repeat(problem.offsets[workers], counts))
-    deltas = prob.gradient_deltas(problem, rows, x, x_anchor)
+        # the (cell, worker) row ranges are disjoint and ascending, so one
+        # sort orders the rows within every segment and keeps their order
+        cell_base = np.repeat(cells * n_total, counts)
+        rows = np.sort(local + np.repeat(problem.offsets[workers], counts) + cell_base) - cell_base
+    per_cell = np.bincount(cells, weights=counts, minlength=C).astype(int)
+    deltas = prob.gradient_deltas(problem, rows, np.reshape(x, (C, -1)), np.reshape(x_anchor, (C, -1)), per_cell)
     means = np.add.reduceat(deltas, _segment_starts(counts), axis=0) / counts[:, None]
-    weights[workers] = np.linalg.norm(means, axis=1)
-    return weights
+    weights[cells, workers] = np.linalg.norm(means, axis=1)
+    return weights.reshape(shape)
 
 
 def estimate_shard_weight(problem, shard_id: int, x, x_anchor, n_m: int, rng) -> float:

@@ -170,14 +170,19 @@ class TestRunExperiment:
         assert flags[500.0] and not flags[0.02]
 
     def test_sweep_isolation(self, tmp_path):
-        # removing a diverging cell leaves every other trace byte-identical
+        # removing a diverging cell leaves every other trace byte-identical,
+        # though the step sizes of an (algorithm, seed) are stepped together
+        algorithms = ("svrg_uniform", "svrg_importance", "asd_svrg")
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        spec_a = tiny_spec(a_dir, eta_grid=(0.02, 500.0), algorithms=("svrg_uniform",))
-        spec_b = tiny_spec(b_dir, eta_grid=(0.02,), algorithms=("svrg_uniform",))
-        harness.run_experiment(spec_a)
+        spec_a = tiny_spec(a_dir, eta_grid=(0.02, 500.0, 0.05), algorithms=algorithms)
+        spec_b = tiny_spec(b_dir, eta_grid=(0.02, 0.05), algorithms=algorithms)
+        report = harness.run_experiment(spec_a)
         harness.run_experiment(spec_b)
-        name = harness._trace_name("svrg_uniform", 0.02, 1)
-        assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+        assert {(r.algorithm, r.eta) for r in report.rows if r.diverged} == {(a, 500.0) for a in algorithms}
+        for algorithm in algorithms:
+            for eta in (0.02, 0.05):
+                name = harness._trace_name(algorithm, eta, 1)
+                assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes(), name
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
@@ -215,6 +220,30 @@ class TestRunExperiment:
         )
         report = harness.run_experiment(spec)
         assert len(report.rows) == 1 and not report.rows[0].diverged
+
+    def test_custom_csv_parsed_once_per_sweep(self, tmp_path, monkeypatch):
+        p = prob.generate_heterogeneous(prob.LINEAR, 3, 60, 3, 2.0, seed=5)
+        data = tmp_path / "data.csv"
+        prob.save_csv(p, data)
+        calls = []
+        load = prob.load_csv
+        monkeypatch.setattr(prob, "load_csv", lambda *args: calls.append(args) or load(*args))
+        spec = harness.ExperimentSpec(
+            preset="custom_csv", algorithms=("sgd", "asd_svrg"), eta_grid=(1e-3, 1e-2), seeds=(1, 2, 3),
+            epochs=1, inner_iters=5, out_dir=str(tmp_path / "all"), csv_path=str(data), task=prob.LINEAR,
+        )
+        harness.run_experiment(spec)
+        assert len(calls) == 1
+        # the same traces and report rows as one sweep per seed
+        report_rows = []
+        for seed in spec.seeds:
+            one = tmp_path / f"seed{seed}"
+            harness.run_experiment(dataclasses.replace(spec, seeds=(seed,), out_dir=str(one)))
+            report_rows += (one / "report.csv").read_text().splitlines()[1:]
+            for trace in one.glob("trace_*.csv"):
+                assert trace.read_bytes() == (tmp_path / "all" / trace.name).read_bytes()
+        assert (tmp_path / "all" / "report.csv").read_text().splitlines()[1:] == report_rows
+        assert len(calls) == 4
 
     def test_unreadable_custom_csv_diagnostics(self, tmp_path):
         data = tmp_path / "broken.csv"

@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +331,94 @@ class TestRunSgd:
         assert trace.ledger.parallel_rounds == 12
 
 
+def solo_outcome(problem, config):
+    """(trace, diverged) of one config run alone, as a sweep records it."""
+    runner = optim.run_asd_svrg if config.distribution_mode == "adaptive" else optim.run_svrg
+    try:
+        return runner(problem, config), False
+    except optim.Diverged as exc:
+        return exc.trace, True
+
+
+def trace_bytes(trace, directory, name):
+    path = Path(directory) / name
+    trace.to_csv(path)
+    return path.read_bytes()
+
+
+class TestRunGrid:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        task=st.sampled_from(prob.TASKS),
+        m=st.integers(1, 5),
+        r_share=st.floats(0.0, 1.0),
+        policy=st.sampled_from(smp.SUBSAMPLE_POLICIES),
+        mode=st.sampled_from(optim.DISTRIBUTION_MODES),
+        eval_every=st.integers(1, 3),
+        anchor_rule=st.sampled_from(optim.ANCHOR_RULES),
+        log_etas=st.lists(st.floats(-3.0, 1.0), min_size=1, max_size=4),
+        explode_at=st.none() | st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(task=prob.LINEAR, m=4, r_share=0.5, policy="fixed", mode="adaptive", eval_every=2,
+             anchor_rule="uniform_random", log_etas=[-2.0, -1.0], explode_at=1, seed=0)
+    @example(task=prob.LINEAR, m=3, r_share=0.0, policy="lemma1", mode="lipschitz_importance", eval_every=1,
+             anchor_rule="last_iterate", log_etas=[-2.5, 0.0, 0.5], explode_at=0, seed=4)
+    def test_every_cell_equals_its_solo_run(self, task, m, r_share, policy, mode, eval_every, anchor_rule,
+                                            log_etas, explode_at, seed):
+        """Each cell of a grid call (seeds differing per cell; etas up to 10,
+        which diverge mid-run on linear problems, and maybe one exploding eta)
+        writes the trace CSV, final iterate, diverged flag, ledger and last
+        (k, t) of its solo run, byte for byte."""
+        etas = [10.0**e for e in log_etas]
+        if explode_at is not None:
+            etas.insert(min(explode_at, len(etas)), 10.0**12)  # diverges at its first step
+        configs = [
+            optim.OptimizerConfig(
+                eta=eta, epochs=2, inner_iters=4, group_size=1 + int(r_share * (m - 1)),
+                estimation=smp.EstimationConfig(subsample_policy=policy), distribution_mode=mode,
+                seed=(seed, i), anchor_rule=anchor_rule, eval_every=eval_every,
+            )
+            for i, eta in enumerate(etas)
+        ]
+        p = prob.generate_heterogeneous(task, m, 25 * m, 3, 2.0, seed)
+        grid = optim.run_grid(p, configs)
+        assert len(grid) == len(configs)
+        with tempfile.TemporaryDirectory() as out:
+            for i, (config, (trace, diverged)) in enumerate(zip(configs, grid)):
+                solo, solo_diverged = solo_outcome(p, config)
+                assert diverged == solo_diverged
+                assert trace_bytes(trace, out, f"grid{i}.csv") == trace_bytes(solo, out, f"solo{i}.csv")
+                assert trace.final_x.tobytes() == solo.final_x.tobytes()
+                assert trace.ledger.snapshot() == solo.ledger.snapshot()
+                last = [(r.epoch, r.step) for r in trace.rows[-1:]]
+                assert last == [(r.epoch, r.step) for r in solo.rows[-1:]]
+
+    def test_rejects_configs_that_differ_beyond_eta_and_seed(self):
+        p = prob.generate_heterogeneous(prob.LINEAR, 3, 60, 3, 2.0, seed=1)
+        base = optim.OptimizerConfig(eta=0.01, epochs=1, inner_iters=2, seed=1)
+        assert len(optim.run_grid(p, [base, replace(base, eta=0.02, seed=(2, 3))])) == 2
+        for change in (
+            dict(epochs=2), dict(inner_iters=3), dict(group_size=2),
+            dict(estimation=smp.EstimationConfig(subsample_policy="full")),
+            dict(distribution_mode="lipschitz_importance"), dict(l2_for_sgd=0.1),
+            dict(anchor_rule="last_iterate"), dict(eval_every=2), dict(divergence_factor=10.0),
+        ):
+            with pytest.raises(ValueError, match="differ only in eta and seed"):
+                optim.run_grid(p, [base, replace(base, eta=0.02, **change)])
+        with pytest.raises(ValueError, match="differ only in eta and seed"):
+            optim.run_grid(p, [])
+
+    def test_importance_distribution_computed_once_per_grid(self, monkeypatch):
+        p = prob.generate_heterogeneous(prob.LINEAR, 3, 60, 3, 2.0, seed=1)
+        calls = []
+        info = prob.lipschitz_info
+        monkeypatch.setattr(prob, "lipschitz_info", lambda problem: calls.append(1) or info(problem))
+        base = optim.OptimizerConfig(eta=0.01, epochs=1, inner_iters=2, distribution_mode="lipschitz_importance")
+        optim.run_grid(p, [replace(base, eta=eta, seed=i) for i, eta in enumerate((0.01, 0.02, 0.04))])
+        assert len(calls) == 1
+
+
 class TestReproducibility:
     @pytest.mark.parametrize("runner,mode", [
         (optim.run_svrg, "uniform"),
@@ -444,18 +533,23 @@ class TestEstimateWeights:
     @pytest.mark.parametrize("task", prob.TASKS)
     @pytest.mark.parametrize("policy", ["fixed", "lemma1", "full"])
     def test_batched_matches_per_shard(self, task, policy):
+        # two cells in one call, each at its own point, anchor and seed
         p = self.problem(task)
         rng = np.random.default_rng(4)
         anchor = rng.normal(size=p.param_dim)
         first_only = anchor + 0.7 * np.eye(p.param_dim)[0]
         est = smp.EstimationConfig(tau=0.5, subsample_policy=policy, fixed_n=20)
-        for x in (first_only, rng.normal(size=p.param_dim)):
-            for k, t in ((1, 1), (3, 17)):
-                got = optim._estimate_weights(p, x, anchor, est, self.SEED, k, t)
-                ref = reference_weights(p, x, anchor, est, self.SEED, k, t)
-                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
-        assert got[1] > 0.0
-        assert optim._estimate_weights(p, first_only, anchor, est, self.SEED, 2, 5)[1] == 0.0
+        x = np.array([first_only, rng.normal(size=p.param_dim)])
+        anchors = np.array([anchor, anchor + rng.normal(size=p.param_dim)])
+        seeds = [self.SEED, (5,)]
+        for k, t in ((1, 1), (3, 17)):
+            got = optim._estimate_weights(p, x, anchors, est, seeds, k, t)
+            assert got.shape == (2, p.m_workers)
+            for c in range(2):
+                ref = reference_weights(p, x[c], anchors[c], est, seeds[c], k, t)
+                np.testing.assert_allclose(got[c], ref, rtol=1e-12, atol=0.0)
+        assert got[1, 1] > 0.0
+        assert optim._estimate_weights(p, x, anchors, est, seeds, 2, 5)[0, 1] == 0.0
 
     def test_bad_sizes_rejected(self):
         p = self.problem(prob.LINEAR)
