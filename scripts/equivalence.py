@@ -1,0 +1,81 @@
+"""Digest every output file of six fixed sweeps, so that two checkouts can be
+shown to write byte-identical traces and reports.
+
+Usage (from the repository root):
+
+    python3 scripts/equivalence.py OUT
+
+OUT must be new or empty.  Each sweep writes its files under
+``OUT/<sweep>/``, and ``OUT/SHA256SUMS`` gets one ``<sha256>  <sweep>/<file>``
+line per file, sorted, which is also printed.  Run it in two checkouts and
+``diff`` the two ``SHA256SUMS``: no output means every trace CSV,
+``report.csv``, ``best.csv`` and plot-data file is the same, byte for byte.
+The sweeps cover both presets, all four algorithms, the three subsample
+policies, R > 1, several seeds, diverging cells, and a 64-worker ASD shape
+run through ``harness.run_experiment``.
+"""
+
+from __future__ import annotations
+
+import os
+
+# one BLAS thread, as in bench/run.py, so the sums are the same on any host
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from hetsvrg import cli, harness  # noqa: E402
+
+CLI_SWEEPS = {
+    "linear_default": ("--preset", "linear", "--epochs", "8"),
+    "logistic_all": ("--preset", "logistic", "--algos", "sgd,svrg,svrg_importance,asd", "--epochs", "2"),
+    "linear_lemma1_r3": ("--preset", "linear", "--R", "3", "--estimation", "lemma1", "--epochs", "3"),
+    "asd_full_seeds12": ("--preset", "linear", "--algos", "asd", "--estimation", "full", "--seeds", "1,2",
+                         "--epochs", "3"),
+    "asd_fixed_r2_seed3": ("--preset", "linear", "--algos", "asd", "--estimation", "fixed", "--R", "2",
+                           "--seeds", "3", "--epochs", "3"),
+}
+
+
+def scale_asd_spec(out_dir: Path) -> harness.ExperimentSpec:
+    """The bench's ``scale_asd`` shape, with svrg_importance and one more step size."""
+    return harness.ExperimentSpec(
+        preset="linear_synthetic", algorithms=("svrg_uniform", "svrg_importance", "asd_svrg"),
+        eta_grid=(0.03, 0.1, 0.5), seeds=(7,), epochs=2, inner_iters=25, group_size=4, m_workers=64,
+        samples_total=20000, dim=50, growth_base=1.2, out_dir=str(out_dir),
+    )
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    if out.exists() and any(out.iterdir()):
+        print(f"{out} is not empty; its old files would be digested too", file=sys.stderr)
+        return 2
+    for name, args in CLI_SWEEPS.items():
+        with contextlib.redirect_stdout(io.StringIO()):  # stdout names the output directory
+            status = cli.main(["run", *args, "--out", str(out / name)])
+        if status != 0:
+            print(f"{name}: hetsvrg run exited with {status}", file=sys.stderr)
+            return 1
+    harness.run_experiment(scale_asd_spec(out / "scale_asd"))
+    lines = sorted(
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}"
+        for path in out.rglob("*.csv")
+    )
+    (out / "SHA256SUMS").write_text("".join(line + "\n" for line in lines))
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -236,13 +236,16 @@ def _vr_loop(problem, configs, x0) -> list:
     cells = live = [_Cell(problem, config, x0) for config in configs]
 
     for k in range(1, first.epochs + 1):
+        at_anchor = {}  # cells whose anchor is one array (every cell's x0 at first) share its gradients
         for c in live:
             # prologue: anchor out, shard gradients in, full gradient out
             comm.server_broadcast(c.ledger, p, M)
             comm.server_gather(c.ledger, p, M)
             comm.server_broadcast(c.ledger, p, M)
-            c.anchor_grads = [prob.shard_gradient(problem, m, c.anchor) for m in range(M)]
-            c.g_anchor = np.mean(c.anchor_grads, axis=0)
+            if id(c.anchor) not in at_anchor:
+                grads = [prob.shard_gradient(problem, m, c.anchor) for m in range(M)]
+                at_anchor[id(c.anchor)] = grads, np.mean(grads, axis=0)
+            c.anchor_grads, c.g_anchor = at_anchor[id(c.anchor)]
             c.x = c.anchor
             c.iterates = [c.x]  # x is rebound every step, never written in place
         step = draw(k, live)
@@ -313,31 +316,61 @@ def run_svrg(problem, config: OptimizerConfig, x0=None) -> RunTrace:
     return _solo(problem, config, x0)
 
 
-def _estimate_weights(problem, x, anchor, est, seeds, k, t) -> np.ndarray:
-    """Weight estimates, (C, M), of the cells at ``x`` against ``anchor`` in
-    one batched pass; cell c's subsamples are keyed by (seeds[c], weights
-    channel, k, t), so none depends on another worker's or cell's."""
-    if est.subsample_policy == "full":
-        return sampling.estimate_weights(problem, x, anchor)
-    if est.subsample_policy == "lemma1":  # sizes that depend on the cell's point
-        sizes = np.array([sampling.subsample_sizes(problem, xc, ac, est) for xc, ac in zip(x, anchor)])
-    else:
-        sizes = np.tile(sampling.subsample_sizes(problem, x[0], anchor[0], est), (len(seeds), 1))
-    local = sampling._draw_subsamples([seed + (_CH_WEIGHTS, k, t) for seed in seeds], problem.sizes, sizes)
-    return sampling.estimate_weights(problem, x, anchor, sizes, local)
+_BLOCK_SLOTS = 4096  # subsample slots drawn per call, over a block of steps and the live cells
+
+
+def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
+    """Epoch k's ``estimate(t, live)``: the (C, M) weight estimates of the
+    live cells at their points against their anchors.  Cell c's subsamples
+    are keyed by (c.seed, weights channel, k, t), so none depends on another
+    worker's or cell's.  ``fixed`` sizes do not depend on the point, so the
+    subsamples of the steps ahead come from one draw of at most
+    ``_BLOCK_SLOTS`` slots, for the cells live when it is drawn, and are
+    drawn again once a cell drops out; ``lemma1`` sizes every step at the
+    cells' points, and ``full`` takes every row."""
+    est = config.estimation
+    prefix = {c: sampling._key_hash(c.seed + (_CH_WEIGHTS, k)) for c in cells}
+    # the open block: its first and end step, its number of cells, its rows
+    # of problem.aug, and each step's segments (cell, worker, row count)
+    block = (0, 0, 0, None, None, None, None)
+
+    def estimate(t, live):
+        nonlocal block
+        x, anchor = np.array([c.x for c in live]), np.array([c.anchor for c in live])
+        if est.subsample_policy == "full":
+            return sampling.estimate_weights(problem, x, anchor)
+        if est.subsample_policy == "lemma1" or t >= block[1] or len(live) != block[2]:
+            if est.subsample_policy == "lemma1":  # sizes that depend on the cells' points
+                steps = 1
+                sizes = np.array([sampling.subsample_sizes(problem, xc, ac, est) for xc, ac in zip(x, anchor)])
+            else:
+                sizes = np.tile(est.size_for_shard(problem.sizes), (len(live), 1))
+                steps = min(config.inner_iters + 1 - t, max(1, _BLOCK_SLOTS // max(1, int(sizes.sum()))))
+            hashes = [sampling._key_hash((t + j,), prefix[c]) for j in range(steps) for c in live]
+            local = sampling._draw_subsamples(hashes, problem.sizes, np.tile(sizes, (steps, 1)))
+            cells, workers = np.nonzero(sizes)
+            counts = sizes[cells, workers]
+            rows = local + np.tile(np.repeat(problem.offsets[workers], counts), steps)
+            block = (t, t + steps, len(live), rows, cells, workers, counts)
+        first, _, _, rows, cells, workers, counts = block
+        n = int(counts.sum())
+        return sampling._segment_weights(problem, x, anchor, rows[(t - first) * n:(t - first + 1) * n], cells,
+                                         workers, counts)
+
+    return estimate
 
 
 def _asd_draw(problem, config: OptimizerConfig):
     M, R = problem.m_workers, config.group_size
 
     def draw(k, cells):
+        estimate = _weight_estimator(problem, config, k, cells)
+
         def step(t, live):
             for c in live:
                 comm.server_broadcast(c.ledger, problem.param_dim, M)  # x_{t-1} to every worker
-            x, anchor = np.array([c.x for c in live]), np.array([c.anchor for c in live])
-            estimates = _estimate_weights(problem, x, anchor, config.estimation, [c.seed for c in live], k, t)
             out = []
-            for c, weights in zip(live, estimates.tolist()):
+            for c, weights in zip(live, estimate(t, live).tolist()):
                 if sum(weights) <= 0.0:
                     weights = [1.0] * M  # degenerate estimates: uniform fallback
                 hist = comm.pc_sample(weights, R, c.ledger, _stream(c.seed, _CH_PC, k, t))

@@ -8,7 +8,6 @@ categorical distribution into (1 - gamma) * exact + gamma * residual.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -258,6 +257,9 @@ _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's increment, 2**64 / golden ratio
 _ROUNDS_AHEAD = 4  # redraw rounds hashed per pass over the slots
+# below this many slots still being redrawn, dropping the settled segments
+# costs more than sorting them again
+_NARROW_SLOTS = 1024
 
 
 def _key_words(key) -> list[int]:
@@ -288,12 +290,22 @@ def _mix64(z):
     return z ^ (z >> 31)
 
 
+def _key_hash(key, h: int = 0) -> int:
+    """The counter-hash seed of ``key``: its ``_key_words`` folded onto ``h``
+    with SplitMix64's increment and finaliser.  Folding a key's tail onto the
+    hash of its prefix gives the hash of the whole key."""
+    for w in _key_words(key):
+        h = _mix64(((h + _GOLDEN) & _MASK64) ^ w)
+    return h
+
+
 def _draw_subsamples(key, shard_sizes, sizes) -> np.ndarray:
     """Every worker's subsample, uniform without replacement: worker m draws
     ``sizes[m]`` of ``range(shard_sizes[m])`` in ascending order, the workers
     are concatenated in order, and all are drawn in one array pass.  For C
-    cells at once, ``key`` is a list of C keys and ``sizes`` is (C, M); the
-    cells' draws are concatenated in cell order, each equal to its own.
+    draws at once (cells, steps or both), ``key`` is a list of C keys, each a
+    key tuple or its ``_key_hash``, and ``sizes`` is (C, M); the draws are
+    concatenated in key order, each equal to its own.
 
     Counter-based (Salmon et al., SC'11): slot j of worker m in redraw round
     r reads the top 53 bits of SplitMix64's output at position j + r * 2**32
@@ -303,41 +315,56 @@ def _draw_subsamples(key, shard_sizes, sizes) -> np.ndarray:
     worker is redrawn until all are distinct.  The rule treats every index
     alike, so every subset is equally likely, up to the 2**-53 rounding of
     u * n_m (shards below 2**53 rows, sizes below 2**32).  A worker with
-    2 k_m > n_m draws the n_m - k_m rows it leaves out instead.
+    2 k_m > n_m draws the n_m - k_m rows it leaves out instead.  Rounds are
+    hashed four at a time; from the second four on, a draw of more than
+    ``_NARROW_SLOTS`` slots goes on with only the segments that still hold a
+    repeat, so a large draw (a block of steps) does not sort its settled
+    segments again, and a small one does not pay for leaving them out.
     """
     sizes = np.asarray(sizes)
     keys = [key] if sizes.ndim == 1 else key
     cells, workers = np.nonzero(sizes.reshape(len(keys), -1))
     n, k = np.asarray(shard_sizes)[workers], sizes.reshape(len(keys), -1)[cells, workers]
     flip = 2 * k > n
-    d = np.where(flip, n - k, k)  # slots each (cell, worker) segment draws
+    d = np.where(flip, n - k, k)  # slots each (key, worker) segment draws
     # rows are numbered across the segments' stacked shards, so one sort
     # finds the repeats of every segment
     stacked = _segment_starts(n)
     first, scale = np.repeat(stacked, d), np.repeat(n * 2.0**-53, d)
-    fold = lambda h, w: _mix64(((h + _GOLDEN) & _MASK64) ^ w)  # noqa: E731
-    hashes = np.array([functools.reduce(fold, _key_words(key), 0) for key in keys], dtype=np.uint64)
+    hashes = np.array([h if isinstance(h, int) else _key_hash(h) for h in keys], dtype=np.uint64)
     seeds = _mix64(hashes[cells] + (workers.astype(np.uint64) + 1) * np.uint64(_GOLDEN))
     counters = np.repeat(seeds, d) + _segment_ranks(d).astype(np.uint64) * np.uint64(_GOLDEN)
 
-    def draw_rows(rounds):  # one row of the result per round
+    def draw_rows(rounds, slots=slice(None)):  # one row of the result per round
         r = np.asarray(rounds, dtype=np.uint64)[:, None]
-        z = _mix64(counters + (r << np.uint64(32)) * np.uint64(_GOLDEN))
-        return first + ((z >> 11) * scale).astype(np.intp)
+        z = _mix64(counters[slots] + (r << np.uint64(32)) * np.uint64(_GOLDEN))
+        return first[slots] + ((z >> 11) * scale[slots]).astype(np.intp)
 
     ahead = draw_rows(range(_ROUNDS_AHEAD))  # few slots repeat: hash rounds in blocks
-    rows = ahead[0]
+    rows, live, done = ahead[0], slice(None), None  # the rows of the ``live`` slots; of all, once narrowed
     for r in itertools.count(1):
         order = np.argsort(rows, kind="stable")  # a repeat's lowest slot comes first
         repeat = order[1:][rows[order[1:]] == rows[order[:-1]]]
         if not repeat.size:
             break
         if r % _ROUNDS_AHEAD == 0:
-            ahead = draw_rows(range(r, r + _ROUNDS_AHEAD))
+            if rows.size > _NARROW_SLOTS:  # go on with the segments that hold a repeat
+                if done is None:
+                    done, live, segment = rows, np.arange(rows.size), np.repeat(np.arange(d.size), d)
+                done[live] = rows
+                unsettled = np.zeros(d.size, dtype=bool)
+                unsettled[segment[live[repeat]]] = True
+                keep = unsettled[segment[live]]
+                rows, live, repeat = rows[keep], live[keep], (np.cumsum(keep) - 1)[repeat]
+            ahead = draw_rows(range(r, r + _ROUNDS_AHEAD), live)
         rows[repeat] = ahead[r % _ROUNDS_AHEAD, repeat]
-    out = rows[order]
+    if done is None:
+        out = rows[order]
+    else:
+        done[live] = rows
+        out = np.sort(done)
     if flip.any():  # such a segment keeps the rows it did not draw
-        left_out = np.repeat(flip, d)[order]
+        left_out = np.repeat(flip, d)  # sorting keeps every segment in place
         flip_rows = np.repeat(stacked[flip], n[flip]) + _segment_ranks(n[flip])
         kept = np.ones(flip_rows.size, dtype=bool)
         kept[np.searchsorted(flip_rows, out[left_out])] = False
@@ -354,15 +381,14 @@ def estimate_weights(problem, x, x_anchor, sizes=None, local=None) -> np.ndarray
     ``sizes`` None every worker takes all its rows, which gives the exact
     weights.  For C cells at once, ``x``, ``x_anchor`` and ``sizes`` get a
     leading cell axis, ``local`` is in (cell, worker) order and so is the
-    (C, M) result.  All drawn rows are gathered from the stacked matrix at
-    once, the residual differences r(a'x) - r(a'x_anchor) are formed on them
-    (per cell, see :func:`problem.gradient_deltas`), and each worker's weight
-    is the norm of its segment mean of (residual difference) * a.
+    (C, M) result.  This front validates ``sizes`` and ``local``, offsets
+    the indices into ``problem.aug`` and sorts each worker's, then calls
+    :func:`_segment_weights`, which the optimizer calls directly with the
+    drawer's rows.
     """
     M, n_total = problem.m_workers, problem.n_total
     shape = (M,) if np.ndim(x) == 1 else (len(x), M)
     C = 1 if len(shape) == 1 else shape[0]
-    weights = np.zeros((C, M))
     if sizes is None:
         cells, workers = np.divmod(np.arange(C * M), M)
         counts, rows = problem.sizes[workers], np.tile(np.arange(n_total), C)
@@ -372,7 +398,7 @@ def estimate_weights(problem, x, x_anchor, sizes=None, local=None) -> np.ndarray
             raise ValueError(f"sizes must give each of the {M} workers 0..shard size rows")
         cells, workers = np.nonzero(sizes.reshape(C, M))
         if not workers.size:
-            return weights.reshape(shape)
+            return np.zeros(shape)
         counts = sizes.reshape(C, M)[cells, workers]
         local = np.asarray(local, dtype=np.intp)
         shard_sizes = np.repeat(problem.sizes[workers], counts)
@@ -382,11 +408,28 @@ def estimate_weights(problem, x, x_anchor, sizes=None, local=None) -> np.ndarray
         # sort orders the rows within every segment and keeps their order
         cell_base = np.repeat(cells * n_total, counts)
         rows = np.sort(local + np.repeat(problem.offsets[workers], counts) + cell_base) - cell_base
-    per_cell = np.bincount(cells, weights=counts, minlength=C).astype(int)
-    deltas = prob.gradient_deltas(problem, rows, np.reshape(x, (C, -1)), np.reshape(x_anchor, (C, -1)), per_cell)
+    weights = _segment_weights(problem, np.reshape(x, (C, -1)), np.reshape(x_anchor, (C, -1)), rows, cells,
+                               workers, counts)
+    return weights.reshape(shape)
+
+
+def _segment_weights(problem, x, x_anchor, rows, cells, workers, counts) -> np.ndarray:
+    """The (C, M) weights of ``estimate_weights``, unchecked: segment i holds
+    the next ``counts[i]`` of ``rows`` (rows of ``problem.aug``, ascending
+    within the segment), for cell ``cells[i]`` and worker ``workers[i]``, in
+    (cell, worker) order, and ``x`` and ``x_anchor`` are (C, p).  The rows
+    are gathered at once, the residual differences r(a'x) - r(a'x_anchor)
+    are formed on them (per cell, see :func:`problem.gradient_deltas`), and
+    each segment's weight is the norm of its mean of (residual difference) *
+    a; a (cell, worker) with no segment gets weight 0."""
+    weights = np.zeros((len(x), problem.m_workers))
+    if not counts.size:
+        return weights
+    per_cell = np.bincount(cells, weights=counts, minlength=len(x)).astype(int)
+    deltas = prob.gradient_deltas(problem, rows, x, x_anchor, per_cell)
     means = np.add.reduceat(deltas, _segment_starts(counts), axis=0) / counts[:, None]
     weights[cells, workers] = np.linalg.norm(means, axis=1)
-    return weights.reshape(shape)
+    return weights
 
 
 def estimate_shard_weight(problem, shard_id: int, x, x_anchor, n_m: int, rng) -> float:

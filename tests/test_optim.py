@@ -419,6 +419,46 @@ class TestRunGrid:
         assert len(calls) == 1
 
 
+    def test_first_anchor_gradients_computed_once_per_grid(self, monkeypatch):
+        # every cell starts at x0, so the first prologue's shard gradients
+        # serve all cells; after it, each cell's single draw costs one
+        p = prob.generate_heterogeneous(prob.LINEAR, 3, 60, 3, 2.0, seed=1)
+        calls = []
+        grad = prob.shard_gradient
+        monkeypatch.setattr(prob, "shard_gradient", lambda *a, **kw: calls.append(1) or grad(*a, **kw))
+        base = optim.OptimizerConfig(eta=0.01, epochs=1, inner_iters=1)
+        optim.run_grid(p, [replace(base, eta=eta, seed=i) for i, eta in enumerate((0.01, 0.02, 0.04))])
+        assert len(calls) == p.m_workers + 3
+
+    @pytest.mark.parametrize("policy", smp.SUBSAMPLE_POLICIES)
+    def test_weight_draw_block_length_changes_no_output(self, policy, monkeypatch, tmp_path):
+        """ASD's subsamples drawn one step at a time, a few steps at a time
+        and a whole epoch at once give the same trace CSVs, final iterates
+        and diverged flags; three cells diverge in the first epoch (at steps
+        2, 3 and 8 of 12), while a block is open."""
+        p = prob.generate_heterogeneous(prob.LINEAR, 4, 120, 3, 2.0, 5)
+        base = optim.OptimizerConfig(eta=0.0, epochs=2, inner_iters=12, group_size=2, distribution_mode="adaptive",
+                                     estimation=smp.EstimationConfig(subsample_policy=policy))
+        configs = [replace(base, eta=eta, seed=(3, i)) for i, eta in enumerate((0.01, 0.3, 1.0, 3.0, 10.0))]
+        draws = []
+        draw = smp._draw_subsamples
+        monkeypatch.setattr(smp, "_draw_subsamples", lambda *a: draws.append(1) or draw(*a))
+        outputs, n_draws = [], []
+        for budget in (1, 1000, 10**9):  # one step, 3 to 7 steps, the whole epoch
+            monkeypatch.setattr(optim, "_BLOCK_SLOTS", budget)
+            draws.clear()
+            grid = optim.run_grid(p, configs)
+            outputs.append([(trace_bytes(trace, tmp_path, f"{i}.csv"), trace.final_x.tobytes(), diverged)
+                            for i, (trace, diverged) in enumerate(grid)])
+            n_draws.append(len(draws))
+        assert [diverged for *_, diverged in outputs[0]] == [False, False, True, True, True]
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        steps = 2 * 12
+        expected = {"fixed": lambda n: n[0] == steps > n[1] > n[2], "lemma1": lambda n: n == [steps] * 3,
+                    "full": lambda n: n == [0] * 3}
+        assert expected[policy](n_draws), n_draws
+
+
 class TestReproducibility:
     @pytest.mark.parametrize("runner,mode", [
         (optim.run_svrg, "uniform"),
@@ -542,14 +582,38 @@ class TestEstimateWeights:
         x = np.array([first_only, rng.normal(size=p.param_dim)])
         anchors = np.array([anchor, anchor + rng.normal(size=p.param_dim)])
         seeds = [self.SEED, (5,)]
+        config = optim.OptimizerConfig(eta=0.1, epochs=3, inner_iters=20, estimation=est,
+                                       distribution_mode="adaptive")
+        cells = [optim._Cell(p, replace(config, seed=seed), a) for seed, a in zip(seeds, anchors)]
+        for c, xc in zip(cells, x):
+            c.x = xc
         for k, t in ((1, 1), (3, 17)):
-            got = optim._estimate_weights(p, x, anchors, est, seeds, k, t)
+            got = optim._weight_estimator(p, config, k, cells)(t, cells)
             assert got.shape == (2, p.m_workers)
             for c in range(2):
                 ref = reference_weights(p, x[c], anchors[c], est, seeds[c], k, t)
                 np.testing.assert_allclose(got[c], ref, rtol=1e-12, atol=0.0)
         assert got[1, 1] > 0.0
-        assert optim._estimate_weights(p, x, anchors, est, seeds, 2, 5)[0, 1] == 0.0
+        assert optim._weight_estimator(p, config, 2, cells)(5, cells)[0, 1] == 0.0
+
+    @pytest.mark.parametrize("policy", ["fixed", "lemma1"])
+    def test_core_matches_the_validating_front_on_the_loops_rows(self, policy, monkeypatch):
+        # every call the loop makes to the unchecked core, repeated through
+        # estimate_weights with the rows turned back into shard indices
+        p = prob.generate_heterogeneous(prob.LOGISTIC, 4, 120, 3, 2.0, 5)
+        calls = []
+        core = smp._segment_weights
+        monkeypatch.setattr(smp, "_segment_weights", lambda *a: calls.append((a, core(*a))) or calls[-1][1])
+        base = optim.OptimizerConfig(eta=0.0, epochs=2, inner_iters=6, group_size=2, distribution_mode="adaptive",
+                                     estimation=smp.EstimationConfig(subsample_policy=policy, fixed_n=20))
+        optim.run_grid(p, [replace(base, eta=eta, seed=(3, i)) for i, eta in enumerate((0.5, 5.0))])
+        monkeypatch.setattr(smp, "_segment_weights", core)
+        assert len(calls) == 2 * 6
+        for (_, x, anchor, rows, cells, workers, counts), got in calls:
+            sizes = np.zeros((len(x), p.m_workers), dtype=int)
+            sizes[cells, workers] = counts
+            local = rows - np.repeat(p.offsets[workers], counts)
+            assert got.tobytes() == smp.estimate_weights(p, x, anchor, sizes, local).tobytes()
 
     def test_bad_sizes_rejected(self):
         p = self.problem(prob.LINEAR)
