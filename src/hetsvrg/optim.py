@@ -10,8 +10,10 @@ to per-shard smoothness); ``run_asd_svrg`` re-estimates per-worker weights
 from subsampled gradient differences at every inner step and samples through
 the tree protocol.  ``run_sgd`` is the plain baseline with optional L2.
 ``run_grid`` steps the cells of a step-size grid together: the loop is the
-same, with one cell for a solo run, and only the per-call glue (the
-subsample draw and the weight estimates) is batched over cells.
+same, with one cell for a solo run, and only the per-call glue is batched
+over cells: the first epoch's anchor gradients (every cell starts at x0),
+the weight estimates of each step, and the subsample draws, which under the
+``fixed`` policy cover a block of steps per call.
 
 Every random decision is keyed by (seed, channel, epoch, step, worker), so
 runs are bit-reproducible and neither other workers nor other cells can
@@ -325,8 +327,8 @@ def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
     are keyed by (c.seed, weights channel, k, t), so none depends on another
     worker's or cell's.  ``fixed`` sizes do not depend on the point, so the
     subsamples of the steps ahead come from one draw of at most
-    ``_BLOCK_SLOTS`` slots, for the cells live when it is drawn, and are
-    drawn again once a cell drops out; ``lemma1`` sizes every step at the
+    ``_BLOCK_SLOTS`` slots (or of one step, if a step needs more), for the
+    cells live when it is drawn, and are drawn again once a cell drops out; ``lemma1`` sizes every step at the
     cells' points, and ``full`` takes every row."""
     est = config.estimation
     prefix = {c: sampling._key_hash(c.seed + (_CH_WEIGHTS, k)) for c in cells}

@@ -359,6 +359,7 @@ class TestSubsampleDrawer:
     @settings(max_examples=150, deadline=None)
     @given(grid=key_grids())
     @example(grid=MANY_ROUNDS)
+    @example(grid=([(9, t) for t in range(3)], np.full(20, 30), np.full((3, 20), 14)))  # 60 segments of 14 of 30
     @example(grid=([(5,), (2**40 + 3, 2**64 + 5, 2, 3)], np.array([30, 7, 9, 50, 2**40]),
                    np.array([[16, 7, 0, 16, 0], [0, 0, 9, 50, 40]])))
     def test_each_key_of_a_list_matches_its_own_draw(self, grid):
