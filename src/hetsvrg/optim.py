@@ -328,8 +328,9 @@ def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
     worker's or cell's.  ``fixed`` sizes do not depend on the point, so the
     subsamples of the steps ahead come from one draw of at most
     ``_BLOCK_SLOTS`` slots (or of one step, if a step needs more), for the
-    cells live when it is drawn, and are drawn again once a cell drops out; ``lemma1`` sizes every step at the
-    cells' points, and ``full`` takes every row."""
+    cells live when it is drawn, and are drawn again once a cell drops out;
+    ``lemma1`` sizes every step at the cells' points, and ``full`` takes
+    every row."""
     est = config.estimation
     prefix = {c: sampling._key_hash(c.seed + (_CH_WEIGHTS, k)) for c in cells}
     # the open block: its first and end step, its number of cells, its rows

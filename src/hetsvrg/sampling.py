@@ -257,9 +257,6 @@ _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's increment, 2**64 / golden ratio
 _ROUNDS_AHEAD = 4  # redraw rounds hashed per pass over the slots
-# below this many slots still being redrawn, dropping the settled segments
-# costs more than sorting them again
-_NARROW_SLOTS = 1024
 
 
 def _key_words(key) -> list[int]:
@@ -303,9 +300,10 @@ def _draw_subsamples(key, shard_sizes, sizes) -> np.ndarray:
     """Every worker's subsample, uniform without replacement: worker m draws
     ``sizes[m]`` of ``range(shard_sizes[m])`` in ascending order, the workers
     are concatenated in order, and all are drawn in one array pass.  For C
-    draws at once (cells, steps or both), ``key`` is a list of C keys, each a
-    key tuple or its ``_key_hash``, and ``sizes`` is (C, M); the draws are
-    concatenated in key order, each equal to its own.
+    draws at once (cells, steps or both), ``key`` is a list of C keys and
+    ``sizes`` is (C, M); the draws are concatenated in key order, each equal
+    to its own.  A key is a tuple of nonnegative ints, or its ``_key_hash``
+    given as a bare int: an int is always taken as a hash, never hashed.
 
     Counter-based (Salmon et al., SC'11): slot j of worker m in redraw round
     r reads the top 53 bits of SplitMix64's output at position j + r * 2**32
@@ -315,11 +313,7 @@ def _draw_subsamples(key, shard_sizes, sizes) -> np.ndarray:
     worker is redrawn until all are distinct.  The rule treats every index
     alike, so every subset is equally likely, up to the 2**-53 rounding of
     u * n_m (shards below 2**53 rows, sizes below 2**32).  A worker with
-    2 k_m > n_m draws the n_m - k_m rows it leaves out instead.  Rounds are
-    hashed four at a time; from the second four on, a draw of more than
-    ``_NARROW_SLOTS`` slots goes on with only the segments that still hold a
-    repeat, so a large draw (a block of steps) does not sort its settled
-    segments again, and a small one does not pay for leaving them out.
+    2 k_m > n_m draws the n_m - k_m rows it leaves out instead.
     """
     sizes = np.asarray(sizes)
     keys = [key] if sizes.ndim == 1 else key
@@ -335,36 +329,24 @@ def _draw_subsamples(key, shard_sizes, sizes) -> np.ndarray:
     seeds = _mix64(hashes[cells] + (workers.astype(np.uint64) + 1) * np.uint64(_GOLDEN))
     counters = np.repeat(seeds, d) + _segment_ranks(d).astype(np.uint64) * np.uint64(_GOLDEN)
 
-    def draw_rows(rounds, slots=slice(None)):  # one row of the result per round
+    def draw_rows(rounds):  # one row of the result per round
         r = np.asarray(rounds, dtype=np.uint64)[:, None]
-        z = _mix64(counters[slots] + (r << np.uint64(32)) * np.uint64(_GOLDEN))
-        return first[slots] + ((z >> 11) * scale[slots]).astype(np.intp)
+        z = _mix64(counters + (r << np.uint64(32)) * np.uint64(_GOLDEN))
+        return first + ((z >> 11) * scale).astype(np.intp)
 
     ahead = draw_rows(range(_ROUNDS_AHEAD))  # few slots repeat: hash rounds in blocks
-    rows, live, done = ahead[0], slice(None), None  # the rows of the ``live`` slots; of all, once narrowed
+    rows = ahead[0]
     for r in itertools.count(1):
         order = np.argsort(rows, kind="stable")  # a repeat's lowest slot comes first
         repeat = order[1:][rows[order[1:]] == rows[order[:-1]]]
         if not repeat.size:
             break
         if r % _ROUNDS_AHEAD == 0:
-            if rows.size > _NARROW_SLOTS:  # go on with the segments that hold a repeat
-                if done is None:
-                    done, live, segment = rows, np.arange(rows.size), np.repeat(np.arange(d.size), d)
-                done[live] = rows
-                unsettled = np.zeros(d.size, dtype=bool)
-                unsettled[segment[live[repeat]]] = True
-                keep = unsettled[segment[live]]
-                rows, live, repeat = rows[keep], live[keep], (np.cumsum(keep) - 1)[repeat]
-            ahead = draw_rows(range(r, r + _ROUNDS_AHEAD), live)
+            ahead = draw_rows(range(r, r + _ROUNDS_AHEAD))
         rows[repeat] = ahead[r % _ROUNDS_AHEAD, repeat]
-    if done is None:
-        out = rows[order]
-    else:
-        done[live] = rows
-        out = np.sort(done)
+    out = rows[order]
     if flip.any():  # such a segment keeps the rows it did not draw
-        left_out = np.repeat(flip, d)  # sorting keeps every segment in place
+        left_out = np.repeat(flip, d)[order]
         flip_rows = np.repeat(stacked[flip], n[flip]) + _segment_ranks(n[flip])
         kept = np.ones(flip_rows.size, dtype=bool)
         kept[np.searchsorted(flip_rows, out[left_out])] = False

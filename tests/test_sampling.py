@@ -328,10 +328,6 @@ def key_grids(draw):
     return keys, np.array(shard_sizes), np.array(sizes)
 
 
-# 240 segments of 15 of 30 rows: 3600 slots and ten rounds, so narrowing twice
-MANY_ROUNDS = ([(1, 2, 3, t) for t in range(12)], np.full(20, 30), np.full((12, 20), 15))
-
-
 class TestSubsampleDrawer:
     @settings(max_examples=300, deadline=None)
     @given(key=KEYS, shards=SHARD_DRAWS)
@@ -358,38 +354,20 @@ class TestSubsampleDrawer:
 
     @settings(max_examples=150, deadline=None)
     @given(grid=key_grids())
-    @example(grid=MANY_ROUNDS)
+    @example(grid=([(1, 2, 3, t) for t in range(12)], np.full(20, 30), np.full((12, 20), 15)))  # ten rounds
     @example(grid=([(9, t) for t in range(3)], np.full(20, 30), np.full((3, 20), 14)))  # 60 segments of 14 of 30
     @example(grid=([(5,), (2**40 + 3, 2**64 + 5, 2, 3)], np.array([30, 7, 9, 50, 2**40]),
                    np.array([[16, 7, 0, 16, 0], [0, 0, 9, 50, 40]])))
     def test_each_key_of_a_list_matches_its_own_draw(self, grid):
         """A list of keys with (C, M) sizes gives each key's own one-key draw,
-        concatenated in key order, whether or not the redraw rounds leave the
-        settled segments out (and a key given as its hash draws as the key)."""
+        concatenated in key order, and a key given as its hash draws as the
+        key."""
         keys, shard_sizes, sizes = grid
-        default = smp._NARROW_SLOTS
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(smp, "_NARROW_SLOTS", 2**62)  # never narrow: the reference
-            alone = [smp._draw_subsamples(key, shard_sizes, row) for key, row in zip(keys, sizes)]
-            for narrow in (0, default):
-                mp.setattr(smp, "_NARROW_SLOTS", narrow)
-                batch = smp._draw_subsamples(keys, shard_sizes, sizes)
-                assert batch.tolist() == np.concatenate(alone).tolist()
-            hashed = [smp._key_hash(key) if i % 2 else key for i, key in enumerate(keys)]
-            assert smp._draw_subsamples(hashed, shard_sizes, sizes).tolist() == batch.tolist()
-
-    def test_many_round_draw_narrows_to_unsettled_segments(self, monkeypatch):
-        # the 240-segment draw takes more than four rounds, so it narrows at
-        # the default threshold; it must equal the draw that never narrows
-        keys, shard_sizes, sizes = MANY_ROUNDS
-        assert sizes.sum() > smp._NARROW_SLOTS
-        calls = []
-        argsort = np.argsort
-        monkeypatch.setattr(np, "argsort", lambda a, **kw: calls.append(a.size) or argsort(a, **kw))
-        narrowed = smp._draw_subsamples(keys, shard_sizes, sizes)
-        assert len(calls) > 4 and calls[-1] < calls[0] == sizes.sum()
-        monkeypatch.setattr(smp, "_NARROW_SLOTS", 2**62)
-        assert narrowed.tolist() == smp._draw_subsamples(keys, shard_sizes, sizes).tolist()
+        alone = [smp._draw_subsamples(key, shard_sizes, row) for key, row in zip(keys, sizes)]
+        batch = smp._draw_subsamples(keys, shard_sizes, sizes)
+        assert batch.tolist() == np.concatenate(alone).tolist()
+        hashed = [smp._key_hash(key) if i % 2 else key for i, key in enumerate(keys)]
+        assert smp._draw_subsamples(hashed, shard_sizes, sizes).tolist() == batch.tolist()
 
     @pytest.mark.parametrize("n, k", [(20, 5), (20, 15), (7, 4)])
     def test_inclusion_frequencies_match_k_over_n(self, n, k):
