@@ -11,15 +11,16 @@ from subsampled gradient differences at every inner step and samples through
 the tree protocol.  ``run_sgd`` is the plain baseline with optional L2.
 ``run_grid`` steps the cells of a step-size grid together: the loop is the
 same, with one cell for a solo run, and only the per-call glue is batched
-over cells: the first epoch's anchor gradients (every cell starts at x0),
-the weight estimates of each step, and the subsample draws, which under the
-``fixed`` policy cover a block of steps per call.
+over cells: the divergence guard's initial loss and the first epoch's
+anchor gradients (every cell starts at x0), the weight estimates of each
+step, and the subsample draws, which cover a block of steps per call under
+every policy but ``lemma1``.
 
 Every random decision is keyed by (seed, channel, epoch, step, worker), so
 runs are bit-reproducible and neither other workers nor other cells can
 change them.  The anchor, SGD, fixed-draw and tree-protocol channels read
-``Generator``s seeded by ``SeedSequence`` of the key (``_stream``); the
-weights channel is a counter hash (``sampling._draw_subsamples``).
+``Generator``s seeded by ``SeedSequence`` of the key (``sampling._stream``);
+the weights channel is a counter hash (``sampling._draw_subsamples``).
 
 The divergence guard and the recorded losses call ``problem.full_loss`` and
 ``problem.test_metrics`` (O(p**2) per step from cached quadratic forms for
@@ -109,11 +110,6 @@ def _seed_tuple(seed) -> tuple[int, ...]:
     return out
 
 
-def _stream(seed_parts: tuple[int, ...], *tags: int) -> np.random.Generator:
-    """The generator of ``SeedSequence(seed_parts + tags)``."""
-    return sampling._stream(seed_parts + tags)
-
-
 @dataclass(frozen=True)
 class TraceRow:
     epoch: int
@@ -174,15 +170,15 @@ class RunTrace:
 class _Cell:
     """One run's state: its seed, ledger, iterate and epoch anchor, its trace
     rows (at the evaluation cadence) and divergence guard (checked every
-    step), and its outcome once it has one."""
+    step), and its outcome once it has one.  ``initial`` is the train loss
+    at ``x0``, which the guard scales."""
 
-    def __init__(self, problem, config, x0):
+    def __init__(self, problem, config, x0, initial: float):
         self.problem = problem
         self.config = config
         self.seed = _seed_tuple(config.seed)
         self.ledger = comm.CommLedger()
         self.rows: list[TraceRow] = []
-        initial = prob.full_loss(problem, x0)
         self.limit = config.divergence_factor * max(initial, np.finfo(float).tiny)
         self.anchor = self.x = x0
         self.outcome: RunTrace | Diverged | None = None
@@ -235,7 +231,8 @@ def _vr_loop(problem, configs, x0) -> list:
     R, T = first.group_size, first.inner_iters
     draw = (_asd_draw if first.distribution_mode == "adaptive" else _svrg_draw)(problem, first)
     x0 = _initial_x(problem, x0)
-    cells = live = [_Cell(problem, config, x0) for config in configs]
+    initial = prob.full_loss(problem, x0)  # every cell starts at x0
+    cells = live = [_Cell(problem, config, x0, initial) for config in configs]
 
     for k in range(1, first.epochs + 1):
         at_anchor = {}  # cells whose anchor is one array (every cell's x0 at first) share its gradients
@@ -268,7 +265,7 @@ def _vr_loop(problem, configs, x0) -> list:
             if first.anchor_rule == "last_iterate":
                 c.anchor = c.x
             else:
-                c.anchor = c.iterates[int(_stream(c.seed, _CH_ANCHOR, k).integers(len(c.iterates)))]
+                c.anchor = c.iterates[int(sampling._stream(c.seed + (_CH_ANCHOR, k)).integers(len(c.iterates)))]
 
     for c in live:
         c.outcome = RunTrace(rows=c.rows, final_x=c.anchor, ledger=c.ledger)
@@ -289,7 +286,7 @@ def _svrg_draw(problem, config: OptimizerConfig):
         dist = sampling.Categorical.from_weights(prob.lipschitz_info(problem).per_shard)
 
     def draw(k, cells):
-        rngs = {c: _stream(c.seed, _CH_FIXED_DRAW, k) for c in cells}
+        rngs = {c: sampling._stream(c.seed + (_CH_FIXED_DRAW, k)) for c in cells}
 
         def step(t, live):
             out = []
@@ -325,12 +322,12 @@ def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
     """Epoch k's ``estimate(t, live)``: the (C, M) weight estimates of the
     live cells at their points against their anchors.  Cell c's subsamples
     are keyed by (c.seed, weights channel, k, t), so none depends on another
-    worker's or cell's.  ``fixed`` sizes do not depend on the point, so the
-    subsamples of the steps ahead come from one draw of at most
-    ``_BLOCK_SLOTS`` slots (or of one step, if a step needs more), for the
-    cells live when it is drawn, and are drawn again once a cell drops out;
-    ``lemma1`` sizes every step at the cells' points, and ``full`` takes
-    every row."""
+    worker's or cell's, and sized by ``sampling.subsample_sizes`` (``full``
+    draws every row of each shard).  The subsamples of the steps ahead come
+    from one draw of at most ``_BLOCK_SLOTS`` slots (or of one step, if a
+    step needs more), for the cells live when it is drawn, and are drawn
+    again once a cell drops out; ``lemma1`` sizes depend on the cells'
+    points, so its blocks are one step long."""
     est = config.estimation
     prefix = {c: sampling._key_hash(c.seed + (_CH_WEIGHTS, k)) for c in cells}
     # the open block: its first and end step, its number of cells, its rows
@@ -340,14 +337,11 @@ def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
     def estimate(t, live):
         nonlocal block
         x, anchor = np.array([c.x for c in live]), np.array([c.anchor for c in live])
-        if est.subsample_policy == "full":
-            return sampling.estimate_weights(problem, x, anchor)
-        if est.subsample_policy == "lemma1" or t >= block[1] or len(live) != block[2]:
-            if est.subsample_policy == "lemma1":  # sizes that depend on the cells' points
+        if t >= block[1] or len(live) != block[2]:
+            sizes = np.array([sampling.subsample_sizes(problem, xc, ac, est) for xc, ac in zip(x, anchor)])
+            if est.subsample_policy == "lemma1":
                 steps = 1
-                sizes = np.array([sampling.subsample_sizes(problem, xc, ac, est) for xc, ac in zip(x, anchor)])
             else:
-                sizes = np.tile(est.size_for_shard(problem.sizes), (len(live), 1))
                 steps = min(config.inner_iters + 1 - t, max(1, _BLOCK_SLOTS // max(1, int(sizes.sum()))))
             hashes = [sampling._key_hash((t + j,), prefix[c]) for j in range(steps) for c in live]
             local = sampling._draw_subsamples(hashes, problem.sizes, np.tile(sizes, (steps, 1)))
@@ -376,7 +370,7 @@ def _asd_draw(problem, config: OptimizerConfig):
             for c, weights in zip(live, estimate(t, live).tolist()):
                 if sum(weights) <= 0.0:
                     weights = [1.0] * M  # degenerate estimates: uniform fallback
-                hist = comm.pc_sample(weights, R, c.ledger, _stream(c.seed, _CH_PC, k, t))
+                hist = comm.pc_sample(weights, R, c.ledger, sampling._stream(c.seed + (_CH_PC, k, t)))
                 comm.server_gather(c.ledger, R, 1)  # histogram to the server
                 comm.server_broadcast(c.ledger, 1, len(hist.counts))  # weight normaliser out
                 # Python's sequential sum: numpy's pairwise sum rounds differently
@@ -425,10 +419,10 @@ def run_sgd(problem, config: OptimizerConfig, x0=None) -> RunTrace:
     grid as the variance-reduced runs for comparability."""
     M, p = problem.m_workers, problem.param_dim
     x = _initial_x(problem, x0)
-    cell = _Cell(problem, config, x)
+    cell = _Cell(problem, config, x, prob.full_loss(problem, x))
 
     for k in range(1, config.epochs + 1):
-        rng = _stream(cell.seed, _CH_SGD, k)
+        rng = sampling._stream(cell.seed + (_CH_SGD, k))
         for t in range(1, config.inner_iters + 1):
             m = int(rng.integers(M))
             grad = prob.shard_gradient(problem, m, x) + config.l2_for_sgd * x

@@ -280,18 +280,16 @@ def full_gradient(problem: ShardedProblem, x) -> np.ndarray:
     return total / problem.m_workers
 
 
-def gradient_deltas(problem: ShardedProblem, rows, x, x_anchor, counts=None) -> np.ndarray:
+def gradient_deltas(problem: ShardedProblem, rows, x, x_anchor, counts) -> np.ndarray:
     """Per-sample gradient differences grad f_j(x) - grad f_j(x_anchor) for the
     stacked rows ``rows`` (an index array or a slice into ``problem.aug``),
     one row per sample: the residual difference r(a'x) - r(a'x_anchor) times a.
 
-    With ``counts``, ``x`` and ``x_anchor`` are (C, p) and cell c owns the
-    next ``counts[c]`` rows; each cell's residuals come from mat-vecs of its
-    own rows, so they are bit-identical to a call for that cell alone.
+    ``x`` and ``x_anchor`` are (C, p) and cell c owns the next ``counts[c]``
+    rows; each cell's residuals come from mat-vecs of its own rows, so they
+    are bit-identical to a call for that cell alone.
     """
     A, y = problem.aug[rows], problem.y[rows]
-    if counts is None:  # one point
-        x, x_anchor, counts = [_check_x(problem, x)], [_check_x(problem, x_anchor)], [y.size]
     x, xa, ends = np.asarray(x, dtype=float), np.asarray(x_anchor, dtype=float), np.cumsum(counts)
     if x.shape != (len(ends), problem.param_dim) or xa.shape != x.shape or ends[-1] != y.size:
         raise ValueError(f"need one point of length {problem.param_dim} per cell and counts summing to the rows")

@@ -242,7 +242,7 @@ def subsample_sizes(problem, x, x_anchor, config: EstimationConfig) -> np.ndarra
         return sizes.copy()
     if config.subsample_policy == "fixed":
         return config.size_for_shard(sizes)
-    deltas = prob.gradient_deltas(problem, slice(None), x, x_anchor)
+    deltas = prob.gradient_deltas(problem, slice(None), [x], [x_anchor], [problem.n_total])
     out = np.zeros(problem.m_workers, dtype=int)
     for m, (range_norm, mean_norm) in enumerate(zip(*_segment_bounds(deltas, sizes))):
         try:
@@ -296,14 +296,13 @@ def _key_hash(key, h: int = 0) -> int:
     return h
 
 
-def _draw_subsamples(key, shard_sizes, sizes) -> np.ndarray:
-    """Every worker's subsample, uniform without replacement: worker m draws
-    ``sizes[m]`` of ``range(shard_sizes[m])`` in ascending order, the workers
-    are concatenated in order, and all are drawn in one array pass.  For C
-    draws at once (cells, steps or both), ``key`` is a list of C keys and
-    ``sizes`` is (C, M); the draws are concatenated in key order, each equal
-    to its own.  A key is a tuple of nonnegative ints, or its ``_key_hash``
-    given as a bare int: an int is always taken as a hash, never hashed.
+def _draw_subsamples(hashes, shard_sizes, sizes) -> np.ndarray:
+    """C draws of every worker's subsample (for cells, steps or both), in
+    one array pass: draw c is keyed by ``hashes[c]``, the ``_key_hash`` of
+    its key, and in it worker m draws ``sizes[c, m]`` of
+    ``range(shard_sizes[m])`` uniformly without replacement, in ascending
+    order.  The result concatenates the draws in key order and each draw's
+    workers in worker order; each draw equals its own one-key call.
 
     Counter-based (Salmon et al., SC'11): slot j of worker m in redraw round
     r reads the top 53 bits of SplitMix64's output at position j + r * 2**32
@@ -315,18 +314,15 @@ def _draw_subsamples(key, shard_sizes, sizes) -> np.ndarray:
     u * n_m (shards below 2**53 rows, sizes below 2**32).  A worker with
     2 k_m > n_m draws the n_m - k_m rows it leaves out instead.
     """
-    sizes = np.asarray(sizes)
-    keys = [key] if sizes.ndim == 1 else key
-    cells, workers = np.nonzero(sizes.reshape(len(keys), -1))
-    n, k = np.asarray(shard_sizes)[workers], sizes.reshape(len(keys), -1)[cells, workers]
+    cells, workers = np.nonzero(sizes)
+    n, k = np.asarray(shard_sizes)[workers], sizes[cells, workers]
     flip = 2 * k > n
     d = np.where(flip, n - k, k)  # slots each (key, worker) segment draws
     # rows are numbered across the segments' stacked shards, so one sort
     # finds the repeats of every segment
     stacked = _segment_starts(n)
     first, scale = np.repeat(stacked, d), np.repeat(n * 2.0**-53, d)
-    hashes = np.array([h if isinstance(h, int) else _key_hash(h) for h in keys], dtype=np.uint64)
-    seeds = _mix64(hashes[cells] + (workers.astype(np.uint64) + 1) * np.uint64(_GOLDEN))
+    seeds = _mix64(np.array(hashes, dtype=np.uint64)[cells] + (workers.astype(np.uint64) + 1) * np.uint64(_GOLDEN))
     counters = np.repeat(seeds, d) + _segment_ranks(d).astype(np.uint64) * np.uint64(_GOLDEN)
 
     def draw_rows(rounds):  # one row of the result per round
@@ -354,53 +350,13 @@ def _draw_subsamples(key, shard_sizes, sizes) -> np.ndarray:
     return out - np.repeat(stacked, k)
 
 
-def estimate_weights(problem, x, x_anchor, sizes=None, local=None) -> np.ndarray:
-    """Subsampled gradient-difference norms of all workers in one batched pass.
-
-    Worker m averages over ``sizes[m]`` of its sample indices; ``local``
-    holds them, as indices into each shard, concatenated in worker order (as
-    :func:`_draw_subsamples` draws them).  A size of 0 gives weight 0.  With
-    ``sizes`` None every worker takes all its rows, which gives the exact
-    weights.  For C cells at once, ``x``, ``x_anchor`` and ``sizes`` get a
-    leading cell axis, ``local`` is in (cell, worker) order and so is the
-    (C, M) result.  This front validates ``sizes`` and ``local``, offsets
-    the indices into ``problem.aug`` and sorts each worker's, then calls
-    :func:`_segment_weights`, which the optimizer calls directly with the
-    drawer's rows.
-    """
-    M, n_total = problem.m_workers, problem.n_total
-    shape = (M,) if np.ndim(x) == 1 else (len(x), M)
-    C = 1 if len(shape) == 1 else shape[0]
-    if sizes is None:
-        cells, workers = np.divmod(np.arange(C * M), M)
-        counts, rows = problem.sizes[workers], np.tile(np.arange(n_total), C)
-    else:
-        sizes = np.asarray(sizes, dtype=int)
-        if sizes.shape != shape or np.any(sizes < 0) or np.any(sizes > problem.sizes):
-            raise ValueError(f"sizes must give each of the {M} workers 0..shard size rows")
-        cells, workers = np.nonzero(sizes.reshape(C, M))
-        if not workers.size:
-            return np.zeros(shape)
-        counts = sizes.reshape(C, M)[cells, workers]
-        local = np.asarray(local, dtype=np.intp)
-        shard_sizes = np.repeat(problem.sizes[workers], counts)
-        if local.shape != (counts.sum(),) or np.any(local < 0) or np.any(local >= shard_sizes):
-            raise ValueError("local must hold sizes[m] indices into each sampled shard, in worker order")
-        # the (cell, worker) row ranges are disjoint and ascending, so one
-        # sort orders the rows within every segment and keeps their order
-        cell_base = np.repeat(cells * n_total, counts)
-        rows = np.sort(local + np.repeat(problem.offsets[workers], counts) + cell_base) - cell_base
-    weights = _segment_weights(problem, np.reshape(x, (C, -1)), np.reshape(x_anchor, (C, -1)), rows, cells,
-                               workers, counts)
-    return weights.reshape(shape)
-
-
 def _segment_weights(problem, x, x_anchor, rows, cells, workers, counts) -> np.ndarray:
-    """The (C, M) weights of ``estimate_weights``, unchecked: segment i holds
-    the next ``counts[i]`` of ``rows`` (rows of ``problem.aug``, ascending
-    within the segment), for cell ``cells[i]`` and worker ``workers[i]``, in
-    (cell, worker) order, and ``x`` and ``x_anchor`` are (C, p).  The rows
-    are gathered at once, the residual differences r(a'x) - r(a'x_anchor)
+    """The (C, M) subsampled gradient-difference norms of C cells' workers,
+    unchecked: segment i holds the next ``counts[i]`` of ``rows`` (rows of
+    ``problem.aug``, ascending within the segment, as the drawer gives them
+    once offset), for cell ``cells[i]`` and worker ``workers[i]``, in (cell,
+    worker) order, and ``x`` and ``x_anchor`` are (C, p).  The rows are
+    gathered at once, the residual differences r(a'x) - r(a'x_anchor)
     are formed on them (per cell, see :func:`problem.gradient_deltas`), and
     each segment's weight is the norm of its mean of (residual difference) *
     a; a (cell, worker) with no segment gets weight 0."""
@@ -421,15 +377,15 @@ def estimate_shard_weight(problem, shard_id: int, x, x_anchor, n_m: int, rng) ->
     ``rng.choice(shard size, n_m, replace=False)``, and returns
     || mean_j (grad f_j(x) - grad f_j(x_anchor)) ||_2 over the draw.  With
     ``n_m`` equal to the shard size this is the exact difference norm.  This
-    is the one-shard case of :func:`estimate_weights`.
+    is the one-segment case of :func:`_segment_weights`.
     """
     shard = problem.shard(shard_id)
     if not 1 <= n_m <= shard.size:
         raise ValueError(f"n_m must be in [1, {shard.size}], got {n_m}")
-    sizes = np.zeros(problem.m_workers, dtype=int)
-    sizes[shard_id] = n_m
-    local = rng.choice(shard.size, n_m, replace=False)
-    return float(estimate_weights(problem, x, x_anchor, sizes, local)[shard_id])
+    rows = np.sort(rng.choice(shard.size, n_m, replace=False)) + problem.offsets[shard_id]
+    weights = _segment_weights(problem, np.reshape(x, (1, -1)), np.reshape(x_anchor, (1, -1)), rows, np.array([0]),
+                               np.array([shard_id]), np.array([n_m]))
+    return float(weights[0, shard_id])
 
 
 def sample_categorical(dist: Categorical, rng) -> int:

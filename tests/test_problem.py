@@ -439,7 +439,8 @@ class TestQuadraticForm:
     def test_guard_diverges_exactly_when_direct_form_does(self, p, seed, exponent, special):
         rng = np.random.default_rng(seed)
         cfg = optim.OptimizerConfig(eta=0.1, epochs=1, inner_iters=1)
-        recorder = optim._Cell(p, cfg, np.zeros(p.param_dim))
+        x0 = np.zeros(p.param_dim)
+        recorder = optim._Cell(p, cfg, x0, prob.full_loss(p, x0))
         with np.errstate(all="ignore"):
             x = rng.normal(size=p.param_dim) * 10.0**exponent
             if special is not None:

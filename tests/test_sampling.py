@@ -282,7 +282,7 @@ class TestEstimateShardWeight:
             cfg = smp.EstimationConfig(tau=tau, subsample_policy="lemma1")
             expected = []
             for m in range(p.m_workers):
-                deltas = prob.gradient_deltas(p, slice(p.offsets[m], p.offsets[m + 1]), x, anchor)
+                deltas = prob.gradient_deltas(p, slice(p.offsets[m], p.offsets[m + 1]), [x], [anchor], [p.sizes[m]])
                 range_norm = np.linalg.norm(deltas.max(axis=0) - deltas.min(axis=0))
                 mean_norm = np.linalg.norm(deltas.mean(axis=0))
                 expected.append(min(p.shard(m).size, smp.subsample_size(cfg, p.param_dim, range_norm, mean_norm)))
@@ -305,6 +305,11 @@ class TestEstimateShardWeight:
 def slices(draw, sizes):
     """Each worker's indices out of a draw concatenated in worker order."""
     return np.split(draw, np.cumsum(sizes)[:-1])
+
+
+def draw_one(key, shard_sizes, sizes):
+    """The draw of one key (a tuple of ints) with one row of sizes."""
+    return smp._draw_subsamples([smp._key_hash(key)], shard_sizes, np.asarray(sizes)[None])
 
 
 # ragged (shard size, subsample size) pairs: k = 0, k = 1, k = n, 2k > n and
@@ -334,23 +339,23 @@ class TestSubsampleDrawer:
     @example(key=(2**40 + 3, 2**64 + 5, 2, 3, 17), shards=[(1, 1), (1, 0), (50, 16), (30, 16), (47, 47), (2, 1)])
     def test_each_worker_gets_its_size_in_distinct_ascending_indices(self, key, shards):
         shard_sizes, sizes = np.array(shards).T
-        got = smp._draw_subsamples(key, shard_sizes, sizes)
+        got = draw_one(key, shard_sizes, sizes)
         assert got.dtype == np.intp and got.shape == (sizes.sum(),)
         for idx, n in zip(slices(got, sizes), shard_sizes):
             assert np.all(np.diff(idx) > 0)  # ascending, so distinct
             assert idx.size == 0 or 0 <= idx[0] and idx[-1] < n
         # the same key gives the same draw
-        assert smp._draw_subsamples(key, shard_sizes, sizes).tolist() == got.tolist()
+        assert draw_one(key, shard_sizes, sizes).tolist() == got.tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(key=KEYS, shards=SHARD_DRAWS)
     def test_worker_drawn_alone_matches_its_slice(self, key, shards):
         shard_sizes, sizes = np.array(shards).T
-        batch = slices(smp._draw_subsamples(key, shard_sizes, sizes), sizes)
+        batch = slices(draw_one(key, shard_sizes, sizes), sizes)
         for m in range(sizes.size):
             alone = np.zeros_like(sizes)
             alone[m] = sizes[m]
-            assert smp._draw_subsamples(key, shard_sizes, alone).tolist() == batch[m].tolist()
+            assert draw_one(key, shard_sizes, alone).tolist() == batch[m].tolist()
 
     @settings(max_examples=150, deadline=None)
     @given(grid=key_grids())
@@ -360,14 +365,11 @@ class TestSubsampleDrawer:
                    np.array([[16, 7, 0, 16, 0], [0, 0, 9, 50, 40]])))
     def test_each_key_of_a_list_matches_its_own_draw(self, grid):
         """A list of keys with (C, M) sizes gives each key's own one-key draw,
-        concatenated in key order, and a key given as its hash draws as the
-        key."""
+        concatenated in key order."""
         keys, shard_sizes, sizes = grid
-        alone = [smp._draw_subsamples(key, shard_sizes, row) for key, row in zip(keys, sizes)]
-        batch = smp._draw_subsamples(keys, shard_sizes, sizes)
+        alone = [draw_one(key, shard_sizes, row) for key, row in zip(keys, sizes)]
+        batch = smp._draw_subsamples([smp._key_hash(key) for key in keys], shard_sizes, sizes)
         assert batch.tolist() == np.concatenate(alone).tolist()
-        hashed = [smp._key_hash(key) if i % 2 else key for i, key in enumerate(keys)]
-        assert smp._draw_subsamples(hashed, shard_sizes, sizes).tolist() == batch.tolist()
 
     @pytest.mark.parametrize("n, k", [(20, 5), (20, 15), (7, 4)])
     def test_inclusion_frequencies_match_k_over_n(self, n, k):
@@ -379,7 +381,7 @@ class TestSubsampleDrawer:
         workers, keys = 50, 80
         counts = np.zeros(n, dtype=int)
         for t in range(keys):
-            draw = smp._draw_subsamples((3, 2, 1, t), np.full(workers, n), np.full(workers, k))
+            draw = draw_one((3, 2, 1, t), np.full(workers, n), np.full(workers, k))
             counts += np.bincount(draw, minlength=n)
         trials, p = workers * keys, k / n
         bound = 5.0 * math.sqrt(trials * p * (1 - p))
@@ -397,7 +399,7 @@ class TestSubsampleDrawer:
         shard_sizes, sizes = np.full(workers, n), np.full(workers, k)
 
         def draws(epoch, step):
-            return slices(smp._draw_subsamples((9, 2, epoch, step), shard_sizes, sizes), sizes)
+            return slices(draw_one((9, 2, epoch, step), shard_sizes, sizes), sizes)
 
         by_epoch, by_step, by_worker = [], [], []
         for t in range(pairs // workers):
