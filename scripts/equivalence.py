@@ -1,5 +1,5 @@
-"""Digest every output file of six fixed sweeps, so that two checkouts can be
-shown to write byte-identical traces and reports.
+"""Digest every output file of eight fixed sweeps, so that two checkouts can
+be shown to write byte-identical traces and reports.
 
 Usage (from the repository root):
 
@@ -11,8 +11,10 @@ line per file, sorted, which is also printed.  Run it in two checkouts and
 ``diff`` the two ``SHA256SUMS``: no output means every trace CSV,
 ``report.csv``, ``best.csv`` and plot-data file is the same, byte for byte.
 The sweeps cover both presets, all four algorithms, the three subsample
-policies, R > 1, several seeds, diverging cells, and a 64-worker ASD shape
-run through ``harness.run_experiment``.
+policies, R > 1, several seeds, diverging cells, a trace thinned by
+``--eval-every``, a custom dataset written by ``problem.save_csv`` (digested
+too) and read back by ``--preset custom``, and a 64-worker ASD shape run
+through ``harness.run_experiment``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hetsvrg import cli, harness  # noqa: E402
+from hetsvrg import problem as prob  # noqa: E402
 
 CLI_SWEEPS = {
     "linear_default": ("--preset", "linear", "--epochs", "8"),
@@ -41,7 +44,19 @@ CLI_SWEEPS = {
                          "--epochs", "3"),
     "asd_fixed_r2_seed3": ("--preset", "linear", "--algos", "asd", "--estimation", "fixed", "--R", "2",
                            "--seeds", "3", "--epochs", "3"),
+    "linear_eval3": ("--preset", "linear", "--algos", "sgd,svrg,svrg_importance,asd", "--eval-every", "3",
+                     "--epochs", "3"),
 }
+
+
+def custom_sweep(out: Path) -> tuple[str, ...]:
+    """Write a linear dataset under ``out`` with ``problem.save_csv`` and
+    return the arguments of a sweep that reads it back with ``load_csv``."""
+    dataset = out / "custom_data" / "dataset.csv"
+    dataset.parent.mkdir(parents=True)
+    prob.save_csv(prob.generate_heterogeneous(prob.LINEAR, 6, 300, 5, 2.0, seed=11), dataset)
+    return ("--preset", "custom", "--csv", str(dataset), "--task", prob.LINEAR, "--etas", "0.01,0.05,0.3,3.0",
+            "--algos", "sgd,svrg,svrg_importance,asd", "--seeds", "1,2", "--epochs", "3", "--inner", "40")
 
 
 def scale_asd_spec(out_dir: Path) -> harness.ExperimentSpec:
@@ -61,7 +76,7 @@ def main(argv: list[str]) -> int:
     if out.exists() and any(out.iterdir()):
         print(f"{out} is not empty; its old files would be digested too", file=sys.stderr)
         return 2
-    for name, args in CLI_SWEEPS.items():
+    for name, args in {**CLI_SWEEPS, "custom_linear": custom_sweep(out)}.items():
         with contextlib.redirect_stdout(io.StringIO()):  # stdout names the output directory
             status = cli.main(["run", *args, "--out", str(out / name)])
         if status != 0:

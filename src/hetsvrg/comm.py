@@ -84,25 +84,11 @@ class Topology:
 
 @dataclass(frozen=True)
 class SampleHistogram:
-    """Multiset of R sampled worker indices, as index -> multiplicity."""
+    """Multiset of the ``total`` worker indices a protocol drew, as index ->
+    multiplicity; the protocols tally it from their draws."""
 
     counts: dict[int, int]
     total: int
-
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.total:
-            raise ValueError("histogram multiplicities must sum to the draw count")
-        if any(m < 1 for m in self.counts.values()) or any(i < 0 for i in self.counts):
-            raise ValueError("histogram keys must be worker indices with positive multiplicity")
-
-    @classmethod
-    def _drawn(cls, counts: dict[int, int], total: int) -> "SampleHistogram":
-        """A histogram tallied from ``total`` drawn worker indices, valid by
-        construction, so ``__post_init__``'s check is skipped."""
-        hist = object.__new__(cls)
-        object.__setattr__(hist, "counts", counts)
-        object.__setattr__(hist, "total", total)
-        return hist
 
     def items(self) -> list[tuple[int, int]]:
         """(worker, multiplicity) pairs in ascending worker order."""
@@ -238,7 +224,7 @@ def _sample(weights, R: int, ledger: CommLedger, rng, schedule) -> SampleHistogr
     counts: dict[int, int] = {}
     for i in indices:
         counts[i] = counts.get(i, 0) + 1
-    return SampleHistogram._drawn(counts, R)
+    return SampleHistogram(counts, R)
 
 
 def pc_sample(weights, R: int, ledger: CommLedger, rng) -> SampleHistogram:

@@ -67,6 +67,10 @@ REPORT_CSV_HEADER = [
 
 FIGURES = ("train_loss", "test_loss", "test_accuracy")
 
+# epochs_to_threshold: a run arrives once its train loss is within this
+# fraction of its seed's initial optimality gap
+_LOSS_GAP_RTOL = 1e-3
+
 
 class AllDiverged(RuntimeError):
     """Every grid cell of an algorithm diverged; no best step size exists."""
@@ -78,9 +82,7 @@ class ExperimentSpec:
 
     ``eta_grid=None`` selects the preset's per-algorithm default grid.
     ``growth_base`` controls how fast per-worker smoothness grows on the
-    synthetic presets.  ``loss_gap_rtol`` sets the epochs-to-threshold metric:
-    a run "arrives" once its train loss is within that fraction of the
-    initial optimality gap, measured against the best loss seen in the sweep.
+    synthetic presets.
     """
 
     preset: str
@@ -100,7 +102,6 @@ class ExperimentSpec:
     growth_base: float = 3.0
     l2_for_sgd: float = 0.02
     eval_every: int = 1
-    loss_gap_rtol: float = 1e-3
 
     def __post_init__(self):
         if self.preset not in PRESETS:
@@ -268,7 +269,7 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
             (r.train_loss for _, _, trace, _, _ in cells for r in trace.rows),
             default=initial_loss,
         )
-        threshold = best_seen + spec.loss_gap_rtol * max(initial_loss - best_seen, 0.0)
+        threshold = best_seen + _LOSS_GAP_RTOL * max(initial_loss - best_seen, 0.0)
         for algorithm, eta, trace, diverged, name in cells:
             last = trace.rows[-1] if trace.rows else None
             ww, ws, sw, _ = trace.ledger.snapshot()

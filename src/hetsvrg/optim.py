@@ -14,7 +14,8 @@ same, with one cell for a solo run, and only the per-call glue is batched
 over cells: the divergence guard's initial loss and the first epoch's
 anchor gradients (every cell starts at x0), the weight estimates of each
 step, and the subsample draws, which cover a block of steps per call under
-every policy but ``lemma1``.
+every policy but ``lemma1``.  ASD's first step of an epoch starts at the
+anchor, where every estimate is 0, so it samples uniformly without estimating.
 
 Every random decision is keyed by (seed, channel, epoch, step, worker), so
 runs are bit-reproducible and neither other workers nor other cells can
@@ -55,7 +56,7 @@ class RateUndefined(ValueError):
 
 
 DISTRIBUTION_MODES = ("uniform", "lipschitz_importance", "adaptive")
-ANCHOR_RULES = ("uniform_random", "last_iterate")
+_DIVERGENCE_FACTOR = 1e6  # the guard trips above this multiple of the train loss at x0
 
 # rng stream channels; combined with (epoch, step, worker) tags
 _CH_FIXED_DRAW = 1
@@ -82,9 +83,7 @@ class OptimizerConfig:
     distribution_mode: str = "uniform"
     l2_for_sgd: float = 0.0
     seed: int | tuple = 0
-    anchor_rule: str = "uniform_random"
     eval_every: int = 1
-    divergence_factor: float = 1e6
 
     def __post_init__(self):
         if self.eta < 0:
@@ -93,8 +92,6 @@ class OptimizerConfig:
             raise ValueError("epochs, inner_iters and group_size must be at least 1")
         if self.distribution_mode not in DISTRIBUTION_MODES:
             raise ValueError(f"distribution_mode must be one of {DISTRIBUTION_MODES}")
-        if self.anchor_rule not in ANCHOR_RULES:
-            raise ValueError(f"anchor_rule must be one of {ANCHOR_RULES}")
         if self.eval_every < 1:
             raise ValueError("eval_every must be at least 1")
         if self.l2_for_sgd < 0:
@@ -144,9 +141,6 @@ class RunTrace:
     final_x: np.ndarray
     ledger: comm.CommLedger
 
-    def final_train_loss(self) -> float:
-        return self.rows[-1].train_loss if self.rows else float("nan")
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -179,7 +173,7 @@ class _Cell:
         self.seed = _seed_tuple(config.seed)
         self.ledger = comm.CommLedger()
         self.rows: list[TraceRow] = []
-        self.limit = config.divergence_factor * max(initial, np.finfo(float).tiny)
+        self.limit = _DIVERGENCE_FACTOR * max(initial, np.finfo(float).tiny)
         self.anchor = self.x = x0
         self.outcome: RunTrace | Diverged | None = None
 
@@ -262,10 +256,7 @@ def _vr_loop(problem, configs, x0) -> list:
             if not live:
                 return [c.outcome for c in cells]
         for c in live:
-            if first.anchor_rule == "last_iterate":
-                c.anchor = c.x
-            else:
-                c.anchor = c.iterates[int(sampling._stream(c.seed + (_CH_ANCHOR, k)).integers(len(c.iterates)))]
+            c.anchor = c.iterates[int(sampling._stream(c.seed + (_CH_ANCHOR, k)).integers(len(c.iterates)))]
 
     for c in live:
         c.outcome = RunTrace(rows=c.rows, final_x=c.anchor, ledger=c.ledger)
@@ -308,7 +299,7 @@ def run_svrg(problem, config: OptimizerConfig, x0=None) -> RunTrace:
     proportionally to the per-shard smoothness constants.  Each inner step
     averages ``group_size`` independent draws, and the parameters go to the
     sampled workers only; the epoch anchor is a uniformly random iterate of
-    the epoch unless configured otherwise.
+    the epoch.
     """
     if config.distribution_mode == "adaptive":
         raise ValueError("run_svrg supports uniform / lipschitz_importance, got 'adaptive'")
@@ -323,11 +314,12 @@ def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
     live cells at their points against their anchors.  Cell c's subsamples
     are keyed by (c.seed, weights channel, k, t), so none depends on another
     worker's or cell's, and sized by ``sampling.subsample_sizes`` (``full``
-    draws every row of each shard).  The subsamples of the steps ahead come
-    from one draw of at most ``_BLOCK_SLOTS`` slots (or of one step, if a
-    step needs more), for the cells live when it is drawn, and are drawn
-    again once a cell drops out; ``lemma1`` sizes depend on the cells'
-    points, so its blocks are one step long."""
+    draws every row of each shard); it answers any t, though the loop asks
+    from t = 2 on.  The subsamples of the steps ahead come from one draw of
+    at most ``_BLOCK_SLOTS`` slots (or of one step, if a step needs more),
+    for the cells live when it is drawn, and are drawn again once a cell
+    drops out; ``lemma1`` sizes depend on the cells' points, so its blocks
+    are one step long."""
     est = config.estimation
     prefix = {c: sampling._key_hash(c.seed + (_CH_WEIGHTS, k)) for c in cells}
     # the open block: its first and end step, its number of cells, its rows
@@ -366,8 +358,10 @@ def _asd_draw(problem, config: OptimizerConfig):
         def step(t, live):
             for c in live:
                 comm.server_broadcast(c.ledger, problem.param_dim, M)  # x_{t-1} to every worker
+            # at t = 1 every cell stands at its anchor, where every estimate is exactly 0
+            estimates = estimate(t, live).tolist() if t > 1 else [[0.0] * M for _ in live]
             out = []
-            for c, weights in zip(live, estimate(t, live).tolist()):
+            for c, weights in zip(live, estimates):
                 if sum(weights) <= 0.0:
                     weights = [1.0] * M  # degenerate estimates: uniform fallback
                 hist = comm.pc_sample(weights, R, c.ledger, sampling._stream(c.seed + (_CH_PC, k, t)))
@@ -390,8 +384,8 @@ def run_asd_svrg(problem, config: OptimizerConfig, x0=None) -> RunTrace:
     gradient difference against the epoch anchor, the tree protocol samples
     ``group_size`` workers proportionally to those estimates, and the sampled
     workers' variance-reduced directions are averaged into the update.  When
-    every estimate is zero (e.g. the first step of an epoch starts exactly at
-    the anchor) the step falls back to uniform weights.
+    every estimate is zero the step falls back to uniform weights, so the
+    first step of an epoch, which starts exactly at the anchor, skips them.
 
     Beyond the protocol's own cost, the ledger is charged for: the per-step
     parameter broadcast, the histogram reaching the server (R scalars), the

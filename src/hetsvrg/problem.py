@@ -116,9 +116,13 @@ class ShardedProblem:
         if ids != list(range(len(shards))):
             raise ValueError(f"worker ids must be 0..{len(shards) - 1} in order, got {ids}")
 
+        self.m_workers = len(shards)
+        self.dim = shards[0].dim  # raw feature dimension; parameters have length dim + 1
+        self.param_dim = self.dim + 1
         self.sizes = np.array([s.size for s in shards])
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
-        self.aug = np.empty((int(self.offsets[-1]), shards[0].dim + 1))
+        self.n_total = int(self.offsets[-1])
+        self.aug = np.empty((self.n_total, self.param_dim))
         self.aug[:, -1] = 1.0
         self.y = np.empty(self.aug.shape[0])
         self.shards = []
@@ -130,34 +134,17 @@ class ShardedProblem:
             self.shards.append(view)
         self.task = task
         if test_X is None:
-            self.test_X = np.zeros((0, shards[0].dim))
+            self.test_X = np.zeros((0, self.dim))
             self.test_y = np.zeros(0)
         else:
             self.test_X = np.atleast_2d(np.asarray(test_X, dtype=float))
             self.test_y = np.asarray(test_y, dtype=float).ravel()
-            if self.test_X.shape != (self.test_y.shape[0], shards[0].dim):
+            if self.test_X.shape != (self.test_y.shape[0], self.dim):
                 raise ValueError("test set shape does not match the training dimension")
         if task == LOGISTIC:
             labels = np.concatenate([self.y, self.test_y])
             if not np.all((labels == 0.0) | (labels == 1.0)):
                 raise ValueError("logistic targets must be exactly 0 or 1")
-
-    @property
-    def m_workers(self) -> int:
-        return len(self.shards)
-
-    @property
-    def dim(self) -> int:
-        """Raw feature dimension (parameters have length dim + 1)."""
-        return self.shards[0].dim
-
-    @property
-    def param_dim(self) -> int:
-        return self.dim + 1
-
-    @property
-    def n_total(self) -> int:
-        return self.aug.shape[0]
 
     @cached_property
     def test_aug(self) -> np.ndarray:
@@ -253,20 +240,11 @@ def atomic_gradient(problem: ShardedProblem, shard_id: int, sample_index: int, x
     return r * row
 
 
-def shard_gradient(problem: ShardedProblem, shard_id: int, x, sample_indices=None) -> np.ndarray:
-    """Mean per-sample gradient over one shard (or over ``sample_indices``).
-
-    With ``sample_indices`` this is the mean over that subsample; the full
-    shard is the default.
-    """
+def shard_gradient(problem: ShardedProblem, shard_id: int, x) -> np.ndarray:
+    """Mean per-sample gradient over one shard."""
     x = _check_x(problem, x)
     shard = problem.shard(shard_id)
     A, y = shard.aug, shard.y
-    if sample_indices is not None:
-        idx = np.asarray(sample_indices, dtype=int)
-        if idx.size == 0 or idx.min() < 0 or idx.max() >= shard.size:
-            raise IndexError(f"sample indices out of range for shard of size {shard.size}")
-        A, y = A[idx], y[idx]
     r = _pointwise_residual(problem.task, A @ x, y)
     return (A.T @ r) / A.shape[0]
 
@@ -335,10 +313,7 @@ def test_metrics(problem: ShardedProblem, x) -> tuple[float, float]:
         return problem._test_form(x), float("nan")
     z = problem.test_aug @ x
     loss = float(np.mean(_pointwise_loss(problem.task, z, problem.test_y)))
-    if problem.task == LOGISTIC:
-        acc = float(np.mean((z > 0) == (problem.test_y > 0.5)))
-    else:
-        acc = float("nan")
+    acc = float(np.mean((z > 0) == (problem.test_y > 0.5)))
     return loss, acc
 
 

@@ -73,7 +73,6 @@ class PerturbedPair:
 
     base: Categorical
     perturbed: Categorical
-    deltas: np.ndarray
 
     @classmethod
     def from_weights(cls, base_weights, perturbed_weights) -> "PerturbedPair":
@@ -81,7 +80,7 @@ class PerturbedPair:
         pert = Categorical.from_weights(perturbed_weights)
         if len(base) != len(pert):
             raise ValueError("base and perturbed must have the same number of categories")
-        return cls(base=base, perturbed=pert, deltas=pert.weights - base.weights)
+        return cls(base=base, perturbed=pert)
 
 
 @dataclass(frozen=True)
@@ -316,6 +315,8 @@ def _draw_subsamples(hashes, shard_sizes, sizes) -> np.ndarray:
     """
     cells, workers = np.nonzero(sizes)
     n, k = np.asarray(shard_sizes)[workers], sizes[cells, workers]
+    if (k == n).all():  # every segment takes its whole shard (the ``full`` policy)
+        return _segment_ranks(k)
     flip = 2 * k > n
     d = np.where(flip, n - k, k)  # slots each (key, worker) segment draws
     # rows are numbered across the segments' stacked shards, so one sort

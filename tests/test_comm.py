@@ -261,21 +261,19 @@ class TestValidation:
         topo = comm.Topology(7, 7)
         assert topo.padded_workers == 7 and topo.levels == 0
 
-    def test_histogram_validation(self):
-        with pytest.raises(ValueError):
-            comm.SampleHistogram(counts={0: 2}, total=3)
-        with pytest.raises(ValueError):
-            comm.SampleHistogram(counts={-1: 3}, total=3)
+    def test_histogram_items_in_worker_order(self):
         hist = comm.SampleHistogram(counts={3: 1, 1: 2}, total=3)
         assert hist.items() == [(1, 2), (3, 1)]
 
     @pytest.mark.parametrize("sampler", [comm.pc_sample, comm.optimal_comm_sample])
     def test_protocol_histograms_pass_validation(self, sampler):
-        # the protocols build their histograms without the constructor's check
+        # R draws in all, each of a real worker, each key drawn at least once
         rng = np.random.default_rng(5)
         for M, R in [(1, 1), (6, 4), (13, 3), (64, 8)]:
             hist = sampler(rng.random(M), R, comm.CommLedger(), rng)
-            assert hist == comm.SampleHistogram(counts=dict(hist.counts), total=R)
+            assert hist.total == R and sum(hist.counts.values()) == R
+            assert set(hist.counts) <= set(range(M))
+            assert min(hist.counts.values()) >= 1
 
     def test_ledger_csv_row(self):
         ledger = comm.CommLedger(worker_worker_scalars=3, parallel_rounds=2)

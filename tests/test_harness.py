@@ -1,5 +1,6 @@
 """Sweep harness: specs, grid selection, report/trace emission, CLI."""
 
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -355,6 +356,13 @@ class TestCli:
             preset="linear_synthetic", algorithms=("sgd", "svrg_uniform", "asd_svrg"), eta_grid=None, seeds=(1,)
         )
         assert specs[1] == dataclasses.replace(specs[0], algorithms=("svrg_uniform",))
+
+    def test_run_flags_match_the_config_keys(self):
+        # the run subparser's flags and the config-file keys are kept by hand
+        # in two places; a flag without a type parses as a string
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest: a.type or str for a in sub.choices["run"]._actions if a.dest not in ("help", "config")}
+        assert flags == cli._RUN_OPTION_TYPES
 
 
 def comm_header_in(out: str) -> bool:

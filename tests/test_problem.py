@@ -114,15 +114,6 @@ class TestShardGradient:
         brute = np.mean([prob.atomic_gradient(p, 0, j, x) for j in range(5)], axis=0)
         np.testing.assert_allclose(prob.shard_gradient(p, 0, x), brute, rtol=1e-12, atol=1e-12)
 
-    def test_subset_indices(self):
-        p = small_problem()
-        x = np.ones(p.param_dim)
-        sub = prob.shard_gradient(p, 1, x, sample_indices=[0, 2])
-        brute = 0.5 * (prob.atomic_gradient(p, 1, 0, x) + prob.atomic_gradient(p, 1, 2, x))
-        np.testing.assert_allclose(sub, brute, rtol=1e-12, atol=1e-12)
-        with pytest.raises(IndexError):
-            prob.shard_gradient(p, 1, x, sample_indices=[p.shard(1).size])
-
 
 class TestFullGradient:
     def test_single_worker(self):

@@ -128,7 +128,7 @@ class TestDecomposition:
     def test_zero_base_weight_rejected(self):
         base = smp.Categorical.from_weights([0.0, 1.0])
         pert = smp.Categorical.from_weights([0.5, 1.0])
-        pair = smp.PerturbedPair(base=base, perturbed=pert, deltas=pert.weights - base.weights)
+        pair = smp.PerturbedPair(base=base, perturbed=pert)
         with pytest.raises(ValueError):
             smp.decompose_perturbed(pair)
 
@@ -289,16 +289,14 @@ class TestEstimateShardWeight:
             assert smp.subsample_sizes(p, x, anchor, cfg).tolist() == expected
 
     def test_matches_subsample_gradient_difference(self):
-        # the estimate is the norm of the shard-gradient difference on the
-        # sorted reference draw from the same generator
-        for m in range(self.problem.m_workers):
-            size = self.problem.shard(m).size
-            idx = np.sort(np.random.default_rng(m).choice(size, 9, replace=False))
-            ref = np.linalg.norm(
-                prob.shard_gradient(self.problem, m, self.x, sample_indices=idx)
-                - prob.shard_gradient(self.problem, m, self.anchor, sample_indices=idx)
-            )
-            w = smp.estimate_shard_weight(self.problem, m, self.x, self.anchor, 9, np.random.default_rng(m))
+        # the estimate is the norm of the mean per-sample gradient difference
+        # on the sorted reference draw from the same generator
+        p = self.problem
+        for m in range(p.m_workers):
+            idx = np.sort(np.random.default_rng(m).choice(p.shard(m).size, 9, replace=False))
+            diffs = [prob.atomic_gradient(p, m, j, self.x) - prob.atomic_gradient(p, m, j, self.anchor) for j in idx]
+            ref = np.linalg.norm(np.mean(diffs, axis=0))
+            w = smp.estimate_shard_weight(p, m, self.x, self.anchor, 9, np.random.default_rng(m))
             assert w == pytest.approx(ref, rel=1e-12)
 
 
@@ -337,6 +335,7 @@ class TestSubsampleDrawer:
     @settings(max_examples=300, deadline=None)
     @given(key=KEYS, shards=SHARD_DRAWS)
     @example(key=(2**40 + 3, 2**64 + 5, 2, 3, 17), shards=[(1, 1), (1, 0), (50, 16), (30, 16), (47, 47), (2, 1)])
+    @example(key=(7, 2), shards=[(1, 1), (3, 0), (47, 47), (2**40, 0), (60, 60)])  # whole shards only
     def test_each_worker_gets_its_size_in_distinct_ascending_indices(self, key, shards):
         shard_sizes, sizes = np.array(shards).T
         got = draw_one(key, shard_sizes, sizes)
