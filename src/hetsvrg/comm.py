@@ -95,12 +95,12 @@ class SampleHistogram:
         return sorted(self.counts.items())
 
 
-def _checked_weights(weights) -> np.ndarray:
-    """Weights as a 1-D array of nonnegative floats; ``_tree_draw`` checks
-    their total, which it forms anyway."""
+def _checked_weights(weights, ndim: int = 1) -> np.ndarray:
+    """Weights as an ``ndim``-dimensional array of nonnegative floats;
+    ``_tree_draw`` checks their totals, which it forms anyway."""
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1:
-        raise ValueError(f"weights must be one-dimensional, got shape {w.shape}")
+    if w.ndim != ndim:
+        raise ValueError(f"weights must be {('one', 'two')[ndim - 1]}-dimensional, got shape {w.shape}")
     if not w.size:
         raise ValueError("need at least one worker weight")
     if not w.min() >= 0.0:  # a NaN minimum fails too
@@ -116,74 +116,91 @@ def _group_column(groups: int) -> np.ndarray:
     return rows[:, None]
 
 
-def _tree_draw(w: np.ndarray, R: int, topo: Topology, rng) -> list[int]:
-    """The R candidates that reach the root of the sampling tree, in O(log G)
-    array operations over its G groups.
+def _tree_draw(w: np.ndarray, R: int, topo: Topology, uniforms) -> np.ndarray:
+    """The R candidates that reach the root of the sampling tree of each of
+    C cells, as a (C, R) array, in O(log G) array operations over the G
+    groups of all cells at once.  ``w`` is (C, M).
 
-    The draws are those of the tree run one node at a time: each group with a
-    positive total spends R uniforms on inverse-CDF leaf draws (in group
-    order), then each merge with a positive total R coin flips (level by
-    level, in receiver order), keeping the sender's candidate where
-    ``u < sender_total / total``.  Which nodes draw depends only on the
-    weights, so one ``rng.random`` call covers them all.
+    The tree has 2G - 1 nodes: the G leaves (groups) and then each merge
+    level in receiver order.  ``uniforms(live)`` maps the (C, 2G - 1) mask
+    of nodes with a positive total to the (C, 2G - 1, R) uniforms they
+    spend; a dead node's row is never read.  The draws are those of the
+    tree run one node at a time: each group with a positive total spends its
+    R uniforms on inverse-CDF leaf draws, then each merge with a positive
+    total its R coin flips, keeping the sender's candidate where
+    ``u < sender_total / total``.  Each cell's sums and draws are its own.
     """
+    cells = w.shape[0]
     padded_workers = topo.padded_workers
     groups = padded_workers // R
     padded = w
-    if w.size < padded_workers:
-        padded = np.zeros(padded_workers)
-        padded[: w.size] = w
-    padded = padded.reshape(groups, R)
+    if w.shape[1] < padded_workers:
+        padded = np.zeros((cells, padded_workers))
+        padded[:, : w.shape[1]] = w
+    padded = padded.reshape(cells * groups, R)  # (cell, group) is one row axis
     cum = padded.cumsum(axis=1) if R > 1 else padded  # left to right, as a leader adds
 
     # node totals, leaves first and then each merge level; blocks have even
     # length, so the pairs (2i, 2i + 1) are always (sender, receiver) and node
     # groups + i is their merge.  An overflow reaches the root and is raised.
-    totals = np.empty(2 * groups - 1)
-    totals[:groups] = cum[:, -1]
+    totals = np.empty((cells, 2 * groups - 1))
+    totals[:, :groups] = cum[:, -1].reshape(cells, groups)
     lo, n = 0, groups
     while n > 1:
-        np.add(totals[lo + 1 : lo + n : 2], totals[lo : lo + n : 2], out=totals[lo + n : lo + n + n // 2])
+        np.add(totals[:, lo + 1 : lo + n : 2], totals[:, lo : lo + n : 2], out=totals[:, lo + n : lo + n + n // 2])
         lo, n = lo + n, n // 2
-    root = float(totals[-1])
-    if not math.isfinite(root):
+    root = totals[:, -1]
+    if not np.isfinite(root).all():
         raise ValueError("weights must be finite and have a finite total")
-    if not root > 0.0:
+    if not (root > 0.0).all():
         raise ValueError("at least one weight must be positive")
-    # totals are sums of nonnegative weights and the root is finite, so a
+    # totals are sums of nonnegative weights and the roots are finite, so a
     # nonzero total is a live node
-    n_live = np.count_nonzero(totals)
-    if n_live == totals.size:
-        u = rng.random(R * n_live).reshape(-1, R)
-    else:
-        u = np.zeros((totals.size, R))
-        u[totals > 0.0] = rng.random(R * n_live).reshape(-1, R)
+    u = uniforms(totals > 0.0)
 
     # leaf stage: the count of cum <= u in a group is its first entry whose
     # cum exceeds u, always a positive one; u == total falls back to the
-    # group's last positive entry.  Complex keys sort by (group, value), so
-    # one searchsorted answers every group at once with no arithmetic on cum.
-    rows = _group_column(groups)
+    # group's last positive entry.  Complex keys sort by (row, value), so
+    # one searchsorted answers every group of every cell at once with no
+    # arithmetic on cum.
+    rows = _group_column(cells * groups)
     if R == 1:
         cand = rows  # a one-worker group always draws its worker
     else:
-        keys = np.empty((groups, R), dtype=complex)
+        keys = np.empty((cells * groups, R), dtype=complex)
         keys.real, keys.imag = rows, cum
         queries = np.empty_like(keys)
-        queries.real, queries.imag = rows, u[:groups] * totals[:groups, None]
-        first = np.searchsorted(keys.ravel(), queries.ravel(), side="right").reshape(groups, R)
+        queries.real, queries.imag = rows, u[:, :groups].reshape(-1, R) * totals[:, :groups].reshape(-1, 1)
+        first = np.searchsorted(keys.ravel(), queries.ravel(), side="right").reshape(-1, R)
         last = R * rows + (R - 1) - (padded[:, ::-1] > 0.0).argmax(axis=1)[:, None]
         cand = np.minimum(first, last)
+    cand = cand.reshape(cells, groups, R)
 
     # a dead merge has sender total 0 and so threshold 0: it never takes the
     # sender.  5e-324 is the smallest positive double, so flooring with it
     # leaves every live total as it is and only keeps 0 / 0 away.
-    take_sender = u[groups:] < (totals[:-1:2] / np.maximum(totals[groups:], 5e-324))[:, None]
+    take_sender = u[:, groups:] < (totals[:, :-1:2] / np.maximum(totals[:, groups:], 5e-324))[:, :, None]
     lo, n = 0, groups // 2
     while n:
-        cand = np.where(take_sender[lo : lo + n], cand[0::2], cand[1::2])
+        cand = np.where(take_sender[:, lo : lo + n], cand[:, 0::2], cand[:, 1::2])
         lo, n = lo + n, n // 2
-    return cand[0].tolist()
+    # candidates are indices into the cells' stacked padded rows
+    return cand[:, 0] - padded_workers * _group_column(cells) if cells > 1 else cand[:, 0]
+
+
+def _rng_uniforms(rng, R: int):
+    """``uniforms`` for ``_tree_draw`` from one generator: R draws per live
+    node, in node order, from one ``rng.random`` call."""
+
+    def uniforms(live):
+        n_live = np.count_nonzero(live)
+        if n_live == live.size:
+            return rng.random(R * n_live).reshape(live.shape + (R,))
+        u = np.zeros(live.shape + (R,))
+        u[live] = rng.random(R * n_live).reshape(-1, R)
+        return u
+
+    return uniforms
 
 
 def _senders(levels: int):
@@ -213,14 +230,18 @@ def _optimal_schedule(m_real: int, R: int) -> tuple[int, int]:
     return 2 * (m_real - full) + 2 * (R - 1) * full + 2 * links, R + 1 + levels
 
 
+def _charge(ledger: CommLedger, schedule, m_real: int, R: int) -> None:
+    scalars, rounds = schedule(m_real, R)
+    ledger.worker_worker_scalars += scalars
+    ledger.parallel_rounds += rounds
+
+
 def _sample(weights, R: int, ledger: CommLedger, rng, schedule) -> SampleHistogram:
     w = _checked_weights(weights)
     if R < 1:
         raise ValueError("R must be at least 1")
-    indices = _tree_draw(w, R, Topology(w.size, R), rng)
-    scalars, rounds = schedule(w.size, R)
-    ledger.worker_worker_scalars += scalars
-    ledger.parallel_rounds += rounds
+    indices = _tree_draw(w[None], R, Topology(w.size, R), _rng_uniforms(rng, R))[0].tolist()
+    _charge(ledger, schedule, w.size, R)
     counts: dict[int, int] = {}
     for i in indices:
         counts[i] = counts.get(i, 0) + 1
@@ -244,6 +265,20 @@ def optimal_comm_sample(weights, R: int, ledger: CommLedger, rng) -> SampleHisto
     log2(padded M / R) instead of per-round R-sized payloads.
     """
     return _sample(weights, R, ledger, rng, _optimal_schedule)
+
+
+def pc_sample_cells(weights, R: int, ledgers, uniforms) -> np.ndarray:
+    """``pc_sample`` for C cells at once: ``weights`` is (C, M), cell c's
+    call is charged to ``ledgers[c]``, and ``uniforms`` gives every node's
+    uniforms as ``_tree_draw`` asks for them.  Returns the (C, R) drawn
+    workers, each row in slot order."""
+    w = _checked_weights(weights, ndim=2)
+    if R < 1:
+        raise ValueError("R must be at least 1")
+    draws = _tree_draw(w, R, Topology(w.shape[1], R), uniforms)
+    for ledger in ledgers:
+        _charge(ledger, _pc_schedule, w.shape[1], R)
+    return draws
 
 
 def server_broadcast(ledger: CommLedger, payload_scalars: int, m_workers: int) -> None:

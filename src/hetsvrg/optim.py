@@ -33,7 +33,7 @@ are only recorded, never fed back into a step.
 from __future__ import annotations
 
 import csv
-from collections import Counter
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -270,21 +270,28 @@ def _solo(problem, config, x0) -> RunTrace:
     return outcome
 
 
+def _picks(draws) -> list:
+    """Each row of a (C, R) array of drawn workers as its sorted (worker,
+    multiplicity) pairs."""
+    return [[(m, len(list(g))) for m, g in itertools.groupby(row)] for row in np.sort(draws, axis=1).tolist()]
+
+
 def _svrg_draw(problem, config: OptimizerConfig):
     if config.distribution_mode == "uniform":
         dist = sampling.Categorical.uniform(problem.m_workers)
     else:
         dist = sampling.Categorical.from_weights(prob.lipschitz_info(problem).per_shard)
+    R = config.group_size
 
     def draw(k, cells):
         rngs = {c: sampling._stream(c.seed + (_CH_FIXED_DRAW, k)) for c in cells}
 
         def step(t, live):
+            u = np.array([rngs[c].random(R) for c in live])
             out = []
-            for c in live:
-                picks = Counter(sampling.sample_categorical(dist, rngs[c]) for _ in range(config.group_size))
+            for c, picks in zip(live, _picks(sampling._inverse_cdf(dist.probabilities, u))):
                 comm.server_broadcast(c.ledger, problem.param_dim, len(picks))  # x_{t-1} to sampled workers
-                out.append((sorted(picks.items()), dist.probabilities))
+                out.append((picks, dist.probabilities))
             return out
 
         return step
@@ -343,8 +350,11 @@ def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
             block = (t, t + steps, len(live), rows, cells, workers, counts)
         first, _, _, rows, cells, workers, counts = block
         n = int(counts.sum())
-        return sampling._segment_weights(problem, x, anchor, rows[(t - first) * n:(t - first + 1) * n], cells,
-                                         workers, counts)
+        if est.subsample_policy != "full":
+            rows = rows[(t - first) * n:(t - first + 1) * n]
+        else:  # every cell takes every row: read them in place
+            rows = slice(None)
+        return sampling._segment_weights(problem, x, anchor, rows, cells, workers, counts)
 
     return estimate
 
@@ -359,17 +369,24 @@ def _asd_draw(problem, config: OptimizerConfig):
             for c in live:
                 comm.server_broadcast(c.ledger, problem.param_dim, M)  # x_{t-1} to every worker
             # at t = 1 every cell stands at its anchor, where every estimate is exactly 0
-            estimates = estimate(t, live).tolist() if t > 1 else [[0.0] * M for _ in live]
+            weights = estimate(t, live) if t > 1 else np.zeros((len(live), M))
+            totals = np.cumsum(weights, axis=1)[:, -1]  # each cell's left-to-right sum
+            flat = totals <= 0.0
+            weights[flat], totals[flat] = 1.0, M  # degenerate estimates: uniform fallback
+
+            def uniforms(nodes):
+                u = np.zeros(nodes.shape + (R,))
+                for i, c in enumerate(live):
+                    n_live = np.count_nonzero(nodes[i])
+                    u[i, nodes[i]] = sampling._stream(c.seed + (_CH_PC, k, t)).random(R * n_live).reshape(-1, R)
+                return u
+
+            draws = comm.pc_sample_cells(weights, R, [c.ledger for c in live], uniforms)
             out = []
-            for c, weights in zip(live, estimates):
-                if sum(weights) <= 0.0:
-                    weights = [1.0] * M  # degenerate estimates: uniform fallback
-                hist = comm.pc_sample(weights, R, c.ledger, sampling._stream(c.seed + (_CH_PC, k, t)))
+            for c, picks, probs in zip(live, _picks(draws), weights / totals[:, None]):
                 comm.server_gather(c.ledger, R, 1)  # histogram to the server
-                comm.server_broadcast(c.ledger, 1, len(hist.counts))  # weight normaliser out
-                # Python's sequential sum: numpy's pairwise sum rounds differently
-                total_w = sum(weights)
-                out.append((hist.items(), [w / total_w for w in weights]))
+                comm.server_broadcast(c.ledger, 1, len(picks))  # weight normaliser out
+                out.append((picks, probs))
             return out
 
         return step

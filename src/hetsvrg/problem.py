@@ -259,23 +259,31 @@ def full_gradient(problem: ShardedProblem, x) -> np.ndarray:
 
 
 def gradient_deltas(problem: ShardedProblem, rows, x, x_anchor, counts) -> np.ndarray:
-    """Per-sample gradient differences grad f_j(x) - grad f_j(x_anchor) for the
-    stacked rows ``rows`` (an index array or a slice into ``problem.aug``),
-    one row per sample: the residual difference r(a'x) - r(a'x_anchor) times a.
+    """Per-sample gradient differences grad f_j(x) - grad f_j(x_anchor) of C
+    cells, one row per sample: the residual difference r(a'x) - r(a'x_anchor)
+    times a.
 
-    ``x`` and ``x_anchor`` are (C, p) and cell c owns the next ``counts[c]``
-    rows; each cell's residuals come from mat-vecs of its own rows, so they
-    are bit-identical to a call for that cell alone.
+    ``x`` and ``x_anchor`` are (C, p).  ``rows`` is either an index array of
+    stacked rows of ``problem.aug``, of which cell c owns the next
+    ``counts[c]``, or a slice of ``problem.aug`` that every cell reads in
+    place (each count is then its length).  Each cell's residuals come from
+    mat-vecs of its own rows, so they are bit-identical to a call for that
+    cell alone.
     """
-    A, y = problem.aug[rows], problem.y[rows]
-    x, xa, ends = np.asarray(x, dtype=float), np.asarray(x_anchor, dtype=float), np.cumsum(counts)
-    if x.shape != (len(ends), problem.param_dim) or xa.shape != x.shape or ends[-1] != y.size:
-        raise ValueError(f"need one point of length {problem.param_dim} per cell and counts summing to the rows")
-    z, za = np.empty(y.size), np.empty(y.size)
-    for lo, hi, xc, xac in zip(ends - counts, ends, x, xa):
-        z[lo:hi], za[lo:hi] = A[lo:hi] @ xc, A[lo:hi] @ xac
-    r = _pointwise_residual(problem.task, z, y) - _pointwise_residual(problem.task, za, y)
-    return r[:, None] * A
+    A, y = problem.aug[rows], problem.y[rows]  # a slice is a view, not a copy
+    x, xa, counts = np.asarray(x, dtype=float), np.asarray(x_anchor, dtype=float), np.asarray(counts)
+    shared = isinstance(rows, slice)
+    if (x.shape != (counts.size, problem.param_dim) or xa.shape != x.shape
+            or not ((counts == y.size).all() if shared else counts.sum() == y.size)):
+        raise ValueError(f"need one point of length {problem.param_dim} per cell and counts matching the rows")
+    starts = np.zeros_like(counts) if shared else np.cumsum(counts) - counts
+    out, lo = np.empty((counts.sum(), A.shape[1])), 0
+    for start, n, xc, xac in zip(starts, counts, x, xa):
+        Ac, yc = A[start : start + n], y[start : start + n]
+        r = _pointwise_residual(problem.task, Ac @ xc, yc) - _pointwise_residual(problem.task, Ac @ xac, yc)
+        np.multiply(r[:, None], Ac, out=out[lo : lo + n])
+        lo += n
+    return out
 
 
 def shard_loss(problem: ShardedProblem, shard_id: int, x) -> float:

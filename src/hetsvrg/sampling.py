@@ -356,11 +356,13 @@ def _segment_weights(problem, x, x_anchor, rows, cells, workers, counts) -> np.n
     unchecked: segment i holds the next ``counts[i]`` of ``rows`` (rows of
     ``problem.aug``, ascending within the segment, as the drawer gives them
     once offset), for cell ``cells[i]`` and worker ``workers[i]``, in (cell,
-    worker) order, and ``x`` and ``x_anchor`` are (C, p).  The rows are
-    gathered at once, the residual differences r(a'x) - r(a'x_anchor)
-    are formed on them (per cell, see :func:`problem.gradient_deltas`), and
-    each segment's weight is the norm of its mean of (residual difference) *
-    a; a (cell, worker) with no segment gets weight 0."""
+    worker) order, and ``x`` and ``x_anchor`` are (C, p).  When every
+    segment takes its whole shard, ``rows`` may be ``slice(None)``, which
+    every cell reads in place.  The residual differences r(a'x) -
+    r(a'x_anchor) are formed on the rows (per cell, see
+    :func:`problem.gradient_deltas`), and each segment's weight is the norm
+    of its mean of (residual difference) * a; a (cell, worker) with no
+    segment gets weight 0."""
     weights = np.zeros((len(x), problem.m_workers))
     if not counts.size:
         return weights
@@ -389,9 +391,18 @@ def estimate_shard_weight(problem, shard_id: int, x, x_anchor, n_m: int, rng) ->
     return float(weights[0, shard_id])
 
 
+def _inverse_cdf(probabilities: np.ndarray, u) -> np.ndarray:
+    """Inverse-CDF draws (0-based indices) from ``probabilities`` at the
+    uniforms ``u``, elementwise.  Rounding can leave the cumulative sum of
+    the positive entries just below a uniform, so a draw past the last
+    positive entry falls back to it, as the tree protocols' leaf stage does:
+    no draw lands on a zero-weight category."""
+    cum = np.cumsum(probabilities)
+    cum[-1] = 1.0
+    last = probabilities.size - 1 - int(np.argmax(probabilities[::-1] > 0.0))
+    return np.minimum(np.searchsorted(cum, u, side="right"), last)
+
+
 def sample_categorical(dist: Categorical, rng) -> int:
     """One inverse-CDF draw from a categorical distribution (0-based index)."""
-    cum = np.cumsum(dist.probabilities)
-    cum[-1] = 1.0
-    i = int(np.searchsorted(cum, rng.random(), side="right"))
-    return min(i, len(dist) - 1)
+    return int(_inverse_cdf(dist.probabilities, rng.random()))

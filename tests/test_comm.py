@@ -179,6 +179,32 @@ class TestDeterminism:
         assert runs[0] == runs[1]
 
 
+class TestProtocolPins:
+    """Two calls' histograms and the final ``default_rng`` state of each
+    public protocol for fixed inputs.  The public path draws R uniforms per
+    live node from the caller's generator, so these integers must not move;
+    a change to them has to be made on purpose and stated."""
+
+    CASES = {
+        "m8_r4_zero_weight": ([1.0, 0.0, 2.0, 3.0, 0.5, 4.0, 1.0, 1.0], 4, [
+            [(2, 1), (3, 1), (5, 2)],
+            [(0, 2), (3, 1), (5, 1)],
+        ], 291953420558629910071102558238947742342),
+        "m1000_r8": ([(i % 7) * 0.5 for i in range(1000)], 8, [
+            [(157, 1), (230, 1), (396, 1), (418, 1), (719, 1), (795, 1), (801, 1), (935, 1)],
+            [(45, 1), (250, 1), (454, 1), (530, 1), (557, 1), (704, 1), (767, 1), (788, 1)],
+        ], 216233172338274055897898946667122084718),
+    }
+
+    @pytest.mark.parametrize("protocol", [comm.pc_sample, comm.optimal_comm_sample])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_histograms_and_generator_state(self, protocol, case):
+        weights, R, want, state = self.CASES[case]
+        rng = np.random.default_rng(2024)
+        assert [protocol(weights, R, comm.CommLedger(), rng).items() for _ in range(2)] == want
+        assert rng.bit_generator.state["state"]["state"] == state
+
+
 class TestServerPrimitives:
     def test_zero_payload_only_rounds(self):
         ledger = comm.CommLedger()

@@ -599,6 +599,22 @@ class TestEstimateWeights:
         assert optim._weight_estimator(p, config, 2, cells)(5, cells)[0, 1] == 0.0
 
 
+    @pytest.mark.parametrize("preset_name", ["linear_synthetic", "logistic_synthetic"])
+    def test_full_policy_reads_rows_in_place_exactly(self, preset_name):
+        # under ``full`` every cell reads problem.aug in place; the weights
+        # equal those of the gathered rows (every row once per cell) exactly
+        spec = harness.ExperimentSpec(preset=preset_name, algorithms=("asd_svrg",), eta_grid=(0.1,), seeds=(1,))
+        p = harness.make_problem(spec, seed=1)
+        rng = np.random.default_rng(8)
+        x, anchor = rng.normal(size=(3, p.param_dim)), rng.normal(size=(3, p.param_dim))
+        cells, workers = np.repeat(np.arange(3), p.m_workers), np.tile(np.arange(p.m_workers), 3)
+        counts = p.sizes[workers]
+        in_place = smp._segment_weights(p, x, anchor, slice(None), cells, workers, counts)
+        gathered = smp._segment_weights(p, x, anchor, np.tile(np.arange(p.n_total), 3), cells, workers, counts)
+        assert np.array_equal(in_place, gathered)
+        assert (in_place > 0.0).all()
+
+
 class TestStreams:
     @settings(max_examples=200, deadline=None)
     @given(

@@ -421,6 +421,23 @@ class TestSampleCategorical:
         rng = np.random.default_rng(1)
         assert all(smp.sample_categorical(dist, rng) == 1 for _ in range(200))
 
+    def test_top_uniform_never_draws_a_trailing_zero_weight(self):
+        # the positive probabilities sum to just below 1, so the largest
+        # uniform below 1 lies past them: the draw falls back to the last
+        # positive entry, not the zero-weight one the forced 1.0 would give
+        rng = np.random.default_rng(0)
+        for _ in range(6):  # the sixth draw of seven weights is such a case
+            weights = rng.random(7)
+        dist = smp.Categorical.from_weights(list(weights) + [0.0])
+        assert np.cumsum(dist.probabilities)[-2] == 1.0 - 2.0**-53
+
+        class TopUniform:
+            def random(self, size=None):
+                return np.nextafter(1.0, 0.0) if size is None else np.full(size, np.nextafter(1.0, 0.0))
+
+        assert smp.sample_categorical(dist, TopUniform()) == 6
+        np.testing.assert_array_equal(smp._inverse_cdf(dist.probabilities, TopUniform().random((2, 3))), 6)
+
     def test_empirical_frequency(self):
         dist = smp.Categorical.from_weights([1.0, 3.0])
         rng = np.random.default_rng(2)

@@ -5,7 +5,8 @@ and one uniform at a time and charge the ledger one message at a time.  Their
 sums are explicit left-to-right loops, the order a leader adding its group's
 weights one by one would use (``sum()`` is compensated on Python >= 3.12 and
 can differ by an ulp).  Both protocols must match them on histogram, ledger
-and final generator state.
+and final generator state, and every cell of a many-cell draw must match
+them on its own uniforms.
 """
 
 from dataclasses import dataclass, field
@@ -231,3 +232,59 @@ class TestSameDraws:
         oc, _ = _run(comm.optimal_comm_sample, weights, R, oc_rng)
         assert [list(h.counts.items()) for h in pc] == [list(h.counts.items()) for h in oc]
         assert pc_rng.bit_generator.state == oc_rng.bit_generator.state
+
+
+def _live_nodes(weights, R):
+    """Whether each tree node's total is positive, in ``comm._tree_draw``'s
+    node order: the groups, then each merge level in receiver order."""
+    w, _, groups = _padded(weights, R)
+    level = [_left_sum(w[g * R : (g + 1) * R]) for g in range(groups)]
+    live = [v > 0.0 for v in level]
+    while len(level) > 1:
+        level = [level[i + 1] + level[i] for i in range(0, len(level), 2)]
+        live += [v > 0.0 for v in level]
+    return np.array(live)
+
+
+@st.composite
+def cell_cases(draw):
+    """C in 1..4 cells of M weights each, every cell with a positive one."""
+    cells = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 40))
+    R = draw(st.integers(1, m))
+    rows = []
+    for _ in range(cells):
+        weights = draw(st.lists(WEIGHT, min_size=m, max_size=m))
+        if not any(v > 0.0 for v in weights):
+            weights[draw(st.integers(0, m - 1))] = draw(st.floats(min_value=1e-300, max_value=1e300))
+        rows.append(weights)
+    return rows, R
+
+
+class TestCellAxis:
+    @settings(max_examples=200, deadline=None)
+    @given(cell_cases(), st.integers(0, 2**32 - 1), st.floats(0.0, 0.5))
+    @example(([[1.0, 0.0, 2.0, 0.0, 3.0], [0.0, 0.0, 0.0, 0.0, 1.0], [4.0, 4.0, 0.0, 1.0, 0.0]], 2), 1, 0.0)
+    @example(([[0.0, 1.0, 1.0, 2.0, 0.0, 0.0, 5.0], [3.0] * 7], 3), 2, 0.3)  # M = 7 not 2**h * R
+    def test_every_cell_matches_the_sequential_tree(self, case, seed, boundary_share):
+        """One draw over C cells gives, for every cell, the histogram the
+        sequential protocols give when a stub generator replays that cell's
+        live-node uniforms from the (C, nodes, R) array."""
+        rows, R = case
+        m = len(rows[0])
+        topo = comm.Topology(m, R)
+        shape = (len(rows), 2 * (topo.padded_workers // R) - 1, R)
+        rng = np.random.default_rng(seed)
+        u = rng.random(shape)
+        edge = rng.random(shape) < boundary_share  # 0 and the largest double below 1
+        u[edge] = rng.choice([0.0, 1.0 - 2.0**-53], size=int(edge.sum()))
+        seen = []
+        draws = comm._tree_draw(np.array(rows), R, topo, lambda live: seen.append(live) or u)
+        assert draws.shape == (len(rows), R)
+        for c, weights in enumerate(rows):
+            live = _live_nodes(weights, R)
+            np.testing.assert_array_equal(seen[0][c], live)
+            for reference in (sequential_pc, sequential_optimal):
+                replay = ScriptedRng(u[c][live].ravel().tolist())
+                assert reference(weights, R, comm.CommLedger(), replay) == _histogram(draws[c].tolist())
+                assert replay.used == len(replay.values)
