@@ -255,9 +255,8 @@ def _vr_loop(problem, configs, x0) -> list:
             live = [c for c in live if c.outcome is None]
             if not live:
                 return [c.outcome for c in cells]
-        u = sampling._uniforms([sampling._key_hash(c.seed + (_CH_ANCHOR,)) for c in live], [k], 1)
-        for c, uc in zip(live, u[:, 0, 0].tolist()):
-            c.anchor = c.iterates[int(uc * len(c.iterates))]
+        for c in live:
+            c.anchor = c.iterates[int(sampling._stream(c.seed + (_CH_ANCHOR, k)).integers(len(c.iterates)))]
 
     for c in live:
         c.outcome = RunTrace(rows=c.rows, final_x=c.anchor, ledger=c.ledger)
@@ -282,16 +281,15 @@ def _svrg_draw(problem, config: OptimizerConfig):
         dist = sampling.Categorical.uniform(problem.m_workers)
     else:
         dist = sampling.Categorical.from_weights(prob.lipschitz_info(problem).per_shard)
+    R = config.group_size
 
     def draw(k, cells):
-        # every cell's picks of the epoch at once: (cell, step, slot)
-        prefixes = [sampling._key_hash(c.seed + (_CH_FIXED_DRAW, k)) for c in cells]
-        u = sampling._uniforms(prefixes, range(1, config.inner_iters + 1), config.group_size)
-        draws, row = sampling._inverse_cdf(dist.probabilities, u), {c: i for i, c in enumerate(cells)}
+        rngs = {c: sampling._stream(c.seed + (_CH_FIXED_DRAW, k)) for c in cells}
 
         def step(t, live):
+            u = np.array([rngs[c].random(R) for c in live])
             out = []
-            for c, picks in zip(live, _picks(draws[[row[c] for c in live], t - 1])):
+            for c, picks in zip(live, _picks(sampling._inverse_cdf(dist.probabilities, u))):
                 comm.server_broadcast(c.ledger, problem.param_dim, len(picks))  # x_{t-1} to sampled workers
                 out.append((picks, dist.probabilities))
             return out
@@ -366,7 +364,6 @@ def _asd_draw(problem, config: OptimizerConfig):
 
     def draw(k, cells):
         estimate = _weight_estimator(problem, config, k, cells)
-        prefix = {c: sampling._key_hash(c.seed + (_CH_PC, k)) for c in cells}
 
         def step(t, live):
             for c in live:
@@ -377,8 +374,12 @@ def _asd_draw(problem, config: OptimizerConfig):
             flat = totals <= 0.0
             weights[flat], totals[flat] = 1.0, M  # degenerate estimates: uniform fallback
 
-            def uniforms(nodes):  # every node has its own counters; a dead node ignores them
-                return sampling._uniforms([prefix[c] for c in live], [t], nodes.shape[1] * R).reshape(nodes.shape + (R,))
+            def uniforms(nodes):
+                u = np.zeros(nodes.shape + (R,))
+                for i, c in enumerate(live):
+                    n_live = np.count_nonzero(nodes[i])
+                    u[i, nodes[i]] = sampling._stream(c.seed + (_CH_PC, k, t)).random(R * n_live).reshape(-1, R)
+                return u
 
             draws = comm.pc_sample_cells(weights, R, [c.ledger for c in live], uniforms)
             out = []
@@ -432,8 +433,9 @@ def run_sgd(problem, config: OptimizerConfig, x0=None) -> RunTrace:
     cell = _Cell(problem, config, x, prob.full_loss(problem, x))
 
     for k in range(1, config.epochs + 1):
-        u = sampling._uniforms([sampling._key_hash(cell.seed + (_CH_SGD, k))], range(1, config.inner_iters + 1), 1)
-        for t, m in enumerate((u[0, :, 0] * M).astype(int).tolist(), 1):
+        rng = sampling._stream(cell.seed + (_CH_SGD, k))
+        for t in range(1, config.inner_iters + 1):
+            m = int(rng.integers(M))
             grad = prob.shard_gradient(problem, m, x) + config.l2_for_sgd * x
             x = x - config.eta * grad
             comm.server_broadcast(cell.ledger, p, 1)  # x_{t-1} to the drawn worker

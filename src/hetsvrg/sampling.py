@@ -259,8 +259,8 @@ _ROUNDS_AHEAD = 4  # redraw rounds hashed per pass over the slots
 
 
 def _key_words(key) -> list[int]:
-    """The uint32 words of a tuple of nonnegative ints: each int's
-    little-endian 32-bit words, at least one per int."""
+    """The uint32 words ``SeedSequence`` makes of a tuple of nonnegative ints:
+    each int's little-endian 32-bit words, at least one per int."""
     words = []
     for v in key:
         words.append(v & _MASK32)
@@ -269,6 +269,13 @@ def _key_words(key) -> list[int]:
             words.append(v & _MASK32)
             v >>= 32
     return words
+
+
+def _stream(key) -> np.random.Generator:
+    """The generator of ``SeedSequence(key)``: the same state, without
+    SeedSequence's slower per-int coercion of the key."""
+    words = np.array(_key_words(key), dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
 def _mix64(z):
@@ -286,21 +293,6 @@ def _key_hash(key, h: int = 0) -> int:
     for w in _key_words(key):
         h = _mix64(((h + _GOLDEN) & _MASK64) ^ w)
     return h
-
-
-def _uniforms(prefixes, counters, n: int) -> np.ndarray:
-    """(C, S, n) counter uniforms in [0, 1) (Salmon et al., SC'11): entry
-    (c, s, j) is u(key, j) for the key that extends prefix c with
-    ``counters[s]``, the top 53 bits of output j of the SplitMix64 stream
-    seeded by the key's ``_key_hash``, times 2**-53.  ``prefixes`` are the
-    ``_key_hash``es of the C key prefixes; each counter is below 2**32, one
-    key word, so folding it on here gives the hash of the whole key.  Every
-    entry is a pure function of (key, j): none depends on what else is
-    drawn in the same call."""
-    h = _mix64((np.asarray(prefixes, dtype=np.uint64)[:, None] + np.uint64(_GOLDEN))
-               ^ np.asarray(counters, dtype=np.uint64))
-    z = _mix64(h[:, :, None] + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN))
-    return (z >> np.uint64(11)) * 2.0**-53
 
 
 def _draw_subsamples(hashes, shard_sizes, sizes) -> np.ndarray:

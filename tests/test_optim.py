@@ -462,24 +462,6 @@ class TestRunGrid:
             assert n_draws[0] == steps > n_draws[1] > n_draws[2], n_draws
 
 
-class TestNoGenerators:
-    def test_no_generator_is_constructed_by_the_loops(self, monkeypatch):
-        """Every channel is a counter hash: neither the variance-reduced grid
-        (uniform and adaptive) nor SGD builds a numpy generator or seed
-        sequence, so no per-step construction cost can creep back."""
-        p = prob.generate_heterogeneous(prob.LINEAR, 4, 120, 3, 2.0, seed=2)
-        made = []
-        for name in ("SeedSequence", "Generator", "default_rng"):
-            real = getattr(np.random, name)
-            monkeypatch.setattr(np.random, name, lambda *a, _r=real, _n=name, **kw: made.append(_n) or _r(*a, **kw))
-        base = optim.OptimizerConfig(eta=0.01, epochs=2, inner_iters=5, group_size=2, seed=(1, 2))
-        for mode in ("uniform", "adaptive"):
-            configs = [replace(base, eta=eta, seed=(1, i), distribution_mode=mode) for i, eta in enumerate((0.01, 0.1))]
-            assert len(optim.run_grid(p, configs)) == 2
-        optim.run_sgd(p, base)
-        assert made == []
-
-
 class TestReproducibility:
     @pytest.mark.parametrize("runner,mode", [
         (optim.run_svrg, "uniform"),
@@ -636,51 +618,39 @@ class TestEstimateWeights:
 class TestStreams:
     @settings(max_examples=200, deadline=None)
     @given(
-        prefix=st.lists(st.integers(0, 2**96), min_size=1, max_size=4),
-        counters=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
-        n=st.integers(1, 5),
+        seed=st.lists(st.integers(0, 2**96), min_size=1, max_size=3),
+        tags=st.lists(st.integers(0, 2**40), max_size=4),
     )
-    def test_uniforms_are_splitmix64_outputs_of_the_whole_key(self, prefix, counters, n):
-        # entry (s, j) is output j of the SplitMix64 stream seeded by the
-        # hash of prefix + (counters[s],), in plain Python integers
-        got = smp._uniforms([smp._key_hash(tuple(prefix))], counters, n)
-        assert got.shape == (1, len(counters), n)
-        for s, counter in enumerate(counters):
-            h = smp._key_hash(tuple(prefix) + (counter,))
-            want = [(smp._mix64((h + (j + 1) * smp._GOLDEN) & smp._MASK64) >> 11) * 2.0**-53 for j in range(n)]
-            assert got[0, s].tolist() == want
+    def test_stream_matches_seed_sequence_of_key(self, seed, tags):
+        key = tuple(seed) + tuple(tags)
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+        assert smp._stream(key).bit_generator.state == ref.bit_generator.state
 
 
 class TestStreamPins:
     """The exact integers every random channel gives for one fixed cell key.
 
     A change to any channel's stream fails here, so it has to be made on
-    purpose and stated.  Every channel is a counter hash: the anchor, SGD,
-    fixed-draw and tree-protocol channels read ``sampling._uniforms`` of
-    their keys (the protocol one uniform row per tree node), and the
-    weights channel is the subsample drawer.
+    purpose and stated.  The anchor, SGD, fixed-draw and tree-protocol
+    channels read ``SeedSequence`` generators; the weights channel is the
+    counter-hash drawer.
     """
 
     SEED = harness._cell_seed(7, "asd_svrg", 0.125)
 
     def test_anchor_sgd_and_fixed_draw_channels(self):
-        u = smp._uniforms([smp._key_hash(self.SEED + (optim._CH_ANCHOR,))], [2], 1)
-        assert int(u[0, 0, 0] * 100) == 29
-        u = smp._uniforms([smp._key_hash(self.SEED + (optim._CH_SGD, 2))], range(1, 7), 1)
-        assert (u[0, :, 0] * 8).astype(int).tolist() == [7, 3, 3, 1, 2, 6]
-        u = smp._uniforms([smp._key_hash(self.SEED + (optim._CH_FIXED_DRAW, 2))], [1, 2, 3], 2)
+        assert int(smp._stream(self.SEED + (optim._CH_ANCHOR, 2)).integers(100)) == 62
+        rng = smp._stream(self.SEED + (optim._CH_SGD, 2))
+        assert [int(rng.integers(8)) for _ in range(6)] == [5, 3, 6, 0, 5, 1]
+        rng = smp._stream(self.SEED + (optim._CH_FIXED_DRAW, 2))
         dist = smp.Categorical.from_weights([1.0, 2.0, 3.0, 4.0])
-        assert smp._inverse_cdf(dist.probabilities, u).tolist() == [[[3, 1], [2, 1], [3, 0]]]
+        assert [smp.sample_categorical(dist, rng) for _ in range(6)] == [3, 3, 0, 1, 2, 2]
 
     def test_tree_protocol_channel(self):
         weights = [1.0, 0.0, 2.0, 3.0, 0.5, 4.0, 1.0, 1.0]
-        prefix = smp._key_hash(self.SEED + (optim._CH_PC, 2))
-
-        def uniforms(live):
-            return smp._uniforms([prefix], [3], live.shape[1] * 4).reshape(live.shape + (4,))
-
-        draws = comm.pc_sample_cells([weights], 4, [comm.CommLedger()], uniforms)
-        assert draws.tolist() == [[5, 3, 2, 0]]
+        rng = smp._stream(self.SEED + (optim._CH_PC, 2, 3))
+        hist = comm.pc_sample(weights, 4, comm.CommLedger(), rng)
+        assert hist.items() == [(2, 1), (3, 1), (5, 1), (7, 1)]
 
     def test_weights_channel(self):
         # a direct draw (16 of 50), a complement draw (16 of 30), a whole
