@@ -14,6 +14,9 @@ Both make the draws of the tree run one node and one uniform at a time, so
 from the same generator state they return the same histogram and differ only
 in the messages and rounds they charge.  Weights must be 1-D, finite and
 nonnegative, with a positive, finite total; otherwise ``ValueError``.
+``pc_sample_cells`` runs ``pc_sample`` for C cells (a (C, M) weight array,
+one generator and ledger per cell) in one array pass over all their trees;
+each cell's draws are those of its own call.
 
 Scalars are counted per the message contents: an (index, weight) pair costs
 2, an (R indices, weight) tuple costs R + 1.  Worker counts that are not a
@@ -71,13 +74,13 @@ class Topology:
                 f"need m_workers >= group_size >= 1, got M={self.m_workers}, R={self.group_size}"
             )
 
-    @property
+    @functools.cached_property
     def levels(self) -> int:
         """Merge rounds: log2 of the padded group count."""
         groups = -(-self.m_workers // self.group_size)
         return (groups - 1).bit_length()
 
-    @property
+    @functools.cached_property
     def padded_workers(self) -> int:
         return (1 << self.levels) * self.group_size
 
@@ -93,6 +96,9 @@ class SampleHistogram:
     def items(self) -> list[tuple[int, int]]:
         """(worker, multiplicity) pairs in ascending worker order."""
         return sorted(self.counts.items())
+
+
+_topology = functools.lru_cache(maxsize=64)(Topology)
 
 
 def _checked_weights(weights, ndim: int = 1) -> np.ndarray:
@@ -116,91 +122,107 @@ def _group_column(groups: int) -> np.ndarray:
     return rows[:, None]
 
 
-def _tree_draw(w: np.ndarray, R: int, topo: Topology, uniforms) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _level_order(cells: int, groups: int) -> np.ndarray:
+    """For every node of ``_tree_draw``'s level-major order (each level's
+    nodes, cell by cell), its index in the (cell, node) order, where each
+    cell's 2 * groups - 1 nodes run from its leaves to its root."""
+    nodes, parts, start, n = 2 * groups - 1, [], 0, groups
+    while n:
+        parts.append((nodes * _group_column(cells) + np.arange(start, start + n)).ravel())
+        start, n = start + n, n // 2
+    order = np.concatenate(parts)
+    order.flags.writeable = False
+    return order
+
+
+def _tree_draw(w: np.ndarray, R: int, topo: Topology, rngs) -> np.ndarray:
     """The R candidates that reach the root of the sampling tree of each of
     C cells, as a (C, R) array, in O(log G) array operations over the G
     groups of all cells at once.  ``w`` is (C, M).
 
-    The tree has 2G - 1 nodes: the G leaves (groups) and then each merge
-    level in receiver order.  ``uniforms(live)`` maps the (C, 2G - 1) mask
-    of nodes with a positive total to the (C, 2G - 1, R) uniforms they
-    spend; a dead node's row is never read.  The draws are those of the
-    tree run one node at a time: each group with a positive total spends its
-    R uniforms on inverse-CDF leaf draws, then each merge with a positive
-    total its R coin flips, keeping the sender's candidate where
-    ``u < sender_total / total``.  Each cell's sums and draws are its own.
+    A cell's tree has 2G - 1 nodes: its G groups, then each merge level in
+    receiver order.  Cell c's live nodes (those with a positive total) read
+    R uniforms each, in that order, from one ``rngs[c].random`` call, and
+    its draws are those of its tree run one node at a time: each live group
+    spends its R uniforms on inverse-CDF leaf draws, then each live merge
+    its R coin flips, keeping the sender's candidate where ``u <
+    sender_total / total``.  The nodes are kept level by level, cell by cell
+    within a level, so every sum and draw stays within one cell.
     """
     cells = w.shape[0]
     padded_workers = topo.padded_workers
-    groups = padded_workers // R
+    rows = cells * (padded_workers // R)  # (cell, group) rows
     padded = w
     if w.shape[1] < padded_workers:
         padded = np.zeros((cells, padded_workers))
         padded[:, : w.shape[1]] = w
-    padded = padded.reshape(cells * groups, R)  # (cell, group) is one row axis
+    padded = padded.reshape(rows, R)
     cum = padded.cumsum(axis=1) if R > 1 else padded  # left to right, as a leader adds
 
-    # node totals, leaves first and then each merge level; blocks have even
-    # length, so the pairs (2i, 2i + 1) are always (sender, receiver) and node
-    # groups + i is their merge.  An overflow reaches the root and is raised.
-    totals = np.empty((cells, 2 * groups - 1))
-    totals[:, :groups] = cum[:, -1].reshape(cells, groups)
-    lo, n = 0, groups
-    while n > 1:
-        np.add(totals[:, lo + 1 : lo + n : 2], totals[:, lo : lo + n : 2], out=totals[:, lo + n : lo + n + n // 2])
+    # node totals, groups first and then each merge level; below the roots
+    # every level has an even number of nodes per cell, so the pairs
+    # (2i, 2i + 1) are always (sender, receiver) of one cell and node rows + i
+    # is their merge.  An overflow reaches a root and is raised.
+    totals = np.empty(2 * rows - cells)
+    totals[:rows] = cum[:, -1]
+    lo, n = 0, rows
+    while n > cells:
+        np.add(totals[lo + 1 : lo + n : 2], totals[lo : lo + n : 2], out=totals[lo + n : lo + n + n // 2])
         lo, n = lo + n, n // 2
-    root = totals[:, -1]
-    if not np.isfinite(root).all():
+    roots = totals[-cells:].tolist()  # in [0, inf]: the weights are nonnegative, so no NaN
+    if max(roots) == math.inf:
         raise ValueError("weights must be finite and have a finite total")
-    if not (root > 0.0).all():
+    if not min(roots) > 0.0:
         raise ValueError("at least one weight must be positive")
-    # totals are sums of nonnegative weights and the roots are finite, so a
-    # nonzero total is a live node
-    u = uniforms(totals > 0.0)
+    if cells == 1:
+        u = _rng_uniforms(rngs[0], totals, R)
+    else:  # to and from the (cell, node) order
+        order = _level_order(cells, padded_workers // R)
+        by_cell = np.empty_like(totals)
+        by_cell[order] = totals
+        u = np.concatenate([_rng_uniforms(rng, t, R) for rng, t in zip(rngs, by_cell.reshape(cells, -1))])[order]
 
     # leaf stage: the count of cum <= u in a group is its first entry whose
     # cum exceeds u, always a positive one; u == total falls back to the
     # group's last positive entry.  Complex keys sort by (row, value), so
     # one searchsorted answers every group of every cell at once with no
     # arithmetic on cum.
-    rows = _group_column(cells * groups)
+    row = _group_column(rows)
     if R == 1:
-        cand = rows  # a one-worker group always draws its worker
+        cand = row  # a one-worker group always draws its worker
     else:
-        keys = np.empty((cells * groups, R), dtype=complex)
-        keys.real, keys.imag = rows, cum
+        keys = np.empty((rows, R), dtype=complex)
+        keys.real, keys.imag = row, cum
         queries = np.empty_like(keys)
-        queries.real, queries.imag = rows, u[:, :groups].reshape(-1, R) * totals[:, :groups].reshape(-1, 1)
-        first = np.searchsorted(keys.ravel(), queries.ravel(), side="right").reshape(-1, R)
-        last = R * rows + (R - 1) - (padded[:, ::-1] > 0.0).argmax(axis=1)[:, None]
+        queries.real, queries.imag = row, u[:rows] * totals[:rows, None]
+        first = np.searchsorted(keys.ravel(), queries.ravel(), side="right").reshape(rows, R)
+        last = R * row + (R - 1) - (padded[:, ::-1] > 0.0).argmax(axis=1)[:, None]
         cand = np.minimum(first, last)
-    cand = cand.reshape(cells, groups, R)
 
     # a dead merge has sender total 0 and so threshold 0: it never takes the
     # sender.  5e-324 is the smallest positive double, so flooring with it
     # leaves every live total as it is and only keeps 0 / 0 away.
-    take_sender = u[:, groups:] < (totals[:, :-1:2] / np.maximum(totals[:, groups:], 5e-324))[:, :, None]
-    lo, n = 0, groups // 2
-    while n:
-        cand = np.where(take_sender[:, lo : lo + n], cand[:, 0::2], cand[:, 1::2])
+    take_sender = u[rows:] < (totals[:-cells:2] / np.maximum(totals[rows:], 5e-324))[:, None]
+    lo, n = 0, rows // 2
+    while n >= cells:
+        cand = np.where(take_sender[lo : lo + n], cand[0::2], cand[1::2])
         lo, n = lo + n, n // 2
-    # candidates are indices into the cells' stacked padded rows
-    return cand[:, 0] - padded_workers * _group_column(cells) if cells > 1 else cand[:, 0]
+    # candidates index the cells' stacked padded rows
+    return cand - padded_workers * _group_column(cells) if cells > 1 else cand
 
 
-def _rng_uniforms(rng, R: int):
-    """``uniforms`` for ``_tree_draw`` from one generator: R draws per live
-    node, in node order, from one ``rng.random`` call."""
-
-    def uniforms(live):
-        n_live = np.count_nonzero(live)
-        if n_live == live.size:
-            return rng.random(R * n_live).reshape(live.shape + (R,))
-        u = np.zeros(live.shape + (R,))
-        u[live] = rng.random(R * n_live).reshape(-1, R)
-        return u
-
-    return uniforms
+def _rng_uniforms(rng, totals: np.ndarray, R: int) -> np.ndarray:
+    """The (nodes, R) uniforms of one tree's nodes with 1-D ``totals``: R
+    per live node, in node order, from one ``rng.random(R * live nodes)``
+    call, and 0 for a dead node.  Totals are sums of nonnegative weights
+    with finite roots, so a nonzero total is a live node."""
+    n_live = np.count_nonzero(totals)
+    if n_live == totals.size:
+        return rng.random(R * n_live).reshape(-1, R)
+    u = np.zeros((totals.size, R))
+    u[totals > 0.0] = rng.random(R * n_live).reshape(-1, R)
+    return u
 
 
 def _senders(levels: int):
@@ -240,7 +262,7 @@ def _sample(weights, R: int, ledger: CommLedger, rng, schedule) -> SampleHistogr
     w = _checked_weights(weights)
     if R < 1:
         raise ValueError("R must be at least 1")
-    indices = _tree_draw(w[None], R, Topology(w.size, R), _rng_uniforms(rng, R))[0].tolist()
+    indices = _tree_draw(w[None], R, _topology(w.size, R), (rng,))[0].tolist()
     _charge(ledger, schedule, w.size, R)
     counts: dict[int, int] = {}
     for i in indices:
@@ -267,15 +289,15 @@ def optimal_comm_sample(weights, R: int, ledger: CommLedger, rng) -> SampleHisto
     return _sample(weights, R, ledger, rng, _optimal_schedule)
 
 
-def pc_sample_cells(weights, R: int, ledgers, uniforms) -> np.ndarray:
-    """``pc_sample`` for C cells at once: ``weights`` is (C, M), cell c's
-    call is charged to ``ledgers[c]``, and ``uniforms`` gives every node's
-    uniforms as ``_tree_draw`` asks for them.  Returns the (C, R) drawn
-    workers, each row in slot order."""
+def pc_sample_cells(weights, R: int, ledgers, rngs) -> np.ndarray:
+    """``pc_sample`` for C cells in one tree draw: ``weights`` is (C, M),
+    and cell c's call is charged to ``ledgers[c]`` and reads ``rngs[c]`` as
+    its own ``pc_sample`` call would, so it draws the same workers.  Returns
+    the (C, R) drawn workers, each row in slot order."""
     w = _checked_weights(weights, ndim=2)
     if R < 1:
         raise ValueError("R must be at least 1")
-    draws = _tree_draw(w, R, Topology(w.shape[1], R), uniforms)
+    draws = _tree_draw(w, R, _topology(w.shape[1], R), rngs)
     for ledger in ledgers:
         _charge(ledger, _pc_schedule, w.shape[1], R)
     return draws

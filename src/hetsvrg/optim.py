@@ -13,15 +13,20 @@ the tree protocol.  ``run_sgd`` is the plain baseline with optional L2.
 same, with one cell for a solo run, and only the per-call glue is batched
 over cells: the divergence guard's initial loss and the first epoch's
 anchor gradients (every cell starts at x0), the weight estimates of each
-step, and the subsample draws, which cover a block of steps per call under
-every policy but ``lemma1``.  ASD's first step of an epoch starts at the
-anchor, where every estimate is 0, so it samples uniformly without estimating.
+step, the subsample draws, which cover a block of steps per call under
+every policy but ``lemma1``, ASD's tree protocol, which draws every live
+cell in one ``comm.pc_sample_cells`` call per step, and the fixed-draw
+picks, drawn for every cell and step of an epoch at once.  ASD's first
+step of an epoch starts at the anchor, where every estimate is 0, so it
+samples uniformly without estimating.
 
 Every random decision is keyed by (seed, channel, epoch, step, worker), so
 runs are bit-reproducible and neither other workers nor other cells can
 change them.  The anchor, SGD, fixed-draw and tree-protocol channels read
-``Generator``s seeded by ``SeedSequence`` of the key (``sampling._stream``);
-the weights channel is a counter hash (``sampling._draw_subsamples``).
+``Generator``s seeded by ``SeedSequence`` of the key (``sampling._stream``),
+one per key: a batched draw reads each cell's generator exactly as one call
+per step would.  The weights channel is a counter hash
+(``sampling._draw_subsamples``).
 
 The divergence guard and the recorded losses call ``problem.full_loss`` and
 ``problem.test_metrics`` (O(p**2) per step from cached quadratic forms for
@@ -281,15 +286,17 @@ def _svrg_draw(problem, config: OptimizerConfig):
         dist = sampling.Categorical.uniform(problem.m_workers)
     else:
         dist = sampling.Categorical.from_weights(prob.lipschitz_info(problem).per_shard)
-    R = config.group_size
+    shape = (config.inner_iters, config.group_size)
 
     def draw(k, cells):
-        rngs = {c: sampling._stream(c.seed + (_CH_FIXED_DRAW, k)) for c in cells}
+        # every cell's picks of the epoch at once, (cell, step, slot): each
+        # cell's stream gives its steps' uniforms in order, as one call a step would
+        u = np.array([sampling._stream(c.seed + (_CH_FIXED_DRAW, k)).random(shape) for c in cells])
+        draws, row = sampling._inverse_cdf(dist.probabilities, u), {c: i for i, c in enumerate(cells)}
 
         def step(t, live):
-            u = np.array([rngs[c].random(R) for c in live])
             out = []
-            for c, picks in zip(live, _picks(sampling._inverse_cdf(dist.probabilities, u))):
+            for c, picks in zip(live, _picks(draws[[row[c] for c in live], t - 1])):
                 comm.server_broadcast(c.ledger, problem.param_dim, len(picks))  # x_{t-1} to sampled workers
                 out.append((picks, dist.probabilities))
             return out
@@ -373,15 +380,8 @@ def _asd_draw(problem, config: OptimizerConfig):
             totals = np.cumsum(weights, axis=1)[:, -1]  # each cell's left-to-right sum
             flat = totals <= 0.0
             weights[flat], totals[flat] = 1.0, M  # degenerate estimates: uniform fallback
-
-            def uniforms(nodes):
-                u = np.zeros(nodes.shape + (R,))
-                for i, c in enumerate(live):
-                    n_live = np.count_nonzero(nodes[i])
-                    u[i, nodes[i]] = sampling._stream(c.seed + (_CH_PC, k, t)).random(R * n_live).reshape(-1, R)
-                return u
-
-            draws = comm.pc_sample_cells(weights, R, [c.ledger for c in live], uniforms)
+            rngs = [sampling._stream(c.seed + (_CH_PC, k, t)) for c in live]
+            draws = comm.pc_sample_cells(weights, R, [c.ledger for c in live], rngs)
             out = []
             for c, picks, probs in zip(live, _picks(draws), weights / totals[:, None]):
                 comm.server_gather(c.ledger, R, 1)  # histogram to the server
@@ -433,9 +433,9 @@ def run_sgd(problem, config: OptimizerConfig, x0=None) -> RunTrace:
     cell = _Cell(problem, config, x, prob.full_loss(problem, x))
 
     for k in range(1, config.epochs + 1):
-        rng = sampling._stream(cell.seed + (_CH_SGD, k))
-        for t in range(1, config.inner_iters + 1):
-            m = int(rng.integers(M))
+        # the epoch's workers at once: the same draws as one call a step
+        workers = sampling._stream(cell.seed + (_CH_SGD, k)).integers(M, size=config.inner_iters).tolist()
+        for t, m in enumerate(workers, 1):
             grad = prob.shard_gradient(problem, m, x) + config.l2_for_sgd * x
             x = x - config.eta * grad
             comm.server_broadcast(cell.ledger, p, 1)  # x_{t-1} to the drawn worker

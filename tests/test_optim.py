@@ -462,6 +462,38 @@ class TestRunGrid:
             assert n_draws[0] == steps > n_draws[1] > n_draws[2], n_draws
 
 
+class TestGeneratorSchedule:
+    def test_generators_built_per_key_not_per_draw(self, monkeypatch):
+        """The loops build one numpy generator per stream key and none per
+        draw: ASD one per live (cell, step) for the protocol and one per
+        (cell, epoch) for the anchor, uniform SVRG one per (cell, epoch) for
+        the fixed draws and one for the anchor, SGD one per epoch.  So no
+        per-slot or per-call construction cost can creep back."""
+        p = prob.generate_heterogeneous(prob.LINEAR, 4, 120, 3, 2.0, seed=2)
+        made = {"SeedSequence": 0, "Generator": 0, "default_rng": 0}
+        for name in made:
+            real = getattr(np.random, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                made[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.random, name, spy)
+        epochs, inner, cells = 2, 5, 3
+        base = optim.OptimizerConfig(eta=0.01, epochs=epochs, inner_iters=inner, group_size=2)
+        for mode, per_cell in (("adaptive", epochs * inner + epochs), ("uniform", 2 * epochs)):
+            for name in made:
+                made[name] = 0
+            grid = optim.run_grid(p, [replace(base, eta=0.01 * (i + 1), seed=(1, i), distribution_mode=mode)
+                                      for i in range(cells)])
+            assert not any(diverged for _, diverged in grid)
+            assert made == {"SeedSequence": cells * per_cell, "Generator": cells * per_cell, "default_rng": 0}
+        for name in made:
+            made[name] = 0
+        optim.run_sgd(p, base)
+        assert made == {"SeedSequence": epochs, "Generator": epochs, "default_rng": 0}
+
+
 class TestReproducibility:
     @pytest.mark.parametrize("runner,mode", [
         (optim.run_svrg, "uniform"),
@@ -597,7 +629,6 @@ class TestEstimateWeights:
                 np.testing.assert_allclose(got[c], ref, rtol=1e-12, atol=0.0)
         assert got[1, 1] > 0.0
         assert optim._weight_estimator(p, config, 2, cells)(5, cells)[0, 1] == 0.0
-
 
     @pytest.mark.parametrize("preset_name", ["linear_synthetic", "logistic_synthetic"])
     def test_full_policy_reads_rows_in_place_exactly(self, preset_name):

@@ -269,7 +269,8 @@ class TestCellAxis:
     def test_every_cell_matches_the_sequential_tree(self, case, seed, boundary_share):
         """One draw over C cells gives, for every cell, the histogram the
         sequential protocols give when a stub generator replays that cell's
-        live-node uniforms from the (C, nodes, R) array."""
+        live-node uniforms from a (C, nodes, R) array, and it reads exactly
+        those uniforms."""
         rows, R = case
         m = len(rows[0])
         topo = comm.Topology(m, R)
@@ -278,13 +279,13 @@ class TestCellAxis:
         u = rng.random(shape)
         edge = rng.random(shape) < boundary_share  # 0 and the largest double below 1
         u[edge] = rng.choice([0.0, 1.0 - 2.0**-53], size=int(edge.sum()))
-        seen = []
-        draws = comm._tree_draw(np.array(rows), R, topo, lambda live: seen.append(live) or u)
+        live = [_live_nodes(weights, R) for weights in rows]
+        replays = [ScriptedRng(u[c][live[c]].ravel().tolist()) for c in range(len(rows))]
+        draws = comm._tree_draw(np.array(rows), R, topo, replays)
         assert draws.shape == (len(rows), R)
         for c, weights in enumerate(rows):
-            live = _live_nodes(weights, R)
-            np.testing.assert_array_equal(seen[0][c], live)
+            assert replays[c].used == len(replays[c].values)
             for reference in (sequential_pc, sequential_optimal):
-                replay = ScriptedRng(u[c][live].ravel().tolist())
+                replay = ScriptedRng(replays[c].values)
                 assert reference(weights, R, comm.CommLedger(), replay) == _histogram(draws[c].tolist())
                 assert replay.used == len(replay.values)
