@@ -15,10 +15,10 @@ over cells: the divergence guard's initial loss and the first epoch's
 anchor gradients (every cell starts at x0), the weight estimates of each
 step, the subsample draws, which cover a block of steps per call under
 every policy but ``lemma1``, ASD's tree protocol, which draws every live
-cell in one ``comm.pc_sample_cells`` call per step, and the fixed-draw
-picks, drawn for every cell and step of an epoch at once.  ASD's first
-step of an epoch starts at the anchor, where every estimate is 0, so it
-samples uniformly without estimating.
+cell in one ``comm.pc_sample_cells`` call per step, the fixed-draw picks,
+drawn for every cell and step of an epoch at once, and each step's guard
+and evaluation (``_observe``).  ASD's first step of an epoch starts at the
+anchor, where every estimate is 0, so it samples uniformly without estimating.
 
 Every random decision is keyed by (seed, channel, epoch, step, worker), so
 runs are bit-reproducible and neither other workers nor other cells can
@@ -28,17 +28,18 @@ one per key: a batched draw reads each cell's generator exactly as one call
 per step would.  The weights channel is a counter hash
 (``sampling._draw_subsamples``).
 
-The divergence guard and the recorded losses call ``problem.full_loss`` and
-``problem.test_metrics`` (O(p**2) per step from cached quadratic forms for
-linear regression, one pass over the rows for logistic).  They agree with a
-row-by-row evaluation to rounding (about 1e-13 relative on the presets) and
-are only recorded, never fed back into a step.
+The guard and the recorded losses come from the batched forms of
+``problem.full_loss`` and ``problem.test_metrics`` (O(p**2) per cell from
+cached quadratic forms for linear regression, one mat-vec per cell for
+logistic).  They agree with a row-by-row evaluation to rounding (about 1e-13
+relative on the presets) and are only recorded, never fed back into a step.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -168,12 +169,11 @@ class RunTrace:
 
 class _Cell:
     """One run's state: its seed, ledger, iterate and epoch anchor, its trace
-    rows (at the evaluation cadence) and divergence guard (checked every
-    step), and its outcome once it has one.  ``initial`` is the train loss
-    at ``x0``, which the guard scales."""
+    rows and the limit of its divergence guard (both kept by ``_observe``),
+    and its outcome once it has one.  ``initial`` is the train loss at
+    ``x0``, which the guard scales."""
 
-    def __init__(self, problem, config, x0, initial: float):
-        self.problem = problem
+    def __init__(self, config, x0, initial: float):
         self.config = config
         self.seed = _seed_tuple(config.seed)
         self.ledger = comm.CommLedger()
@@ -182,17 +182,23 @@ class _Cell:
         self.anchor = self.x = x0
         self.outcome: RunTrace | Diverged | None = None
 
-    def observe(self, k: int, t: int, x: np.ndarray) -> None:
-        train = prob.full_loss(self.problem, x)
-        if not np.isfinite(train) or train > self.limit:
-            raise Diverged(
-                f"train loss {train} exceeded the guard at epoch {k}, step {t}",
-                trace=RunTrace(rows=self.rows, final_x=np.array(x), ledger=self.ledger),
-            )
-        if t % self.config.eval_every == 0:
-            test_loss, test_acc = prob.test_metrics(self.problem, x)
-            ww, ws, sw, rounds = self.ledger.snapshot()
-            self.rows.append(TraceRow(k, t, train, test_loss, test_acc, ww, ws, sw, rounds))
+
+def _observe(problem, k: int, t: int, cells) -> None:
+    """Guard and record step (k, t) of the live ``cells`` in one batched
+    evaluation: a cell whose train loss is not finite or exceeds its limit
+    gets a ``Diverged`` outcome with its partial trace, and every
+    ``eval_every`` steps the others append a ``TraceRow``."""
+    kept = []
+    for c, train in zip(cells, prob._batch_full_loss(problem, [c.x for c in cells])):
+        if math.isfinite(train) and train <= c.limit:
+            kept.append((c, train))
+        else:
+            trace = RunTrace(rows=c.rows, final_x=np.array(c.x), ledger=c.ledger)
+            c.outcome = Diverged(f"train loss {train} exceeded the guard at epoch {k}, step {t}", trace=trace)
+    if kept and t % cells[0].config.eval_every == 0:
+        losses, accs = prob._batch_test_metrics(problem, [c.x for c, _ in kept])
+        for (c, train), test_loss, test_acc in zip(kept, losses, accs):
+            c.rows.append(TraceRow(k, t, train, test_loss, test_acc, *c.ledger.snapshot()))
 
 
 def _direction(problem, x, anchor_grads, g_anchor, picks, probs, R: int) -> np.ndarray:
@@ -231,7 +237,7 @@ def _vr_loop(problem, configs, x0) -> list:
     draw = (_asd_draw if first.distribution_mode == "adaptive" else _svrg_draw)(problem, first)
     x0 = _initial_x(problem, x0)
     initial = prob.full_loss(problem, x0)  # every cell starts at x0
-    cells = live = [_Cell(problem, config, x0, initial) for config in configs]
+    cells = live = [_Cell(config, x0, initial) for config in configs]
 
     for k in range(1, first.epochs + 1):
         at_anchor = {}  # cells whose anchor is one array (every cell's x0 at first) share its gradients
@@ -253,10 +259,7 @@ def _vr_loop(problem, configs, x0) -> list:
                 comm.server_gather(c.ledger, p, len(picks))  # payloads back
                 if t < T:
                     c.iterates.append(c.x)
-                try:
-                    c.observe(k, t, c.x)
-                except Diverged as exc:
-                    c.outcome = exc.with_traceback(None)  # its frames would hold every cell
+            _observe(problem, k, t, live)
             live = [c for c in live if c.outcome is None]
             if not live:
                 return [c.outcome for c in cells]
@@ -328,12 +331,12 @@ def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
     live cells at their points against their anchors.  Cell c's subsamples
     are keyed by (c.seed, weights channel, k, t), so none depends on another
     worker's or cell's, and sized by ``sampling.subsample_sizes`` (``full``
-    draws every row of each shard); it answers any t, though the loop asks
-    from t = 2 on.  The subsamples of the steps ahead come from one draw of
-    at most ``_BLOCK_SLOTS`` slots (or of one step, if a step needs more),
-    for the cells live when it is drawn, and are drawn again once a cell
-    drops out; ``lemma1`` sizes depend on the cells' points, so its blocks
-    are one step long."""
+    reads every row of each shard in place and draws nothing); it answers
+    any t, though the loop asks from t = 2 on.  The subsamples of the steps
+    ahead come from one draw of at most ``_BLOCK_SLOTS`` slots (or of one
+    step, if a step needs more), for the cells live when it is drawn, and
+    are drawn again once a cell drops out; ``lemma1`` sizes depend on the
+    cells' points, so its blocks are one step long."""
     est = config.estimation
     prefix = {c: sampling._key_hash(c.seed + (_CH_WEIGHTS, k)) for c in cells}
     # the open block: its first and end step, its number of cells, its rows
@@ -345,22 +348,21 @@ def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
         x, anchor = np.array([c.x for c in live]), np.array([c.anchor for c in live])
         if t >= block[1] or len(live) != block[2]:
             sizes = np.array([sampling.subsample_sizes(problem, xc, ac, est) for xc, ac in zip(x, anchor)])
-            if est.subsample_policy == "lemma1":
-                steps = 1
-            else:
-                steps = min(config.inner_iters + 1 - t, max(1, _BLOCK_SLOTS // max(1, int(sizes.sum()))))
-            hashes = [sampling._key_hash((t + j,), prefix[c]) for j in range(steps) for c in live]
-            local = sampling._draw_subsamples(hashes, problem.sizes, np.tile(sizes, (steps, 1)))
             cells, workers = np.nonzero(sizes)
             counts = sizes[cells, workers]
-            rows = local + np.tile(np.repeat(problem.offsets[workers], counts), steps)
+            if est.subsample_policy == "full":  # every cell takes every row: read them in place
+                steps, rows = config.inner_iters + 1 - t, slice(None)
+            else:
+                steps = 1 if est.subsample_policy == "lemma1" else min(
+                    config.inner_iters + 1 - t, max(1, _BLOCK_SLOTS // max(1, int(sizes.sum()))))
+                hashes = [sampling._key_hash((t + j,), prefix[c]) for j in range(steps) for c in live]
+                local = sampling._draw_subsamples(hashes, problem.sizes, np.tile(sizes, (steps, 1)))
+                rows = local + np.tile(np.repeat(problem.offsets[workers], counts), steps)
             block = (t, t + steps, len(live), rows, cells, workers, counts)
         first, _, _, rows, cells, workers, counts = block
-        n = int(counts.sum())
         if est.subsample_policy != "full":
+            n = int(counts.sum())
             rows = rows[(t - first) * n:(t - first + 1) * n]
-        else:  # every cell takes every row: read them in place
-            rows = slice(None)
         return sampling._segment_weights(problem, x, anchor, rows, cells, workers, counts)
 
     return estimate
@@ -430,19 +432,21 @@ def run_sgd(problem, config: OptimizerConfig, x0=None) -> RunTrace:
     grid as the variance-reduced runs for comparability."""
     M, p = problem.m_workers, problem.param_dim
     x = _initial_x(problem, x0)
-    cell = _Cell(problem, config, x, prob.full_loss(problem, x))
+    cell = _Cell(config, x, prob.full_loss(problem, x))
 
     for k in range(1, config.epochs + 1):
         # the epoch's workers at once: the same draws as one call a step
         workers = sampling._stream(cell.seed + (_CH_SGD, k)).integers(M, size=config.inner_iters).tolist()
         for t, m in enumerate(workers, 1):
-            grad = prob.shard_gradient(problem, m, x) + config.l2_for_sgd * x
-            x = x - config.eta * grad
+            grad = prob.shard_gradient(problem, m, cell.x) + config.l2_for_sgd * cell.x
+            cell.x = cell.x - config.eta * grad
             comm.server_broadcast(cell.ledger, p, 1)  # x_{t-1} to the drawn worker
             comm.server_gather(cell.ledger, p, 1)  # its gradient back
-            cell.observe(k, t, x)
+            _observe(problem, k, t, [cell])
+            if cell.outcome is not None:
+                raise cell.outcome
 
-    return RunTrace(rows=cell.rows, final_x=x, ledger=cell.ledger)
+    return RunTrace(rows=cell.rows, final_x=cell.x, ledger=cell.ledger)
 
 
 RATE_KINDS = ("svrg_uniform", "svrg_importance", "asd_main", "asd_lemma4", "asd_appendix")

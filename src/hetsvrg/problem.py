@@ -20,6 +20,10 @@ views into these arrays, so batched passes over all workers (the logistic
 loss, the adaptive weight estimates) are one gather or one mat-vec over the
 stack.
 
+``full_loss`` and ``test_metrics`` are the one-point cases of batched forms
+that evaluate C points in one call, each with its own mat-vec or quadratic
+form, so each value is bit-identical to its call alone.
+
 For linear regression the objective is an exact quadratic, so ``full_loss``
 and the test loss of ``test_metrics`` are read from quadratic forms cached on
 the problem, in O(p**2) per call (p = dim + 1), not from a pass over the
@@ -297,14 +301,9 @@ def full_loss(problem: ShardedProblem, x) -> float:
 
     O(p**2) from the cached quadratic form for linear regression; for
     logistic regression one mat-vec over the stacked rows, then one segmented
-    sum per shard.
+    sum per shard.  One point of :func:`_batch_full_loss`.
     """
-    x = _check_x(problem, x)
-    if problem.task == LINEAR:
-        return problem._train_form(x)
-    losses = _pointwise_loss(problem.task, problem.aug @ x, problem.y)
-    shard_means = np.add.reduceat(losses, problem.offsets[:-1]) / problem.sizes
-    return float(np.mean(shard_means))
+    return _batch_full_loss(problem, [_check_x(problem, x)])[0]
 
 
 def test_metrics(problem: ShardedProblem, x) -> tuple[float, float]:
@@ -312,17 +311,33 @@ def test_metrics(problem: ShardedProblem, x) -> tuple[float, float]:
 
     Accuracy is the 0/1 rate of sign(logit) for classification and NaN for
     regression, whose loss comes from the cached quadratic form; both are NaN
-    when the problem has no test rows.
+    when the problem has no test rows.  One point of :func:`_batch_test_metrics`.
     """
-    x = _check_x(problem, x)
-    if problem.test_X.shape[0] == 0:
-        return float("nan"), float("nan")
-    if problem.task == LINEAR:
-        return problem._test_form(x), float("nan")
-    z = problem.test_aug @ x
-    loss = float(np.mean(_pointwise_loss(problem.task, z, problem.test_y)))
-    acc = float(np.mean((z > 0) == (problem.test_y > 0.5)))
+    (loss,), (acc,) = _batch_test_metrics(problem, [_check_x(problem, x)])
     return loss, acc
+
+
+def _batch_full_loss(problem: ShardedProblem, X) -> list[float]:
+    """The training objectives of the C points ``X``, unchecked, each
+    bit-identical to its evaluation alone: a mat-mat product, or a mat-vec
+    over more rows than the training rows, would round differently in BLAS."""
+    if problem.task == LINEAR:
+        return [problem._train_form(x) for x in X]
+    losses = _pointwise_loss(problem.task, np.array([problem.aug @ x for x in X]), problem.y)
+    return np.mean(np.add.reduceat(losses, problem.offsets[:-1], axis=1) / problem.sizes, axis=1).tolist()
+
+
+def _batch_test_metrics(problem: ShardedProblem, X) -> tuple[list[float], list[float]]:
+    """The test losses and accuracies of the C points ``X``, unchecked, each
+    bit-identical to its evaluation alone (see :func:`_batch_full_loss`)."""
+    nan = [float("nan")] * len(X)
+    if problem.test_X.shape[0] == 0:
+        return nan, nan
+    if problem.task == LINEAR:
+        return [problem._test_form(x) for x in X], nan
+    z = np.array([problem.test_aug @ x for x in X])
+    loss = np.mean(_pointwise_loss(problem.task, z, problem.test_y), axis=1)
+    return loss.tolist(), np.mean((z > 0) == (problem.test_y > 0.5), axis=1).tolist()
 
 
 @dataclass(frozen=True)

@@ -422,15 +422,18 @@ class TestRunGrid:
 
     def test_initial_loss_computed_once_per_grid(self, monkeypatch):
         # every cell's divergence guard scales the same loss at x0; after
-        # it, each cell's single step costs one guard evaluation
+        # it, each step guards and records all cells in one batched
+        # evaluation, not one per cell
         p = prob.generate_heterogeneous(prob.LINEAR, 3, 60, 3, 2.0, seed=1)
-        calls = []
-        loss = prob.full_loss
+        calls, batches = [], []
+        loss, batch = prob.full_loss, prob._batch_full_loss
         monkeypatch.setattr(prob, "full_loss", lambda *a: calls.append(a[1]) or loss(*a))
-        base = optim.OptimizerConfig(eta=0.01, epochs=1, inner_iters=1)
+        monkeypatch.setattr(prob, "_batch_full_loss", lambda *a: batches.append(len(a[1])) or batch(*a))
+        base = optim.OptimizerConfig(eta=0.01, epochs=1, inner_iters=2)
         optim.run_grid(p, [replace(base, eta=eta, seed=i) for i, eta in enumerate((0.01, 0.02, 0.04))])
-        assert len(calls) == 1 + 3
+        assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], np.zeros(p.param_dim))
+        assert batches == [1, 3, 3]  # full_loss at x0, then one per step for the three cells
 
     @pytest.mark.parametrize("policy", smp.SUBSAMPLE_POLICIES)
     def test_weight_draw_block_length_changes_no_output(self, policy, monkeypatch, tmp_path):
@@ -458,7 +461,9 @@ class TestRunGrid:
         steps = 2 * 11  # the first step of each epoch estimates nothing
         if policy == "lemma1":
             assert n_draws == [steps] * 3
-        else:  # fixed and full draw fewer, longer blocks as the budget grows
+        elif policy == "full":  # whole shards are read in place, never drawn
+            assert n_draws == [0] * 3
+        else:  # fixed draws fewer, longer blocks as the budget grows
             assert n_draws[0] == steps > n_draws[1] > n_draws[2], n_draws
 
 
@@ -618,7 +623,7 @@ class TestEstimateWeights:
         seeds = [self.SEED, (5,)]
         config = optim.OptimizerConfig(eta=0.1, epochs=3, inner_iters=20, estimation=est,
                                        distribution_mode="adaptive")
-        cells = [optim._Cell(p, replace(config, seed=seed), a, prob.full_loss(p, a)) for seed, a in zip(seeds, anchors)]
+        cells = [optim._Cell(replace(config, seed=seed), a, prob.full_loss(p, a)) for seed, a in zip(seeds, anchors)]
         for c, xc in zip(cells, x):
             c.x = xc
         for k, t in ((1, 1), (3, 17)):

@@ -431,18 +431,16 @@ class TestQuadraticForm:
         rng = np.random.default_rng(seed)
         cfg = optim.OptimizerConfig(eta=0.1, epochs=1, inner_iters=1)
         x0 = np.zeros(p.param_dim)
-        recorder = optim._Cell(p, cfg, x0, prob.full_loss(p, x0))
+        recorder = optim._Cell(cfg, x0, prob.full_loss(p, x0))
         with np.errstate(all="ignore"):
             x = rng.normal(size=p.param_dim) * 10.0**exponent
             if special is not None:
                 x[rng.integers(p.param_dim)] = special
             direct = direct_loss(p, x)
             assume(not np.isfinite(direct) or abs(direct - recorder.limit) > 1e-6 * recorder.limit)
-            try:
-                recorder.observe(1, 1, x)
-                diverged = False
-            except optim.Diverged:
-                diverged = True
+            recorder.x = x
+            optim._observe(p, 1, 1, [recorder])
+            diverged = isinstance(recorder.outcome, optim.Diverged)
         assert diverged == (not np.isfinite(direct) or direct > recorder.limit)
 
     def test_held_out_rows_factored_in_blocks(self):
@@ -462,3 +460,104 @@ class TestQuadraticForm:
         prob.full_loss(p, 2 * x)
         prob.test_metrics(p, 2 * x)
         assert p._train_form is train and p._test_form is test
+
+
+@st.composite
+def ragged_problems(draw):
+    """Problems of either task with 1 to 4 shards of 1 to 37 rows, 0 to 37
+    held-out rows (no test set at 0) and 1 to 12 features: the row counts
+    are mostly not multiples of 4, where BLAS mat-vecs take their tail
+    paths."""
+    task = draw(st.sampled_from(prob.TASKS))
+    m = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 12))
+    sizes = draw(st.lists(st.integers(1, 37), min_size=m, max_size=m))
+    n_test = draw(st.integers(0, 37))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def targets(n):
+        return rng.normal(size=n) if task == prob.LINEAR else (rng.random(n) < 0.5).astype(float)
+
+    shards = [prob.Shard(k, rng.normal(size=(n, dim)) * 2.0**k, targets(n)) for k, n in enumerate(sizes)]
+    test = dict(test_X=rng.normal(size=(n_test, dim)), test_y=targets(n_test)) if n_test else {}
+    return prob.ShardedProblem(shards, task, **test)
+
+
+@st.composite
+def points(draw, p):
+    """1 to 8 points for ``p``: normal, scaled by up to 1e308, some holding
+    an inf or a nan."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    out = []
+    for _ in range(draw(st.integers(1, 8))):
+        with np.errstate(over="ignore"):
+            x = rng.normal(size=p.param_dim) * 10.0 ** draw(st.sampled_from([-2, 0, 1, 3, 100, 200, 308]))
+        special = draw(st.sampled_from([None, None, np.inf, -np.inf, np.nan]))
+        if special is not None:
+            x[rng.integers(p.param_dim)] = special
+        out.append(x)
+    return np.array(out)
+
+
+def solo_bytes(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def one_point_losses(p, x):
+    """(train loss, test loss, test accuracy) of one point by the one-point
+    formulas: the quadratic forms, or one mat-vec over exactly the training
+    rows and one over exactly the held-out rows."""
+    if p.task == prob.LINEAR:
+        test = (p._test_form(x), np.nan) if p.test_y.size else (np.nan, np.nan)
+        return (p._train_form(x), *test)
+    losses = prob._pointwise_loss(p.task, p.aug @ x, p.y)
+    train = np.mean(np.add.reduceat(losses, p.offsets[:-1]) / p.sizes)
+    if not p.test_y.size:
+        return train, np.nan, np.nan
+    z = p.test_aug @ x
+    return train, np.mean(prob._pointwise_loss(p.task, z, p.test_y)), np.mean((z > 0) == (p.test_y > 0.5))
+
+
+class TestBatchedEvaluation:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), p=ragged_problems())
+    def test_batch_equals_each_point_alone(self, data, p):
+        X = data.draw(points(p))
+        with np.errstate(all="ignore"):
+            train = prob._batch_full_loss(p, X)
+            test_loss, test_acc = prob._batch_test_metrics(p, X)
+            alone = [(prob.full_loss(p, x), *prob.test_metrics(p, x)) for x in X]
+            oracle = [one_point_losses(p, x) for x in X]
+        assert all(type(v) is float for v in (*train, *test_loss, *test_acc))
+        batch = np.array([train, test_loss, test_acc]).T
+        assert batch.tobytes() == np.array(alone).tobytes() == np.array(oracle).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), p=ragged_problems(), t=st.integers(1, 6), eval_every=st.integers(1, 3))
+    def test_observe_guards_and_records_each_cell_as_alone(self, data, p, t, eval_every):
+        """Every cell of one ``_observe`` call diverges, or records a row on
+        the evaluation cadence only, exactly as its point alone dictates."""
+        X = data.draw(points(p))
+        x0 = np.zeros(p.param_dim)
+        config = optim.OptimizerConfig(eta=0.1, epochs=1, inner_iters=6, eval_every=eval_every)
+        cells = [optim._Cell(config, x0, prob.full_loss(p, x0)) for _ in X]
+        for c, x in zip(cells, X):
+            c.x = x
+        with np.errstate(all="ignore"):
+            optim._observe(p, 2, t, cells)
+            for c, x in zip(cells, X):
+                train = prob.full_loss(p, x)
+                if not np.isfinite(train) or train > c.limit:
+                    assert isinstance(c.outcome, optim.Diverged) and c.rows == []
+                    assert str(c.outcome) == f"train loss {train} exceeded the guard at epoch 2, step {t}"
+                    assert c.outcome.trace.final_x.tobytes() == x.tobytes()
+                    continue
+                assert c.outcome is None
+                if t % eval_every:
+                    assert c.rows == []
+                    continue
+                (row,) = c.rows
+                assert all(type(v) is float for v in (row.train_loss, row.test_loss, row.test_accuracy))
+                assert (row.epoch, row.step) == (2, t)
+                assert solo_bytes(row.train_loss, row.test_loss, row.test_accuracy) == solo_bytes(
+                    train, *prob.test_metrics(p, x))
