@@ -1,4 +1,4 @@
-"""Digest every output file of nine fixed sweeps, so that two checkouts can
+"""Digest every output file of ten fixed sweeps, so that two checkouts can
 be shown to write byte-identical traces and reports.
 
 Usage (from the repository root):
@@ -14,8 +14,9 @@ The sweeps cover both presets, all four algorithms, the three subsample
 policies, R > 1, several seeds, diverging cells, a trace thinned by
 ``--eval-every``, a linear and a logistic dataset written by
 ``problem.save_csv`` (digested too) and read back by ``--preset custom``,
-the logistic one with row counts that are not multiples of 4, and a
-64-worker ASD shape run through ``harness.run_experiment``.
+the logistic one with row counts that are not multiples of 4, a sweep
+read from a ``--config`` file (keys in both spellings, one overridden by a
+flag), and a 64-worker ASD shape run through ``harness.run_experiment``.
 """
 
 from __future__ import annotations
@@ -77,6 +78,21 @@ def custom_sweeps(out: Path) -> dict[str, tuple[str, ...]]:
     }
 
 
+def config_sweep(out: Path) -> tuple[str, ...]:
+    """The arguments of a sweep whose options come from a config file under
+    ``out/config_data``, its keys spelled with '-' and with '_', and whose
+    ``--epochs`` flag overrides the file's ``epochs``."""
+    config = out / "config_data" / "sweep.conf"
+    config.parent.mkdir(parents=True)
+    config.write_text(
+        "# linear preset, thinned trace, fixed subsample size\n"
+        "preset = linear\nalgos = sgd,svrg,svrg_importance,asd\netas = 0.02,0.06\nseeds = 4,5\n"
+        "epochs = 5\ninner = 20\nR = 2\neval-every = 2\ngrowth_base = 2.5\nl2-sgd = 0.05\n"
+        "estimation = fixed\nfixed_n = 12\n"
+    )
+    return ("--config", str(config), "--epochs", "2")
+
+
 def scale_asd_spec(out_dir: Path) -> harness.ExperimentSpec:
     """The bench's ``scale_asd`` shape, with svrg_importance and one more step size."""
     return harness.ExperimentSpec(
@@ -94,7 +110,7 @@ def main(argv: list[str]) -> int:
     if out.exists() and any(out.iterdir()):
         print(f"{out} is not empty; its old files would be digested too", file=sys.stderr)
         return 2
-    for name, args in {**CLI_SWEEPS, **custom_sweeps(out)}.items():
+    for name, args in {**CLI_SWEEPS, **custom_sweeps(out), "config_file": config_sweep(out)}.items():
         with contextlib.redirect_stdout(io.StringIO()):  # stdout names the output directory
             status = cli.main(["run", *args, "--out", str(out / name)])
         if status != 0:

@@ -9,7 +9,7 @@ from .comm import (
     server_broadcast,
     server_gather,
 )
-from .harness import AllDiverged, ComparisonReport, ExperimentSpec, emit_plotdata, grid_best, run_experiment
+from .harness import AllDiverged, ComparisonReport, ExperimentSpec, emit_plotdata, run_experiment
 from .optim import (
     Diverged,
     OptimizerConfig,

@@ -14,6 +14,7 @@ explicit command-line flags take precedence.  Exit status is 0 on success and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -58,76 +59,71 @@ def _csv_ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
-_RUN_OPTION_TYPES = {
-    "preset": str,
-    "csv": str,
-    "task": str,
-    "algos": str,
-    "etas": str,
-    "epochs": int,
-    "inner": int,
-    "R": int,
-    "seeds": str,
-    "out": str,
-    "growth_base": float,
-    "eval_every": int,
-    "l2_sgd": float,
-    "estimation": str,
-    "tau": float,
-    "delta": float,
-    "fixed_n": int,
-}
+# the run options, each as (flag, the ExperimentSpec or EstimationConfig
+# field it sets, add_argument keywords); a config-file key is the flag's name,
+# spelled with '-' or '_', and is parsed with the flag's type
+_RUN_OPTIONS = (
+    ("--preset", "preset", dict(choices=sorted({*_PRESET_ALIASES, *harness.PRESETS}))),
+    ("--csv", "csv_path", dict(help="dataset CSV for --preset custom")),
+    ("--task", "task", dict(help="objective for --preset custom")),
+    ("--algos", "algorithms", dict(help="comma list: sgd,svrg,svrg_importance,asd")),
+    ("--etas", "eta_grid", dict(help="comma list of step sizes")),
+    ("--epochs", "epochs", dict(type=int)),
+    ("--inner", "inner_iters", dict(type=int, help="inner iterations per epoch")),
+    ("--R", "group_size", dict(type=int, help="worker draws per inner step")),
+    ("--seeds", "seeds", dict(help="comma list of seeds")),
+    ("--out", "out_dir", dict(help="output directory")),
+    ("--growth-base", "growth_base", dict(type=float)),
+    ("--eval-every", "eval_every", dict(type=int)),
+    ("--l2-sgd", "l2_for_sgd", dict(type=float)),
+    ("--estimation", "subsample_policy", dict(choices=sampling.SUBSAMPLE_POLICIES)),
+    ("--tau", "tau", dict(type=float)),
+    ("--delta", "delta", dict(type=float)),
+    ("--fixed-n", "fixed_n", dict(type=int)),
+)
 
 # the CLI's own defaults; every other option left unset takes the default of
 # its ExperimentSpec or EstimationConfig field
-_RUN_DEFAULTS = {"preset": "linear", "algos": "sgd,svrg,asd", "seeds": "1"}
+_RUN_DEFAULTS = {"preset": "linear", "algorithms": "sgd,svrg,asd", "seeds": "1"}
 
-# options named differently from their dataclass field
-_FIELD_NAMES = {
-    "csv": "csv_path",
-    "inner": "inner_iters",
-    "R": "group_size",
-    "out": "out_dir",
-    "l2_sgd": "l2_for_sgd",
-    "estimation": "subsample_policy",
-}
-_ESTIMATION_OPTIONS = ("estimation", "tau", "delta", "fixed_n")
+
+def _config_key(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
 def _resolve_run_options(args) -> dict:
-    """Merge CLI flags over config-file values over the CLI defaults; an
-    option set nowhere is left out."""
-    from_file = {}
+    """Merge CLI flags over config-file values over the CLI defaults, keyed by
+    field; an option set nowhere is left out."""
+    merged = dict(_RUN_DEFAULTS)
     if args.config:
+        options = {_config_key(flag): (field, kwargs.get("type", str)) for flag, field, kwargs in _RUN_OPTIONS}
         raw = _parse_config_file(args.config)
-        unknown = set(raw) - set(_RUN_OPTION_TYPES)
+        unknown = set(raw) - set(options)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in raw.items():
-            from_file[key] = _RUN_OPTION_TYPES[key](value)
-    merged = dict(_RUN_DEFAULTS)
-    merged.update(from_file)
-    for key in _RUN_OPTION_TYPES:
-        cli_value = getattr(args, key)
-        if cli_value is not None:
-            merged[key] = cli_value
+            field, parse = options[key]
+            merged[field] = parse(value)
+    for _, field, _ in _RUN_OPTIONS:
+        if getattr(args, field) is not None:
+            merged[field] = getattr(args, field)
     return merged
 
 
 def _cmd_run(args) -> int:
     opts = _resolve_run_options(args)
     preset = opts.pop("preset")
-    etas = opts.pop("etas", None)
+    etas = opts.pop("eta_grid", None)
     seeds = opts.pop("seeds")
-    algos = (name.strip() for name in opts.pop("algos").split(","))
-    estimation = {_FIELD_NAMES.get(key, key): opts.pop(key) for key in _ESTIMATION_OPTIONS if key in opts}
+    algos = (name.strip() for name in opts.pop("algorithms").split(","))
+    estimation = {f.name: opts.pop(f.name) for f in dataclasses.fields(sampling.EstimationConfig) if f.name in opts}
     spec = harness.ExperimentSpec(
         preset=_PRESET_ALIASES.get(preset, preset),
         algorithms=tuple(dict.fromkeys(_ALGO_ALIASES.get(name, name) for name in algos if name)),
         eta_grid=_csv_floats(etas) if etas else None,
         seeds=_csv_ints(seeds),
         estimation=sampling.EstimationConfig(**estimation),
-        **{_FIELD_NAMES.get(key, key): value for key, value in opts.items()},
+        **opts,
     )
     report = harness.run_experiment(spec)
     harness.emit_plotdata(report, spec.out_dir)
@@ -203,23 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a learning-rate grid sweep")
     run.add_argument("--config", help="flat key=value config file")
-    run.add_argument("--preset", choices=sorted({*_PRESET_ALIASES, *harness.PRESETS}), default=None)
-    run.add_argument("--csv", default=None, help="dataset CSV for --preset custom")
-    run.add_argument("--task", default=None, help="objective for --preset custom")
-    run.add_argument("--algos", default=None, help="comma list: sgd,svrg,svrg_importance,asd")
-    run.add_argument("--etas", default=None, help="comma list of step sizes")
-    run.add_argument("--epochs", type=int, default=None)
-    run.add_argument("--inner", type=int, default=None, help="inner iterations per epoch")
-    run.add_argument("--R", type=int, default=None, help="worker draws per inner step")
-    run.add_argument("--seeds", default=None, help="comma list of seeds")
-    run.add_argument("--out", default=None, help="output directory")
-    run.add_argument("--growth-base", dest="growth_base", type=float, default=None)
-    run.add_argument("--eval-every", dest="eval_every", type=int, default=None)
-    run.add_argument("--l2-sgd", dest="l2_sgd", type=float, default=None)
-    run.add_argument("--estimation", choices=sampling.SUBSAMPLE_POLICIES, default=None)
-    run.add_argument("--tau", type=float, default=None)
-    run.add_argument("--delta", type=float, default=None)
-    run.add_argument("--fixed-n", dest="fixed_n", type=int, default=None)
+    for flag, field, kwargs in _RUN_OPTIONS:
+        # the help text names an option by its flag, not by its field
+        metavar = None if "choices" in kwargs else _config_key(flag).upper()
+        run.add_argument(flag, dest=field, metavar=metavar, **kwargs)
     run.set_defaults(func=_cmd_run)
 
     rates = sub.add_parser("rates", help="evaluate a convergence-factor formula")

@@ -355,11 +355,6 @@ def _median_arrival(cells) -> float:
     return float(np.median(vals))
 
 
-def grid_best(report: ComparisonReport, algorithm: str) -> tuple[float, dict]:
-    """Best (eta, metrics) for one algorithm of a finished sweep."""
-    return grid_best_from_rows(report.rows, algorithm)
-
-
 def emit_plotdata(report: ComparisonReport, trace_dir) -> list[str]:
     """Re-emit the best-eta traces as one file per (figure, algorithm).
 

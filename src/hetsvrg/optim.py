@@ -41,6 +41,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,8 +99,8 @@ class OptimizerConfig:
             raise ValueError("epochs, inner_iters and group_size must be at least 1")
         if self.distribution_mode not in DISTRIBUTION_MODES:
             raise ValueError(f"distribution_mode must be one of {DISTRIBUTION_MODES}")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be at least 1")
+        if not 1 <= self.eval_every <= self.inner_iters:
+            raise ValueError("eval_every must be between 1 and inner_iters")
         if self.l2_for_sgd < 0:
             raise ValueError("l2_for_sgd must be nonnegative")
         _seed_tuple(self.seed)  # validates
@@ -113,8 +114,7 @@ def _seed_tuple(seed) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     epoch: int
     step: int
     train_loss: float
@@ -214,15 +214,6 @@ def _direction(problem, x, anchor_grads, g_anchor, picks, probs, R: int) -> np.n
     return step_dir / R + g_anchor
 
 
-def _initial_x(problem, x0) -> np.ndarray:
-    if x0 is None:
-        return np.zeros(problem.param_dim)
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if x0.shape[0] != problem.param_dim:
-        raise ValueError(f"x0 has length {x0.shape[0]}, expected {problem.param_dim}")
-    return x0.copy()
-
-
 def _vr_loop(problem, configs, x0) -> list:
     """The variance-reduced loop, stepping the cells of ``configs`` (equal
     but for eta and seed) together; returns each cell's ``RunTrace``, or the
@@ -235,7 +226,7 @@ def _vr_loop(problem, configs, x0) -> list:
     M, p, first = problem.m_workers, problem.param_dim, configs[0]
     R, T = first.group_size, first.inner_iters
     draw = (_asd_draw if first.distribution_mode == "adaptive" else _svrg_draw)(problem, first)
-    x0 = _initial_x(problem, x0)
+    x0 = np.zeros(p) if x0 is None else prob._check_x(problem, x0).copy()
     initial = prob.full_loss(problem, x0)  # every cell starts at x0
     cells = live = [_Cell(config, x0, initial) for config in configs]
 
@@ -431,7 +422,7 @@ def run_sgd(problem, config: OptimizerConfig, x0=None) -> RunTrace:
     update (never on the recorded loss).  Traced on the same (epoch, step)
     grid as the variance-reduced runs for comparability."""
     M, p = problem.m_workers, problem.param_dim
-    x = _initial_x(problem, x0)
+    x = np.zeros(p) if x0 is None else prob._check_x(problem, x0).copy()
     cell = _Cell(config, x, prob.full_loss(problem, x))
 
     for k in range(1, config.epochs + 1):

@@ -214,8 +214,8 @@ def test_07_convergence_ordering(linear_sweep):
     loss-gap target in strictly fewer epochs than uniform sampling (median
     over the sweep's seeds)."""
     report, elapsed = linear_sweep
-    _, uni = harness.grid_best(report, "svrg_uniform")
-    _, asd = harness.grid_best(report, "asd_svrg")
+    _, uni = harness.grid_best_from_rows(report.rows, "svrg_uniform")
+    _, asd = harness.grid_best_from_rows(report.rows, "asd_svrg")
     med_uni = uni["median_epochs_to_threshold"]
     med_asd = asd["median_epochs_to_threshold"]
     ok = med_asd < med_uni and elapsed < 300.0

@@ -1,6 +1,5 @@
 """Sweep harness: specs, grid selection, report/trace emission, CLI."""
 
-import argparse
 import csv
 import dataclasses
 import hashlib
@@ -338,31 +337,64 @@ class TestCli:
         rc = cli.main(["run", "--algos", "adamw", "--etas", "0.1", "--out", "x"])
         assert rc == 1
 
+    def test_eval_every_beyond_inner_iters_fails(self, tmp_path, capsys):
+        # no step of an epoch would be evaluated, so every final metric would be NaN
+        rc = cli.main([
+            "run", "--epochs", "1", "--inner", "5", "--eval-every", "10", "--algos", "svrg,asd",
+            "--etas", "0.01,0.02", "--seeds", "1,2", "--out", str(tmp_path),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_run_defaults_come_from_the_dataclasses(self, monkeypatch):
-        specs = []
-
-        class Captured(Exception):
-            pass
-
-        def capture(spec):
-            specs.append(spec)
-            raise Captured
-
-        monkeypatch.setattr(harness, "run_experiment", capture)
-        for argv in (["run"], ["run", "--preset", "linear_synthetic", "--algos", "svrg_uniform"]):
-            with pytest.raises(Captured):
-                cli.main(argv)
+        specs = [
+            run_spec(monkeypatch, argv)
+            for argv in (["run"], ["run", "--preset", "linear_synthetic", "--algos", "svrg_uniform"])
+        ]
         assert specs[0] == harness.ExperimentSpec(
             preset="linear_synthetic", algorithms=("sgd", "svrg_uniform", "asd_svrg"), eta_grid=None, seeds=(1,)
         )
         assert specs[1] == dataclasses.replace(specs[0], algorithms=("svrg_uniform",))
 
-    def test_run_flags_match_the_config_keys(self):
-        # the run subparser's flags and the config-file keys are kept by hand
-        # in two places; a flag without a type parses as a string
-        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        flags = {a.dest: a.type or str for a in sub.choices["run"]._actions if a.dest not in ("help", "config")}
-        assert flags == cli._RUN_OPTION_TYPES
+    @pytest.mark.parametrize("flag", [flag for flag, _, _ in cli._RUN_OPTIONS])
+    def test_run_option_reads_the_same_from_flag_and_file(self, flag, tmp_path, monkeypatch):
+        value = RUN_OPTION_VALUES[flag]
+        specs = [run_spec(monkeypatch, ["run", flag, value])]
+        for key in (flag[2:].replace("-", "_"), flag[2:]):
+            cfg = tmp_path / "sweep.conf"
+            cfg.write_text(f"{key} = {value}\n")
+            specs.append(run_spec(monkeypatch, ["run", "--config", str(cfg)]))
+        assert specs[0] == specs[1] == specs[2] != run_spec(monkeypatch, ["run"])
+
+
+# one value for each run option, none of them its default
+RUN_OPTION_VALUES = {
+    "--preset": "logistic", "--csv": "data.csv", "--task": "logistic", "--algos": "svrg,asd",
+    "--etas": "0.1,0.2", "--epochs": "3", "--inner": "7", "--R": "2", "--seeds": "4,5", "--out": "elsewhere",
+    "--growth-base": "2.5", "--eval-every": "2", "--l2-sgd": "0.5", "--estimation": "lemma1", "--tau": "0.5",
+    "--delta": "0.1", "--fixed-n": "8",
+}
+
+
+class Captured(Exception):
+    pass
+
+
+def run_spec(monkeypatch, argv) -> harness.ExperimentSpec:
+    """The spec ``cli.main(argv)`` hands to ``harness.run_experiment``, which
+    is stubbed out, so nothing runs."""
+    specs = []
+
+    def capture(spec):
+        specs.append(spec)
+        raise Captured
+
+    monkeypatch.setattr(harness, "run_experiment", capture)
+    with pytest.raises(Captured):
+        cli.main(argv)
+    return specs[0]
 
 
 def comm_header_in(out: str) -> bool:

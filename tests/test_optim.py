@@ -515,8 +515,8 @@ class TestReproducibility:
         for ra, rb in zip(a.rows, b.rows):
             # fieldwise equality with NaN == NaN (regression test accuracy is NaN)
             np.testing.assert_array_equal(
-                np.array(list(vars(ra).values()), dtype=float),
-                np.array(list(vars(rb).values()), dtype=float),
+                np.array(tuple(ra), dtype=float),
+                np.array(tuple(rb), dtype=float),
             )
         np.testing.assert_array_equal(a.final_x, b.final_x)
         assert a.ledger.snapshot() == b.ledger.snapshot()
@@ -709,6 +709,7 @@ class TestConfigValidation:
             dict(eta=0.1, epochs=1, inner_iters=1, group_size=0),
             dict(eta=0.1, epochs=1, inner_iters=1, distribution_mode="magic"),
             dict(eta=0.1, epochs=1, inner_iters=1, eval_every=0),
+            dict(eta=0.1, epochs=1, inner_iters=2, eval_every=3),
             dict(eta=0.1, epochs=1, inner_iters=1, l2_for_sgd=-0.1),
             dict(eta=0.1, epochs=1, inner_iters=1, seed=-4),
         ]:
