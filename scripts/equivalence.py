@@ -1,4 +1,4 @@
-"""Digest every output file of ten fixed sweeps, so that two checkouts can
+"""Digest every output file of eleven fixed sweeps, so that two checkouts can
 be shown to write byte-identical traces and reports.
 
 Usage (from the repository root):
@@ -16,7 +16,10 @@ policies, R > 1, several seeds, diverging cells, a trace thinned by
 ``problem.save_csv`` (digested too) and read back by ``--preset custom``,
 the logistic one with row counts that are not multiples of 4, a sweep
 read from a ``--config`` file (keys in both spellings, one overridden by a
-flag), and a 64-worker ASD shape run through ``harness.run_experiment``.
+flag), a 64-worker ASD shape run through ``harness.run_experiment``, and
+logistic-preset ASD under ``lemma1`` and under ``full`` (wide rows), whose
+largest step size diverges at epoch 1, step 10 on seed 1, so the live cells
+shrink in mid-epoch.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ CLI_SWEEPS = {
                            "--seeds", "3", "--epochs", "3"),
     "linear_eval3": ("--preset", "linear", "--algos", "sgd,svrg,svrg_importance,asd", "--eval-every", "3",
                      "--epochs", "3"),
+    **{f"logistic_asd_wide/{policy}": ("--preset", "logistic", "--algos", "asd", "--estimation", policy,
+                                       "--etas", "0.0025,0.025,3e6", "--seeds", "1", "--epochs", "2")
+       for policy in ("lemma1", "full")},
 }
 
 

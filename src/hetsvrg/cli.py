@@ -7,8 +7,9 @@ rates          -- evaluate a convergence-factor formula
 protocol-test  -- draw from the tree-sampling protocol and check marginals
 
 ``run`` options may also come from a flat key=value config file (``--config``);
-explicit command-line flags take precedence.  Exit status is 0 on success and
-1 with a single diagnostic line on stderr otherwise.
+explicit command-line flags take precedence.  Exit status is 0 on success, 2
+with argparse's usage message for a flag argparse rejects, and 1 with a single
+diagnostic line on stderr otherwise (a bad config-file value among them).
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ def _csv_ints(text: str) -> tuple[int, ...]:
 
 # the run options, each as (flag, the ExperimentSpec or EstimationConfig
 # field it sets, add_argument keywords); a config-file key is the flag's name,
-# spelled with '-' or '_', and is parsed with the flag's type
+# spelled with '-' or '_', and is parsed with the flag's type and checked
+# against its choices
 _RUN_OPTIONS = (
     ("--preset", "preset", dict(choices=sorted({*_PRESET_ALIASES, *harness.PRESETS}))),
     ("--csv", "csv_path", dict(help="dataset CSV for --preset custom")),
@@ -96,14 +98,16 @@ def _resolve_run_options(args) -> dict:
     field; an option set nowhere is left out."""
     merged = dict(_RUN_DEFAULTS)
     if args.config:
-        options = {_config_key(flag): (field, kwargs.get("type", str)) for flag, field, kwargs in _RUN_OPTIONS}
+        options = {_config_key(flag): (field, kwargs) for flag, field, kwargs in _RUN_OPTIONS}
         raw = _parse_config_file(args.config)
         unknown = set(raw) - set(options)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in raw.items():
-            field, parse = options[key]
-            merged[field] = parse(value)
+            field, kwargs = options[key]
+            merged[field], choices = kwargs.get("type", str)(value), kwargs.get("choices")
+            if choices is not None and merged[field] not in choices:
+                raise ValueError(f"{args.config}: {key} = {value}: invalid choice (choose from {', '.join(choices)})")
     for _, field, _ in _RUN_OPTIONS:
         if getattr(args, field) is not None:
             merged[field] = getattr(args, field)

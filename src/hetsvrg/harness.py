@@ -125,6 +125,8 @@ class ExperimentSpec:
                 raise ValueError("custom_csv needs csv_path and task")
         if self.epochs < 1 or self.inner_iters < 1 or self.group_size < 1:
             raise ValueError("epochs, inner_iters and group_size must be at least 1")
+        if not 1 <= self.eval_every <= self.inner_iters:  # before run_experiment makes out_dir
+            raise ValueError("eval_every must be between 1 and inner_iters")
 
     def grid_for(self, algorithm: str) -> tuple[float, ...]:
         if self.eta_grid is not None:

@@ -327,9 +327,11 @@ def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
     ahead come from one draw of at most ``_BLOCK_SLOTS`` slots (or of one
     step, if a step needs more), for the cells live when it is drawn, and
     are drawn again once a cell drops out; ``lemma1`` sizes depend on the
-    cells' points, so its blocks are one step long."""
+    cells' points, so its blocks are one step long.  Every step's rows and
+    deltas (and ``lemma1``'s full passes) use arrays kept for the epoch."""
     est = config.estimation
     prefix = {c: sampling._key_hash(c.seed + (_CH_WEIGHTS, k)) for c in cells}
+    buffers = {}
     # the open block: its first and end step, its number of cells, its rows
     # of problem.aug, and each step's segments (cell, worker, row count)
     block = (0, 0, 0, None, None, None, None)
@@ -338,7 +340,7 @@ def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
         nonlocal block
         x, anchor = np.array([c.x for c in live]), np.array([c.anchor for c in live])
         if t >= block[1] or len(live) != block[2]:
-            sizes = np.array([sampling.subsample_sizes(problem, xc, ac, est) for xc, ac in zip(x, anchor)])
+            sizes = np.array([sampling.subsample_sizes(problem, xc, ac, est, buffers) for xc, ac in zip(x, anchor)])
             cells, workers = np.nonzero(sizes)
             counts = sizes[cells, workers]
             if est.subsample_policy == "full":  # every cell takes every row: read them in place
@@ -354,7 +356,7 @@ def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
         if est.subsample_policy != "full":
             n = int(counts.sum())
             rows = rows[(t - first) * n:(t - first + 1) * n]
-        return sampling._segment_weights(problem, x, anchor, rows, cells, workers, counts)
+        return sampling._segment_weights(problem, x, anchor, rows, cells, workers, counts, buffers)
 
     return estimate
 

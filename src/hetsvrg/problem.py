@@ -262,32 +262,48 @@ def full_gradient(problem: ShardedProblem, x) -> np.ndarray:
     return total / problem.m_workers
 
 
-def gradient_deltas(problem: ShardedProblem, rows, x, x_anchor, counts) -> np.ndarray:
+def _kept(buffers: dict, key: str, shape) -> np.ndarray:
+    """The leading ``shape[0]`` rows of ``buffers[key]``, made (or replaced
+    by a longer array) only when it has fewer rows, so a caller that keeps
+    ``buffers`` reuses its memory instead of faulting new pages in."""
+    if key not in buffers or len(buffers[key]) < shape[0]:
+        buffers[key] = np.empty(shape)
+    return buffers[key][: shape[0]]
+
+
+def gradient_deltas(problem: ShardedProblem, rows, x, x_anchor, counts, out=None) -> np.ndarray:
     """Per-sample gradient differences grad f_j(x) - grad f_j(x_anchor) of C
     cells, one row per sample: the residual difference r(a'x) - r(a'x_anchor)
     times a.
 
     ``x`` and ``x_anchor`` are (C, p).  ``rows`` is either an index array of
-    stacked rows of ``problem.aug``, of which cell c owns the next
-    ``counts[c]``, or a slice of ``problem.aug`` that every cell reads in
-    place (each count is then its length).  Each cell's residuals come from
-    mat-vecs of its own rows, so they are bit-identical to a call for that
-    cell alone.
+    stacked rows of ``problem.aug`` (unchecked), of which cell c owns the
+    next ``counts[c]``, or a slice of ``problem.aug`` that every cell reads
+    in place (each count is then its length).  Each cell's residuals come
+    from mat-vecs of its own rows, so they are bit-identical to a call for
+    that cell alone.  ``out``, if given, is a dict in which a repeated caller
+    keeps the gathered rows, their targets and the deltas, each grown only
+    when a call needs more rows than any before; the result is then a view
+    into it, valid until the next call with it.
     """
-    A, y = problem.aug[rows], problem.y[rows]  # a slice is a view, not a copy
+    buffers, shared = {} if out is None else out, isinstance(rows, slice)
+    if shared:
+        A, y = problem.aug[rows], problem.y[rows]  # a slice is a view, not a copy
+    else:  # 'clip' gathers straight into the kept rows, where 'raise' would copy them first
+        A = np.take(problem.aug, rows, axis=0, out=_kept(buffers, "aug", (len(rows), problem.param_dim)), mode="clip")
+        y = np.take(problem.y, rows, out=_kept(buffers, "y", (len(rows),)), mode="clip")
     x, xa, counts = np.asarray(x, dtype=float), np.asarray(x_anchor, dtype=float), np.asarray(counts)
-    shared = isinstance(rows, slice)
     if (x.shape != (counts.size, problem.param_dim) or xa.shape != x.shape
             or not ((counts == y.size).all() if shared else counts.sum() == y.size)):
         raise ValueError(f"need one point of length {problem.param_dim} per cell and counts matching the rows")
     starts = np.zeros_like(counts) if shared else np.cumsum(counts) - counts
-    out, lo = np.empty((counts.sum(), A.shape[1])), 0
+    deltas, lo = _kept(buffers, "deltas", (counts.sum(), A.shape[1])), 0
     for start, n, xc, xac in zip(starts, counts, x, xa):
         Ac, yc = A[start : start + n], y[start : start + n]
         r = _pointwise_residual(problem.task, Ac @ xc, yc) - _pointwise_residual(problem.task, Ac @ xac, yc)
-        np.multiply(r[:, None], Ac, out=out[lo : lo + n])
+        np.multiply(r[:, None], Ac, out=deltas[lo : lo + n])
         lo += n
-    return out
+    return deltas
 
 
 def shard_loss(problem: ShardedProblem, shard_id: int, x) -> float:

@@ -225,7 +225,7 @@ def _segment_bounds(deltas: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray,
     return np.linalg.norm(span, axis=1), np.linalg.norm(means, axis=1)
 
 
-def subsample_sizes(problem, x, x_anchor, config: EstimationConfig) -> np.ndarray:
+def subsample_sizes(problem, x, x_anchor, config: EstimationConfig, out=None) -> np.ndarray:
     """Every worker's subsample size under ``config``'s policy.
 
     ``full`` gives the shard sizes and ``fixed`` the capped fixed size.
@@ -234,22 +234,23 @@ def subsample_sizes(problem, x, x_anchor, config: EstimationConfig) -> np.ndarra
     envelope of its per-sample gradient differences, and mean_norm the norm of
     their average (the exact shard weight).  The bounds of all shards come
     from one pass over the stacked rows; a shard whose exact weight is zero
-    gets size 0.
+    gets size 0; ``out`` keeps that pass's arrays, as in
+    :func:`problem.gradient_deltas`.
     """
     sizes = problem.sizes
     if config.subsample_policy == "full":
         return sizes.copy()
     if config.subsample_policy == "fixed":
         return config.size_for_shard(sizes)
-    deltas = prob.gradient_deltas(problem, slice(None), [x], [x_anchor], [problem.n_total])
-    out = np.zeros(problem.m_workers, dtype=int)
+    deltas = prob.gradient_deltas(problem, slice(None), [x], [x_anchor], [problem.n_total], out)
+    chosen = np.zeros(problem.m_workers, dtype=int)
     for m, (range_norm, mean_norm) in enumerate(zip(*_segment_bounds(deltas, sizes))):
         try:
             n = subsample_size(config, problem.param_dim, float(range_norm), float(mean_norm))
         except DegenerateWeights:
             continue  # exact weight is zero, nothing to estimate
-        out[m] = min(int(sizes[m]), n)
-    return out
+        chosen[m] = min(int(sizes[m]), n)
+    return chosen
 
 
 _MASK32 = 0xFFFFFFFF
@@ -351,7 +352,7 @@ def _draw_subsamples(hashes, shard_sizes, sizes) -> np.ndarray:
     return out - np.repeat(stacked, k)
 
 
-def _segment_weights(problem, x, x_anchor, rows, cells, workers, counts) -> np.ndarray:
+def _segment_weights(problem, x, x_anchor, rows, cells, workers, counts, out=None) -> np.ndarray:
     """The (C, M) subsampled gradient-difference norms of C cells' workers,
     unchecked: segment i holds the next ``counts[i]`` of ``rows`` (rows of
     ``problem.aug``, ascending within the segment, as the drawer gives them
@@ -362,12 +363,13 @@ def _segment_weights(problem, x, x_anchor, rows, cells, workers, counts) -> np.n
     r(a'x_anchor) are formed on the rows (per cell, see
     :func:`problem.gradient_deltas`), and each segment's weight is the norm
     of its mean of (residual difference) * a; a (cell, worker) with no
-    segment gets weight 0."""
+    segment gets weight 0.  ``out`` is as in :func:`problem.gradient_deltas`;
+    the weights are a new array."""
     weights = np.zeros((len(x), problem.m_workers))
     if not counts.size:
         return weights
     per_cell = np.bincount(cells, weights=counts, minlength=len(x)).astype(int)
-    deltas = prob.gradient_deltas(problem, rows, x, x_anchor, per_cell)
+    deltas = prob.gradient_deltas(problem, rows, x, x_anchor, per_cell, out)
     means = np.add.reduceat(deltas, _segment_starts(counts), axis=0) / counts[:, None]
     weights[cells, workers] = np.linalg.norm(means, axis=1)
     return weights

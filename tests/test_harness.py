@@ -57,6 +57,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             tiny_spec(tmp_path, eta_grid=())
 
+    @pytest.mark.parametrize("eval_every", [0, 11])
+    def test_eval_every_outside_inner_iters_rejected(self, tmp_path, eval_every):
+        with pytest.raises(ValueError, match="eval_every"):
+            tiny_spec(tmp_path, eval_every=eval_every)  # inner_iters=10
+
     def test_custom_needs_path_and_task(self, tmp_path):
         with pytest.raises(ValueError):
             tiny_spec(tmp_path, preset="custom_csv")
@@ -347,6 +352,31 @@ class TestCli:
         assert rc == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_bad_eval_every_makes_no_output_dir(self, tmp_path, capsys):
+        # the spec rejects it before run_experiment creates the directory
+        rc = cli.main(["run", "--inner", "5", "--eval-every", "10", "--out", str(tmp_path / "o1")])
+        assert rc == 1
+        assert "eval_every" in capsys.readouterr().err
+        assert not (tmp_path / "o1").exists()
+
+    def test_flag_outside_its_choices_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--estimation", "bogus", "--out", str(tmp_path / "o1")])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "o1").exists()
+
+    @pytest.mark.parametrize("key", ["estimation", "preset"])
+    def test_config_value_outside_its_flags_choices_exits_1(self, key, tmp_path, capsys):
+        cfg = tmp_path / "sweep.conf"
+        cfg.write_text(f"{key} = bogus\nout = {tmp_path / 'o1'}\n")
+        rc = cli.main(["run", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{key} = bogus: invalid choice" in err
+        assert not (tmp_path / "o1").exists()
 
     def test_run_defaults_come_from_the_dataclasses(self, monkeypatch):
         specs = [

@@ -651,6 +651,123 @@ class TestEstimateWeights:
         assert (in_place > 0.0).all()
 
 
+def fresh_gradient_deltas(problem, rows, x, x_anchor, counts, out=None):
+    """The deltas as formed before the estimator kept its arrays: a fresh
+    gather and a fresh result every call (``out`` is ignored)."""
+    A, y = problem.aug[rows], problem.y[rows]
+    x, xa, counts = np.asarray(x, dtype=float), np.asarray(x_anchor, dtype=float), np.asarray(counts)
+    starts = np.zeros_like(counts) if isinstance(rows, slice) else np.cumsum(counts) - counts
+    deltas, lo = np.empty((counts.sum(), A.shape[1])), 0
+    for start, n, xc, xac in zip(starts, counts, x, xa):
+        Ac, yc = A[start : start + n], y[start : start + n]
+        r = prob._pointwise_residual(problem.task, Ac @ xc, yc) - prob._pointwise_residual(problem.task, Ac @ xac, yc)
+        np.multiply(r[:, None], Ac, out=deltas[lo : lo + n])
+        lo += n
+    return deltas
+
+
+class FreshGathers(np.ndarray):
+    """An array that counts the gathers of its rows that make a new array."""
+
+    count = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, (np.ndarray, list)):
+            FreshGathers.count += 1
+        return super().__getitem__(key)
+
+    def take(self, indices, axis=None, out=None, mode="raise"):
+        if out is None:
+            FreshGathers.count += 1
+        return super().take(indices, axis=axis, out=out, mode=mode)
+
+
+class TestRowBuffers:
+    """ASD's weight estimator gathers each step's subsample rows and writes
+    their deltas into arrays it keeps for the epoch."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        task=st.sampled_from(prob.TASKS),
+        policy=st.sampled_from(smp.SUBSAMPLE_POLICIES),
+        dim=st.sampled_from([2, 4, 5, 6, 9]),  # p = dim + 1 is not a multiple of 4
+        workers=st.integers(2, 4),
+        samples=st.integers(30, 90),
+        fixed_n=st.integers(1, 9),
+        k=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_kept_arrays_give_the_weights_of_fresh_ones(self, task, policy, dim, workers, samples, fixed_n, k,
+                                                          seed, data):
+        # the live cells shrink between steps, so the kept arrays hold stale
+        # rows past the ones a step writes
+        p = prob.generate_heterogeneous(task, workers, samples, dim, 2.0, seed=seed)
+        est = smp.EstimationConfig(tau=0.5, subsample_policy=policy, fixed_n=fixed_n)
+        config = optim.OptimizerConfig(eta=0.1, epochs=3, inner_iters=8, estimation=est,
+                                       distribution_mode="adaptive")
+        rng = np.random.default_rng(seed)
+        cells = [optim._Cell(replace(config, seed=(seed, i)), rng.normal(size=p.param_dim), 1.0) for i in range(3)]
+        steps, live = [], cells
+        for t in range(2, config.inner_iters + 1):
+            live = [c for c in live if len(live) == 1 or data.draw(st.booleans())] or live[:1]
+            steps.append((t, live, rng.normal(size=(len(live), p.param_dim))))
+
+        def run():
+            estimate, got = optim._weight_estimator(p, config, k, cells), []
+            for t, live, x in steps:
+                for c, xc in zip(live, x):
+                    c.x = c.anchor + xc
+                got.append(estimate(t, live))
+            return got
+
+        kept = []
+        with pytest.MonkeyPatch.context() as mp:
+            real = prob.gradient_deltas
+
+            def spy(*args):
+                kept.append(args[-1])
+                return real(*args)
+
+            mp.setattr(prob, "gradient_deltas", spy)
+            shipped = run()
+            mp.setattr(prob, "gradient_deltas", fresh_gradient_deltas)
+            fresh = run()
+        assert all(np.array_equal(a, b) for a, b in zip(shipped, fresh))  # no later step overwrote a result
+        buffers = [array for out in kept for array in out.values()]
+        assert kept and buffers
+        assert not any(np.shares_memory(w, b) for w in shipped for b in buffers)
+
+    @pytest.mark.parametrize("policy,per_epoch", [("fixed", 2), ("full", 1), ("lemma1", 3)])
+    def test_row_arrays_made_per_epoch_not_per_step(self, policy, per_epoch, monkeypatch):
+        """For a grid that keeps its cells, the arrays of width p are made
+        once per epoch: under ``fixed`` the rows and their deltas, under
+        ``full`` the deltas of rows read in place, and under ``lemma1`` the
+        full passes' deltas (one shard stack), then the step's rows and the
+        deltas, grown to the cells' whole shards, which lemma1 takes here.
+        No gather makes a fresh array.  So the per-step allocation, whose
+        pages were faulted in again on every step, cannot creep back."""
+        p = prob.generate_heterogeneous(prob.LOGISTIC, 4, 200, 6, 2.0, seed=2)
+        p.aug, p.y = p.aug.view(FreshGathers), p.y.view(FreshGathers)
+        made, real = [], np.empty
+
+        def empty(shape, *args, **kwargs):
+            if np.ndim(shape) == 1 and len(shape) == 2 and shape[1] == p.param_dim:
+                made.append(tuple(shape))
+            return real(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", empty)
+        FreshGathers.count = 0
+        epochs = 2
+        base = optim.OptimizerConfig(eta=0.01, epochs=epochs, inner_iters=6, group_size=2,
+                                     estimation=smp.EstimationConfig(subsample_policy=policy),
+                                     distribution_mode="adaptive")
+        grid = optim.run_grid(p, [replace(base, eta=0.01 * (i + 1), seed=(1, i)) for i in range(3)])
+        assert not any(diverged for _, diverged in grid)
+        assert len(made) == epochs * per_epoch
+        assert FreshGathers.count == 0
+
+
 class TestStreams:
     @settings(max_examples=200, deadline=None)
     @given(
