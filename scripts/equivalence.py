@@ -1,4 +1,4 @@
-"""Digest every output file of eleven fixed sweeps, so that two checkouts can
+"""Digest every output file of twelve fixed sweeps, so that two checkouts can
 be shown to write byte-identical traces and reports.
 
 Usage (from the repository root):
@@ -19,7 +19,9 @@ read from a ``--config`` file (keys in both spellings, one overridden by a
 flag), a 64-worker ASD shape run through ``harness.run_experiment``, and
 logistic-preset ASD under ``lemma1`` and under ``full`` (wide rows), whose
 largest step size diverges at epoch 1, step 10 on seed 1, so the live cells
-shrink in mid-epoch.
+shrink in mid-epoch, and a linear sweep of the three variance-reduced
+algorithms under ``lemma1`` with R = 3, in which one algorithm's cells all
+diverge partway through the first epoch while the others step on.
 """
 
 from __future__ import annotations
@@ -51,6 +53,13 @@ CLI_SWEEPS = {
                            "--seeds", "3", "--epochs", "3"),
     "linear_eval3": ("--preset", "linear", "--algos", "sgd,svrg,svrg_importance,asd", "--eval-every", "3",
                      "--epochs", "3"),
+    # every variance-reduced mode in one loop, with lemma1's point-dependent
+    # (ragged) subsample sizes: on seed 1 svrg_uniform's cells all diverge
+    # in epoch 1 (steps 2, 10 and 27), so its mode group empties mid-epoch;
+    # the other two modes lose their eta 1.0 and 3.0 cells by step 6 and
+    # step their eta 0.3 cell through all three epochs
+    "vr_modes_lemma1_r3": ("--preset", "linear", "--algos", "svrg,svrg_importance,asd", "--estimation", "lemma1",
+                           "--R", "3", "--etas", "0.3,1.0,3.0", "--epochs", "3"),
     **{f"logistic_asd_wide/{policy}": ("--preset", "logistic", "--algos", "asd", "--estimation", policy,
                                        "--etas", "0.0025,0.025,3e6", "--seeds", "1", "--epochs", "2")
        for policy in ("lemma1", "full")},

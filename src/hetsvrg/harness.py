@@ -2,11 +2,12 @@
 
 A sweep runs every (algorithm, eta, seed) cell on a shared dataset and a
 shared all-zeros initial parameter vector, writes one trace CSV per cell plus
-a report CSV, and summarises the best learning rate per algorithm.  The step
-sizes of one variance-reduced (algorithm, seed) are stepped together
-(``optim.run_grid``).  Diverged cells are recorded, never fatal, and cannot
-perturb other cells: every cell derives its random streams from (seed,
-algorithm, eta) alone, and its run is bit-identical to its run alone.
+a report CSV, and summarises the best learning rate per algorithm.  Every
+step size of every variance-reduced algorithm of one seed is stepped
+together (one ``optim.run_grid`` call per seed).  Diverged cells are
+recorded, never fatal, and cannot perturb other cells: every cell derives
+its random streams from (seed, algorithm, eta) alone, and its run is
+bit-identical to its run alone.
 """
 
 from __future__ import annotations
@@ -125,8 +126,13 @@ class ExperimentSpec:
                 raise ValueError("custom_csv needs csv_path and task")
         if self.epochs < 1 or self.inner_iters < 1 or self.group_size < 1:
             raise ValueError("epochs, inner_iters and group_size must be at least 1")
-        if not 1 <= self.eval_every <= self.inner_iters:  # before run_experiment makes out_dir
+        # checked before run_experiment makes out_dir
+        if not 1 <= self.eval_every <= self.inner_iters:
             raise ValueError("eval_every must be between 1 and inner_iters")
+        if self.l2_for_sgd < 0:
+            raise ValueError("l2_for_sgd must be nonnegative")
+        if self.growth_base <= 0:
+            raise ValueError("growth_base must be positive")
 
     def grid_for(self, algorithm: str) -> tuple[float, ...]:
         if self.eta_grid is not None:
@@ -205,26 +211,33 @@ def _cell_seed(seed: int, algorithm: str, eta: float) -> tuple[int, int, int]:
     return (int(seed), _ALGO_CODE[algorithm], eta_bits)
 
 
-def _run_grid(problem, spec: ExperimentSpec, algorithm: str, seed: int, x0) -> list:
-    """(trace, diverged) of every step size of one (algorithm, seed): the
-    variance-reduced algorithms step their whole grid together, SGD runs
-    cell by cell."""
+def _configs(spec: ExperimentSpec, algorithm: str, seed: int) -> list:
+    """The optimizer config of every step size of one (algorithm, seed)."""
     mode = {"asd_svrg": "adaptive", "svrg_importance": "lipschitz_importance"}.get(algorithm, "uniform")
     base = optim.OptimizerConfig(
         eta=0.0, epochs=spec.epochs, inner_iters=spec.inner_iters, group_size=spec.group_size,
         estimation=spec.estimation, distribution_mode=mode, eval_every=spec.eval_every,
         l2_for_sgd=spec.l2_for_sgd if algorithm == "sgd" else 0.0,
     )
-    configs = [replace(base, eta=eta, seed=_cell_seed(seed, algorithm, eta)) for eta in spec.grid_for(algorithm)]
-    if algorithm != "sgd":
-        return optim.run_grid(problem, configs, x0=x0)
-    out = []
-    for config in configs:
+    return [replace(base, eta=eta, seed=_cell_seed(seed, algorithm, eta)) for eta in spec.grid_for(algorithm)]
+
+
+def _run_seed(problem, spec: ExperimentSpec, seed: int, x0) -> list:
+    """(trace, diverged) of every step size of each algorithm of one seed,
+    one list per entry of ``spec.algorithms``: every variance-reduced cell
+    of the seed steps in one ``optim.run_grid`` call, SGD runs cell by cell."""
+    grids = [_configs(spec, algorithm, seed) for algorithm in spec.algorithms]
+    vr = [config for algorithm, grid in zip(spec.algorithms, grids) if algorithm != "sgd" for config in grid]
+    outcomes = iter(optim.run_grid(problem, vr, x0=x0) if vr else [])
+
+    def sgd(config):
         try:
-            out.append((optim.run_sgd(problem, config, x0=x0), False))
+            return optim.run_sgd(problem, config, x0=x0), False
         except optim.Diverged as exc:
-            out.append((exc.trace, True))
-    return out
+            return exc.trace, True
+
+    return [[sgd(config) for config in grid] if algorithm == "sgd" else [next(outcomes) for _ in grid]
+            for algorithm, grid in zip(spec.algorithms, grids)]
 
 
 def _trace_name(algorithm: str, eta: float, seed: int) -> str:
@@ -260,8 +273,7 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
         initial_loss = prob.full_loss(problem, x0)
 
         cells = []
-        for algorithm in spec.algorithms:
-            runs = _run_grid(problem, spec, algorithm, seed, x0)
+        for algorithm, runs in zip(spec.algorithms, _run_seed(problem, spec, seed, x0)):
             for eta, (trace, diverged) in zip(spec.grid_for(algorithm), runs):
                 name = _trace_name(algorithm, eta, seed)
                 trace.to_csv(out / name)

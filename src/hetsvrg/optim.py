@@ -9,16 +9,19 @@ draws from a distribution fixed for the whole run (uniform, or proportional
 to per-shard smoothness); ``run_asd_svrg`` re-estimates per-worker weights
 from subsampled gradient differences at every inner step and samples through
 the tree protocol.  ``run_sgd`` is the plain baseline with optional L2.
-``run_grid`` steps the cells of a step-size grid together: the loop is the
-same, with one cell for a solo run, and only the per-call glue is batched
-over cells: the divergence guard's initial loss and the first epoch's
-anchor gradients (every cell starts at x0), the weight estimates of each
-step, the subsample draws, which cover a block of steps per call under
-every policy but ``lemma1``, ASD's tree protocol, which draws every live
-cell in one ``comm.pc_sample_cells`` call per step, the fixed-draw picks,
-drawn for every cell and step of an epoch at once, and each step's guard
-and evaluation (``_observe``).  ASD's first step of an epoch starts at the
-anchor, where every estimate is 0, so it samples uniformly without estimating.
+``run_grid`` steps the cells of a step-size grid together, and the cells
+of all three variance-reduced algorithms with them: each distribution mode
+keeps its own ``draw`` for its own cells, and the loop merges their picks.
+The loop is the same, with one cell for a solo run, and only the per-call
+glue is batched over cells: the divergence guard's initial loss and the
+first epoch's anchor gradients (every cell starts at x0), the weight
+estimates of each step, the subsample draws, which cover a block of steps
+per call under every policy but ``lemma1``, ASD's tree protocol, which
+draws every live cell in one ``comm.pc_sample_cells`` call per step, the
+fixed-draw picks, drawn for every cell and step of an epoch at once, and
+each step's guard and evaluation (``_observe``).  ASD's first step of an
+epoch starts at the anchor, where every estimate is 0, so it samples
+uniformly without estimating.
 
 Every random decision is keyed by (seed, channel, epoch, step, worker), so
 runs are bit-reproducible and neither other workers nor other cells can
@@ -31,8 +34,9 @@ per step would.  The weights channel is a counter hash
 The guard and the recorded losses come from the batched forms of
 ``problem.full_loss`` and ``problem.test_metrics`` (O(p**2) per cell from
 cached quadratic forms for linear regression, one mat-vec per cell for
-logistic).  They agree with a row-by-row evaluation to rounding (about 1e-13
-relative on the presets) and are only recorded, never fed back into a step.
+logistic, each cell's product one item of a stacked ``np.matmul``).  They
+agree with a row-by-row evaluation to rounding (about 1e-13 relative on the
+presets) and are only recorded, never fed back into a step.
 """
 
 from __future__ import annotations
@@ -216,16 +220,20 @@ def _direction(problem, x, anchor_grads, g_anchor, picks, probs, R: int) -> np.n
 
 def _vr_loop(problem, configs, x0) -> list:
     """The variance-reduced loop, stepping the cells of ``configs`` (equal
-    but for eta and seed) together; returns each cell's ``RunTrace``, or the
-    ``Diverged`` with its partial trace.  A cell drops out at the (k, t) where
-    its guard trips, and every product of its iterates is its own, so each
-    cell's run is bit-identical to its run alone.  ``draw(k, cells)`` returns
-    the epoch's ``step(t, live)``, which samples each live cell's workers,
-    charges the messages that takes and returns per cell the sorted (worker,
-    multiplicity) pairs and every worker's sampling probability."""
+    but for eta, seed and distribution mode) together; returns each cell's
+    ``RunTrace``, or the ``Diverged`` with its partial trace.  A cell drops
+    out at the (k, t) where its guard trips, and every product of its
+    iterates is its own, so each cell's run is bit-identical to its run
+    alone.  Each distribution mode has one draw: ``draw(k, cells)`` returns
+    the epoch's ``step(t, live)`` for that mode's live cells, which samples
+    each cell's workers, charges the messages that takes and returns per
+    cell the sorted (worker, multiplicity) pairs and every worker's sampling
+    probability; the modes' picks are merged in cell order.  The prologue,
+    anchors, guard and evaluation are shared by all cells."""
     M, p, first = problem.m_workers, problem.param_dim, configs[0]
     R, T = first.group_size, first.inner_iters
-    draw = (_asd_draw if first.distribution_mode == "adaptive" else _svrg_draw)(problem, first)
+    draws = {mode: (_asd_draw if mode == "adaptive" else _svrg_draw)(problem, replace(first, distribution_mode=mode))
+             for mode in dict.fromkeys(c.distribution_mode for c in configs)}
     x0 = np.zeros(p) if x0 is None else prob._check_x(problem, x0).copy()
     initial = prob.full_loss(problem, x0)  # every cell starts at x0
     cells = live = [_Cell(config, x0, initial) for config in configs]
@@ -243,9 +251,14 @@ def _vr_loop(problem, configs, x0) -> list:
             c.anchor_grads, c.g_anchor = at_anchor[id(c.anchor)]
             c.x = c.anchor
             c.iterates = [c.x]  # x is rebound every step, never written in place
-        step = draw(k, live)
+        groups = [(mode, [c for c in live if c.config.distribution_mode == mode]) for mode in draws]
+        groups = [(draws[mode](k, mine), mine) for mode, mine in groups if mine]  # (step, its live cells)
         for t in range(1, T + 1):
-            for c, (picks, probs) in zip(live, step(t, live)):
+            drawn = {}
+            for step, mine in groups:
+                drawn.update(zip(mine, step(t, mine)))
+            for c in live:
+                picks, probs = drawn[c]
                 c.x = c.x - c.config.eta * _direction(problem, c.x, c.anchor_grads, c.g_anchor, picks, probs, R)
                 comm.server_gather(c.ledger, p, len(picks))  # payloads back
                 if t < T:
@@ -254,6 +267,7 @@ def _vr_loop(problem, configs, x0) -> list:
             live = [c for c in live if c.outcome is None]
             if not live:
                 return [c.outcome for c in cells]
+            groups = [(step, kept) for step, mine in groups if (kept := [c for c in mine if c.outcome is None])]
         for c in live:
             c.anchor = c.iterates[int(sampling._stream(c.seed + (_CH_ANCHOR, k)).integers(len(c.iterates)))]
 
@@ -411,11 +425,13 @@ def run_asd_svrg(problem, config: OptimizerConfig, x0=None) -> RunTrace:
 
 def run_grid(problem, configs, x0=None) -> list[tuple[RunTrace, bool]]:
     """``run_asd_svrg`` (adaptive mode) or ``run_svrg`` for every config of
-    the list, all stepped together; returns (trace, diverged) per config, in
-    order, each bit-identical to the solo run's, a diverged cell's trace
-    partial.  The configs may differ only in eta and seed, else ``ValueError``."""
-    if not configs or len({replace(c, eta=0.0, seed=0) for c in configs}) != 1:
-        raise ValueError("run_grid needs one or more configs that differ only in eta and seed")
+    the list, all stepped together in one loop; returns (trace, diverged)
+    per config, in order, each bit-identical to the solo run's, a diverged
+    cell's trace partial.  The configs may differ in eta, seed and
+    ``distribution_mode``, and in nothing else, else ``ValueError``."""
+    if not configs or len({replace(c, eta=0.0, seed=0, distribution_mode="uniform") for c in configs}) != 1:
+        raise ValueError("run_grid needs one or more configs that differ only in eta and seed "
+                         "(and distribution_mode)")
     return [(o.trace, True) if isinstance(o, Diverged) else (o, False) for o in _vr_loop(problem, configs, x0)]
 
 

@@ -21,8 +21,11 @@ loss, the adaptive weight estimates) are one gather or one mat-vec over the
 stack.
 
 ``full_loss`` and ``test_metrics`` are the one-point cases of batched forms
-that evaluate C points in one call, each with its own mat-vec or quadratic
-form, so each value is bit-identical to its call alone.
+that evaluate C points in one call.  They, and the per-sample gradient
+differences of ``gradient_deltas``, stack the points' products in one
+``np.matmul`` (``np.matmul(A, X[:, :, None])``, A shared or one per
+point), which runs each point's mat-vec as the BLAS call the point alone
+would make, so each value is bit-identical to its call alone.
 
 For linear regression the objective is an exact quadratic, so ``full_loss``
 and the test loss of ``test_metrics`` are read from quadratic forms cached on
@@ -39,6 +42,8 @@ or draw depends on either.
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -106,6 +111,9 @@ class ShardedProblem:
     shards : list of Shard, worker ids 0..M-1 in order.
     task : ``"linear_regression"`` or ``"logistic_regression"``.
     test_X, test_y : optional held-out rows used for test loss/accuracy.
+
+    Every feature and target, held-out ones included, must be finite, else
+    ``ValueError``.
     """
 
     def __init__(self, shards, task, *, test_X=None, test_y=None):
@@ -145,6 +153,9 @@ class ShardedProblem:
             self.test_y = np.asarray(test_y, dtype=float).ravel()
             if self.test_X.shape != (self.test_y.shape[0], self.dim):
                 raise ValueError("test set shape does not match the training dimension")
+        for name, rows in (("training", (self.aug, self.y)), ("held-out", (self.test_X, self.test_y))):
+            if not all(np.isfinite(a).all() for a in rows):
+                raise ValueError(f"{name} features and targets must be finite")
         if task == LOGISTIC:
             labels = np.concatenate([self.y, self.test_y])
             if not np.all((labels == 0.0) | (labels == 1.0)):
@@ -221,9 +232,15 @@ class _QuadraticLoss:
             Rz = np.linalg.qr(np.vstack([Rz, rows]), mode="r")
         return cls(np.ascontiguousarray(Rz[:, :-1]), Rz[:, -1].copy())
 
-    def __call__(self, x: np.ndarray) -> float:
-        r = self.R @ x - self.z
-        return float(r @ r)
+    def __call__(self, x):
+        """F at a point x of shape (p,), as a float, or at each row of a
+        (C, p) stack, as a list of floats.  One stacked product serves both:
+        each point's R x - z and its squared norm are the mat-vec and the
+        dot product a call for that point alone makes, so a point's value
+        has the same bits alone or in a stack."""
+        r = np.matmul(self.R, x[..., None])[..., 0] - self.z
+        losses = np.matmul(r[..., None, :], r[..., None])
+        return losses.ravel().tolist() if x.ndim == 2 else losses.item()
 
 
 def _pointwise_residual(task: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -279,9 +296,12 @@ def gradient_deltas(problem: ShardedProblem, rows, x, x_anchor, counts, out=None
     ``x`` and ``x_anchor`` are (C, p).  ``rows`` is either an index array of
     stacked rows of ``problem.aug`` (unchecked), of which cell c owns the
     next ``counts[c]``, or a slice of ``problem.aug`` that every cell reads
-    in place (each count is then its length).  Each cell's residuals come
-    from mat-vecs of its own rows, so they are bit-identical to a call for
-    that cell alone.  ``out``, if given, is a dict in which a repeated caller
+    in place (each count is then its length).  Each maximal run of
+    consecutive cells with equal counts (one run under ``fixed`` and
+    ``full``) forms its residuals in one stacked ``np.matmul``, a broadcast
+    one over a shared slice.  That runs one mat-vec per cell on the cell's
+    own rows, so the deltas are bit-identical to a call for that cell
+    alone.  ``out``, if given, is a dict in which a repeated caller
     keeps the gathered rows, their targets and the deltas, each grown only
     when a call needs more rows than any before; the result is then a view
     into it, valid until the next call with it.
@@ -296,13 +316,15 @@ def gradient_deltas(problem: ShardedProblem, rows, x, x_anchor, counts, out=None
     if (x.shape != (counts.size, problem.param_dim) or xa.shape != x.shape
             or not ((counts == y.size).all() if shared else counts.sum() == y.size)):
         raise ValueError(f"need one point of length {problem.param_dim} per cell and counts matching the rows")
-    starts = np.zeros_like(counts) if shared else np.cumsum(counts) - counts
-    deltas, lo = _kept(buffers, "deltas", (counts.sum(), A.shape[1])), 0
-    for start, n, xc, xac in zip(starts, counts, x, xa):
-        Ac, yc = A[start : start + n], y[start : start + n]
-        r = _pointwise_residual(problem.task, Ac @ xc, yc) - _pointwise_residual(problem.task, Ac @ xac, yc)
-        np.multiply(r[:, None], Ac, out=deltas[lo : lo + n])
-        lo += n
+    p = A.shape[1]
+    deltas, lo, c = _kept(buffers, "deltas", (counts.sum(), p)), 0, 0
+    for n, group in itertools.groupby(counts.tolist()):  # a run of cells holding n rows each
+        run = len(list(group))
+        Ac, yc = (A, y) if shared else (A[lo : lo + run * n].reshape(run, n, p), y[lo : lo + run * n].reshape(run, n))
+        z, za = (np.matmul(Ac, v[c : c + run, :, None])[:, :, 0] for v in (x, xa))
+        r = _pointwise_residual(problem.task, z, yc) - _pointwise_residual(problem.task, za, yc)
+        np.multiply(r[:, :, None], Ac, out=deltas[lo : lo + run * n].reshape(run, n, p))
+        lo, c = lo + run * n, c + run
     return deltas
 
 
@@ -335,11 +357,15 @@ def test_metrics(problem: ShardedProblem, x) -> tuple[float, float]:
 
 def _batch_full_loss(problem: ShardedProblem, X) -> list[float]:
     """The training objectives of the C points ``X``, unchecked, each
-    bit-identical to its evaluation alone: a mat-mat product, or a mat-vec
-    over more rows than the training rows, would round differently in BLAS."""
+    bit-identical to its evaluation alone: one stacked product (the
+    quadratic form's, or a broadcast mat-vec over the training rows) runs
+    each point's mat-vec as its own call would.  A mat-mat product, or a
+    mat-vec over more rows than the training rows, would round differently
+    in BLAS."""
+    X = np.asarray(X, dtype=float)
     if problem.task == LINEAR:
-        return [problem._train_form(x) for x in X]
-    losses = _pointwise_loss(problem.task, np.array([problem.aug @ x for x in X]), problem.y)
+        return problem._train_form(X)
+    losses = _pointwise_loss(problem.task, np.matmul(problem.aug, X[:, :, None])[:, :, 0], problem.y)
     return np.mean(np.add.reduceat(losses, problem.offsets[:-1], axis=1) / problem.sizes, axis=1).tolist()
 
 
@@ -349,9 +375,10 @@ def _batch_test_metrics(problem: ShardedProblem, X) -> tuple[list[float], list[f
     nan = [float("nan")] * len(X)
     if problem.test_X.shape[0] == 0:
         return nan, nan
+    X = np.asarray(X, dtype=float)
     if problem.task == LINEAR:
-        return [problem._test_form(x) for x in X], nan
-    z = np.array([problem.test_aug @ x for x in X])
+        return problem._test_form(X), nan
+    z = np.matmul(problem.test_aug, X[:, :, None])[:, :, 0]
     loss = np.mean(_pointwise_loss(problem.task, z, problem.test_y), axis=1)
     return loss.tolist(), np.mean((z > 0) == (problem.test_y > 0.5), axis=1).tolist()
 
@@ -495,7 +522,8 @@ def save_csv(problem: ShardedProblem, path) -> None:
 def load_csv(path, task: str) -> ShardedProblem:
     """Parse a dataset CSV written by :func:`save_csv` (or hand-built to match).
 
-    Raises DatasetFormatError with the offending row/column on malformed input.
+    Raises DatasetFormatError with the offending row/column on malformed
+    input, including the line of the first ``nan`` or ``inf`` value.
     """
     by_worker: dict[int, list[tuple[float, list[float]]]] = {}
     test_rows: list[tuple[float, list[float]]] = []
@@ -528,6 +556,8 @@ def load_csv(path, task: str) -> ShardedProblem:
                 feats = [float(v) for v in row[2:]]
             except ValueError as exc:
                 raise DatasetFormatError(f"{path}:{lineno}: non-numeric value ({exc})") from None
+            if not all(math.isfinite(v) for v in (target, *feats)):
+                raise DatasetFormatError(f"{path}:{lineno}: non-finite value (nan or inf)")
             if worker == TEST_WORKER_ID:
                 test_rows.append((target, feats))
             elif worker < 0:

@@ -256,7 +256,6 @@ def subsample_sizes(problem, x, x_anchor, config: EstimationConfig, out=None) ->
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's increment, 2**64 / golden ratio
-_ROUNDS_AHEAD = 4  # redraw rounds hashed per pass over the slots
 
 
 def _key_words(key) -> list[int]:
@@ -313,6 +312,15 @@ def _draw_subsamples(hashes, shard_sizes, sizes) -> np.ndarray:
     alike, so every subset is equally likely, up to the 2**-53 rounding of
     u * n_m (shards below 2**53 rows, sizes below 2**32).  A worker with
     2 k_m > n_m draws the n_m - k_m rows it leaves out instead.
+
+    Each redraw round hashes only the slots it redraws and finds the
+    repeats with one ``np.sort`` of packed keys (row << b) | slot, where
+    rows are numbered across the stacked shards of the draw's segments and
+    b bits hold a slot number.  The keys are distinct, so their order is
+    the stable order of the rows.  A key must fit in 63 bits: with S the
+    sum of those shard sizes and D the slots drawn, (S - 1).bit_length() +
+    (D - 1).bit_length() <= 63, else ``ValueError``, raised before any
+    array of slots is made.
     """
     cells, workers = np.nonzero(sizes)
     n, k = np.asarray(shard_sizes)[workers], sizes[cells, workers]
@@ -320,6 +328,9 @@ def _draw_subsamples(hashes, shard_sizes, sizes) -> np.ndarray:
         return _segment_ranks(k)
     flip = 2 * k > n
     d = np.where(flip, n - k, k)  # slots each (key, worker) segment draws
+    bits = (int(d.sum()) - 1).bit_length()
+    if (int(n.sum()) - 1).bit_length() + bits > 63:
+        raise ValueError(f"{int(d.sum())} slots over {int(n.sum())} stacked rows do not pack into 63-bit keys")
     # rows are numbered across the segments' stacked shards, so one sort
     # finds the repeats of every segment
     stacked = _segment_starts(n)
@@ -327,22 +338,20 @@ def _draw_subsamples(hashes, shard_sizes, sizes) -> np.ndarray:
     seeds = _mix64(np.array(hashes, dtype=np.uint64)[cells] + (workers.astype(np.uint64) + 1) * np.uint64(_GOLDEN))
     counters = np.repeat(seeds, d) + _segment_ranks(d).astype(np.uint64) * np.uint64(_GOLDEN)
 
-    def draw_rows(rounds):  # one row of the result per round
-        r = np.asarray(rounds, dtype=np.uint64)[:, None]
-        z = _mix64(counters + (r << np.uint64(32)) * np.uint64(_GOLDEN))
-        return first + ((z >> 11) * scale).astype(np.intp)
+    def draw_rows(r, slots):
+        z = _mix64(counters[slots] + np.uint64(((r << 32) * _GOLDEN) & _MASK64))
+        return first[slots] + ((z >> 11) * scale[slots]).astype(np.intp)
 
-    ahead = draw_rows(range(_ROUNDS_AHEAD))  # few slots repeat: hash rounds in blocks
-    rows = ahead[0]
+    slot, mask = np.arange(d.sum()), (1 << bits) - 1
+    rows = draw_rows(0, slice(None))
     for r in itertools.count(1):
-        order = np.argsort(rows, kind="stable")  # a repeat's lowest slot comes first
-        repeat = order[1:][rows[order[1:]] == rows[order[:-1]]]
+        keys = np.sort((rows << bits) | slot)  # a repeat's lowest slot comes first
+        out = keys >> bits
+        repeat = keys[1:][out[1:] == out[:-1]] & mask
         if not repeat.size:
             break
-        if r % _ROUNDS_AHEAD == 0:
-            ahead = draw_rows(range(r, r + _ROUNDS_AHEAD))
-        rows[repeat] = ahead[r % _ROUNDS_AHEAD, repeat]
-    out = rows[order]
+        rows[repeat] = draw_rows(r, repeat)
+    order = keys & mask
     if flip.any():  # such a segment keeps the rows it did not draw
         left_out = np.repeat(flip, d)[order]
         flip_rows = np.repeat(stacked[flip], n[flip]) + _segment_ranks(n[flip])

@@ -360,6 +360,13 @@ class TestCli:
         assert "eval_every" in capsys.readouterr().err
         assert not (tmp_path / "o1").exists()
 
+    @pytest.mark.parametrize("flag, field", [("--l2-sgd", "l2_for_sgd"), ("--growth-base", "growth_base")])
+    def test_bad_spec_value_makes_no_output_dir(self, flag, field, tmp_path, capsys):
+        rc = cli.main(["run", flag, "-1", "--epochs", "1", "--out", str(tmp_path / "o2")])
+        assert rc == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o2").exists()
+
     def test_flag_outside_its_choices_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--estimation", "bogus", "--out", str(tmp_path / "o1")])

@@ -391,13 +391,74 @@ class TestRunGrid:
         for change in (
             dict(epochs=2), dict(inner_iters=3), dict(group_size=2),
             dict(estimation=smp.EstimationConfig(subsample_policy="full")),
-            dict(distribution_mode="lipschitz_importance"), dict(l2_for_sgd=0.1),
+            dict(l2_for_sgd=0.1),
             dict(eval_every=2),
         ):
             with pytest.raises(ValueError, match="differ only in eta and seed"):
                 optim.run_grid(p, [base, replace(base, eta=0.02, **change)])
         with pytest.raises(ValueError, match="differ only in eta and seed"):
             optim.run_grid(p, [])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        task=st.sampled_from(prob.TASKS),
+        m=st.integers(1, 5),
+        r_share=st.floats(0.0, 1.0),
+        policy=st.sampled_from(smp.SUBSAMPLE_POLICIES),
+        cells=st.lists(st.tuples(st.sampled_from(optim.DISTRIBUTION_MODES), st.floats(-3.0, 1.0)),
+                       min_size=1, max_size=7),
+        eval_every=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(task=prob.LINEAR, m=4, r_share=1.0, policy="lemma1", eval_every=2, seed=3,
+             cells=[("adaptive", 1.0), ("uniform", -0.5), ("lipschitz_importance", 0.5), ("uniform", 1.0),
+                    ("adaptive", -1.0), ("lipschitz_importance", -2.0)])
+    def test_mixed_modes_equal_their_solo_runs(self, task, m, r_share, policy, cells, eval_every, seed):
+        """Cells of all three distribution modes, interleaved in one grid
+        call, each write the trace CSV, final iterate, diverged flag and
+        ledger of their solo runs, byte for byte."""
+        configs = [
+            optim.OptimizerConfig(
+                eta=10.0**log_eta, epochs=2, inner_iters=4, group_size=1 + int(r_share * (m - 1)),
+                estimation=smp.EstimationConfig(subsample_policy=policy), distribution_mode=mode,
+                seed=(seed, i), eval_every=eval_every,
+            )
+            for i, (mode, log_eta) in enumerate(cells)
+        ]
+        p = prob.generate_heterogeneous(task, m, 25 * m, 3, 2.0, seed)
+        grid = optim.run_grid(p, configs)
+        assert len(grid) == len(configs)
+        with tempfile.TemporaryDirectory() as out:
+            for i, (config, (trace, diverged)) in enumerate(zip(configs, grid)):
+                solo, solo_diverged = solo_outcome(p, config)
+                assert diverged == solo_diverged
+                assert trace_bytes(trace, out, f"grid{i}.csv") == trace_bytes(solo, out, f"solo{i}.csv")
+                assert trace.final_x.tobytes() == solo.final_x.tobytes()
+                assert trace.ledger.snapshot() == solo.ledger.snapshot()
+
+    def test_mode_groups_that_empty_at_different_steps_keep_every_cell_solo(self, tmp_path):
+        """The linear preset under lemma1 with R = 3, modes interleaved: the
+        cells diverge at five different steps (uniform SVRG's last at epoch
+        2, step 4, which empties its mode group while the others step on),
+        and every cell still equals its solo run."""
+        p = preset(seed=1)
+        base = optim.OptimizerConfig(eta=0.0, epochs=2, inner_iters=30, group_size=3,
+                                     estimation=smp.EstimationConfig(subsample_policy="lemma1"))
+        cells = [("adaptive", 1.0), ("uniform", 0.3), ("lipschitz_importance", 0.6), ("uniform", 1.0),
+                 ("adaptive", 0.3), ("lipschitz_importance", 0.3), ("uniform", 3.0), ("adaptive", 0.6)]
+        configs = [replace(base, eta=eta, distribution_mode=mode, seed=(1, i)) for i, (mode, eta) in enumerate(cells)]
+        ends = []
+        for i, (config, (trace, diverged)) in enumerate(zip(configs, optim.run_grid(p, configs))):
+            solo, solo_diverged = solo_outcome(p, config)
+            assert diverged == solo_diverged
+            assert trace_bytes(trace, tmp_path, f"grid{i}.csv") == trace_bytes(solo, tmp_path, f"solo{i}.csv")
+            assert trace.final_x.tobytes() == solo.final_x.tobytes()
+            assert trace.ledger.snapshot() == solo.ledger.snapshot()
+            ends.append((diverged, trace.rows[-1].epoch, trace.rows[-1].step))
+        assert [diverged for diverged, *_ in ends] == [True, True, True, True, False, False, True, True]
+        assert len({end for end in ends if end[0]}) == 5
+        last_uniform = max(end for (mode, _), end in zip(cells, ends) if mode == "uniform")
+        assert last_uniform == (True, 2, 4)
 
     def test_importance_distribution_computed_once_per_grid(self, monkeypatch):
         p = prob.generate_heterogeneous(prob.LINEAR, 3, 60, 3, 2.0, seed=1)

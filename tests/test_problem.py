@@ -306,6 +306,15 @@ class TestCsvRoundTrip:
         with pytest.raises(prob.DatasetFormatError, match="header"):
             prob.load_csv(path, prob.LINEAR)
 
+    @pytest.mark.parametrize("task, value, line", [(prob.LINEAR, "nan", 4), (prob.LOGISTIC, "inf", 3)])
+    def test_non_finite_feature_reports_line(self, task, value, line, tmp_path):
+        rows = ["worker_id,target,f_0,f_1", "0,1.0,0.5,2.0", "1,0.0,1.5,-1.0", "-1,1.0,0.5,0.5"]
+        rows[line - 1] = rows[line - 1].rsplit(",", 1)[0] + "," + value
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(prob.DatasetFormatError, match=f":{line}: non-finite"):
+            prob.load_csv(path, task)
+
 
 class TestEvaluation:
     def test_test_metrics_regression_has_nan_accuracy(self):
@@ -358,6 +367,14 @@ class TestStackedRows:
         p = prob.ShardedProblem([shard], prob.LINEAR)
         assert shard.X is X and p.shards[0] is not shard
         np.testing.assert_array_equal(p.shards[0].X, X)
+
+    @pytest.mark.parametrize("where", ["feature", "target", "test feature", "test target"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_problem_rejects_non_finite_rows(self, where, value):
+        X, y, test_X, test_y = np.ones((3, 2)), np.zeros(3), np.ones((2, 2)), np.zeros(2)
+        {"feature": X, "target": y, "test feature": test_X, "test target": test_y}[where].flat[1] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            prob.ShardedProblem([prob.Shard(0, X, y)], prob.LINEAR, test_X=test_X, test_y=test_y)
 
 
 @st.composite
@@ -485,11 +502,11 @@ def ragged_problems(draw):
 
 @st.composite
 def points(draw, p):
-    """1 to 8 points for ``p``: normal, scaled by up to 1e308, some holding
-    an inf or a nan."""
+    """1 to 16 points for ``p`` (a grid of 15 cells is evaluated in one
+    call): normal, scaled by up to 1e308, some holding an inf or a nan."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     out = []
-    for _ in range(draw(st.integers(1, 8))):
+    for _ in range(draw(st.integers(1, 16))):
         with np.errstate(over="ignore"):
             x = rng.normal(size=p.param_dim) * 10.0 ** draw(st.sampled_from([-2, 0, 1, 3, 100, 200, 308]))
         special = draw(st.sampled_from([None, None, np.inf, -np.inf, np.nan]))

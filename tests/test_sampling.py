@@ -1,5 +1,6 @@
 """Categorical machinery: optimal weights, decomposition, subsampled estimates."""
 
+import itertools
 import math
 
 import numpy as np
@@ -409,6 +410,95 @@ class TestSubsampleDrawer:
                 by_worker.append(np.intersect1d(a[m], a[(m + 1) % workers]).size)
         for overlaps in (by_epoch, by_step, by_worker):
             assert abs(np.mean(overlaps) - k * k / n) <= bound
+
+
+ROUNDS_AHEAD = 4  # the reference hashes redraw rounds four at a time
+
+
+def reference_draw(hashes, shard_sizes, sizes):
+    """The drawer as it was before its packed-key sort: every redraw round
+    stable-argsorts all slots, and the rounds are hashed ``ROUNDS_AHEAD`` at
+    a time for every slot.  Its draws define the weights channel's stream."""
+    cells, workers = np.nonzero(sizes)
+    n, k = np.asarray(shard_sizes)[workers], sizes[cells, workers]
+    if (k == n).all():
+        return smp._segment_ranks(k)
+    flip = 2 * k > n
+    d = np.where(flip, n - k, k)
+    stacked = smp._segment_starts(n)
+    first, scale = np.repeat(stacked, d), np.repeat(n * 2.0**-53, d)
+    seeds = smp._mix64(np.array(hashes, dtype=np.uint64)[cells]
+                       + (workers.astype(np.uint64) + 1) * np.uint64(smp._GOLDEN))
+    counters = np.repeat(seeds, d) + smp._segment_ranks(d).astype(np.uint64) * np.uint64(smp._GOLDEN)
+
+    def draw_rows(rounds):
+        r = np.asarray(rounds, dtype=np.uint64)[:, None]
+        z = smp._mix64(counters + (r << np.uint64(32)) * np.uint64(smp._GOLDEN))
+        return first + ((z >> 11) * scale).astype(np.intp)
+
+    ahead = draw_rows(range(ROUNDS_AHEAD))
+    rows = ahead[0]
+    for r in itertools.count(1):
+        order = np.argsort(rows, kind="stable")
+        repeat = order[1:][rows[order[1:]] == rows[order[:-1]]]
+        if not repeat.size:
+            break
+        if r % ROUNDS_AHEAD == 0:
+            ahead = draw_rows(range(r, r + ROUNDS_AHEAD))
+        rows[repeat] = ahead[r % ROUNDS_AHEAD, repeat]
+    out = rows[order]
+    if flip.any():
+        left_out = np.repeat(flip, d)[order]
+        flip_rows = np.repeat(stacked[flip], n[flip]) + smp._segment_ranks(n[flip])
+        kept = np.ones(flip_rows.size, dtype=bool)
+        kept[np.searchsorted(flip_rows, out[left_out])] = False
+        out = np.sort(np.concatenate((out[~left_out], flip_rows[kept])))
+    return out - np.repeat(stacked, k)
+
+
+class TestDrawerReference:
+    """The packed-key drawer against the stable-argsort drawer it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid=key_grids())
+    @example(grid=([(1, 2, 3, t) for t in range(12)], np.full(20, 30), np.full((12, 20), 15)))  # ten rounds
+    @example(grid=([(4, t) for t in range(40)], np.full(8, 60), np.full((40, 8), 12)))  # 3840 slots
+    def test_key_grids_match_the_reference_byte_for_byte(self, grid):
+        keys, shard_sizes, sizes = grid
+        hashes = [smp._key_hash(key) for key in keys]
+        got = smp._draw_subsamples(hashes, shard_sizes, sizes)
+        want = reference_draw(hashes, shard_sizes, sizes)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=KEYS, shards=SHARD_DRAWS)
+    @example(key=(7, 2), shards=[(1, 1), (3, 0), (47, 47), (2**40, 0), (60, 60)])  # whole shards only
+    @example(key=(5,), shards=[(2**40, 40)] * 10)  # ten 2**40-row shards
+    def test_shard_draws_match_the_reference_byte_for_byte(self, key, shards):
+        shard_sizes, sizes = np.array(shards).T
+        hashes = [smp._key_hash(key)]
+        got = smp._draw_subsamples(hashes, shard_sizes, sizes[None])
+        want = reference_draw(hashes, shard_sizes, sizes[None])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shard_sizes, sizes", [
+        ([2**61, 2**61, 2**61], [1, 1, 1]),  # rows alone need 63 bits, slots 2
+        ([2**62, 2**40], [2**40, 2**39]),  # 2**40 + 2**39 slots: terabytes, were they made
+    ])
+    def test_keys_past_63_bits_raise_before_any_slot_array(self, shard_sizes, sizes, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an array of slots was made")
+
+        for name in ("repeat", "arange", "empty", "zeros"):
+            monkeypatch.setattr(np, name, refuse)
+        with pytest.raises(ValueError, match="63-bit"):
+            smp._draw_subsamples([smp._key_hash((1,))], np.array(shard_sizes), np.array([sizes]))
+
+    def test_keys_of_exactly_63_bits_draw(self):
+        # 2**57 stacked rows (57 bits) and 64 slots (6 bits)
+        got = smp._draw_subsamples([smp._key_hash((3,))], np.array([2**56, 2**56]), np.array([[32, 32]]))
+        want = reference_draw([smp._key_hash((3,))], np.array([2**56, 2**56]), np.array([[32, 32]]))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSampleCategorical:
