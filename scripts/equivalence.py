@@ -1,4 +1,4 @@
-"""Digest every output file of twelve fixed sweeps, so that two checkouts can
+"""Digest every output file of fourteen fixed sweeps, so that two checkouts can
 be shown to write byte-identical traces and reports.
 
 Usage (from the repository root):
@@ -21,7 +21,10 @@ logistic-preset ASD under ``lemma1`` and under ``full`` (wide rows), whose
 largest step size diverges at epoch 1, step 10 on seed 1, so the live cells
 shrink in mid-epoch, and a linear sweep of the three variance-reduced
 algorithms under ``lemma1`` with R = 3, in which one algorithm's cells all
-diverge partway through the first epoch while the others step on.
+diverge partway through the first epoch while the others step on, an SGD
+sweep with R = 9 (above the preset's 8 workers, which SGD ignores) whose
+cells diverge at step 1 and in mid-epoch, and a logistic SGD and ASD sweep
+whose SGD cells diverge in mid-epoch while every ASD cell steps on.
 """
 
 from __future__ import annotations
@@ -60,6 +63,14 @@ CLI_SWEEPS = {
     # step their eta 0.3 cell through all three epochs
     "vr_modes_lemma1_r3": ("--preset", "linear", "--algos", "svrg,svrg_importance,asd", "--estimation", "lemma1",
                            "--R", "3", "--etas", "0.3,1.0,3.0", "--epochs", "3"),
+    # on seed 1 SGD's eta 1e12 cell diverges at step 1 and its eta 1.0 cell
+    # at step 17, while its eta 0.025 cell steps through both epochs
+    "sgd_r9": ("--preset", "linear", "--algos", "sgd", "--R", "9", "--etas", "0.025,1.0,1e12", "--seeds", "1",
+               "--epochs", "2"),
+    # on seed 1 SGD's eta 700 and 150 cells diverge at steps 5 and 14 of
+    # epoch 1; every ASD cell, and SGD's eta 0.0025 cell, steps on
+    "logistic_sgd_asd": ("--preset", "logistic", "--algos", "sgd,asd", "--etas", "0.0025,150,700", "--seeds", "1",
+                         "--epochs", "2"),
     **{f"logistic_asd_wide/{policy}": ("--preset", "logistic", "--algos", "asd", "--estimation", policy,
                                        "--etas", "0.0025,0.025,3e6", "--seeds", "1", "--epochs", "2")
        for policy in ("lemma1", "full")},

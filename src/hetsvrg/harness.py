@@ -3,8 +3,8 @@
 A sweep runs every (algorithm, eta, seed) cell on a shared dataset and a
 shared all-zeros initial parameter vector, writes one trace CSV per cell plus
 a report CSV, and summarises the best learning rate per algorithm.  Every
-step size of every variance-reduced algorithm of one seed is stepped
-together (one ``optim.run_grid`` call per seed).  Diverged cells are
+step size of every algorithm of one seed, SGD's included, is stepped
+together in one call of the optimizers' shared loop.  Diverged cells are
 recorded, never fatal, and cannot perturb other cells: every cell derives
 its random streams from (seed, algorithm, eta) alone, and its run is
 bit-identical to its run alone.
@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import comm
 from . import optim
 from . import problem as prob
 from . import sampling
@@ -224,20 +225,12 @@ def _configs(spec: ExperimentSpec, algorithm: str, seed: int) -> list:
 
 def _run_seed(problem, spec: ExperimentSpec, seed: int, x0) -> list:
     """(trace, diverged) of every step size of each algorithm of one seed,
-    one list per entry of ``spec.algorithms``: every variance-reduced cell
-    of the seed steps in one ``optim.run_grid`` call, SGD runs cell by cell."""
+    one list per entry of ``spec.algorithms``: every cell of the seed, SGD's
+    included, steps in one call of the optimizers' shared loop."""
     grids = [_configs(spec, algorithm, seed) for algorithm in spec.algorithms]
-    vr = [config for algorithm, grid in zip(spec.algorithms, grids) if algorithm != "sgd" for config in grid]
-    outcomes = iter(optim.run_grid(problem, vr, x0=x0) if vr else [])
-
-    def sgd(config):
-        try:
-            return optim.run_sgd(problem, config, x0=x0), False
-        except optim.Diverged as exc:
-            return exc.trace, True
-
-    return [[sgd(config) for config in grid] if algorithm == "sgd" else [next(outcomes) for _ in grid]
-            for algorithm, grid in zip(spec.algorithms, grids)]
+    sgd = [algorithm == "sgd" for algorithm, grid in zip(spec.algorithms, grids) for _ in grid]
+    outcomes = iter(optim._grid(problem, [config for grid in grids for config in grid], x0, sgd))
+    return [[next(outcomes) for _ in grid] for grid in grids]
 
 
 def _trace_name(algorithm: str, eta: float, seed: int) -> str:
@@ -261,14 +254,18 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
     train loss recorded by any cell of that seed (diverged cells included up
     to their abort point).
     """
+    # the first dataset, and ASD's group size against its workers, are
+    # checked before out_dir is made, so a rejected sweep leaves no directory
+    first = make_problem(spec, spec.seeds[0])
+    if "asd_svrg" in spec.algorithms:
+        comm.Topology(first.m_workers, spec.group_size)
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     rows: list[CellResult] = []
-    # a custom dataset does not depend on the seed: parse it once
-    shared = make_problem(spec, spec.seeds[0]) if spec.preset == "custom_csv" else None
     for seed in spec.seeds:
-        problem = shared if shared is not None else make_problem(spec, seed)
+        # a custom dataset does not depend on the seed: it is parsed once
+        problem = first if seed == spec.seeds[0] or spec.preset == "custom_csv" else make_problem(spec, seed)
         x0 = np.zeros(problem.param_dim)
         initial_loss = prob.full_loss(problem, x0)
 
@@ -358,15 +355,11 @@ def grid_best_from_rows(rows: list[CellResult], algorithm: str) -> tuple[float, 
         "median_regret": score(best_eta),
         "median_final_train_loss": float(np.median([r.final_train_loss for r in cells])),
         "median_final_test_loss": float(np.median([r.final_test_loss for r in cells])),
-        "median_epochs_to_threshold": _median_arrival(cells),
+        "median_epochs_to_threshold": float(np.median(
+            [math.inf if r.epochs_to_threshold is None else r.epochs_to_threshold for r in cells])),
         "cells": cells,
     }
     return best_eta, metrics
-
-
-def _median_arrival(cells) -> float:
-    vals = [math.inf if r.epochs_to_threshold is None else r.epochs_to_threshold for r in cells]
-    return float(np.median(vals))
 
 
 def emit_plotdata(report: ComparisonReport, trace_dir) -> list[str]:

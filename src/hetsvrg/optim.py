@@ -1,27 +1,28 @@
 """Optimizer loops over the simulated cluster, plus convergence-factor calculators.
 
-All three optimizers share the trace format and the communication ledger.
-Uniform, importance-sampled and adaptive SVRG are one variance-reduced loop
-(``_vr_loop``) and one direction function (``_direction``); they differ only
-in a per-algorithm ``draw``, which picks each inner step's workers, charges
-the messages that takes and gives the sampling probabilities.  ``run_svrg``
-draws from a distribution fixed for the whole run (uniform, or proportional
-to per-shard smoothness); ``run_asd_svrg`` re-estimates per-worker weights
-from subsampled gradient differences at every inner step and samples through
-the tree protocol.  ``run_sgd`` is the plain baseline with optional L2.
-``run_grid`` steps the cells of a step-size grid together, and the cells
-of all three variance-reduced algorithms with them: each distribution mode
-keeps its own ``draw`` for its own cells, and the loop merges their picks.
-The loop is the same, with one cell for a solo run, and only the per-call
-glue is batched over cells: the divergence guard's initial loss and the
-first epoch's anchor gradients (every cell starts at x0), the weight
-estimates of each step, the subsample draws, which cover a block of steps
-per call under every policy but ``lemma1``, ASD's tree protocol, which
-draws every live cell in one ``comm.pc_sample_cells`` call per step, the
-fixed-draw picks, drawn for every cell and step of an epoch at once, and
-each step's guard and evaluation (``_observe``).  ASD's first step of an
-epoch starts at the anchor, where every estimate is 0, so it samples
-uniformly without estimating.
+The three optimizers share the trace format, the communication ledger and
+one loop (``_vr_loop``); they differ only in a per-algorithm ``draw``, which
+picks each inner step's workers, charges the messages that takes and gives
+the sampling probabilities.  ``run_sgd`` is the plain baseline with optional
+L2: one uniformly drawn worker per step, no anchor.  Uniform, importance-
+sampled and adaptive SVRG share the epoch prologue, the anchors and one
+direction function (``_direction``).  ``run_svrg`` draws from a
+distribution fixed for the whole run (uniform, or proportional to per-shard
+smoothness); ``run_asd_svrg`` re-estimates per-worker weights from
+subsampled gradient differences at every inner step and samples through the
+tree protocol.  ``run_grid`` steps the cells of a step-size grid together,
+and a sweep steps every algorithm's cells of one seed in the same loop: each
+kind of cell keeps its own ``draw`` for its own cells, and the loop merges
+their picks.  The loop is the same, with one cell for a solo run, and only
+the per-call glue is batched over cells: the divergence guard's initial
+loss and the first epoch's anchor gradients (every cell starts at x0), the
+weight estimates of each step, the subsample draws, which cover a block of
+steps per call under every policy but ``lemma1``, ASD's tree protocol,
+which draws every live cell in one ``comm.pc_sample_cells`` call per step,
+the fixed-draw and SGD picks, drawn for every cell and step of an epoch at
+once, and each step's guard and evaluation (``_observe``).  ASD's first
+step of an epoch starts at the anchor, where every estimate is 0, so it
+samples uniformly without estimating.
 
 Every random decision is keyed by (seed, channel, epoch, step, worker), so
 runs are bit-reproducible and neither other workers nor other cells can
@@ -155,30 +156,19 @@ class RunTrace:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(TRACE_CSV_HEADER)
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        r.epoch,
-                        r.step,
-                        repr(r.train_loss),
-                        repr(r.test_loss),
-                        repr(r.test_accuracy),
-                        r.worker_worker,
-                        r.worker_server,
-                        r.server_worker,
-                        r.rounds,
-                    ]
-                )
+            for r in self.rows:  # (k, t), the three metrics exactly, the ledger
+                writer.writerow([r.epoch, r.step, *map(repr, r[2:5]), *r[5:]])
 
 
 class _Cell:
     """One run's state: its seed, ledger, iterate and epoch anchor, its trace
     rows and the limit of its divergence guard (both kept by ``_observe``),
     and its outcome once it has one.  ``initial`` is the train loss at
-    ``x0``, which the guard scales."""
+    ``x0``, which the guard scales; ``kind`` names the cell's draw, its
+    distribution mode unless it runs SGD."""
 
-    def __init__(self, config, x0, initial: float):
-        self.config = config
+    def __init__(self, config, x0, initial: float, kind: str | None = None):
+        self.config, self.kind = config, kind or config.distribution_mode
         self.seed = _seed_tuple(config.seed)
         self.ledger = comm.CommLedger()
         self.rows: list[TraceRow] = []
@@ -218,29 +208,33 @@ def _direction(problem, x, anchor_grads, g_anchor, picks, probs, R: int) -> np.n
     return step_dir / R + g_anchor
 
 
-def _vr_loop(problem, configs, x0) -> list:
-    """The variance-reduced loop, stepping the cells of ``configs`` (equal
-    but for eta, seed and distribution mode) together; returns each cell's
-    ``RunTrace``, or the ``Diverged`` with its partial trace.  A cell drops
-    out at the (k, t) where its guard trips, and every product of its
-    iterates is its own, so each cell's run is bit-identical to its run
-    alone.  Each distribution mode has one draw: ``draw(k, cells)`` returns
-    the epoch's ``step(t, live)`` for that mode's live cells, which samples
-    each cell's workers, charges the messages that takes and returns per
-    cell the sorted (worker, multiplicity) pairs and every worker's sampling
-    probability; the modes' picks are merged in cell order.  The prologue,
-    anchors, guard and evaluation are shared by all cells."""
+def _vr_loop(problem, configs, x0, sgd=None) -> list:
+    """The loop, stepping the cells of ``configs`` (equal but for eta, seed,
+    distribution mode and, for SGD, L2) together; ``sgd[i]`` says whether
+    config i runs SGD.  Returns each cell's ``RunTrace``, or the ``Diverged``
+    with its partial trace.  A cell drops out at the (k, t) where its guard
+    trips, and every product of its iterates is its own, so each cell's run
+    is bit-identical to its run alone.  Each kind of cell (SGD, or a
+    distribution mode) has one draw: ``draw(k, cells)`` returns the epoch's
+    ``step(t, live)`` for that kind's live cells, which samples each cell's
+    workers, charges the messages that takes and returns per cell the sorted
+    (worker, multiplicity) pairs and every worker's sampling probability
+    (None for SGD); the kinds' picks are merged in cell order.  The guard
+    and evaluation serve every cell, the prologue and anchors the variance-
+    reduced ones: an SGD cell steps along its drawn worker's gradient."""
     M, p, first = problem.m_workers, problem.param_dim, configs[0]
     R, T = first.group_size, first.inner_iters
-    draws = {mode: (_asd_draw if mode == "adaptive" else _svrg_draw)(problem, replace(first, distribution_mode=mode))
-             for mode in dict.fromkeys(c.distribution_mode for c in configs)}
     x0 = np.zeros(p) if x0 is None else prob._check_x(problem, x0).copy()
     initial = prob.full_loss(problem, x0)  # every cell starts at x0
-    cells = live = [_Cell(config, x0, initial) for config in configs]
+    kinds = [_SGD if s else c.distribution_mode for c, s in zip(configs, sgd or [False] * len(configs))]
+    cells = live = [_Cell(config, x0, initial, kind) for config, kind in zip(configs, kinds)]
+    draws = {kind: _DRAWS[kind](problem, configs[kinds.index(kind)]) for kind in dict.fromkeys(kinds)}
 
     for k in range(1, first.epochs + 1):
         at_anchor = {}  # cells whose anchor is one array (every cell's x0 at first) share its gradients
         for c in live:
+            if c.kind == _SGD:
+                continue
             # prologue: anchor out, shard gradients in, full gradient out
             comm.server_broadcast(c.ledger, p, M)
             comm.server_gather(c.ledger, p, M)
@@ -249,35 +243,39 @@ def _vr_loop(problem, configs, x0) -> list:
                 grads = [prob.shard_gradient(problem, m, c.anchor) for m in range(M)]
                 at_anchor[id(c.anchor)] = grads, np.mean(grads, axis=0)
             c.anchor_grads, c.g_anchor = at_anchor[id(c.anchor)]
-            c.x = c.anchor
             c.iterates = [c.x]  # x is rebound every step, never written in place
-        groups = [(mode, [c for c in live if c.config.distribution_mode == mode]) for mode in draws]
-        groups = [(draws[mode](k, mine), mine) for mode, mine in groups if mine]  # (step, its live cells)
+        groups = [(kind, [c for c in live if c.kind == kind]) for kind in draws]
+        groups = [(draws[kind](k, mine), mine) for kind, mine in groups if mine]  # (step, its live cells)
         for t in range(1, T + 1):
             drawn = {}
             for step, mine in groups:
                 drawn.update(zip(mine, step(t, mine)))
             for c in live:
                 picks, probs = drawn[c]
-                c.x = c.x - c.config.eta * _direction(problem, c.x, c.anchor_grads, c.g_anchor, picks, probs, R)
+                if c.kind == _SGD:
+                    grad = prob.shard_gradient(problem, picks[0][0], c.x) + c.config.l2_for_sgd * c.x
+                    c.x = c.x - c.config.eta * grad
+                else:
+                    c.x = c.x - c.config.eta * _direction(problem, c.x, c.anchor_grads, c.g_anchor, picks, probs, R)
+                    if t < T:
+                        c.iterates.append(c.x)
                 comm.server_gather(c.ledger, p, len(picks))  # payloads back
-                if t < T:
-                    c.iterates.append(c.x)
             _observe(problem, k, t, live)
             live = [c for c in live if c.outcome is None]
             if not live:
                 return [c.outcome for c in cells]
             groups = [(step, kept) for step, mine in groups if (kept := [c for c in mine if c.outcome is None])]
         for c in live:
-            c.anchor = c.iterates[int(sampling._stream(c.seed + (_CH_ANCHOR, k)).integers(len(c.iterates)))]
+            if c.kind != _SGD:  # the next epoch starts at its anchor
+                c.x = c.anchor = c.iterates[int(sampling._stream(c.seed + (_CH_ANCHOR, k)).integers(len(c.iterates)))]
 
     for c in live:
-        c.outcome = RunTrace(rows=c.rows, final_x=c.anchor, ledger=c.ledger)
+        c.outcome = RunTrace(rows=c.rows, final_x=c.x, ledger=c.ledger)
     return [c.outcome for c in cells]
 
 
-def _solo(problem, config, x0) -> RunTrace:
-    (outcome,) = _vr_loop(problem, [config], x0)
+def _solo(problem, config, x0, sgd: bool = False) -> RunTrace:
+    (outcome,) = _vr_loop(problem, [config], x0, [sgd])
     if isinstance(outcome, Diverged):
         raise outcome
     return outcome
@@ -303,11 +301,10 @@ def _svrg_draw(problem, config: OptimizerConfig):
         draws, row = sampling._inverse_cdf(dist.probabilities, u), {c: i for i, c in enumerate(cells)}
 
         def step(t, live):
-            out = []
-            for c, picks in zip(live, _picks(draws[[row[c] for c in live], t - 1])):
-                comm.server_broadcast(c.ledger, problem.param_dim, len(picks))  # x_{t-1} to sampled workers
-                out.append((picks, dist.probabilities))
-            return out
+            picks = _picks(draws[[row[c] for c in live], t - 1])
+            for c, mine in zip(live, picks):
+                comm.server_broadcast(c.ledger, problem.param_dim, len(mine))  # x_{t-1} to sampled workers
+            return [(mine, dist.probabilities) for mine in picks]
 
         return step
 
@@ -391,12 +388,11 @@ def _asd_draw(problem, config: OptimizerConfig):
             weights[flat], totals[flat] = 1.0, M  # degenerate estimates: uniform fallback
             rngs = [sampling._stream(c.seed + (_CH_PC, k, t)) for c in live]
             draws = comm.pc_sample_cells(weights, R, [c.ledger for c in live], rngs)
-            out = []
-            for c, picks, probs in zip(live, _picks(draws), weights / totals[:, None]):
+            picks = _picks(draws)
+            for c, mine in zip(live, picks):
                 comm.server_gather(c.ledger, R, 1)  # histogram to the server
-                comm.server_broadcast(c.ledger, 1, len(picks))  # weight normaliser out
-                out.append((picks, probs))
-            return out
+                comm.server_broadcast(c.ledger, 1, len(mine))  # weight normaliser out
+            return list(zip(picks, weights / totals[:, None]))
 
         return step
 
@@ -432,30 +428,40 @@ def run_grid(problem, configs, x0=None) -> list[tuple[RunTrace, bool]]:
     if not configs or len({replace(c, eta=0.0, seed=0, distribution_mode="uniform") for c in configs}) != 1:
         raise ValueError("run_grid needs one or more configs that differ only in eta and seed "
                          "(and distribution_mode)")
-    return [(o.trace, True) if isinstance(o, Diverged) else (o, False) for o in _vr_loop(problem, configs, x0)]
+    return _grid(problem, configs, x0)
+
+
+def _grid(problem, configs, x0, sgd=None) -> list[tuple[RunTrace, bool]]:
+    """(trace, diverged) of every cell of one ``_vr_loop`` call, in order."""
+    return [(o.trace, True) if isinstance(o, Diverged) else (o, False) for o in _vr_loop(problem, configs, x0, sgd)]
+
+
+def _sgd_draw(problem, config: OptimizerConfig):
+    M, p, T = problem.m_workers, problem.param_dim, config.inner_iters
+
+    def draw(k, cells):
+        # each cell's workers of the epoch at once: the same draws as one call a step
+        workers = {c: sampling._stream(c.seed + (_CH_SGD, k)).integers(M, size=T).tolist() for c in cells}
+
+        def step(t, live):
+            for c in live:
+                comm.server_broadcast(c.ledger, p, 1)  # x_{t-1} to the drawn worker
+            return [([(workers[c][t - 1], 1)], None) for c in live]
+
+        return step
+
+    return draw
 
 
 def run_sgd(problem, config: OptimizerConfig, x0=None) -> RunTrace:
     """Constant-step SGD over uniformly drawn workers, with optional L2 on the
     update (never on the recorded loss).  Traced on the same (epoch, step)
     grid as the variance-reduced runs for comparability."""
-    M, p = problem.m_workers, problem.param_dim
-    x = np.zeros(p) if x0 is None else prob._check_x(problem, x0).copy()
-    cell = _Cell(config, x, prob.full_loss(problem, x))
+    return _solo(problem, config, x0, sgd=True)
 
-    for k in range(1, config.epochs + 1):
-        # the epoch's workers at once: the same draws as one call a step
-        workers = sampling._stream(cell.seed + (_CH_SGD, k)).integers(M, size=config.inner_iters).tolist()
-        for t, m in enumerate(workers, 1):
-            grad = prob.shard_gradient(problem, m, cell.x) + config.l2_for_sgd * cell.x
-            cell.x = cell.x - config.eta * grad
-            comm.server_broadcast(cell.ledger, p, 1)  # x_{t-1} to the drawn worker
-            comm.server_gather(cell.ledger, p, 1)  # its gradient back
-            _observe(problem, k, t, [cell])
-            if cell.outcome is not None:
-                raise cell.outcome
 
-    return RunTrace(rows=cell.rows, final_x=cell.x, ledger=cell.ledger)
+_SGD = "sgd"  # the kind of an SGD cell, beside the distribution modes
+_DRAWS = {_SGD: _sgd_draw, "uniform": _svrg_draw, "lipschitz_importance": _svrg_draw, "adaptive": _asd_draw}
 
 
 RATE_KINDS = ("svrg_uniform", "svrg_importance", "asd_main", "asd_lemma4", "asd_appendix")

@@ -367,6 +367,27 @@ class TestCli:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o2").exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (("--R", "9", "--inner", "2", "--algos", "asd"), "need m_workers >= group_size"),
+        (("--preset", "custom", "--csv", "nope.csv", "--task", "linear"), "nope.csv"),
+    ])
+    def test_rejected_run_makes_no_output_dir(self, args, message, tmp_path, monkeypatch, capsys):
+        # ASD's group size above the preset's 8 workers, and a missing dataset,
+        # are found before run_experiment makes the directory
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(["run", *args, "--epochs", "1", "--etas", "0.1", "--out", "o"])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_group_size_above_workers_runs_without_asd(self, tmp_path):
+        # only ASD's tree protocol needs R <= M; SGD ignores R and the fixed
+        # draws sample with replacement
+        rc = cli.main(["run", "--R", "9", "--algos", "sgd,svrg,svrg_importance", "--epochs", "1", "--inner", "2",
+                       "--etas", "0.01", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert (tmp_path / "o" / "report.csv").exists()
+
     def test_flag_outside_its_choices_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--estimation", "bogus", "--out", str(tmp_path / "o1")])

@@ -313,6 +313,22 @@ class TestRunSgd:
         )
         assert sgd.rows[-1].train_loss > asd.rows[-1].train_loss
 
+    @pytest.mark.parametrize("task", prob.TASKS)
+    def test_matches_a_plain_sgd_loop(self, task):
+        """``run_sgd``, a solo run of the shared loop, takes the steps of a
+        plain SGD loop: each epoch's workers from the SGD channel, x minus
+        eta times (the drawn shard's gradient plus L2 times x), no anchor."""
+        p = prob.generate_heterogeneous(task, 5, 100, 4, 2.0, seed=2)
+        cfg = optim.OptimizerConfig(eta=0.05, epochs=3, inner_iters=7, group_size=3, seed=(4, 1), l2_for_sgd=0.3)
+        x, losses = np.linspace(-1.0, 1.0, p.param_dim), []
+        trace = optim.run_sgd(p, cfg, x0=x)
+        for k in range(1, cfg.epochs + 1):
+            for m in smp._stream((4, 1, optim._CH_SGD, k)).integers(p.m_workers, size=cfg.inner_iters):
+                x = x - cfg.eta * (prob.shard_gradient(p, int(m), x) + cfg.l2_for_sgd * x)
+                losses.append(prob.full_loss(p, x))
+        assert trace.final_x.tobytes() == x.tobytes()
+        assert [r.train_loss for r in trace.rows] == losses
+
     def test_ledger_schedule(self):
         p = prob.generate_heterogeneous(prob.LINEAR, 8, 100, 9, 1.5, seed=0)
         cfg = optim.OptimizerConfig(eta=1e-4, epochs=2, inner_iters=3, seed=0)
@@ -322,9 +338,11 @@ class TestRunSgd:
         assert trace.ledger.parallel_rounds == 12
 
 
-def solo_outcome(problem, config):
-    """(trace, diverged) of one config run alone, as a sweep records it."""
+def solo_outcome(problem, config, sgd=False):
+    """(trace, diverged) of one config run alone, as a sweep records it;
+    ``sgd`` runs it through ``run_sgd``."""
     runner = optim.run_asd_svrg if config.distribution_mode == "adaptive" else optim.run_svrg
+    runner = optim.run_sgd if sgd else runner
     try:
         return runner(problem, config), False
     except optim.Diverged as exc:
@@ -436,6 +454,51 @@ class TestRunGrid:
                 assert trace.final_x.tobytes() == solo.final_x.tobytes()
                 assert trace.ledger.snapshot() == solo.ledger.snapshot()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        task=st.sampled_from(prob.TASKS),
+        m=st.integers(1, 5),
+        r_share=st.floats(0.0, 1.0),
+        policy=st.sampled_from(smp.SUBSAMPLE_POLICIES),
+        cells=st.lists(st.tuples(st.sampled_from(("sgd", *optim.DISTRIBUTION_MODES)), st.floats(-3.0, 1.0)),
+                       min_size=1, max_size=7),
+        l2=st.floats(0.01, 2.0),
+        explode_at=st.none() | st.integers(0, 7),
+        eval_every=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(task=prob.LINEAR, m=4, r_share=1.0, policy="fixed", l2=0.5, explode_at=2, eval_every=2, seed=3,
+             cells=[("sgd", 1.0), ("adaptive", 0.5), ("uniform", -0.5), ("sgd", -2.0),
+                    ("lipschitz_importance", 0.5), ("sgd", 0.3)])
+    @example(task=prob.LOGISTIC, m=3, r_share=0.5, policy="lemma1", l2=0.02, explode_at=0, eval_every=1, seed=8,
+             cells=[("uniform", -1.0), ("sgd", -1.0), ("adaptive", -1.0)])
+    def test_sgd_cells_in_a_mixed_grid_equal_their_solo_runs(self, task, m, r_share, policy, cells, l2,
+                                                             explode_at, eval_every, seed):
+        """SGD cells with L2, interleaved in one loop with cells of all three
+        distribution modes (etas up to 10, and maybe one SGD cell at an
+        exploding eta, which diverges at its first step), each write the
+        trace CSV, final iterate, diverged flag and ledger of their solo
+        ``run_sgd`` / ``run_svrg`` / ``run_asd_svrg`` runs, byte for byte."""
+        cells = [(kind, 10.0**log_eta) for kind, log_eta in cells]
+        if explode_at is not None:
+            cells.insert(min(explode_at, len(cells)), ("sgd", 10.0**12))
+        base = optim.OptimizerConfig(eta=0.0, epochs=2, inner_iters=4, group_size=1 + int(r_share * (m - 1)),
+                                     estimation=smp.EstimationConfig(subsample_policy=policy), eval_every=eval_every)
+        configs = [replace(base, eta=eta, seed=(seed, i), l2_for_sgd=l2) if kind == "sgd"
+                   else replace(base, eta=eta, seed=(seed, i), distribution_mode=kind)
+                   for i, (kind, eta) in enumerate(cells)]
+        sgd = [kind == "sgd" for kind, _ in cells]
+        p = prob.generate_heterogeneous(task, m, 25 * m, 3, 2.0, seed)
+        grid = optim._grid(p, configs, None, sgd)
+        assert len(grid) == len(configs)
+        with tempfile.TemporaryDirectory() as out:
+            for i, (config, is_sgd, (trace, diverged)) in enumerate(zip(configs, sgd, grid)):
+                solo, solo_diverged = solo_outcome(p, config, is_sgd)
+                assert diverged == solo_diverged
+                assert trace_bytes(trace, out, f"grid{i}.csv") == trace_bytes(solo, out, f"solo{i}.csv")
+                assert trace.final_x.tobytes() == solo.final_x.tobytes()
+                assert trace.ledger.snapshot() == solo.ledger.snapshot()
+
     def test_mode_groups_that_empty_at_different_steps_keep_every_cell_solo(self, tmp_path):
         """The linear preset under lemma1 with R = 3, modes interleaved: the
         cells diverge at five different steps (uniform SVRG's last at epoch
@@ -495,6 +558,21 @@ class TestRunGrid:
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], np.zeros(p.param_dim))
         assert batches == [1, 3, 3]  # full_loss at x0, then one per step for the three cells
+
+    @pytest.mark.parametrize("etas", [(0.01,), (0.002, 0.01, 0.02)])
+    def test_seed_guards_every_algorithm_in_one_batch_per_step(self, etas, monkeypatch):
+        # SGD's cells step in the variance-reduced cells' loop: a seed of all
+        # four algorithms evaluates the loss at x0 once, then every cell of
+        # a step in one batch, however many SGD cells it has
+        spec = harness.ExperimentSpec(preset="linear_synthetic", algorithms=harness.ALGORITHMS, eta_grid=etas,
+                                      seeds=(1,), epochs=2, inner_iters=3, samples_total=100, dim=4)
+        p = harness.make_problem(spec, 1)
+        batches = []
+        batch = prob._batch_full_loss
+        monkeypatch.setattr(prob, "_batch_full_loss", lambda *a: batches.append(len(a[1])) or batch(*a))
+        runs = harness._run_seed(p, spec, 1, np.zeros(p.param_dim))
+        assert not any(diverged for grid in runs for _, diverged in grid)
+        assert batches == [1] + [4 * len(etas)] * (2 * 3)
 
     @pytest.mark.parametrize("policy", smp.SUBSAMPLE_POLICIES)
     def test_weight_draw_block_length_changes_no_output(self, policy, monkeypatch, tmp_path):
