@@ -1,4 +1,4 @@
-"""Digest every output file of fourteen fixed sweeps, so that two checkouts can
+"""Digest every output file of fifteen fixed sweeps, so that two checkouts can
 be shown to write byte-identical traces and reports.
 
 Usage (from the repository root):
@@ -24,7 +24,10 @@ algorithms under ``lemma1`` with R = 3, in which one algorithm's cells all
 diverge partway through the first epoch while the others step on, an SGD
 sweep with R = 9 (above the preset's 8 workers, which SGD ignores) whose
 cells diverge at step 1 and in mid-epoch, and a logistic SGD and ASD sweep
-whose SGD cells diverge in mid-epoch while every ASD cell steps on.
+whose SGD cells diverge in mid-epoch while every ASD cell steps on, and
+an ASD sweep over a saved dataset with unequal shards whose fixed
+subsample size is above half the smallest shard, where one cell diverges
+inside a block of subsample draws.
 """
 
 from __future__ import annotations
@@ -87,12 +90,26 @@ def custom_sweep(out: Path, name: str, problem: prob.ShardedProblem, *args: str)
     return ("--preset", "custom", "--csv", str(dataset), "--task", problem.task, *args)
 
 
+def unequal_shards() -> prob.ShardedProblem:
+    """A linear problem whose five shards hold 12, 80, 35, 61 and 20 rows."""
+    base = prob.generate_heterogeneous(prob.LINEAR, 5, 500, 4, 2.0, seed=17)
+    shards = [prob.Shard(m, s.X[:n], s.y[:n]) for m, (s, n) in enumerate(zip(base.shards, [12, 80, 35, 61, 20]))]
+    return prob.ShardedProblem(shards, prob.LINEAR, test_X=base.test_X, test_y=base.test_y)
+
+
 def custom_sweeps(out: Path) -> dict[str, tuple[str, ...]]:
-    """The dataset sweeps: a linear one, and a logistic one whose 294
+    """The dataset sweeps: a linear one, a logistic one whose 294
     training and 73 held-out rows are not multiples of 4 (at p = 8), where
     a mat-vec over the training rows stacked on the held-out rows can round
-    them differently in BLAS; the presets' 240 and 60 rows cannot show it."""
+    them differently in BLAS (the presets' 240 and 60 rows cannot show it),
+    and ASD on unequal shards.  There each step of a cell draws 10 rows of
+    every shard, the 12-row shard by leaving 2 out, so a block of draws
+    covers 27 steps of the three cells; on seed 1 the eta 1.0 cell diverges
+    at epoch 1, step 10, and the block is drawn again for the other two."""
     return {
+        "custom_unequal_fixed": custom_sweep(
+            out, "custom_unequal", unequal_shards(), "--algos", "asd", "--estimation", "fixed", "--fixed-n", "10",
+            "--etas", "0.1,0.5,1.0", "--seeds", "1", "--epochs", "2", "--inner", "60"),
         "custom_linear": custom_sweep(
             out, "custom", prob.generate_heterogeneous(prob.LINEAR, 6, 300, 5, 2.0, seed=11),
             "--etas", "0.01,0.05,0.3,3.0", "--algos", "sgd,svrg,svrg_importance,asd", "--seeds", "1,2",

@@ -122,6 +122,8 @@ class ExperimentSpec:
             raise ValueError("custom_csv has no default grid; pass eta_grid explicitly")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if any(len(set(v)) != len(v) for v in (self.algorithms, self.eta_grid or (), self.seeds)):
+            raise ValueError("algorithms, eta_grid and seeds must not repeat an entry")  # each cell runs once
         if self.preset == "custom_csv":
             if self.csv_path is None or self.task is None:
                 raise ValueError("custom_csv needs csv_path and task")
@@ -367,37 +369,26 @@ def emit_plotdata(report: ComparisonReport, trace_dir) -> list[str]:
 
     Each output file carries the full trace schema (so any column can be
     plotted directly; the losses are raw values, ready for a log axis) and
-    concatenates the best-eta runs of every seed.  Algorithms whose cells all
-    diverged, or empty reports, produce header-only files.
+    concatenates the best-eta runs of every seed, their trace files' rows
+    as they are.  Algorithms whose cells all diverged, or empty reports,
+    produce header-only files.
     """
     trace_dir = Path(trace_dir)
     written = []
     for algorithm in report.spec.algorithms:
-        chosen: list[CellResult] = []
-        if algorithm in report.best:
-            eta, _ = report.best[algorithm]
-            chosen = [
-                r
-                for r in report.rows_for(algorithm)
-                if r.eta == eta and not r.diverged
-            ]
-        lines = []
+        eta = report.best[algorithm][0] if algorithm in report.best else None  # None: no row is chosen
+        chosen = [r for r in report.rows_for(algorithm) if r.eta == eta and not r.diverged]
+        text = (",".join(optim.TRACE_CSV_HEADER) + "\r\n").encode()
         for cell in sorted(chosen, key=lambda r: r.seed):
             path = trace_dir / cell.trace_file
-            try:
-                with open(path, newline="") as fh:
-                    reader = csv.reader(fh)
-                    next(reader)  # header
-                    lines.extend(reader)
+            try:  # a trace file is its header line, then its rows
+                text += path.read_bytes().partition(b"\n")[2]
             except OSError as exc:
                 raise OSError(f"cannot read trace {path}: {exc}") from exc
         for figure in FIGURES:
             out_path = trace_dir / f"fig_{figure}_{algorithm}.csv"
             try:
-                with open(out_path, "w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(optim.TRACE_CSV_HEADER)
-                    writer.writerows(lines)
+                out_path.write_bytes(text)
             except OSError as exc:
                 raise OSError(f"cannot write plot data {out_path}: {exc}") from exc
             written.append(str(out_path))

@@ -16,9 +16,9 @@ kind of cell keeps its own ``draw`` for its own cells, and the loop merges
 their picks.  The loop is the same, with one cell for a solo run, and only
 the per-call glue is batched over cells: the divergence guard's initial
 loss and the first epoch's anchor gradients (every cell starts at x0), the
-weight estimates of each step, the subsample draws, which cover a block of
-steps per call under every policy but ``lemma1``, ASD's tree protocol,
-which draws every live cell in one ``comm.pc_sample_cells`` call per step,
+weight estimates of each step, whose subsample draws, row gathers and
+anchor residuals are made once per block of steps (one step under
+``lemma1``), ASD's tree protocol, one ``comm.pc_sample_cells`` call a step,
 the fixed-draw and SGD picks, drawn for every cell and step of an epoch at
 once, and each step's guard and evaluation (``_observe``).  ASD's first
 step of an epoch starts at the anchor, where every estimate is 0, so it
@@ -42,7 +42,6 @@ presets) and are only recorded, never fed back into a step.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -142,6 +141,7 @@ TRACE_CSV_HEADER = [
     "sw_scalars",
     "rounds",
 ]
+_TRACE_LINE = "%s,%s,%r,%r,%r,%s,%s,%s,%s\r\n"  # (k, t), the metrics exactly, the ledger: csv.writer's line
 
 
 @dataclass
@@ -154,10 +154,7 @@ class RunTrace:
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_CSV_HEADER)
-            for r in self.rows:  # (k, t), the three metrics exactly, the ledger
-                writer.writerow([r.epoch, r.step, *map(repr, r[2:5]), *r[5:]])
+            fh.write(",".join(TRACE_CSV_HEADER) + "\r\n" + "".join(_TRACE_LINE % r for r in self.rows))
 
 
 class _Cell:
@@ -338,14 +335,18 @@ def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
     ahead come from one draw of at most ``_BLOCK_SLOTS`` slots (or of one
     step, if a step needs more), for the cells live when it is drawn, and
     are drawn again once a cell drops out; ``lemma1`` sizes depend on the
-    cells' points, so its blocks are one step long.  Every step's rows and
-    deltas (and ``lemma1``'s full passes) use arrays kept for the epoch."""
-    est = config.estimation
-    prefix = {c: sampling._key_hash(c.seed + (_CH_WEIGHTS, k)) for c in cells}
+    cells' points, so its blocks are one step long.  A block's key hashes,
+    segment layout, rows and anchor residuals r(a'x~) are made once, when it
+    is drawn (``problem._gather_block``); a step forms r(a'x) on its rows,
+    its deltas (``problem.gradient_deltas``) and each segment's norm of
+    their mean.  The rows, residuals and deltas (and ``lemma1``'s full
+    passes) use arrays kept for the epoch."""
+    est, T = config.estimation, config.inner_iters
+    prefix = {c: np.uint64(sampling._key_hash(c.seed + (_CH_WEIGHTS, k))) for c in cells}
     buffers = {}
-    # the open block: its first and end step, its number of cells, its rows
-    # of problem.aug, and each step's segments (cell, worker, row count)
-    block = (0, 0, 0, None, None, None, None)
+    # the open block: its first and end step, number of cells, (rows, targets, anchor residuals),
+    # and segments (cell, worker, row count) with each cell's row count and each segment's start
+    block = (0, 0, 0) + (None,) * 6
 
     def estimate(t, live):
         nonlocal block
@@ -355,19 +356,25 @@ def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
             cells, workers = np.nonzero(sizes)
             counts = sizes[cells, workers]
             if est.subsample_policy == "full":  # every cell takes every row: read them in place
-                steps, rows = config.inner_iters + 1 - t, slice(None)
+                steps, rows = T + 1 - t, slice(None)
             else:
                 steps = 1 if est.subsample_policy == "lemma1" else min(
-                    config.inner_iters + 1 - t, max(1, _BLOCK_SLOTS // max(1, int(sizes.sum()))))
-                hashes = [sampling._key_hash((t + j,), prefix[c]) for j in range(steps) for c in live]
-                local = sampling._draw_subsamples(hashes, problem.sizes, np.tile(sizes, (steps, 1)))
+                    T + 1 - t, max(1, _BLOCK_SLOTS // max(1, int(sizes.sum()))))
+                at = np.arange(t, t + steps, dtype=np.uint64).repeat(len(live))  # in (step, cell) order
+                local = sampling._draw_subsamples(sampling._key_hashes(np.tile([prefix[c] for c in live], steps), at),
+                                                  problem.sizes, np.tile(sizes, (steps, 1)))
                 rows = local + np.tile(np.repeat(problem.offsets[workers], counts), steps)
-            block = (t, t + steps, len(live), rows, cells, workers, counts)
-        first, _, _, rows, cells, workers, counts = block
-        if est.subsample_policy != "full":
+            per_cell = np.bincount(cells, weights=counts, minlength=len(live)).astype(int)
+            block = (t, t + steps, len(live), prob._gather_block(problem, rows, anchor, per_cell, steps, buffers),
+                     cells, workers, counts, per_cell, sampling._segment_starts(counts))
+        first, _, _, gathered, cells, workers, counts, per_cell, starts = block
+        if est.subsample_policy != "full":  # the step's own rows of the block
             n = int(counts.sum())
-            rows = rows[(t - first) * n:(t - first + 1) * n]
-        return sampling._segment_weights(problem, x, anchor, rows, cells, workers, counts, buffers)
+            gathered = tuple(v[(t - first) * n : (t - first + 1) * n] for v in gathered)
+        deltas = prob.gradient_deltas(problem, gathered, x, anchor, per_cell, buffers)
+        weights = np.zeros((len(live), problem.m_workers))
+        weights[cells, workers] = np.linalg.norm(np.add.reduceat(deltas, starts, axis=0) / counts[:, None], axis=1)
+        return weights
 
     return estimate
 

@@ -288,43 +288,71 @@ def _kept(buffers: dict, key: str, shape) -> np.ndarray:
     return buffers[key][: shape[0]]
 
 
+def _runs(counts: np.ndarray):
+    """(first row, first cell, cells, rows each) of every run of consecutive cells with equal counts."""
+    lo = c = 0
+    for n, group in itertools.groupby(counts.tolist()):
+        run = len(list(group))
+        yield lo, c, run, n
+        lo, c = lo + run * n, c + run
+
+
+def _gather_block(problem: ShardedProblem, rows, x_anchor, counts: np.ndarray, steps: int, out: dict) -> tuple:
+    """(rows, targets, anchor residuals r(a'x_anchor)) of ``steps`` steps of
+    C cells, each step's as :func:`gradient_deltas` takes them: ``rows``
+    holds the steps' index rows one after another, gathered into ``out``, or
+    a slice every step reads in place.  The residuals, kept in ``out`` too,
+    are the items of one stacked ``np.matmul`` per run of equal-count cells,
+    each a one-step call's item (a cell's mat-vec over its own rows), so
+    each has the bits of a one-step call."""
+    p, shared, n_rows = problem.param_dim, isinstance(rows, slice), int(counts.sum())
+    if shared:
+        A, y, steps = problem.aug[rows], problem.y[rows], 1  # a slice is a view, not a copy
+    else:  # 'clip' gathers straight into the kept rows, where 'raise' would copy them first
+        A = np.take(problem.aug, rows, axis=0, out=_kept(out, "aug", (len(rows), p)), mode="clip")
+        y = np.take(problem.y, rows, out=_kept(out, "y", (len(rows),)), mode="clip")
+    ra = _kept(out, "anchor", (steps * n_rows,))
+    for lo, c, run, n in _runs(counts):
+        Ab, yb = (A, y) if shared else (A.reshape(steps, n_rows, p)[:, lo : lo + run * n].reshape(steps, run, n, p),
+                                        y.reshape(steps, n_rows)[:, lo : lo + run * n].reshape(steps, run, n))
+        za = np.matmul(Ab, x_anchor[c : c + run, :, None])[..., 0]
+        ra.reshape(steps, n_rows)[:, lo : lo + run * n] = _pointwise_residual(problem.task, za, yb).reshape(steps, -1)
+    return A, y, ra
+
+
 def gradient_deltas(problem: ShardedProblem, rows, x, x_anchor, counts, out=None) -> np.ndarray:
     """Per-sample gradient differences grad f_j(x) - grad f_j(x_anchor) of C
     cells, one row per sample: the residual difference r(a'x) - r(a'x_anchor)
     times a.
 
-    ``x`` and ``x_anchor`` are (C, p).  ``rows`` is either an index array of
+    ``x`` and ``x_anchor`` are (C, p).  ``rows`` is an index array of
     stacked rows of ``problem.aug`` (unchecked), of which cell c owns the
-    next ``counts[c]``, or a slice of ``problem.aug`` that every cell reads
-    in place (each count is then its length).  Each maximal run of
-    consecutive cells with equal counts (one run under ``fixed`` and
-    ``full``) forms its residuals in one stacked ``np.matmul``, a broadcast
-    one over a shared slice.  That runs one mat-vec per cell on the cell's
-    own rows, so the deltas are bit-identical to a call for that cell
-    alone.  ``out``, if given, is a dict in which a repeated caller
-    keeps the gathered rows, their targets and the deltas, each grown only
-    when a call needs more rows than any before; the result is then a view
-    into it, valid until the next call with it.
+    next ``counts[c]``, a slice of ``problem.aug`` that every cell reads in
+    place (each count is then its length), or one step of a
+    :func:`_gather_block` for these cells, whose anchor residuals are used.
+    Each maximal run of consecutive cells with equal counts (one run under
+    ``fixed`` and ``full``) forms its residuals in one stacked
+    ``np.matmul``, a broadcast one over a shared slice: one mat-vec per cell
+    on the cell's own rows, so the deltas are bit-identical to a call for
+    that cell alone.  ``out``, if given, is a dict in which a repeated
+    caller keeps the gathered rows and targets, anchor residuals and deltas,
+    each grown only when a call needs more rows than any before; the result
+    is then a view into it, valid until the next call with it.
     """
-    buffers, shared = {} if out is None else out, isinstance(rows, slice)
-    if shared:
-        A, y = problem.aug[rows], problem.y[rows]  # a slice is a view, not a copy
-    else:  # 'clip' gathers straight into the kept rows, where 'raise' would copy them first
-        A = np.take(problem.aug, rows, axis=0, out=_kept(buffers, "aug", (len(rows), problem.param_dim)), mode="clip")
-        y = np.take(problem.y, rows, out=_kept(buffers, "y", (len(rows),)), mode="clip")
+    buffers, gathered = {} if out is None else out, isinstance(rows, tuple)
     x, xa, counts = np.asarray(x, dtype=float), np.asarray(x_anchor, dtype=float), np.asarray(counts)
+    size = len(rows[1]) if gathered else len(problem.y[rows]) if isinstance(rows, slice) else len(rows)
+    shared = isinstance(rows, slice) or gathered and size != counts.sum()  # a slice, or a block's
     if (x.shape != (counts.size, problem.param_dim) or xa.shape != x.shape
-            or not ((counts == y.size).all() if shared else counts.sum() == y.size)):
+            or not ((counts == size).all() if shared else counts.sum() == size)):
         raise ValueError(f"need one point of length {problem.param_dim} per cell and counts matching the rows")
-    p = A.shape[1]
-    deltas, lo, c = _kept(buffers, "deltas", (counts.sum(), p)), 0, 0
-    for n, group in itertools.groupby(counts.tolist()):  # a run of cells holding n rows each
-        run = len(list(group))
+    A, y, ra = rows if gathered else _gather_block(problem, rows, xa, counts, 1, buffers)
+    p, deltas = problem.param_dim, _kept(buffers, "deltas", (counts.sum(), problem.param_dim))
+    for lo, c, run, n in _runs(counts):
         Ac, yc = (A, y) if shared else (A[lo : lo + run * n].reshape(run, n, p), y[lo : lo + run * n].reshape(run, n))
-        z, za = (np.matmul(Ac, v[c : c + run, :, None])[:, :, 0] for v in (x, xa))
-        r = _pointwise_residual(problem.task, z, yc) - _pointwise_residual(problem.task, za, yc)
+        r = _pointwise_residual(problem.task, np.matmul(Ac, x[c : c + run, :, None])[:, :, 0], yc)
+        r -= ra[lo : lo + run * n].reshape(run, n)
         np.multiply(r[:, :, None], Ac, out=deltas[lo : lo + run * n].reshape(run, n, p))
-        lo, c = lo + run * n, c + run
     return deltas
 
 

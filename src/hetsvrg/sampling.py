@@ -295,6 +295,13 @@ def _key_hash(key, h: int = 0) -> int:
     return h
 
 
+def _key_hashes(h, v):
+    """``_key_hash((v,), h)`` elementwise over uint64 arrays: the one word
+    of each v below 2**32, else its two words, folded onto h."""
+    h = _mix64((h + np.uint64(_GOLDEN)) ^ (v & np.uint64(_MASK32)))
+    return np.where(v >> np.uint64(32) > 0, _mix64((h + np.uint64(_GOLDEN)) ^ (v >> np.uint64(32))), h)
+
+
 def _draw_subsamples(hashes, shard_sizes, sizes) -> np.ndarray:
     """C draws of every worker's subsample (for cells, steps or both), in
     one array pass: draw c is keyed by ``hashes[c]``, the ``_key_hash`` of
@@ -361,29 +368,6 @@ def _draw_subsamples(hashes, shard_sizes, sizes) -> np.ndarray:
     return out - np.repeat(stacked, k)
 
 
-def _segment_weights(problem, x, x_anchor, rows, cells, workers, counts, out=None) -> np.ndarray:
-    """The (C, M) subsampled gradient-difference norms of C cells' workers,
-    unchecked: segment i holds the next ``counts[i]`` of ``rows`` (rows of
-    ``problem.aug``, ascending within the segment, as the drawer gives them
-    once offset), for cell ``cells[i]`` and worker ``workers[i]``, in (cell,
-    worker) order, and ``x`` and ``x_anchor`` are (C, p).  When every
-    segment takes its whole shard, ``rows`` may be ``slice(None)``, which
-    every cell reads in place.  The residual differences r(a'x) -
-    r(a'x_anchor) are formed on the rows (per cell, see
-    :func:`problem.gradient_deltas`), and each segment's weight is the norm
-    of its mean of (residual difference) * a; a (cell, worker) with no
-    segment gets weight 0.  ``out`` is as in :func:`problem.gradient_deltas`;
-    the weights are a new array."""
-    weights = np.zeros((len(x), problem.m_workers))
-    if not counts.size:
-        return weights
-    per_cell = np.bincount(cells, weights=counts, minlength=len(x)).astype(int)
-    deltas = prob.gradient_deltas(problem, rows, x, x_anchor, per_cell, out)
-    means = np.add.reduceat(deltas, _segment_starts(counts), axis=0) / counts[:, None]
-    weights[cells, workers] = np.linalg.norm(means, axis=1)
-    return weights
-
-
 def estimate_shard_weight(problem, shard_id: int, x, x_anchor, n_m: int, rng) -> float:
     """Norm of the subsampled mean gradient difference for one shard.
 
@@ -391,15 +375,14 @@ def estimate_shard_weight(problem, shard_id: int, x, x_anchor, n_m: int, rng) ->
     ``rng.choice(shard size, n_m, replace=False)``, and returns
     || mean_j (grad f_j(x) - grad f_j(x_anchor)) ||_2 over the draw.  With
     ``n_m`` equal to the shard size this is the exact difference norm.  This
-    is the one-segment case of :func:`_segment_weights`.
+    is one segment of the optimizer's batched estimate.
     """
     shard = problem.shard(shard_id)
     if not 1 <= n_m <= shard.size:
         raise ValueError(f"n_m must be in [1, {shard.size}], got {n_m}")
     rows = np.sort(rng.choice(shard.size, n_m, replace=False)) + problem.offsets[shard_id]
-    weights = _segment_weights(problem, np.reshape(x, (1, -1)), np.reshape(x_anchor, (1, -1)), rows, np.array([0]),
-                               np.array([shard_id]), np.array([n_m]))
-    return float(weights[0, shard_id])
+    deltas = prob.gradient_deltas(problem, rows, np.reshape(x, (1, -1)), np.reshape(x_anchor, (1, -1)), [n_m])
+    return float(np.linalg.norm(np.add.reduce(deltas) / n_m))
 
 
 def _inverse_cdf(probabilities: np.ndarray, u) -> np.ndarray:

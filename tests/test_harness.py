@@ -3,11 +3,17 @@
 import csv
 import dataclasses
 import hashlib
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hetsvrg import cli, harness, optim
+from hetsvrg import cli, comm, harness, optim
 from hetsvrg import problem as prob
+from hetsvrg import sampling as smp
 
 
 def tiny_spec(tmp_path, **overrides):
@@ -62,6 +68,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="eval_every"):
             tiny_spec(tmp_path, eval_every=eval_every)  # inner_iters=10
 
+    @pytest.mark.parametrize("field, value", [
+        ("seeds", (1, 2, 1)), ("eta_grid", (0.02, 0.02)), ("algorithms", ("sgd", "asd_svrg", "sgd")),
+    ])
+    def test_repeated_entry_rejected(self, tmp_path, field, value):
+        # a repeat would run its cells twice, write their traces twice and
+        # count them twice in grid_best_from_rows' medians
+        with pytest.raises(ValueError, match="must not repeat"):
+            tiny_spec(tmp_path, **{field: value})
+
     def test_custom_needs_path_and_task(self, tmp_path):
         with pytest.raises(ValueError):
             tiny_spec(tmp_path, preset="custom_csv")
@@ -88,6 +103,46 @@ class TestSpecValidation:
         asd = spec.grid_for("asd_svrg")
         assert svrg[len(svrg) // 2] == pytest.approx(7.5e-5)
         assert asd[len(asd) // 2] == pytest.approx(2.5e-3)
+
+
+class TestSpecProperty:
+    """Any spec either is rejected before its output directory exists, or
+    runs to the end."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        preset=st.sampled_from(harness.PRESETS),
+        algorithms=st.lists(st.sampled_from(harness.ALGORITHMS), min_size=1, max_size=4),
+        etas=st.lists(st.sampled_from([0.01, 0.1, 1e6]), min_size=1, max_size=3),
+        seeds=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+        m_workers=st.none() | st.integers(-1, 7),
+        samples_total=st.none() | st.integers(-1, 40),
+        dim=st.none() | st.integers(-1, 4),
+        group_size=st.integers(0, 9),
+        inner=st.integers(1, 3),
+        eval_every=st.integers(0, 4),
+        policy=st.sampled_from(smp.SUBSAMPLE_POLICIES),
+        fixed_n=st.none() | st.integers(0, 12),
+    )
+    def test_rejects_before_out_dir_or_completes(self, preset, algorithms, etas, seeds, m_workers, samples_total,
+                                                 dim, group_size, inner, eval_every, policy, fixed_n):
+        with tempfile.TemporaryDirectory() as root:
+            out, data = Path(root) / "o", Path(root) / "data.csv"
+            prob.save_csv(prob.generate_heterogeneous(prob.LINEAR, 3, 30, 2, 2.0, seed=5), data)
+            try:
+                spec = harness.ExperimentSpec(
+                    preset=preset, algorithms=tuple(algorithms), eta_grid=tuple(etas), seeds=tuple(seeds), epochs=1,
+                    inner_iters=inner, group_size=group_size, eval_every=eval_every, out_dir=str(out),
+                    estimation=smp.EstimationConfig(subsample_policy=policy, fixed_n=fixed_n),
+                    csv_path=str(data), task=prob.LINEAR, m_workers=m_workers, samples_total=samples_total, dim=dim,
+                )
+                report = harness.run_experiment(spec)
+            except ValueError:
+                assert not out.exists()
+                return
+            assert all(len(set(v)) == len(v) for v in (algorithms, etas, seeds))
+            assert len(report.rows) == len(algorithms) * len(etas) * len(seeds)
+            assert (out / "report.csv").exists() and (out / "best.csv").exists()
 
 
 class TestGridBest:
@@ -262,7 +317,45 @@ class TestRunExperiment:
             harness.run_experiment(spec)
 
 
+def csv_module_plotdata(report, trace_dir, out_dir):
+    """The plot data as the csv module wrote it: each chosen trace parsed,
+    its rows written out again under one header."""
+    for algorithm in report.spec.algorithms:
+        lines = []
+        if algorithm in report.best:
+            eta = report.best[algorithm][0]
+            for cell in sorted((r for r in report.rows_for(algorithm) if r.eta == eta and not r.diverged),
+                               key=lambda r: r.seed):
+                with open(Path(trace_dir) / cell.trace_file, newline="") as fh:
+                    lines.extend(list(csv.reader(fh))[1:])
+        for figure in harness.FIGURES:
+            with open(Path(out_dir) / f"fig_{figure}_{algorithm}.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(optim.TRACE_CSV_HEADER)
+                writer.writerows(lines)
+
+
 class TestEmitPlotdata:
+    def test_bytes_match_the_csv_module(self, tmp_path):
+        # a three-seed sweep, and a best cell whose trace holds no rows
+        spec = tiny_spec(tmp_path, algorithms=("sgd", "svrg_uniform"), eta_grid=(0.02, 1e6), seeds=(3, 1, 2),
+                         epochs=2, inner_iters=3)
+        report = harness.run_experiment(spec)
+        optim.RunTrace(rows=[], final_x=np.zeros(5), ledger=comm.CommLedger()).to_csv(tmp_path / "empty.csv")
+        empty = harness.CellResult("asd_svrg", 0.1, 1, False, 1.0, 1.0, 1.0, None, 0, "empty.csv")
+        empty_report = harness.ComparisonReport(spec=dataclasses.replace(spec, algorithms=("asd_svrg",)),
+                                                rows=[empty], best={"asd_svrg": (0.1, {})})
+        for rep in (report, empty_report):
+            want = tmp_path / "want"
+            want.mkdir(exist_ok=True)
+            csv_module_plotdata(rep, tmp_path, want)
+            files = harness.emit_plotdata(rep, tmp_path)
+            assert len(files) == len(harness.FIGURES) * len(rep.spec.algorithms)
+            for f in files:
+                assert Path(f).read_bytes() == (want / Path(f).name).read_bytes()
+        assert (want / "fig_train_loss_asd_svrg.csv").read_bytes() == (",".join(optim.TRACE_CSV_HEADER) + "\r\n").encode()
+        assert len((tmp_path / "fig_train_loss_sgd.csv").read_bytes().splitlines()) == 1 + 3 * 2 * 3
+
     def test_empty_report_writes_headers(self, tmp_path):
         spec = tiny_spec(tmp_path)
         report = harness.ComparisonReport(spec=spec, rows=[], best={})
@@ -379,6 +472,20 @@ class TestCli:
         assert rc == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args", [("--seeds", "1,1", "--etas", "0.1"), ("--seeds", "1", "--etas", "0.1,0.1")])
+    def test_repeated_seed_or_step_size_makes_no_output_dir(self, args, tmp_path, capsys):
+        rc = cli.main(["run", *args, "--epochs", "1", "--inner", "2", "--algos", "svrg", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "must not repeat" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_algorithm_aliases_are_merged(self, tmp_path):
+        rc = cli.main(["run", "--algos", "svrg,svrg_uniform,asd", "--epochs", "1", "--inner", "2", "--etas", "0.1",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 0
+        with open(tmp_path / "o" / "report.csv", newline="") as fh:
+            assert [row[0] for row in csv.reader(fh)][1:] == ["svrg_uniform", "asd_svrg"]
 
     def test_group_size_above_workers_runs_without_asd(self, tmp_path):
         # only ASD's tree protocol needs R <= M; SGD ignores R and the fixed

@@ -1,5 +1,6 @@
 """Optimizer loops: unbiasedness, convergence behaviour, ledger schedules, rates."""
 
+import csv
 import math
 import tempfile
 from dataclasses import replace
@@ -672,6 +673,24 @@ class TestReproducibility:
         counters = [tuple(int(v) for v in ln.split(",")[5:]) for ln in lines[1:]]
         assert counters == sorted(counters)  # ledger snapshots never decrease
 
+    def test_trace_csv_bytes_match_the_csv_module(self, tmp_path):
+        # the csv module's writer is the reference for every value a row can hold
+        values = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e308, 0.1, 1.0]
+        ledger = [0, 7, 2**63 + 11, 10**30]
+        rows = [optim.TraceRow(k, t, values[i % 8], values[(i + 3) % 8], values[(i + 5) % 8], *ledger[i % 4:],
+                               *ledger[:i % 4])
+                for i, (k, t) in enumerate((k, t) for k in (1, 2, 10**12) for t in (1, 3, 99))]
+        trace = optim.RunTrace(rows=rows, final_x=np.zeros(3), ledger=comm.CommLedger())
+        trace.to_csv(tmp_path / "got.csv")
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(optim.TRACE_CSV_HEADER)
+            for r in rows:
+                writer.writerow([r.epoch, r.step, *map(repr, r[2:5]), *r[5:]])
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        optim.RunTrace(rows=[], final_x=np.zeros(3), ledger=comm.CommLedger()).to_csv(tmp_path / "empty.csv")
+        assert (tmp_path / "empty.csv").read_bytes() == (tmp_path / "want.csv").read_bytes().partition(b"\n")[0] + b"\n"
+
     @settings(max_examples=30, deadline=None)
     @given(
         task=st.sampled_from(prob.TASKS),
@@ -776,26 +795,32 @@ class TestEstimateWeights:
 
     @pytest.mark.parametrize("preset_name", ["linear_synthetic", "logistic_synthetic"])
     def test_full_policy_reads_rows_in_place_exactly(self, preset_name):
-        # under ``full`` every cell reads problem.aug in place; the weights
-        # equal those of the gathered rows (every row once per cell) exactly
+        # under ``full`` every cell reads problem.aug in place; the deltas
+        # equal those of the gathered rows (every row once per cell) exactly,
+        # and so do those of a block's rows read in place
         spec = harness.ExperimentSpec(preset=preset_name, algorithms=("asd_svrg",), eta_grid=(0.1,), seeds=(1,))
         p = harness.make_problem(spec, seed=1)
         rng = np.random.default_rng(8)
         x, anchor = rng.normal(size=(3, p.param_dim)), rng.normal(size=(3, p.param_dim))
-        cells, workers = np.repeat(np.arange(3), p.m_workers), np.tile(np.arange(p.m_workers), 3)
-        counts = p.sizes[workers]
-        in_place = smp._segment_weights(p, x, anchor, slice(None), cells, workers, counts)
-        gathered = smp._segment_weights(p, x, anchor, np.tile(np.arange(p.n_total), 3), cells, workers, counts)
-        assert np.array_equal(in_place, gathered)
-        assert (in_place > 0.0).all()
+        counts = np.full(3, p.n_total)
+        in_place = prob.gradient_deltas(p, slice(None), x, anchor, counts)
+        gathered = prob.gradient_deltas(p, np.tile(np.arange(p.n_total), 3), x, anchor, counts)
+        block = prob.gradient_deltas(p, prob._gather_block(p, slice(None), anchor, counts, 5, {}), x, anchor, counts)
+        assert np.array_equal(in_place, gathered) and np.array_equal(in_place, block)
+        starts = (np.arange(3)[:, None] * p.n_total + p.offsets[:-1]).ravel()  # each (cell, worker) segment
+        assert (np.linalg.norm(np.add.reduceat(in_place, starts), axis=1) > 0.0).all()
 
 
 def fresh_gradient_deltas(problem, rows, x, x_anchor, counts, out=None):
     """The deltas as formed before the estimator kept its arrays: a fresh
-    gather and a fresh result every call (``out`` is ignored)."""
-    A, y = problem.aug[rows], problem.y[rows]
+    gather (for one step of a gathered block, fresh copies of its rows) and
+    a fresh result every call, with both residual sides formed from the
+    points (``out`` and a block's anchor residuals are ignored)."""
+    block = isinstance(rows, tuple)
+    A, y = (np.array(rows[0]), np.array(rows[1])) if block else (problem.aug[rows], problem.y[rows])
     x, xa, counts = np.asarray(x, dtype=float), np.asarray(x_anchor, dtype=float), np.asarray(counts)
-    starts = np.zeros_like(counts) if isinstance(rows, slice) else np.cumsum(counts) - counts
+    shared = isinstance(rows, slice) or block and len(y) != counts.sum()  # every cell reads the same rows
+    starts = np.zeros_like(counts) if shared else np.cumsum(counts) - counts
     deltas, lo = np.empty((counts.sum(), A.shape[1])), 0
     for start, n, xc, xac in zip(starts, counts, x, xa):
         Ac, yc = A[start : start + n], y[start : start + n]
@@ -907,6 +932,70 @@ class TestRowBuffers:
         assert FreshGathers.count == 0
 
 
+def block_free_weights(p, est, seed, k, t, x, anchor):
+    """One cell's weights at step t as one step alone makes them: its own
+    draw, a fresh gather of its rows, both residual sides formed, and one
+    mat-vec over all its rows for each side."""
+    sizes = smp.subsample_sizes(p, x, anchor, est)
+    workers = np.flatnonzero(sizes)
+    counts = sizes[workers]
+    if est.subsample_policy == "full":
+        rows = np.arange(p.n_total)
+    else:
+        local = smp._draw_subsamples([smp._key_hash(seed + (optim._CH_WEIGHTS, k, t))], p.sizes, sizes[None])
+        rows = local + np.repeat(p.offsets[workers], counts)
+    A, y = p.aug[rows], p.y[rows]
+    deltas = (prob._pointwise_residual(p.task, A @ x, y) - prob._pointwise_residual(p.task, A @ anchor, y))[:, None] * A
+    weights = np.zeros(p.m_workers)
+    if counts.size:
+        means = np.add.reduceat(deltas, np.cumsum(counts) - counts, axis=0) / counts[:, None]
+        weights[workers] = np.linalg.norm(means, axis=1)
+    return weights
+
+
+class TestBlockPath:
+    """The estimator's blocks (one draw, gather and anchor pass for several
+    steps) give every step's weights bit for bit as that step alone does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        task=st.sampled_from(prob.TASKS),
+        policy=st.sampled_from(smp.SUBSAMPLE_POLICIES),
+        shard_sizes=st.lists(st.integers(3, 40), min_size=2, max_size=5),
+        dim=st.integers(1, 6),
+        fixed_n=st.integers(1, 30),
+        block_slots=st.integers(1, 400),
+        first=st.sampled_from([2, 2**32 - 4]),  # the later start crosses into two-word step keys
+        k=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_blocks_give_the_weights_of_single_steps(self, task, policy, shard_sizes, dim, fixed_n, block_slots,
+                                                       first, k, seed, data):
+        rng = np.random.default_rng(seed)
+        shards = [prob.Shard(m, 1.0 + 0.5 * rng.normal(size=(n, dim)),
+                             rng.normal(size=n) if task == prob.LINEAR else (rng.random(n) < 0.5).astype(float))
+                  for m, n in enumerate(shard_sizes)]
+        p = prob.ShardedProblem(shards, task)
+        est = smp.EstimationConfig(tau=0.5, subsample_policy=policy, fixed_n=fixed_n)
+        config = optim.OptimizerConfig(eta=0.1, epochs=3, inner_iters=first + 9, estimation=est,
+                                       distribution_mode="adaptive")
+        cells = [optim._Cell(replace(config, seed=(seed, i)), rng.normal(size=p.param_dim), 1.0) for i in range(3)]
+        live = cells
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optim, "_BLOCK_SLOTS", block_slots)  # blocks of a few steps
+            estimate = optim._weight_estimator(p, config, k, cells)
+            for t in range(first, first + 10):
+                # cells drop out between steps, inside a block or at its end
+                live = [c for c in live if len(live) == 1 or data.draw(st.booleans())] or live[:1]
+                for c in live:
+                    c.x = c.anchor + rng.normal(size=p.param_dim)
+                got = estimate(t, live)
+                for c, weights in zip(live, got):
+                    want = block_free_weights(p, est, c.seed, k, t, c.x, c.anchor)
+                    assert np.array_equal(weights, want)
+
+
 class TestStreams:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -917,6 +1006,17 @@ class TestStreams:
         key = tuple(seed) + tuple(tags)
         ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
         assert smp._stream(key).bit_generator.state == ref.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        prefixes=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+        steps=st.lists(st.integers(0, 2**33) | st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    )
+    def test_key_hashes_match_key_hash(self, prefixes, steps):
+        # one array op folds each step, of one or two 32-bit words, onto each prefix
+        h, v = (np.array(a, dtype=np.uint64) for a in zip(*((a, b) for a in prefixes for b in steps)))
+        want = [smp._key_hash((b,), a) for a in prefixes for b in steps]
+        assert smp._key_hashes(h, v).tolist() == want
 
 
 class TestStreamPins:
