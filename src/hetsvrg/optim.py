@@ -336,10 +336,10 @@ def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
     step, if a step needs more), for the cells live when it is drawn, and
     are drawn again once a cell drops out; ``lemma1`` sizes depend on the
     cells' points, so its blocks are one step long.  A block's key hashes,
-    segment layout, rows and anchor residuals r(a'x~) are made once, when it
-    is drawn (``problem._gather_block``); a step forms r(a'x) on its rows,
-    its deltas (``problem.gradient_deltas``) and each segment's norm of
-    their mean.  The rows, residuals and deltas (and ``lemma1``'s full
+    segment layout, rows and their residuals at the anchors are made once,
+    when it is drawn (``problem._gather_block``); a step forms r(a'x) on its
+    rows, its deltas (``problem.gradient_deltas``) and each segment's norm
+    of their mean.  The rows, residuals and deltas (and ``lemma1``'s full
     passes) use arrays kept for the epoch."""
     est, T = config.estimation, config.inner_iters
     prefix = {c: np.uint64(sampling._key_hash(c.seed + (_CH_WEIGHTS, k))) for c in cells}

@@ -301,10 +301,10 @@ def _gather_block(problem: ShardedProblem, rows, x_anchor, counts: np.ndarray, s
     """(rows, targets, anchor residuals r(a'x_anchor)) of ``steps`` steps of
     C cells, each step's as :func:`gradient_deltas` takes them: ``rows``
     holds the steps' index rows one after another, gathered into ``out``, or
-    a slice every step reads in place.  The residuals, kept in ``out`` too,
-    are the items of one stacked ``np.matmul`` per run of equal-count cells,
-    each a one-step call's item (a cell's mat-vec over its own rows), so
-    each has the bits of a one-step call."""
+    is a slice every step reads in place, with one step's residuals.  The
+    residuals, kept in ``out`` too, are the items of one stacked
+    ``np.matmul`` per run of equal-count cells, each a one-step call's item
+    (a cell's mat-vec over its own rows), so each has a one-step call's bits."""
     p, shared, n_rows = problem.param_dim, isinstance(rows, slice), int(counts.sum())
     if shared:
         A, y, steps = problem.aug[rows], problem.y[rows], 1  # a slice is a view, not a copy

@@ -109,38 +109,43 @@ class TestSpecProperty:
     """Any spec either is rejected before its output directory exists, or
     runs to the end."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         preset=st.sampled_from(harness.PRESETS),
-        algorithms=st.lists(st.sampled_from(harness.ALGORITHMS), min_size=1, max_size=4),
-        etas=st.lists(st.sampled_from([0.01, 0.1, 1e6]), min_size=1, max_size=3),
-        seeds=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+        algorithms=st.lists(st.sampled_from(harness.ALGORITHMS), min_size=1, max_size=4, unique=True),
+        etas=st.lists(st.sampled_from([0.01, 0.1, 1e6]), min_size=1, max_size=3, unique=True),
+        seeds=st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True),
+        repeat=st.sampled_from([None] * 5 + ["algorithms", "etas", "seeds"]),  # the list whose first entry repeats
         m_workers=st.none() | st.integers(-1, 7),
         samples_total=st.none() | st.integers(-1, 40),
         dim=st.none() | st.integers(-1, 4),
-        group_size=st.integers(0, 9),
+        group_size=st.sampled_from([1, 1, 2, 3, 9, 0]),
         inner=st.integers(1, 3),
-        eval_every=st.integers(0, 4),
+        eval_every=st.sampled_from([1, 1, 1, 2, 3, 0, 9]),
         policy=st.sampled_from(smp.SUBSAMPLE_POLICIES),
         fixed_n=st.none() | st.integers(0, 12),
     )
-    def test_rejects_before_out_dir_or_completes(self, preset, algorithms, etas, seeds, m_workers, samples_total,
-                                                 dim, group_size, inner, eval_every, policy, fixed_n):
+    def test_rejects_before_out_dir_or_completes(self, preset, algorithms, etas, seeds, repeat, m_workers,
+                                                 samples_total, dim, group_size, inner, eval_every, policy, fixed_n):
+        lists = {"algorithms": algorithms, "etas": etas, "seeds": seeds}
+        if repeat:
+            lists[repeat] = lists[repeat] + lists[repeat][:1]
         with tempfile.TemporaryDirectory() as root:
             out, data = Path(root) / "o", Path(root) / "data.csv"
             prob.save_csv(prob.generate_heterogeneous(prob.LINEAR, 3, 30, 2, 2.0, seed=5), data)
             try:
                 spec = harness.ExperimentSpec(
-                    preset=preset, algorithms=tuple(algorithms), eta_grid=tuple(etas), seeds=tuple(seeds), epochs=1,
-                    inner_iters=inner, group_size=group_size, eval_every=eval_every, out_dir=str(out),
+                    preset=preset, algorithms=tuple(lists["algorithms"]), eta_grid=tuple(lists["etas"]),
+                    seeds=tuple(lists["seeds"]), epochs=1, inner_iters=inner, group_size=group_size,
+                    eval_every=eval_every, out_dir=str(out), csv_path=str(data), task=prob.LINEAR,
                     estimation=smp.EstimationConfig(subsample_policy=policy, fixed_n=fixed_n),
-                    csv_path=str(data), task=prob.LINEAR, m_workers=m_workers, samples_total=samples_total, dim=dim,
+                    m_workers=m_workers, samples_total=samples_total, dim=dim,
                 )
                 report = harness.run_experiment(spec)
             except ValueError:
                 assert not out.exists()
                 return
-            assert all(len(set(v)) == len(v) for v in (algorithms, etas, seeds))
+            assert repeat is None  # a repeated entry is always rejected
             assert len(report.rows) == len(algorithms) * len(etas) * len(seeds)
             assert (out / "report.csv").exists() and (out / "best.csv").exists()
 
