@@ -1,4 +1,4 @@
-"""Digest every output file of fifteen fixed sweeps, so that two checkouts can
+"""Digest every output file of seventeen fixed sweeps, so that two checkouts can
 be shown to write byte-identical traces and reports.
 
 Usage (from the repository root):
@@ -27,7 +27,9 @@ cells diverge at step 1 and in mid-epoch, and a logistic SGD and ASD sweep
 whose SGD cells diverge in mid-epoch while every ASD cell steps on, and
 an ASD sweep over a saved dataset with unequal shards whose fixed
 subsample size is above half the smallest shard, where one cell diverges
-inside a block of subsample draws.
+inside a block of subsample draws, and a 1500-step ASD epoch with R = 3
+whose tree-protocol seed words come from two blocks, with cells diverging
+inside the first.
 """
 
 from __future__ import annotations
@@ -74,6 +76,12 @@ CLI_SWEEPS = {
     # epoch 1; every ASD cell, and SGD's eta 0.0025 cell, steps on
     "logistic_sgd_asd": ("--preset", "logistic", "--algos", "sgd,asd", "--etas", "0.0025,150,700", "--seeds", "1",
                          "--epochs", "2"),
+    # one epoch of 1500 steps spans two protocol seed-word blocks of
+    # optim._BLOCK_KEYS keys on seed 1 (steps 1-819 for five cells, 820-1500
+    # for three): R = 3 pads the 8 workers to 12, so dead tree nodes draw no
+    # uniforms, and the eta 3.125 and 0.625 cells diverge in the first
+    # block, at steps 3 and 14
+    "asd_r3_blocks": ("--preset", "linear", "--algos", "asd", "--R", "3", "--inner", "1500", "--epochs", "1"),
     **{f"logistic_asd_wide/{policy}": ("--preset", "logistic", "--algos", "asd", "--estimation", policy,
                                        "--etas", "0.0025,0.025,3e6", "--seeds", "1", "--epochs", "2")
        for policy in ("lemma1", "full")},

@@ -293,10 +293,15 @@ def pc_sample_cells(weights, R: int, ledgers, rngs) -> np.ndarray:
     """``pc_sample`` for C cells in one tree draw: ``weights`` is (C, M),
     and cell c's call is charged to ``ledgers[c]`` and reads ``rngs[c]`` as
     its own ``pc_sample`` call would, so it draws the same workers.  Returns
-    the (C, R) drawn workers, each row in slot order."""
+    the (C, R) drawn workers, each row in slot order.  Anything but one
+    ledger and one generator per cell is a ``ValueError``, raised before any
+    draw."""
     w = _checked_weights(weights, ndim=2)
     if R < 1:
         raise ValueError("R must be at least 1")
+    if not len(ledgers) == len(rngs) == w.shape[0]:
+        raise ValueError(f"{w.shape[0]} cells need one ledger and one generator each, "
+                         f"got {len(ledgers)} ledgers and {len(rngs)} generators")
     draws = _tree_draw(w, R, _topology(w.shape[1], R), rngs)
     for ledger in ledgers:
         _charge(ledger, _pc_schedule, w.shape[1], R)

@@ -34,6 +34,7 @@ PRESET_PROBLEMS = {
     "linear_synthetic": dict(task=prob.LINEAR, m_workers=8, samples_total=500, dim=10),
     "logistic_synthetic": dict(task=prob.LOGISTIC, m_workers=8, samples_total=300, dim=100),
 }
+_SHAPE_FIELDS = ("m_workers", "samples_total", "dim")  # a synthetic preset's, which a spec may override
 
 # Default learning-rate grids.  The linear grids are calibrated to the
 # synthetic preset (the adaptive runs stay stable roughly an order of
@@ -136,6 +137,17 @@ class ExperimentSpec:
             raise ValueError("l2_for_sgd must be nonnegative")
         if self.growth_base <= 0:
             raise ValueError("growth_base must be positive")
+        shape = {k: getattr(self, k) for k in _SHAPE_FIELDS if getattr(self, k) is not None}
+        if any(v < 1 for v in shape.values()):
+            raise ValueError("m_workers, samples_total and dim must be at least 1")
+        if self.preset == "custom_csv" and shape:
+            raise ValueError(f"custom_csv takes its shape from the CSV; {', '.join(shape)} must be unset")
+        if self.preset != "custom_csv":  # generate_heterogeneous's split, before it runs
+            m_workers, samples_total, _ = _problem_shape(self)
+            train_total = samples_total - samples_total // 5
+            if train_total < m_workers:
+                raise ValueError(f"{samples_total} samples leave {train_total} training rows, "
+                                 f"fewer than {m_workers} workers")
 
     def grid_for(self, algorithm: str) -> tuple[float, ...]:
         if self.eta_grid is not None:
@@ -196,15 +208,16 @@ def make_problem(spec: ExperimentSpec, seed: int) -> prob.ShardedProblem:
     from disk for custom_csv (where the seed only drives the optimizers)."""
     if spec.preset == "custom_csv":
         return prob.load_csv(spec.csv_path, spec.task)
-    base = PRESET_PROBLEMS[spec.preset]
     return prob.generate_heterogeneous(
-        base["task"],
-        spec.m_workers or base["m_workers"],
-        spec.samples_total or base["samples_total"],
-        spec.dim or base["dim"],
-        spec.growth_base,
-        seed,
+        PRESET_PROBLEMS[spec.preset]["task"], *_problem_shape(spec), spec.growth_base, seed
     )
+
+
+def _problem_shape(spec: ExperimentSpec) -> tuple[int, int, int]:
+    """(m_workers, samples_total, dim) of a synthetic preset's dataset: the
+    spec's value of each field, or the preset's where it is None."""
+    base = PRESET_PROBLEMS[spec.preset]
+    return tuple(base[k] if getattr(spec, k) is None else getattr(spec, k) for k in _SHAPE_FIELDS)
 
 
 def _cell_seed(seed: int, algorithm: str, eta: float) -> tuple[int, int, int]:

@@ -27,10 +27,12 @@ samples uniformly without estimating.
 Every random decision is keyed by (seed, channel, epoch, step, worker), so
 runs are bit-reproducible and neither other workers nor other cells can
 change them.  The anchor, SGD, fixed-draw and tree-protocol channels read
-``Generator``s seeded by ``SeedSequence`` of the key (``sampling._stream``),
-one per key: a batched draw reads each cell's generator exactly as one call
-per step would.  The weights channel is a counter hash
-(``sampling._draw_subsamples``).
+``Generator``s seeded by ``SeedSequence`` of the key, one per key: a batched
+draw reads each cell's generator exactly as one call per step would.  The
+first three hash each key's ``SeedSequence`` (``sampling._stream``); the
+protocol's seed words come from one batched hash of every live cell's keys
+over a block of steps (``sampling._seed_words``), equal to it bit for bit.
+The weights channel is a counter hash (``sampling._draw_subsamples``).
 
 The guard and the recorded losses come from the batched forms of
 ``problem.full_loss`` and ``problem.test_metrics`` (O(p**2) per cell from
@@ -379,11 +381,40 @@ def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
     return estimate
 
 
+# tree-protocol keys hashed per call, over a block of steps and the live
+# cells; each key's seed words take 32 bytes
+_BLOCK_KEYS = 4096
+
+
+def _protocol_streams(config: OptimizerConfig, k: int):
+    """Epoch k's ``streams(t, live)``: the tree-protocol generator of each
+    live cell at step t, ``sampling._stream(c.seed + (_CH_PC, k, t))``'s
+    state bit for bit, with no ``SeedSequence`` hashed.  The seed words of
+    the steps ahead come from one ``sampling._seed_words`` call of at most
+    ``_BLOCK_KEYS`` keys (or of one step, if its cells need more), for the
+    cells live when it is made; a cell that drops out leaves its rows
+    unused."""
+    T = config.inner_iters
+    block = (0, 0, None, None)  # first and end step, seed words, each cell's column
+
+    def streams(t, live):
+        nonlocal block
+        if t >= block[1]:
+            n = min(T + 1 - t, max(1, _BLOCK_KEYS // len(live)))
+            words = sampling._seed_words([c.seed + (_CH_PC, k) for c in live], np.arange(t, t + n, dtype=np.uint64))
+            block = (t, t + n, words, {c: i for i, c in enumerate(live)})
+        first, _, words, column = block
+        return [sampling._seeded(words[t - first, column[c]]) for c in live]
+
+    return streams
+
+
 def _asd_draw(problem, config: OptimizerConfig):
     M, R = problem.m_workers, config.group_size
 
     def draw(k, cells):
         estimate = _weight_estimator(problem, config, k, cells)
+        streams = _protocol_streams(config, k)
 
         def step(t, live):
             for c in live:
@@ -393,8 +424,7 @@ def _asd_draw(problem, config: OptimizerConfig):
             totals = np.cumsum(weights, axis=1)[:, -1]  # each cell's left-to-right sum
             flat = totals <= 0.0
             weights[flat], totals[flat] = 1.0, M  # degenerate estimates: uniform fallback
-            rngs = [sampling._stream(c.seed + (_CH_PC, k, t)) for c in live]
-            draws = comm.pc_sample_cells(weights, R, [c.ledger for c in live], rngs)
+            draws = comm.pc_sample_cells(weights, R, [c.ledger for c in live], streams(t, live))
             picks = _picks(draws)
             for c, mine in zip(live, picks):
                 comm.server_gather(c.ledger, R, 1)  # histogram to the server

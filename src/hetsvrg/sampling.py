@@ -8,6 +8,7 @@ categorical distribution into (1 - gamma) * exact + gamma * residual.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -273,9 +274,119 @@ def _key_words(key) -> list[int]:
 
 def _stream(key) -> np.random.Generator:
     """The generator of ``SeedSequence(key)``: the same state, without
-    SeedSequence's slower per-int coercion of the key."""
+    SeedSequence's slower per-int coercion of the key.  It hashes one key per
+    call; ``_seed_words`` and ``_seeded`` build the same generators for many
+    keys at once, and this is their oracle."""
     words = np.array(_key_words(key), dtype=np.uint32)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx, after O'Neill's
+# seed_seq_fe): a pool of 4 uint32 words, hashed with one running
+# multiplier, and output words hashed with another
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+@functools.lru_cache(maxsize=16)
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**i mod 2**32 for i = 0 .. n, as a read-only uint32 column."""
+    out = [init]
+    for _ in range(n):
+        out.append((out[-1] * mult) & _MASK32)
+    out = np.array(out, dtype=np.uint32)[:, None]
+    out.flags.writeable = False
+    return out
+
+
+def _hashmix(v, consts):
+    """SeedSequence's hashmix of the rows of the uint32 array ``v`` (or of
+    one row, broadcast), row i hashed as call i of the running constants
+    ``consts``, which holds one more row."""
+    v = (v ^ consts[:-1]) * consts[1:]
+    return v ^ (v >> np.uint32(16))
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 arrays of pool words."""
+    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return r ^ (r >> np.uint32(16))
+
+
+def _seed_words(prefixes, tags) -> np.ndarray:
+    """The PCG64 seed words of every key ``prefixes[c] + (tags[i],)``, as a
+    C-contiguous (len(tags), len(prefixes), 4) uint64 array: row [i, c] is
+    ``SeedSequence(_key_words(key)).generate_state(4, np.uint64)`` bit for
+    bit, and ``_seeded`` makes it the generator of ``_stream(key)``.
+
+    ``tags`` is a uint64 array; each prefix is a tuple of nonnegative ints
+    (one ``_key_words`` call per prefix).  The hash runs over all keys at
+    once in uint32 array operations: every key's first 4 words (zeros past a
+    shorter key's end, as SeedSequence hashes them) fill its pool, the pool
+    is mixed all with all, and each further word is mixed into the pool of
+    the keys that have it.  The running constants depend only on the call,
+    never on the key, so keys of any word count share every call they make.
+    """
+    tags = np.asarray(tags, dtype=np.uint64)
+    heads = [_key_words(p) for p in prefixes]
+    head_len = np.array([len(w) for w in heads], dtype=np.intp)
+    high = tags >> np.uint64(32)
+    two = bool(high.any())  # a tag of 2**32 or more takes a second word
+    width = max(_POOL, int(head_len.max()) + 1 + two)
+    # word-major (word, tag, prefix), so each word of every key is one row
+    words = np.zeros((width, tags.size, len(heads)), dtype=np.uint32)
+    for c, w in enumerate(heads):
+        words[: len(w), :, c] = np.array(w, dtype=np.uint32)[:, None]
+    cols = np.arange(len(heads))
+    words[head_len, :, cols] = (tags & np.uint64(_MASK32)).astype(np.uint32)
+    if two:  # 0 past a one-word tag's end, where no call reads it
+        words[head_len + 1, :, cols] = high.astype(np.uint32)
+    words = words.reshape(width, -1)
+    lengths = (head_len + 1 + (high > 0)[:, None]).ravel()
+
+    # mix_entropy: the calls of one source word run in destination order
+    # and read no pool word they write, so each is one array operation.  4
+    # filling calls, 12 mixing ones and 4 a word past the pool make 4 calls
+    # a word of the widest key
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL * width)
+    pool, n = _hashmix(words[:_POOL], a[: _POOL + 1]), _POOL
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[n : n + _POOL]))
+        n += _POOL - 1
+    tail = _hashmix(np.repeat(words[_POOL:], _POOL, axis=0), a[n:])  # (word, destination) rows
+    for j in range(width - _POOL):
+        mixed = _mix(pool, tail[_POOL * j : _POOL * (j + 1)])
+        pool = mixed if lengths.min() > _POOL + j else np.where(lengths > _POOL + j, mixed, pool)
+
+    # generate_state: 8 words hashed cycling through the pool, read as 4
+    # little-endian uint64 pairs
+    state = _hashmix(np.tile(pool, (2, 1)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
+    out = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+    return out.reshape(tags.size, len(heads), _POOL)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 a row of ``_seed_words`` as its seed state."""
+
+    def __init__(self, words):
+        # PCG64 reads the state through a raw pointer: a strided or
+        # non-native row would seed it from the wrong memory
+        if not (words.dtype == np.uint64 and words.shape == (_POOL,) and words.flags.c_contiguous):
+            raise ValueError(f"seed words must be a C-contiguous native uint64 array of {_POOL}")
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words  # PCG64 asks for 4 uint64 words
+
+
+def _seeded(words) -> np.random.Generator:
+    """The generator of ``_stream(key)`` from ``words``, the key's row of
+    ``_seed_words``, with no SeedSequence hashed; ``ValueError`` unless the
+    row is a C-contiguous native uint64 array of 4."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def _mix64(z):

@@ -273,6 +273,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="one-dimensional"):
             protocol(weights, 1, comm.CommLedger(), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("ledgers,rngs", [(1, 2), (2, 1), (2, 3), (3, 2)])
+    def test_cells_need_one_ledger_and_one_generator_each(self, ledgers, rngs):
+        # one ledger would be charged once for two cells' draws; a spare
+        # generator would go unread
+        ledger_list = [comm.CommLedger() for _ in range(ledgers)]
+        rng_list = [np.random.default_rng(i) for i in range(rngs)]
+        states = [rng.bit_generator.state for rng in rng_list]
+        with pytest.raises(ValueError, match=f"2 cells need one ledger and one generator each, "
+                                             f"got {ledgers} ledgers and {rngs} generators"):
+            comm.pc_sample_cells(np.ones((2, 8)), 2, ledger_list, rng_list)
+        assert all(ledger.snapshot() == (0, 0, 0, 0) for ledger in ledger_list)
+        assert [rng.bit_generator.state for rng in rng_list] == states  # raised before any draw
+
     def test_bad_group_size(self):
         with pytest.raises(ValueError):
             comm.pc_sample([1.0, 1.0], 0, comm.CommLedger(), np.random.default_rng(0))

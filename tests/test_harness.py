@@ -83,6 +83,37 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             tiny_spec(tmp_path, preset="custom_csv", csv_path="x.csv", task=prob.LINEAR, eta_grid=None)
 
+    @pytest.mark.parametrize("field", ["m_workers", "samples_total", "dim"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_shape_below_one_rejected(self, tmp_path, field, value):
+        # make_problem once read a 0 as the preset's value
+        with pytest.raises(ValueError, match="at least 1"):
+            tiny_spec(tmp_path / "o", **{field: value})
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("m_workers, samples_total", [
+        (9, 10),  # 8 training rows
+        (401, None),  # the preset's 500 samples leave 400 rows
+        (None, 8),  # 7 rows for the preset's 8 workers
+    ])
+    def test_fewer_training_rows_than_workers_rejected(self, tmp_path, m_workers, samples_total):
+        with pytest.raises(ValueError, match="training rows, fewer than"):
+            tiny_spec(tmp_path / "o", m_workers=m_workers, samples_total=samples_total)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("m_workers, samples_total, workers", [(400, None, 400), (None, 9, 8), (9, 12, 9)])
+    def test_as_many_training_rows_as_workers_accepted(self, tmp_path, m_workers, samples_total, workers):
+        spec = tiny_spec(tmp_path, m_workers=m_workers, samples_total=samples_total)
+        assert harness.make_problem(spec, seed=0).m_workers == workers
+
+    @pytest.mark.parametrize("field, value", [("m_workers", 4), ("samples_total", 100), ("dim", 3)])
+    def test_custom_csv_rejects_shape_fields(self, tmp_path, field, value):
+        # the CSV fixes the shape, and the field would be ignored
+        with pytest.raises(ValueError, match=f"custom_csv takes its shape from the CSV; {field} must be unset"):
+            tiny_spec(tmp_path / "o", preset="custom_csv", csv_path="x.csv", task=prob.LINEAR,
+                      **{"samples_total": None, "dim": None, field: value})
+        assert not (tmp_path / "o").exists()
+
     def test_preset_problem_shapes(self, tmp_path):
         spec = tiny_spec(tmp_path, samples_total=None, dim=None)
         p = harness.make_problem(spec, seed=0)

@@ -610,10 +610,13 @@ class TestRunGrid:
 class TestGeneratorSchedule:
     def test_generators_built_per_key_not_per_draw(self, monkeypatch):
         """The loops build one numpy generator per stream key and none per
-        draw: ASD one per live (cell, step) for the protocol and one per
-        (cell, epoch) for the anchor, uniform SVRG one per (cell, epoch) for
-        the fixed draws and one for the anchor, SGD one per epoch.  So no
-        per-slot or per-call construction cost can creep back."""
+        draw, and hash a ``SeedSequence`` only for the keys they read one at
+        a time: ASD one generator per live (cell, step) for the protocol,
+        seeded from words hashed once per block of steps, and one
+        ``SeedSequence`` generator per (cell, epoch) for the anchor; uniform
+        SVRG one per (cell, epoch) for the fixed draws and one for the
+        anchor; SGD one per epoch.  So no per-slot or per-call construction
+        cost can creep back."""
         p = prob.generate_heterogeneous(prob.LINEAR, 4, 120, 3, 2.0, seed=2)
         made = {"SeedSequence": 0, "Generator": 0, "default_rng": 0}
         for name in made:
@@ -624,15 +627,24 @@ class TestGeneratorSchedule:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(np.random, name, spy)
+        blocks = []
+        real_words = smp._seed_words
+        monkeypatch.setattr(smp, "_seed_words", lambda *args: blocks.append(args[1].tolist()) or real_words(*args))
         epochs, inner, cells = 2, 5, 3
         base = optim.OptimizerConfig(eta=0.01, epochs=epochs, inner_iters=inner, group_size=2)
-        for mode, per_cell in (("adaptive", epochs * inner + epochs), ("uniform", 2 * epochs)):
+        for mode, seeded, per_cell in (("adaptive", epochs, epochs * inner + epochs), ("uniform", 2 * epochs, 2 * epochs)):
             for name in made:
                 made[name] = 0
             grid = optim.run_grid(p, [replace(base, eta=0.01 * (i + 1), seed=(1, i), distribution_mode=mode)
                                       for i in range(cells)])
             assert not any(diverged for _, diverged in grid)
-            assert made == {"SeedSequence": cells * per_cell, "Generator": cells * per_cell, "default_rng": 0}
+            assert made == {"SeedSequence": cells * seeded, "Generator": cells * per_cell, "default_rng": 0}
+        assert blocks == [list(range(1, inner + 1))] * epochs  # one block an epoch at the shipped cap
+        blocks.clear()
+        monkeypatch.setattr(optim, "_BLOCK_KEYS", 2 * cells)  # two steps of the three cells a block
+        optim.run_grid(p, [replace(base, eta=0.01 * (i + 1), seed=(1, i), distribution_mode="adaptive")
+                           for i in range(cells)])
+        assert blocks == [[1, 2], [3, 4], [5]] * epochs
         for name in made:
             made[name] = 0
         optim.run_sgd(p, base)
@@ -1017,6 +1029,87 @@ class TestStreams:
         h, v = (np.array(a, dtype=np.uint64) for a in zip(*((a, b) for a in prefixes for b in steps)))
         want = [smp._key_hash((b,), a) for a in prefixes for b in steps]
         assert smp._key_hashes(h, v).tolist() == want
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        prefixes=st.lists(st.lists(st.integers(0, 2**96), max_size=4).filter(lambda p: len(smp._key_words(p)) <= 10),
+                          min_size=1, max_size=4),
+        tags=st.lists(st.integers(0, 2**32 + 3) | st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+        n=st.integers(1, 20),
+    )
+    @example(prefixes=[[], [1], [2, 3]], tags=[0, 2**32], n=1)  # keys of 1 to 4 words
+    def test_seed_words_match_seed_sequence_of_key(self, prefixes, tags, n):
+        """One batch of keys of 1 to 12 words, short keys among them: each
+        key's row is the seed state ``SeedSequence`` makes of it, and its
+        generator is ``_stream``'s."""
+        words = smp._seed_words([tuple(q) for q in prefixes], np.array(tags, dtype=np.uint64))
+        assert words.shape == (len(tags), len(prefixes), 4) and words.flags.c_contiguous
+        for i, tag in enumerate(tags):
+            for c, prefix in enumerate(prefixes):
+                key = (*prefix, tag)
+                want = np.random.SeedSequence(smp._key_words(key)).generate_state(4, np.uint64)
+                assert words[i, c].tolist() == want.tolist()
+                got, ref = smp._seeded(words[i, c]), smp._stream(key)
+                assert got.bit_generator.state == ref.bit_generator.state
+                assert got.random(n).tobytes() == ref.random(n).tobytes()
+
+    @pytest.mark.parametrize("bad", ["strided", "byte-swapped", "short"])
+    def test_seeded_rejects_a_row_pcg64_would_misread(self, bad):
+        # PCG64 reads the state through a raw pointer; a strided row would
+        # seed it from the memory between the words, without an error
+        row = smp._seed_words([(1, 2)], np.array([3], dtype=np.uint64))[0, 0]
+        row = {"strided": np.repeat(row, 2)[::2], "byte-swapped": row.astype(">u8"), "short": row[:3]}[bad]
+        with pytest.raises(ValueError, match="C-contiguous native uint64"):
+            smp._seeded(row)
+
+
+class TestProtocolBlocks:
+    """The tree protocol's generators, seeded from words hashed a block of
+    steps at a time, give every ASD cell the run it has with one
+    ``_stream`` generator built per step."""
+
+    @staticmethod
+    def per_step_streams(config, k):
+        return lambda t, live: [smp._stream(c.seed + (optim._CH_PC, k, t)) for c in live]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        task=st.sampled_from(prob.TASKS),
+        R=st.sampled_from([1, 2, 3]),  # R = 3 pads the 8 workers to 12, so some tree nodes are dead
+        policy=st.sampled_from(smp.SUBSAMPLE_POLICIES),
+        block_keys=st.integers(1, 7),
+        log_etas=st.lists(st.floats(-3.0, 1.5), min_size=1, max_size=4),
+        explode_at=st.none() | st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(task=prob.LINEAR, R=3, policy="fixed", block_keys=7, log_etas=[-2.0, 1.0, 1.5], explode_at=None,
+             seed=1)
+    def test_blocks_give_the_runs_of_per_step_streams(self, task, R, policy, block_keys, log_etas, explode_at,
+                                                       seed):
+        etas = [10.0**e for e in log_etas]
+        if explode_at is not None:
+            etas.insert(min(explode_at, len(etas)), 10.0**12)  # diverges at its first step
+        configs = [
+            optim.OptimizerConfig(eta=eta, epochs=2, inner_iters=7, group_size=R, distribution_mode="adaptive",
+                                  estimation=smp.EstimationConfig(subsample_policy=policy), seed=(seed, i))
+            for i, eta in enumerate(etas)
+        ]
+        p = prob.generate_heterogeneous(task, 8, 160, 3, 2.0, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optim, "_BLOCK_KEYS", block_keys)  # epochs of many blocks
+            got = optim._vr_loop(p, configs, None)
+            mp.setattr(optim, "_protocol_streams", self.per_step_streams)
+            want = optim._vr_loop(p, configs, None)
+        with tempfile.TemporaryDirectory() as out:
+            for i, (a, b) in enumerate(zip(got, want)):
+                assert type(a) is type(b)
+                if isinstance(a, optim.Diverged):
+                    assert str(a) == str(b)  # the same loss at the same (k, t)
+                    a, b = a.trace, b.trace
+                assert trace_bytes(a, out, f"block{i}.csv") == trace_bytes(b, out, f"step{i}.csv")
+                assert a.final_x.tobytes() == b.final_x.tobytes()
+                assert a.ledger.snapshot() == b.ledger.snapshot()
 
 
 class TestStreamPins:
