@@ -1,15 +1,18 @@
-"""Digest every output file of seventeen fixed sweeps, so that two checkouts can
-be shown to write byte-identical traces and reports.
+"""Digest every output file of seventeen fixed sweeps and of the tree protocols
+at wide worker counts, so that two checkouts can be shown to write
+byte-identical traces, reports and protocol draws.
 
 Usage (from the repository root):
 
     python3 scripts/equivalence.py OUT
 
 OUT must be new or empty.  Each sweep writes its files under
-``OUT/<sweep>/``, and ``OUT/SHA256SUMS`` gets one ``<sha256>  <sweep>/<file>``
+``OUT/<sweep>/`` and the protocol calls under ``OUT/protocol_wide/``, and
+``OUT/SHA256SUMS`` gets one ``<sha256>  <sweep>/<file>``
 line per file, sorted, which is also printed.  Run it in two checkouts and
 ``diff`` the two ``SHA256SUMS``: no output means every trace CSV,
-``report.csv``, ``best.csv`` and plot-data file is the same, byte for byte.
+``report.csv``, ``best.csv``, plot-data and protocol file is the same, byte
+for byte.
 The sweeps cover both presets, all four algorithms, the three subsample
 policies, R > 1, several seeds, diverging cells, a trace thinned by
 ``--eval-every``, a linear and a logistic dataset written by
@@ -29,7 +32,11 @@ an ASD sweep over a saved dataset with unequal shards whose fixed
 subsample size is above half the smallest shard, where one cell diverges
 inside a block of subsample draws, and a 1500-step ASD epoch with R = 3
 whose tree-protocol seed words come from two blocks, with cells diverging
-inside the first.
+inside the first.  The sweeps' trees have at most 64 workers and R = 4, so
+both protocols are also called alone at M = 1000, R = 8 and M = 4096,
+R = 16 (the bench's ``protocol_wide`` shapes) and at M = 1000, R = 7, whose
+143 groups are padded to 256, and ``pc_sample_cells`` draws for 3 cells of
+the padded shape; about 10% of every shape's weights are zero.
 """
 
 from __future__ import annotations
@@ -46,9 +53,11 @@ import io
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hetsvrg import cli, harness  # noqa: E402
+from hetsvrg import cli, comm, harness  # noqa: E402
 from hetsvrg import problem as prob  # noqa: E402
 
 CLI_SWEEPS = {
@@ -153,6 +162,48 @@ def scale_asd_spec(out_dir: Path) -> harness.ExperimentSpec:
     )
 
 
+PROTOCOL_SHAPES = ((1000, 8), (4096, 16), (1000, 7))
+PROTOCOL_CALLS = 20
+PROTOCOL_HEADER = "call,worker_worker,worker_server,server_worker,rounds,draws\n"
+
+
+def protocol_weights(m: int, seed: int) -> np.ndarray:
+    """``m`` lognormal weights, about 10% of them zero."""
+    rng = np.random.default_rng(seed)
+    w = rng.lognormal(0.0, 1.5, m)
+    w[rng.random(m) < 0.1] = 0.0
+    return w
+
+
+def protocol_calls(out: Path) -> None:
+    """Write the draws and ledger of every call of both protocols at each
+    of ``PROTOCOL_SHAPES``, one CSV per protocol and shape, and those of
+    ``pc_sample_cells`` over 3 cells of the padded shape, one CSV per cell,
+    under ``out``.  A call's draws are its histogram's ``worker:count``
+    pairs, or for a cell its workers in slot order."""
+    out.mkdir(parents=True)
+    for m, R in PROTOCOL_SHAPES:
+        w = protocol_weights(m, m + R)
+        for name, protocol in (("pc", comm.pc_sample), ("optimal", comm.optimal_comm_sample)):
+            rng, rows = np.random.default_rng([m, R]), []
+            for call in range(PROTOCOL_CALLS):
+                ledger = comm.CommLedger()
+                draws = " ".join(f"{i}:{k}" for i, k in protocol(w, R, ledger, rng).items())
+                rows.append(f"{ledger.csv_row(str(call))},{draws}\n")
+            (out / f"{name}_m{m}_r{R}.csv").write_text(PROTOCOL_HEADER + "".join(rows))
+    m, R = PROTOCOL_SHAPES[-1]
+    w = np.stack([protocol_weights(m, seed) for seed in range(3)])
+    rngs = [np.random.default_rng([m, R, cell]) for cell in range(3)]
+    rows = [[] for _ in rngs]
+    for call in range(PROTOCOL_CALLS):
+        ledgers = [comm.CommLedger() for _ in rngs]
+        draws = comm.pc_sample_cells(w, R, ledgers, rngs)
+        for cell, ledger in enumerate(ledgers):
+            rows[cell].append(f"{ledger.csv_row(str(call))},{' '.join(map(str, draws[cell].tolist()))}\n")
+    for cell, cell_rows in enumerate(rows):
+        (out / f"cells3_cell{cell}_m{m}_r{R}.csv").write_text(PROTOCOL_HEADER + "".join(cell_rows))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -168,6 +219,7 @@ def main(argv: list[str]) -> int:
             print(f"{name}: hetsvrg run exited with {status}", file=sys.stderr)
             return 1
     harness.run_experiment(scale_asd_spec(out / "scale_asd"))
+    protocol_calls(out / "protocol_wide")
     lines = sorted(
         f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}"
         for path in out.rglob("*.csv")

@@ -162,6 +162,9 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_protocol_test(args) -> int:
+    for flag in ("M", "R", "draws"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     if args.weights:
         weights = list(_csv_floats(args.weights))
         if len(weights) != args.M:

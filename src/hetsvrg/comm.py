@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,13 +63,16 @@ class Topology:
     """Cluster shape: M workers sampled in groups of R.
 
     ``padded_workers`` rounds M up so the padded count is a multiple of R with
-    a power-of-two number of groups, as the tree protocols require.
+    a power-of-two number of groups, as the tree protocols require.  Both
+    counts are stored as ``int`` (see ``_count``).
     """
 
     m_workers: int
     group_size: int
 
     def __post_init__(self):
+        object.__setattr__(self, "m_workers", _count(self.m_workers, "m_workers"))
+        object.__setattr__(self, "group_size", _count(self.group_size, "group_size"))
         if not 1 <= self.group_size <= self.m_workers:
             raise ValueError(
                 f"need m_workers >= group_size >= 1, got M={self.m_workers}, R={self.group_size}"
@@ -101,6 +105,16 @@ class SampleHistogram:
 _topology = functools.lru_cache(maxsize=64)(Topology)
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an ``int`` through ``operator.index``, so a numpy integer
+    is accepted and 2.0 or 2.5 is a ``ValueError``.  Counts are converted
+    before they key a cache: 2, np.int64(2) and 2.0 hash and compare equal."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _checked_weights(weights, ndim: int = 1) -> np.ndarray:
     """Weights as an ``ndim``-dimensional array of nonnegative floats;
     ``_tree_draw`` checks their totals, which it forms anyway."""
@@ -123,6 +137,15 @@ def _group_column(groups: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
+def _group_starts(groups: int, R: int) -> np.ndarray:
+    """The first flat index, R * group, of each of R queries per group, as
+    a read-only (groups * R,) array: where ``_upper_bound`` starts them."""
+    starts = np.repeat(np.arange(0, groups * R, R), R)
+    starts.flags.writeable = False
+    return starts
+
+
+@functools.lru_cache(maxsize=64)
 def _level_order(cells: int, groups: int) -> np.ndarray:
     """For every node of ``_tree_draw``'s level-major order (each level's
     nodes, cell by cell), its index in the (cell, node) order, where each
@@ -139,7 +162,8 @@ def _level_order(cells: int, groups: int) -> np.ndarray:
 def _tree_draw(w: np.ndarray, R: int, topo: Topology, rngs) -> np.ndarray:
     """The R candidates that reach the root of the sampling tree of each of
     C cells, as a (C, R) array, in O(log G) array operations over the G
-    groups of all cells at once.  ``w`` is (C, M).
+    groups of all cells at once, plus ceil(log2 R) + 1 gathers over their
+    padded slots for the leaf draws.  ``w`` is (C, M).
 
     A cell's tree has 2G - 1 nodes: its G groups, then each merge level in
     receiver order.  Cell c's live nodes (those with a positive total) read
@@ -147,8 +171,10 @@ def _tree_draw(w: np.ndarray, R: int, topo: Topology, rngs) -> np.ndarray:
     its draws are those of its tree run one node at a time: each live group
     spends its R uniforms on inverse-CDF leaf draws, then each live merge
     its R coin flips, keeping the sender's candidate where ``u <
-    sender_total / total``.  The nodes are kept level by level, cell by cell
-    within a level, so every sum and draw stays within one cell.
+    sender_total / total``.  A leaf draw counts its group's cumulative sums
+    ``<= u * total`` with ``_upper_bound``.  The nodes are kept level by
+    level, cell by cell within a level, so every sum and draw stays within
+    one cell.
     """
     cells = w.shape[0]
     padded_workers = topo.padded_workers
@@ -185,18 +211,14 @@ def _tree_draw(w: np.ndarray, R: int, topo: Topology, rngs) -> np.ndarray:
 
     # leaf stage: the count of cum <= u in a group is its first entry whose
     # cum exceeds u, always a positive one; u == total falls back to the
-    # group's last positive entry.  Complex keys sort by (row, value), so
-    # one searchsorted answers every group of every cell at once with no
-    # arithmetic on cum.
+    # group's last positive entry.  One upper bound per group answers every
+    # group of every cell at once, in ceil(log2 R) + 1 gathers over the
+    # padded slots, with no arithmetic on cum.
     row = _group_column(rows)
     if R == 1:
         cand = row  # a one-worker group always draws its worker
     else:
-        keys = np.empty((rows, R), dtype=complex)
-        keys.real, keys.imag = row, cum
-        queries = np.empty_like(keys)
-        queries.real, queries.imag = row, u[:rows] * totals[:rows, None]
-        first = np.searchsorted(keys.ravel(), queries.ravel(), side="right").reshape(rows, R)
+        first = _upper_bound(cum, u[:rows] * totals[:rows, None])
         last = R * row + (R - 1) - (padded[:, ::-1] > 0.0).argmax(axis=1)[:, None]
         cand = np.minimum(first, last)
 
@@ -210,6 +232,26 @@ def _tree_draw(w: np.ndarray, R: int, topo: Topology, rngs) -> np.ndarray:
         lo, n = lo + n, n // 2
     # candidates index the cells' stacked padded rows
     return cand - padded_workers * _group_column(cells) if cells > 1 else cand
+
+
+def _upper_bound(cum: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """For (rows, R) ``cum``, each row sorted, and (rows, R) queries ``q``,
+    the flat index R * i + (the count of cum[i] <= q[i, j]): what
+    ``np.searchsorted(cum[i], q[i], side="right")`` gives, offset by row
+    i's start.  A branchless upper bound (Khuong and Morin, "Array Layouts
+    for Comparison-Based Searching", 2017) halves every query's range
+    [first, first + n] at once, so it takes ceil(log2 R) + 1 gathers; the
+    comparisons are exact, so the counts are too."""
+    rows, R = cum.shape
+    flat, q = cum.ravel(), q.ravel()
+    first = _group_starts(rows, R).copy()
+    n = R
+    while n > 1:
+        half = n // 2
+        first += half * (flat[half - 1 :].take(first) <= q)
+        n -= half
+    first += flat.take(first) <= q
+    return first.reshape(rows, R)
 
 
 def _rng_uniforms(rng, totals: np.ndarray, R: int) -> np.ndarray:
@@ -260,8 +302,7 @@ def _charge(ledger: CommLedger, schedule, m_real: int, R: int) -> None:
 
 def _sample(weights, R: int, ledger: CommLedger, rng, schedule) -> SampleHistogram:
     w = _checked_weights(weights)
-    if R < 1:
-        raise ValueError("R must be at least 1")
+    R = _count(R, "R")  # Topology rejects R < 1
     indices = _tree_draw(w[None], R, _topology(w.size, R), (rng,))[0].tolist()
     _charge(ledger, schedule, w.size, R)
     counts: dict[int, int] = {}
@@ -297,8 +338,7 @@ def pc_sample_cells(weights, R: int, ledgers, rngs) -> np.ndarray:
     ledger and one generator per cell is a ``ValueError``, raised before any
     draw."""
     w = _checked_weights(weights, ndim=2)
-    if R < 1:
-        raise ValueError("R must be at least 1")
+    R = _count(R, "R")  # Topology rejects R < 1
     if not len(ledgers) == len(rngs) == w.shape[0]:
         raise ValueError(f"{w.shape[0]} cells need one ledger and one generator each, "
                          f"got {len(ledgers)} ledgers and {len(rngs)} generators")

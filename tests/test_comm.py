@@ -194,6 +194,14 @@ class TestProtocolPins:
             [(157, 1), (230, 1), (396, 1), (418, 1), (719, 1), (795, 1), (801, 1), (935, 1)],
             [(45, 1), (250, 1), (454, 1), (530, 1), (557, 1), (704, 1), (767, 1), (788, 1)],
         ], 216233172338274055897898946667122084718),
+        # 424 zero weights (10.4%), one whole group among them, and many ties
+        "m4096_r16": ([0.0 if i % 10 == 3 or 512 <= i < 528 else ((i * 37) % 11 + 1) * 0.25
+                       for i in range(4096)], 16, [
+            [(309, 1), (428, 1), (1251, 1), (1564, 1), (1816, 1), (1864, 1), (2040, 1), (2111, 1),
+             (2231, 1), (2480, 1), (2707, 1), (2925, 1), (2941, 1), (3437, 1), (3461, 1), (3695, 1)],
+            [(111, 1), (222, 1), (546, 1), (670, 1), (894, 1), (1317, 1), (1465, 1), (2404, 1),
+             (2535, 1), (2892, 1), (2950, 1), (3396, 1), (3484, 1), (3562, 1), (3726, 1), (3980, 1)],
+        ], 140184306277788572266166067070499572574),
     }
 
     @pytest.mark.parametrize("protocol", [comm.pc_sample, comm.optimal_comm_sample])
@@ -291,6 +299,39 @@ class TestValidation:
             comm.pc_sample([1.0, 1.0], 0, comm.CommLedger(), np.random.default_rng(0))
         with pytest.raises(ValueError):
             comm.pc_sample([1.0, 1.0], 3, comm.CommLedger(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("first, then", [(np.int64(2), 2), (2, np.int64(2))], ids=["numpy-first", "int-first"])
+    def test_numpy_integer_group_size_keeps_the_topology_cache_whole(self, first, then):
+        # 2 and np.int64(2) hash and compare equal, so a cached Topology that
+        # kept a numpy integer was handed to every later M = 4, R = 2 call
+        comm._topology.cache_clear()
+        weights = [1.0, 2.0, 3.0, 4.0]
+        hists = []
+        for R in (first, then):
+            for protocol in (comm.pc_sample, comm.optimal_comm_sample):
+                hists.append(protocol(weights, R, comm.CommLedger(), np.random.default_rng(3)).items())
+            assert comm.pc_sample_cells(np.array([weights]), R, [comm.CommLedger()],
+                                        [np.random.default_rng(3)]).shape == (1, 2)
+        assert hists == [hists[0]] * 4
+        assert type(comm._topology(4, 2).group_size) is int
+
+    @pytest.mark.parametrize("R", [2.5, 2.0, np.float64(2.0)])
+    def test_non_integral_group_size(self, R):
+        comm._topology.cache_clear()
+        comm.pc_sample([1.0, 2.0, 3.0, 4.0], 2, comm.CommLedger(), np.random.default_rng(0))  # 2 is cached
+        for call in (
+            lambda: comm.pc_sample([1.0, 2.0, 3.0, 4.0], R, comm.CommLedger(), np.random.default_rng(0)),
+            lambda: comm.optimal_comm_sample([1.0, 2.0, 3.0, 4.0], R, comm.CommLedger(), np.random.default_rng(0)),
+            lambda: comm.pc_sample_cells(np.ones((1, 4)), R, [comm.CommLedger()], [np.random.default_rng(0)]),
+            lambda: comm.Topology(4, R),
+        ):
+            with pytest.raises(ValueError, match="must be an integer"):
+                call()
+
+    def test_topology_stores_numpy_integers_as_int(self):
+        topo = comm.Topology(np.int64(8), np.int64(2))
+        assert type(topo.m_workers) is int and type(topo.group_size) is int
+        assert topo.levels == 2 and topo.padded_workers == 8
 
     def test_topology_padding(self):
         topo = comm.Topology(12, 3)

@@ -438,6 +438,21 @@ class TestCli:
         assert "within 4 sigma" in out
         assert comm_header_in(out)
 
+    @pytest.mark.parametrize("args, flag", [
+        (("--M", "8", "--R", "0"), "--R"),
+        (("--M", "-3", "--R", "2"), "--M"),
+        (("--M", "8", "--R", "2", "--draws", "-5"), "--draws"),
+        (("--M", "8", "--R", "2", "--draws", "0"), "--draws"),
+    ])
+    def test_protocol_test_rejects_counts_below_one(self, args, flag, capsys, monkeypatch):
+        # found before any draw: no protocol call is made
+        monkeypatch.setattr(cli.comm, "pc_sample", None)
+        rc = cli.main(["protocol-test", *args])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: {flag} must be at least 1, got {args[args.index(flag) + 1]}\n"
+        assert captured.out == ""
+
     def test_run_subcommand_tiny(self, tmp_path, capsys):
         rc = cli.main([
             "run", "--preset", "linear", "--algos", "svrg,asd", "--etas", "0.02,0.09",

@@ -6,12 +6,15 @@ sums are explicit left-to-right loops, the order a leader adding its group's
 weights one by one would use (``sum()`` is compensated on Python >= 3.12 and
 can differ by an ulp).  Both protocols must match them on histogram, ledger
 and final generator state, and every cell of a many-cell draw must match
-them on its own uniforms.
+them on its own uniforms.  The leaf stage's upper bound is also checked
+against the complex-keyed ``searchsorted`` it replaced, and the whole draw
+against the sequential tree at up to 4096 workers and R = 64.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -289,3 +292,88 @@ class TestCellAxis:
                 replay = ScriptedRng(replays[c].values)
                 assert reference(weights, R, comm.CommLedger(), replay) == _histogram(draws[c].tolist())
                 assert replay.used == len(replay.values)
+
+
+def complex_key_leaf_search(cum, q):
+    """The leaf search ``comm._tree_draw`` used before ``comm._upper_bound``:
+    complex keys sort by (row, value), so one searchsorted over the flat
+    (row, cum) keys answers every row's queries at once."""
+    rows, R = cum.shape
+    row = np.arange(rows)[:, None]
+    keys = np.empty((rows, R), dtype=complex)
+    keys.real, keys.imag = row, cum
+    queries = np.empty_like(keys)
+    queries.real, queries.imag = row, q
+    return np.searchsorted(keys.ravel(), queries.ravel(), side="right").reshape(rows, R)
+
+
+BOUNDARY_U = [0.0, 1.0 - 2.0**-53]
+
+
+def _wide_weights(m, seed, zero_share, tied):
+    """``m`` weights, about ``zero_share`` of them zero; tied ones are drawn
+    from {1, 2, 3}, so cumulative sums and draws tie, the others lognormal."""
+    rng = np.random.default_rng(seed)
+    w = rng.integers(1, 4, m).astype(float) if tied else rng.lognormal(0.0, 1.5, m)
+    w[rng.random(m) < zero_share] = 0.0
+    if not w.any():
+        w[rng.integers(m)] = 1.0
+    return w
+
+
+class TestLeafSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 64), st.integers(0, 2**32 - 1), st.floats(0.0, 0.5),
+           st.booleans(), st.floats(0.0, 0.5))
+    @example(1, 1, 0, 0.0, False, 0.0)
+    @example(3, 64, 1, 0.5, True, 0.5)
+    @example(256, 16, 2, 0.1, False, 0.3)
+    def test_upper_bound_matches_the_complex_key_search(self, rows, R, seed, zero_share, tied, boundary_share):
+        rng = np.random.default_rng(seed)
+        cum = _wide_weights(rows * R, seed, zero_share, tied).reshape(rows, R).cumsum(axis=1)
+        u = rng.random((rows, R))
+        edge = rng.random((rows, R)) < boundary_share
+        u[edge] = rng.choice(BOUNDARY_U, size=int(edge.sum()))
+        q = u * cum[:, -1:]
+        # queries equal to a cumulative sum of their row, its total among them
+        on_sum = rng.random((rows, R)) < boundary_share
+        q[on_sum] = np.take_along_axis(cum, rng.integers(0, R, (rows, R)), axis=1)[on_sum]
+        q[:, 0] = cum[:, -1]
+        got = comm._upper_bound(cum, q)
+        assert got.shape == (rows, R)
+        assert np.array_equal(got, complex_key_leaf_search(cum, q))
+
+    @pytest.mark.parametrize("total", [5e-324, 3e-300, 1.0, 7.0, 1e300])
+    def test_top_uniform_on_the_total(self, total):
+        # u * total == total for the largest uniform below 1 at a subnormal
+        # total; the count is then R, past the group, as before
+        cum = np.array([[0.0, total, total, total], [total / 2, total / 2, total, total]])
+        q = (1.0 - 2.0**-53) * cum[:, -1:] * np.ones((1, 4))
+        assert np.array_equal(comm._upper_bound(cum, q), complex_key_leaf_search(cum, q))
+
+
+class TestWideTrees:
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(1, 4096).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, min(m, 64)))),
+           st.integers(0, 2**32 - 1), st.floats(0.1, 0.5), st.booleans(), st.floats(0.0, 0.5))
+    @example((4096, 16), 1, 0.1, False, 0.1)
+    @example((1000, 7), 2, 0.3, True, 0.2)  # 143 groups padded to 256
+    @example((4095, 64), 3, 0.5, True, 0.5)  # the last group is padded
+    def test_tree_draw_matches_the_sequential_tree(self, shape, seed, zero_share, tied, boundary_share):
+        """``_tree_draw`` at protocol_wide's shapes and beyond, fed the live
+        nodes' uniforms, some of them 0 and the largest double below 1,
+        draws what ``sequential_pc`` draws and reads exactly those uniforms."""
+        m, R = shape
+        weights = _wide_weights(m, seed, zero_share, tied).tolist()
+        topo = comm.Topology(m, R)
+        rng = np.random.default_rng(seed)
+        live = _live_nodes(weights, R)
+        u = rng.random((int(live.sum()), R))
+        edge = rng.random(u.shape) < boundary_share
+        u[edge] = rng.choice(BOUNDARY_U, size=int(edge.sum()))
+        replay = ScriptedRng(u.ravel().tolist())
+        draws = comm._tree_draw(np.array([weights]), R, topo, [replay])
+        assert replay.used == len(replay.values)
+        ref_replay = ScriptedRng(replay.values)
+        assert sequential_pc(weights, R, comm.CommLedger(), ref_replay) == _histogram(draws[0].tolist())
+        assert ref_replay.used == len(ref_replay.values)
