@@ -31,8 +31,8 @@ whose SGD cells diverge in mid-epoch while every ASD cell steps on, and
 an ASD sweep over a saved dataset with unequal shards whose fixed
 subsample size is above half the smallest shard, where one cell diverges
 inside a block of subsample draws, and a 1500-step ASD epoch with R = 3
-whose tree-protocol seed words come from two blocks, with cells diverging
-inside the first.  The sweeps' trees have at most 64 workers and R = 4, so
+whose tree-protocol seed words come from one hash of 7,500 keys (five cells
+by 1500 steps), with cells diverging in it.  The sweeps' trees have at most 64 workers and R = 4, so
 both protocols are also called alone at M = 1000, R = 8 and M = 4096,
 R = 16 (the bench's ``protocol_wide`` shapes) and at M = 1000, R = 7, whose
 143 groups are padded to 256, and ``pc_sample_cells`` draws for 3 cells of
@@ -85,11 +85,10 @@ CLI_SWEEPS = {
     # epoch 1; every ASD cell, and SGD's eta 0.0025 cell, steps on
     "logistic_sgd_asd": ("--preset", "logistic", "--algos", "sgd,asd", "--etas", "0.0025,150,700", "--seeds", "1",
                          "--epochs", "2"),
-    # one epoch of 1500 steps spans two protocol seed-word blocks of
-    # optim._BLOCK_KEYS keys on seed 1 (steps 1-819 for five cells, 820-1500
-    # for three): R = 3 pads the 8 workers to 12, so dead tree nodes draw no
-    # uniforms, and the eta 3.125 and 0.625 cells diverge in the first
-    # block, at steps 3 and 14
+    # one epoch of 1500 steps, whose protocol seed words are one hash of
+    # the five cells' 7,500 keys on seed 1: R = 3 pads the 8 workers to 12,
+    # so dead tree nodes draw no uniforms, and the eta 3.125 and 0.625
+    # cells diverge at steps 3 and 14, leaving their rows of words unread
     "asd_r3_blocks": ("--preset", "linear", "--algos", "asd", "--R", "3", "--inner", "1500", "--epochs", "1"),
     **{f"logistic_asd_wide/{policy}": ("--preset", "logistic", "--algos", "asd", "--estimation", policy,
                                        "--etas", "0.0025,0.025,3e6", "--seeds", "1", "--epochs", "2")

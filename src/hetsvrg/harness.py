@@ -117,8 +117,8 @@ class ExperimentSpec:
         if self.eta_grid is not None:
             if not self.eta_grid:
                 raise ValueError("eta_grid must be nonempty when given")
-            if any(e <= 0 for e in self.eta_grid):
-                raise ValueError("eta_grid entries must be positive")
+            if not all(math.isfinite(e) and e > 0 for e in self.eta_grid):
+                raise ValueError("eta_grid entries must be finite and positive")
         elif self.preset == "custom_csv":
             raise ValueError("custom_csv has no default grid; pass eta_grid explicitly")
         if not self.seeds:
@@ -128,15 +128,11 @@ class ExperimentSpec:
         if self.preset == "custom_csv":
             if self.csv_path is None or self.task is None:
                 raise ValueError("custom_csv needs csv_path and task")
-        if self.epochs < 1 or self.inner_iters < 1 or self.group_size < 1:
-            raise ValueError("epochs, inner_iters and group_size must be at least 1")
-        # checked before run_experiment makes out_dir
-        if not 1 <= self.eval_every <= self.inner_iters:
-            raise ValueError("eval_every must be between 1 and inner_iters")
-        if self.l2_for_sgd < 0:
-            raise ValueError("l2_for_sgd must be nonnegative")
-        if self.growth_base <= 0:
-            raise ValueError("growth_base must be positive")
+        for algorithm in self.algorithms:  # every cell's config checks itself before run_experiment makes out_dir
+            for seed in self.seeds:
+                _configs(self, algorithm, seed)
+        if not (math.isfinite(self.growth_base) and self.growth_base > 0):
+            raise ValueError("growth_base must be finite and positive")
         shape = {k: getattr(self, k) for k in _SHAPE_FIELDS if getattr(self, k) is not None}
         if any(v < 1 for v in shape.values()):
             raise ValueError("m_workers, samples_total and dim must be at least 1")
@@ -228,12 +224,12 @@ def _cell_seed(seed: int, algorithm: str, eta: float) -> tuple[int, int, int]:
 
 
 def _configs(spec: ExperimentSpec, algorithm: str, seed: int) -> list:
-    """The optimizer config of every step size of one (algorithm, seed)."""
+    """The optimizer config of every step size of one (algorithm, seed);
+    each carries the spec's L2, which only an SGD cell reads."""
     mode = {"asd_svrg": "adaptive", "svrg_importance": "lipschitz_importance"}.get(algorithm, "uniform")
     base = optim.OptimizerConfig(
         eta=0.0, epochs=spec.epochs, inner_iters=spec.inner_iters, group_size=spec.group_size,
-        estimation=spec.estimation, distribution_mode=mode, eval_every=spec.eval_every,
-        l2_for_sgd=spec.l2_for_sgd if algorithm == "sgd" else 0.0,
+        estimation=spec.estimation, distribution_mode=mode, eval_every=spec.eval_every, l2_for_sgd=spec.l2_for_sgd,
     )
     return [replace(base, eta=eta, seed=_cell_seed(seed, algorithm, eta)) for eta in spec.grid_for(algorithm)]
 

@@ -30,9 +30,10 @@ change them.  The anchor, SGD, fixed-draw and tree-protocol channels read
 ``Generator``s seeded by ``SeedSequence`` of the key, one per key: a batched
 draw reads each cell's generator exactly as one call per step would.  The
 first three hash each key's ``SeedSequence`` (``sampling._stream``); the
-protocol's seed words come from one batched hash of every live cell's keys
-over a block of steps (``sampling._seed_words``), equal to it bit for bit.
-The weights channel is a counter hash (``sampling._draw_subsamples``).
+protocol's seed words come from one batched hash per epoch of the keys of
+every step of the cells live at its start (``sampling._seed_words``), equal
+to it bit for bit.  The weights channel is a counter hash
+(``sampling._draw_subsamples``).
 
 The guard and the recorded losses come from the batched forms of
 ``problem.full_loss`` and ``problem.test_metrics`` (O(p**2) per cell from
@@ -99,16 +100,16 @@ class OptimizerConfig:
     eval_every: int = 1
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError("eta must be finite and nonnegative")
         if self.epochs < 1 or self.inner_iters < 1 or self.group_size < 1:
             raise ValueError("epochs, inner_iters and group_size must be at least 1")
         if self.distribution_mode not in DISTRIBUTION_MODES:
             raise ValueError(f"distribution_mode must be one of {DISTRIBUTION_MODES}")
         if not 1 <= self.eval_every <= self.inner_iters:
             raise ValueError("eval_every must be between 1 and inner_iters")
-        if self.l2_for_sgd < 0:
-            raise ValueError("l2_for_sgd must be nonnegative")
+        if not (math.isfinite(self.l2_for_sgd) and self.l2_for_sgd >= 0):
+            raise ValueError("l2_for_sgd must be finite and nonnegative")
         _seed_tuple(self.seed)  # validates
 
 
@@ -381,40 +382,15 @@ def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
     return estimate
 
 
-# tree-protocol keys hashed per call, over a block of steps and the live
-# cells; each key's seed words take 32 bytes
-_BLOCK_KEYS = 4096
-
-
-def _protocol_streams(config: OptimizerConfig, k: int):
-    """Epoch k's ``streams(t, live)``: the tree-protocol generator of each
-    live cell at step t, ``sampling._stream(c.seed + (_CH_PC, k, t))``'s
-    state bit for bit, with no ``SeedSequence`` hashed.  The seed words of
-    the steps ahead come from one ``sampling._seed_words`` call of at most
-    ``_BLOCK_KEYS`` keys (or of one step, if its cells need more), for the
-    cells live when it is made; a cell that drops out leaves its rows
-    unused."""
-    T = config.inner_iters
-    block = (0, 0, None, None)  # first and end step, seed words, each cell's column
-
-    def streams(t, live):
-        nonlocal block
-        if t >= block[1]:
-            n = min(T + 1 - t, max(1, _BLOCK_KEYS // len(live)))
-            words = sampling._seed_words([c.seed + (_CH_PC, k) for c in live], np.arange(t, t + n, dtype=np.uint64))
-            block = (t, t + n, words, {c: i for i, c in enumerate(live)})
-        first, _, words, column = block
-        return [sampling._seeded(words[t - first, column[c]]) for c in live]
-
-    return streams
-
-
 def _asd_draw(problem, config: OptimizerConfig):
-    M, R = problem.m_workers, config.group_size
+    M, R, T = problem.m_workers, config.group_size, config.inner_iters
 
     def draw(k, cells):
         estimate = _weight_estimator(problem, config, k, cells)
-        streams = _protocol_streams(config, k)
+        # the tree protocol's seed words of every cell and step of the epoch,
+        # hashed at once: each step's generator is _stream(c.seed + (_CH_PC, k, t))'s
+        words = sampling._seed_words([c.seed + (_CH_PC, k) for c in cells], np.arange(1, T + 1, dtype=np.uint64))
+        column = {c: i for i, c in enumerate(cells)}
 
         def step(t, live):
             for c in live:
@@ -424,7 +400,8 @@ def _asd_draw(problem, config: OptimizerConfig):
             totals = np.cumsum(weights, axis=1)[:, -1]  # each cell's left-to-right sum
             flat = totals <= 0.0
             weights[flat], totals[flat] = 1.0, M  # degenerate estimates: uniform fallback
-            draws = comm.pc_sample_cells(weights, R, [c.ledger for c in live], streams(t, live))
+            streams = [sampling._seeded(words[t - 1, column[c]]) for c in live]
+            draws = comm.pc_sample_cells(weights, R, [c.ledger for c in live], streams)
             picks = _picks(draws)
             for c, mine in zip(live, picks):
                 comm.server_gather(c.ledger, R, 1)  # histogram to the server
@@ -522,6 +499,8 @@ class RateParams:
     l_max: float | None = None
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.lam, self.l_bar, self.eta, self.tau, self.l_max) if v is not None):
+            raise ValueError("lam, l_bar, eta, tau and l_max must be finite")
         if self.lam <= 0 or self.l_bar <= 0 or self.eta <= 0:
             raise ValueError("lam, l_bar and eta must be positive")
         if self.T < 1 or self.R < 1:

@@ -8,7 +8,6 @@ categorical distribution into (1 - gamma) * exact + gamma * residual.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -290,25 +289,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-@functools.lru_cache(maxsize=16)
-def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
-    """init * mult**i mod 2**32 for i = 0 .. n, as a read-only uint32 column."""
-    out = [init]
-    for _ in range(n):
-        out.append((out[-1] * mult) & _MASK32)
-    out = np.array(out, dtype=np.uint32)[:, None]
-    out.flags.writeable = False
-    return out
-
-
-def _hashmix(v, consts):
-    """SeedSequence's hashmix of the rows of the uint32 array ``v`` (or of
-    one row, broadcast), row i hashed as call i of the running constants
-    ``consts``, which holds one more row."""
-    v = (v ^ consts[:-1]) * consts[1:]
-    return v ^ (v >> np.uint32(16))
-
-
 def _mix(x, y):
     """SeedSequence's mix of two uint32 arrays of pool words."""
     r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
@@ -322,12 +302,12 @@ def _seed_words(prefixes, tags) -> np.ndarray:
     bit, and ``_seeded`` makes it the generator of ``_stream(key)``.
 
     ``tags`` is a uint64 array; each prefix is a tuple of nonnegative ints
-    (one ``_key_words`` call per prefix).  The hash runs over all keys at
-    once in uint32 array operations: every key's first 4 words (zeros past a
-    shorter key's end, as SeedSequence hashes them) fill its pool, the pool
-    is mixed all with all, and each further word is mixed into the pool of
-    the keys that have it.  The running constants depend only on the call,
-    never on the key, so keys of any word count share every call they make.
+    (one ``_key_words`` call per prefix).  ``mix_entropy`` and
+    ``generate_state`` run call for call as in SeedSequence, each call one
+    uint32 array operation over all keys: the running hash constant depends
+    only on the call, never on the key.  A key shorter than the pool reads
+    zeros past its end, as SeedSequence does, and a word past the pool is
+    mixed into the pool of the keys that have it.
     """
     tags = np.asarray(tags, dtype=np.uint64)
     heads = [_key_words(p) for p in prefixes]
@@ -346,24 +326,29 @@ def _seed_words(prefixes, tags) -> np.ndarray:
     words = words.reshape(width, -1)
     lengths = (head_len + 1 + (high > 0)[:, None]).ravel()
 
-    # mix_entropy: the calls of one source word run in destination order
-    # and read no pool word they write, so each is one array operation.  4
-    # filling calls, 12 mixing ones and 4 a word past the pool make 4 calls
-    # a word of the widest key
-    a = _hash_constants(_INIT_A, _MULT_A, _POOL * width)
-    pool, n = _hashmix(words[:_POOL], a[: _POOL + 1]), _POOL
+    const, mult = _INIT_A, _MULT_A
+
+    def hashmix(v):
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = const * mult & _MASK32
+        v = v * np.uint32(const)
+        return v ^ (v >> np.uint32(16))
+
+    # mix_entropy
+    pool = [hashmix(words[i]) for i in range(_POOL)]
     for src in range(_POOL):
-        dst = [d for d in range(_POOL) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[n : n + _POOL]))
-        n += _POOL - 1
-    tail = _hashmix(np.repeat(words[_POOL:], _POOL, axis=0), a[n:])  # (word, destination) rows
-    for j in range(width - _POOL):
-        mixed = _mix(pool, tail[_POOL * j : _POOL * (j + 1)])
-        pool = mixed if lengths.min() > _POOL + j else np.where(lengths > _POOL + j, mixed, pool)
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, width):
+        for dst in range(_POOL):
+            pool[dst] = np.where(lengths > src, _mix(pool[dst], hashmix(words[src])), pool[dst])
 
     # generate_state: 8 words hashed cycling through the pool, read as 4
     # little-endian uint64 pairs
-    state = _hashmix(np.tile(pool, (2, 1)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
+    const, mult = _INIT_B, _MULT_B
+    state = np.array([hashmix(pool[i % _POOL]) for i in range(2 * _POOL)])
     out = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
     return out.reshape(tags.size, len(heads), _POOL)
 

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import hashlib
+import math
 import tempfile
 from pathlib import Path
 
@@ -144,8 +145,8 @@ class TestSpecProperty:
     @given(
         preset=st.sampled_from(harness.PRESETS),
         algorithms=st.lists(st.sampled_from(harness.ALGORITHMS), min_size=1, max_size=4, unique=True),
-        etas=st.lists(st.sampled_from([0.01, 0.1, 1e6]), min_size=1, max_size=3, unique=True),
-        seeds=st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True),
+        etas=st.lists(st.sampled_from([0.01, 0.1, 1e6, math.nan, math.inf]), min_size=1, max_size=3, unique=True),
+        seeds=st.lists(st.integers(-1, 3), min_size=1, max_size=3, unique=True),
         repeat=st.sampled_from([None] * 5 + ["algorithms", "etas", "seeds"]),  # the list whose first entry repeats
         m_workers=st.none() | st.integers(-1, 7),
         samples_total=st.none() | st.integers(-1, 40),
@@ -505,8 +506,9 @@ class TestCli:
         assert not (tmp_path / "o1").exists()
 
     @pytest.mark.parametrize("flag, field", [("--l2-sgd", "l2_for_sgd"), ("--growth-base", "growth_base")])
-    def test_bad_spec_value_makes_no_output_dir(self, flag, field, tmp_path, capsys):
-        rc = cli.main(["run", flag, "-1", "--epochs", "1", "--out", str(tmp_path / "o2")])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_spec_value_makes_no_output_dir(self, flag, field, value, tmp_path, capsys):
+        rc = cli.main(["run", flag, value, "--epochs", "1", "--out", str(tmp_path / "o2")])
         assert rc == 1
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o2").exists()
@@ -530,6 +532,37 @@ class TestCli:
         assert rc == 1
         assert "must not repeat" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("etas", ["nan,nan", "inf", "0.1,-inf"])  # nan != nan, so no repeat is seen
+    def test_non_finite_step_size_makes_no_output_dir(self, etas, tmp_path, capsys):
+        rc = cli.main(["run", "--algos", "svrg", "--etas", etas, "--epochs", "1", "--inner", "2",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "eta_grid entries must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_negative_seed_makes_no_output_dir(self, custom, tmp_path, capsys):
+        # seed 1's cells once ran and wrote their traces before seed -1 failed
+        data = tmp_path / "data.csv"
+        prob.save_csv(prob.generate_heterogeneous(prob.LINEAR, 3, 30, 2, 2.0, seed=5), data)
+        preset = ("--preset", "custom", "--csv", str(data), "--task", prob.LINEAR) if custom else ("--preset", "linear")
+        rc = cli.main(["run", *preset, "--algos", "svrg", "--etas", "0.1", "--epochs", "1", "--inner", "2",
+                       "--seeds", "-1" if custom else "1,-1", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "seed entries must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", ["--lambda", "--eta", "--lbar", "--lmax", "--tau"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_rates_rejects_non_finite_inputs(self, flag, value, capsys):
+        args = {"--lambda": "1", "--eta": "0.01", "--lbar": "1", "--lmax": "2", "--tau": "0.1"}
+        args[flag] = value
+        rc = cli.main(["rates", "--kind", "svrg_uniform", "--T", "10", *(v for kv in args.items() for v in kv)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: lam, l_bar, eta, tau and l_max must be finite\n"
+        assert captured.out == ""
 
     def test_algorithm_aliases_are_merged(self, tmp_path):
         rc = cli.main(["run", "--algos", "svrg,svrg_uniform,asd", "--epochs", "1", "--inner", "2", "--etas", "0.1",

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -612,8 +613,8 @@ class TestGeneratorSchedule:
         """The loops build one numpy generator per stream key and none per
         draw, and hash a ``SeedSequence`` only for the keys they read one at
         a time: ASD one generator per live (cell, step) for the protocol,
-        seeded from words hashed once per block of steps, and one
-        ``SeedSequence`` generator per (cell, epoch) for the anchor; uniform
+        seeded from words hashed once per epoch, and one ``SeedSequence``
+        generator per (cell, epoch) for the anchor; uniform
         SVRG one per (cell, epoch) for the fixed draws and one for the
         anchor; SGD one per epoch.  So no per-slot or per-call construction
         cost can creep back."""
@@ -639,12 +640,7 @@ class TestGeneratorSchedule:
                                       for i in range(cells)])
             assert not any(diverged for _, diverged in grid)
             assert made == {"SeedSequence": cells * seeded, "Generator": cells * per_cell, "default_rng": 0}
-        assert blocks == [list(range(1, inner + 1))] * epochs  # one block an epoch at the shipped cap
-        blocks.clear()
-        monkeypatch.setattr(optim, "_BLOCK_KEYS", 2 * cells)  # two steps of the three cells a block
-        optim.run_grid(p, [replace(base, eta=0.01 * (i + 1), seed=(1, i), distribution_mode="adaptive")
-                           for i in range(cells)])
-        assert blocks == [[1, 2], [3, 4], [5]] * epochs
+        assert blocks == [list(range(1, inner + 1))] * epochs  # one hash an epoch, of steps 1..T
         for name in made:
             made[name] = 0
         optim.run_sgd(p, base)
@@ -1064,52 +1060,30 @@ class TestStreams:
             smp._seeded(row)
 
 
-class TestProtocolBlocks:
-    """The tree protocol's generators, seeded from words hashed a block of
-    steps at a time, give every ASD cell the run it has with one
-    ``_stream`` generator built per step."""
+class TestProtocolSeeds:
+    """Every tree-protocol generator of an ASD loop is seeded with its own
+    key's ``SeedSequence`` state, one per (epoch, step, live cell)."""
 
-    @staticmethod
-    def per_step_streams(config, k):
-        return lambda t, live: [smp._stream(c.seed + (optim._CH_PC, k, t)) for c in live]
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        task=st.sampled_from(prob.TASKS),
-        R=st.sampled_from([1, 2, 3]),  # R = 3 pads the 8 workers to 12, so some tree nodes are dead
-        policy=st.sampled_from(smp.SUBSAMPLE_POLICIES),
-        block_keys=st.integers(1, 7),
-        log_etas=st.lists(st.floats(-3.0, 1.5), min_size=1, max_size=4),
-        explode_at=st.none() | st.integers(0, 4),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @example(task=prob.LINEAR, R=3, policy="fixed", block_keys=7, log_etas=[-2.0, 1.0, 1.5], explode_at=None,
-             seed=1)
-    def test_blocks_give_the_runs_of_per_step_streams(self, task, R, policy, block_keys, log_etas, explode_at,
-                                                       seed):
-        etas = [10.0**e for e in log_etas]
-        if explode_at is not None:
-            etas.insert(min(explode_at, len(etas)), 10.0**12)  # diverges at its first step
-        configs = [
-            optim.OptimizerConfig(eta=eta, epochs=2, inner_iters=7, group_size=R, distribution_mode="adaptive",
-                                  estimation=smp.EstimationConfig(subsample_policy=policy), seed=(seed, i))
-            for i, eta in enumerate(etas)
-        ]
-        p = prob.generate_heterogeneous(task, 8, 160, 3, 2.0, seed)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(optim, "_BLOCK_KEYS", block_keys)  # epochs of many blocks
-            got = optim._vr_loop(p, configs, None)
-            mp.setattr(optim, "_protocol_streams", self.per_step_streams)
-            want = optim._vr_loop(p, configs, None)
-        with tempfile.TemporaryDirectory() as out:
-            for i, (a, b) in enumerate(zip(got, want)):
-                assert type(a) is type(b)
-                if isinstance(a, optim.Diverged):
-                    assert str(a) == str(b)  # the same loss at the same (k, t)
-                    a, b = a.trace, b.trace
-                assert trace_bytes(a, out, f"block{i}.csv") == trace_bytes(b, out, f"step{i}.csv")
-                assert a.final_x.tobytes() == b.final_x.tobytes()
-                assert a.ledger.snapshot() == b.ledger.snapshot()
+    @pytest.mark.parametrize("R", [1, 3])  # R = 3 pads the 8 workers to 12
+    def test_each_live_cell_step_seeds_its_own_key(self, R, monkeypatch):
+        epochs, T = 2, 7
+        configs = [optim.OptimizerConfig(eta=eta, epochs=epochs, inner_iters=T, group_size=R,
+                                         distribution_mode="adaptive", seed=(9, i))
+                   for i, eta in enumerate([0.01, 1e12, 0.1, 3.0])]  # 1e12 and 3.0 diverge in epoch 1
+        rows = []
+        real = smp._seeded
+        monkeypatch.setattr(smp, "_seeded", lambda words: rows.append(words.tolist()) or real(words))
+        outcomes = optim._vr_loop(prob.generate_heterogeneous(prob.LINEAR, 8, 160, 3, 2.0, seed=4), configs, None)
+        last = []  # each cell's last (k, t): the guard's, if it tripped
+        for o in outcomes:
+            found = re.search(r"epoch (\d+), step (\d+)$", str(o)) if isinstance(o, optim.Diverged) else None
+            last.append(tuple(map(int, found.groups())) if found else (epochs, T))
+        assert last == [(epochs, T), (1, 1), (epochs, T), (1, 5)]
+        want = [np.random.SeedSequence(smp._key_words(optim._seed_tuple(config.seed) + (optim._CH_PC, k, t)))
+                .generate_state(4, np.uint64).tolist()
+                for k in range(1, epochs + 1) for t in range(1, T + 1)
+                for config, end in zip(configs, last) if (k, t) <= end]
+        assert rows == want
 
 
 class TestStreamPins:
@@ -1161,6 +1135,10 @@ class TestConfigValidation:
             dict(eta=0.1, epochs=1, inner_iters=2, eval_every=3),
             dict(eta=0.1, epochs=1, inner_iters=1, l2_for_sgd=-0.1),
             dict(eta=0.1, epochs=1, inner_iters=1, seed=-4),
+            dict(eta=math.nan, epochs=1, inner_iters=1),
+            dict(eta=math.inf, epochs=1, inner_iters=1),
+            dict(eta=0.1, epochs=1, inner_iters=1, l2_for_sgd=math.nan),
+            dict(eta=0.1, epochs=1, inner_iters=1, l2_for_sgd=math.inf),
         ]:
             with pytest.raises(ValueError):
                 optim.OptimizerConfig(**kwargs)
@@ -1211,6 +1189,10 @@ class TestTheoreticalRate:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             optim.RateParams(lam=0.0, l_bar=1.0, eta=0.1, T=10)
+        for name in ("lam", "l_bar", "eta", "tau", "l_max"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="must be finite"):
+                    optim.RateParams(**{**dict(lam=1.0, l_bar=1.0, eta=0.01, T=10, tau=0.1, l_max=2.0), name: bad})
         with pytest.raises(ValueError):
             optim.theoretical_rate("svrg_uniform", optim.RateParams(lam=1.0, l_bar=1.0, eta=0.01, T=10))
         with pytest.raises(ValueError):
