@@ -506,8 +506,15 @@ class TestCli:
         assert not (tmp_path / "o1").exists()
 
     @pytest.mark.parametrize("flag, field", [("--l2-sgd", "l2_for_sgd"), ("--growth-base", "growth_base")])
-    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
-    def test_bad_spec_value_makes_no_output_dir(self, flag, field, value, tmp_path, capsys):
+    def test_bad_spec_value_makes_no_output_dir(self, flag, field, tmp_path, capsys):
+        rc = cli.main(["run", flag, "-1", "--epochs", "1", "--out", str(tmp_path / "o2")])
+        assert rc == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o2").exists()
+
+    @pytest.mark.parametrize("flag, field", [("--l2-sgd", "l2_for_sgd"), ("--growth-base", "growth_base")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_spec_value_makes_no_output_dir(self, flag, field, value, tmp_path, capsys):
         rc = cli.main(["run", flag, value, "--epochs", "1", "--out", str(tmp_path / "o2")])
         assert rc == 1
         assert field in capsys.readouterr().err
