@@ -5,6 +5,7 @@ byte-identical traces, reports and protocol draws.
 Usage (from the repository root):
 
     python3 scripts/equivalence.py OUT
+    python3 scripts/equivalence.py --compare OUT_A OUT_B
 
 OUT must be new or empty.  Each sweep writes its files under
 ``OUT/<sweep>/`` and the protocol calls under ``OUT/protocol_wide/``, and
@@ -37,6 +38,23 @@ both protocols are also called alone at M = 1000, R = 8 and M = 4096,
 R = 16 (the bench's ``protocol_wide`` shapes) and at M = 1000, R = 7, whose
 143 groups are padded to 256, and ``pc_sample_cells`` draws for 3 cells of
 the padded shape; about 10% of every shape's weights are zero.
+
+``--compare OUT_A OUT_B`` reads two such outputs, for a change that moves
+bits on purpose, and prints one verdict per CSV file:
+
+* ``byte-identical``;
+* ``bits-only``: the header, the row count and every column but the loss
+  and accuracy columns (``LOSS_COLUMNS``) are equal as text: (k, t) and the
+  ledger of a trace or figure file, ``diverged``, ``epochs_to_threshold``,
+  ``total_scalars``, ``trace_file`` and the cell of a report, the chosen
+  step size of ``best.csv``, every draw of a protocol file.  The loss
+  columns hold finite values where they differ, and the line gives the
+  largest relative difference of each;
+* ``outcome-changed``, with the first difference found, also for a file in
+  one output only.
+
+The exit status is 1 if any file's outcome changed.  This compares one run
+of each side; it is no test of equivalence in distribution over seeds.
 """
 
 from __future__ import annotations
@@ -47,9 +65,12 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import collections
 import contextlib
+import csv
 import hashlib
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -203,7 +224,57 @@ def protocol_calls(out: Path) -> None:
         (out / f"cells3_cell{cell}_m{m}_r{R}.csv").write_text(PROTOCOL_HEADER + "".join(cell_rows))
 
 
+LOSS_COLUMNS = frozenset({"train_loss", "test_loss", "test_acc", "final_train_loss", "final_test_loss",
+                          "final_test_accuracy", "median_final_train_loss"})
+
+
+def compare_file(a: Path, b: Path) -> tuple[str, str]:
+    """The verdict on one CSV file of two outputs, and its detail."""
+    if a.read_bytes() == b.read_bytes():
+        return "byte-identical", ""
+    with open(a, newline="") as fa, open(b, newline="") as fb:
+        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+    if rows_a[:1] != rows_b[:1]:
+        return "outcome-changed", "header"
+    if len(rows_a) != len(rows_b):
+        return "outcome-changed", f"{len(rows_a) - 1} rows against {len(rows_b) - 1}"
+    header = rows_a[0]
+    worst = {name: 0.0 for name in header if name in LOSS_COLUMNS}
+    for i, (row_a, row_b) in enumerate(zip(rows_a[1:], rows_b[1:]), start=1):
+        if len(row_a) != len(row_b):
+            return "outcome-changed", f"row {i}: {len(row_a)} fields against {len(row_b)}"
+        for name, va, vb in zip(header, row_a, row_b):
+            if va == vb:
+                continue
+            try:
+                fa, fb = float(va), float(vb)
+            except ValueError:
+                fa = fb = math.nan
+            if name not in worst or not (math.isfinite(fa) and math.isfinite(fb)):
+                return "outcome-changed", f"row {i}: {name} {va!r} against {vb!r}"
+            worst[name] = max(worst[name], abs(fa - fb) / max(abs(fa), abs(fb)))
+    return "bits-only", " ".join(f"{name} {value:.2e}" for name, value in worst.items() if value)
+
+
+def compare(a: Path, b: Path) -> int:
+    """Print the verdict on every CSV file of the outputs ``a`` and ``b``,
+    then a count of each verdict; 1 if any file's outcome changed."""
+    names = sorted({path.relative_to(root).as_posix() for root in (a, b) for path in root.rglob("*.csv")})
+    verdicts = collections.Counter()
+    for name in names:
+        if (a / name).exists() and (b / name).exists():
+            verdict, detail = compare_file(a / name, b / name)
+        else:
+            verdict, detail = "outcome-changed", f"only in {a if (a / name).exists() else b}"
+        verdicts[verdict] += 1
+        print(f"{verdict:15s} {name}" + (f"  {detail}" if detail else ""))
+    print(", ".join(f"{verdicts[v]} {v}" for v in ("byte-identical", "bits-only", "outcome-changed")))
+    return 1 if verdicts["outcome-changed"] else 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2

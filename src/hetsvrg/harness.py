@@ -85,7 +85,7 @@ class ExperimentSpec:
 
     ``eta_grid=None`` selects the preset's per-algorithm default grid.
     ``growth_base`` controls how fast per-worker smoothness grows on the
-    synthetic presets.
+    synthetic presets.  Only ``custom_csv`` takes (and needs) ``csv_path`` and ``task``.
     """
 
     preset: str
@@ -125,9 +125,8 @@ class ExperimentSpec:
             raise ValueError("at least one seed is required")
         if any(len(set(v)) != len(v) for v in (self.algorithms, self.eta_grid or (), self.seeds)):
             raise ValueError("algorithms, eta_grid and seeds must not repeat an entry")  # each cell runs once
-        if self.preset == "custom_csv":
-            if self.csv_path is None or self.task is None:
-                raise ValueError("custom_csv needs csv_path and task")
+        if (self.csv_path, self.task).count(None) != (0 if self.preset == "custom_csv" else 2):
+            raise ValueError("csv_path and task are both needed under custom_csv, and taken by no other preset")
         for algorithm in self.algorithms:  # every cell's config checks itself before run_experiment makes out_dir
             for seed in self.seeds:
                 _configs(self, algorithm, seed)

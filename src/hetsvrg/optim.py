@@ -18,11 +18,11 @@ the per-call glue is batched over cells: the divergence guard's initial
 loss and the first epoch's anchor gradients (every cell starts at x0), the
 weight estimates of each step, whose subsample draws, row gathers and
 anchor residuals are made once per block of steps (one step under
-``lemma1``), ASD's tree protocol, one ``comm.pc_sample_cells`` call a step,
-the fixed-draw and SGD picks, drawn for every cell and step of an epoch at
-once, and each step's guard and evaluation (``_observe``).  ASD's first
-step of an epoch starts at the anchor, where every estimate is 0, so it
-samples uniformly without estimating.
+``lemma1``), each segment's sum one stacked product, ASD's tree protocol,
+one ``comm.pc_sample_cells`` call a step, the fixed-draw and SGD picks,
+drawn for every cell and step of an epoch at once, and each step's guard
+and evaluation (``_observe``).  ASD's first step of an epoch starts at the
+anchor, where every estimate is 0, so it samples uniformly.
 
 Every random decision is keyed by (seed, channel, epoch, step, worker), so
 runs are bit-reproducible and neither other workers nor other cells can
@@ -341,42 +341,43 @@ def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
     cells' points, so its blocks are one step long.  A block's key hashes,
     segment layout, rows and their residuals at the anchors are made once,
     when it is drawn (``problem._gather_block``); a step forms r(a'x) on its
-    rows, its deltas (``problem.gradient_deltas``) and each segment's norm
-    of their mean.  The rows, residuals and deltas (and ``lemma1``'s full
-    passes) use arrays kept for the epoch."""
-    est, T = config.estimation, config.inner_iters
+    rows and the norm of each (cell, worker) segment's mean difference, its
+    sum one product (``problem._segment_sums``; under ``full`` the segments
+    are the shards, read in place by every cell): bit for bit the value of
+    ``sampling.estimate_shard_weight`` on the same rows.  The rows (and
+    ``lemma1``'s full passes) use arrays kept for the epoch."""
+    est, T, full = config.estimation, config.inner_iters, config.estimation.subsample_policy == "full"
     prefix = {c: np.uint64(sampling._key_hash(c.seed + (_CH_WEIGHTS, k))) for c in cells}
     buffers = {}
-    # the open block: its first and end step, number of cells, (rows, targets, anchor residuals),
-    # and segments (cell, worker, row count) with each cell's row count and each segment's start
-    block = (0, 0, 0) + (None,) * 6
+    # the open block: first and end step, cells, (cell, worker) pairs and counts, segment row counts, its rows
+    block = (0, 0, 0) + (None,) * 5
 
     def estimate(t, live):
         nonlocal block
         x, anchor = np.array([c.x for c in live]), np.array([c.anchor for c in live])
+        points = (len(live), -1, problem.param_dim) if full else (-1, problem.param_dim)  # (C, M, p) or (S, p)
         if t >= block[1] or len(live) != block[2]:
             sizes = np.array([sampling.subsample_sizes(problem, xc, ac, est, buffers) for xc, ac in zip(x, anchor)])
             cells, workers = np.nonzero(sizes)
             counts = sizes[cells, workers]
-            if est.subsample_policy == "full":  # every cell takes every row: read them in place
-                steps, rows = T + 1 - t, slice(None)
-            else:
+            if full:  # every cell takes every row: read them in place, one segment per shard
+                steps, rows, segments = T + 1 - t, slice(None), problem.sizes
+            else:  # one segment per (cell, worker)
                 steps = 1 if est.subsample_policy == "lemma1" else min(
                     T + 1 - t, max(1, _BLOCK_SLOTS // max(1, int(sizes.sum()))))
                 at = np.arange(t, t + steps, dtype=np.uint64).repeat(len(live))  # in (step, cell) order
                 local = sampling._draw_subsamples(sampling._key_hashes(np.tile([prefix[c] for c in live], steps), at),
                                                   problem.sizes, np.tile(sizes, (steps, 1)))
-                rows = local + np.tile(np.repeat(problem.offsets[workers], counts), steps)
-            per_cell = np.bincount(cells, weights=counts, minlength=len(live)).astype(int)
-            block = (t, t + steps, len(live), prob._gather_block(problem, rows, anchor, per_cell, steps, buffers),
-                     cells, workers, counts, per_cell, sampling._segment_starts(counts))
-        first, _, _, gathered, cells, workers, counts, per_cell, starts = block
-        if est.subsample_policy != "full":  # the step's own rows of the block
-            n = int(counts.sum())
-            gathered = tuple(v[(t - first) * n : (t - first + 1) * n] for v in gathered)
-        deltas = prob.gradient_deltas(problem, gathered, x, anchor, per_cell, buffers)
+                rows, segments = local + np.tile(np.repeat(problem.offsets[workers], counts), steps), counts
+            block = (t, t + steps, len(live), cells, workers, counts, segments,
+                     prob._gather_block(problem, rows, anchor[cells].reshape(points), segments, steps, buffers))
+        first, _, _, cells, workers, counts, segments, (A, y, ra) = block
+        if not full:  # the step's own rows of the block
+            A, y, ra = A[t - first], y[t - first], ra[t - first]
+        r = prob._residuals(problem, A, y, x[cells].reshape(points), segments) - ra
+        sums = prob._segment_sums(r, A, segments).reshape(-1, problem.param_dim)
         weights = np.zeros((len(live), problem.m_workers))
-        weights[cells, workers] = np.linalg.norm(np.add.reduceat(deltas, starts, axis=0) / counts[:, None], axis=1)
+        weights[cells, workers] = np.linalg.norm(sums / counts[:, None], axis=1)
         return weights
 
     return estimate

@@ -21,11 +21,11 @@ loss, the adaptive weight estimates) are one gather or one mat-vec over the
 stack.
 
 ``full_loss`` and ``test_metrics`` are the one-point cases of batched forms
-that evaluate C points in one call.  They, and the per-sample gradient
-differences of ``gradient_deltas``, stack the points' products in one
-``np.matmul`` (``np.matmul(A, X[:, :, None])``, A shared or one per
-point), which runs each point's mat-vec as the BLAS call the point alone
-would make, so each value is bit-identical to its call alone.
+that evaluate C points in one call.  They, and the weight estimates'
+per-segment residuals and sums (``_residuals``, ``_segment_sums``), stack
+the products in one ``np.matmul`` (``np.matmul(A, X[:, :, None])``, A
+shared or one per point or segment), which runs each item's mat-vec as the
+BLAS call it alone would make, so each value is bit-identical to its call alone.
 
 For linear regression the objective is an exact quadratic, so ``full_loss``
 and the test loss of ``test_metrics`` are read from quadratic forms cached on
@@ -288,72 +288,70 @@ def _kept(buffers: dict, key: str, shape) -> np.ndarray:
     return buffers[key][: shape[0]]
 
 
-def _runs(counts: np.ndarray):
-    """(first row, first cell, cells, rows each) of every run of consecutive cells with equal counts."""
+def _runs(counts):
+    """(first row, first segment, segments, rows each) of every run of consecutive segments with equal counts."""
     lo = c = 0
-    for n, group in itertools.groupby(counts.tolist()):
+    for n, group in itertools.groupby(np.asarray(counts).tolist()):
         run = len(list(group))
         yield lo, c, run, n
         lo, c = lo + run * n, c + run
 
 
-def _gather_block(problem: ShardedProblem, rows, x_anchor, counts: np.ndarray, steps: int, out: dict) -> tuple:
-    """(rows, targets, anchor residuals r(a'x_anchor)) of ``steps`` steps of
-    C cells, each step's as :func:`gradient_deltas` takes them: ``rows``
-    holds the steps' index rows one after another, gathered into ``out``, or
-    is a slice every step reads in place, with one step's residuals.  The
-    residuals, kept in ``out`` too, are the items of one stacked
-    ``np.matmul`` per run of equal-count cells, each a one-step call's item
-    (a cell's mat-vec over its own rows), so each has a one-step call's bits."""
-    p, shared, n_rows = problem.param_dim, isinstance(rows, slice), int(counts.sum())
-    if shared:
-        A, y, steps = problem.aug[rows], problem.y[rows], 1  # a slice is a view, not a copy
+def _residuals(problem: ShardedProblem, A, y, X, counts) -> np.ndarray:
+    """r(a'x) on the (..., N) rows of ``A`` and ``y`` in segments of
+    ``counts`` rows, segment s at ``X[..., s, :]`` (leading axes on A or on X,
+    not both): a (..., N) array.  Each run of equal counts is one stacked
+    ``np.matmul``, one mat-vec per segment, so a segment's residuals have
+    the bits of its call alone (a mat-vec's value for a row depends on the
+    rows it is called with)."""
+    p, lead = problem.param_dim, max(A.shape[:-2], X.shape[:-2], key=len)
+    r = np.empty(lead + y.shape[-1:])
+    for lo, s, run, n in _runs(counts):
+        z = np.matmul(A[..., lo : lo + run * n, :].reshape(A.shape[:-2] + (run, n, p)), X[..., s : s + run, :, None])
+        yr = y[..., lo : lo + run * n].reshape(y.shape[:-1] + (run, n))
+        r[..., lo : lo + run * n] = _pointwise_residual(problem.task, z[..., 0], yr).reshape(lead + (run * n,))
+    return r
+
+
+def _segment_sums(r: np.ndarray, A: np.ndarray, counts) -> np.ndarray:
+    """Sum_j r_j a_j over each segment of ``counts`` rows of the (N, p) ``A``
+    for every row of the (..., N) ``r``: a (..., S, p) array.  Segment s is
+    one (1 x k) @ (k x p) product, each run of equal counts one stacked
+    ``np.matmul``, so each sum is ``r_s @ A_s`` alone, bit for bit, at any
+    offset and in any stack; a segment of 0 rows sums to 0."""
+    lead, p = r.shape[:-1], A.shape[1]
+    sums = [np.matmul(r[..., lo : lo + run * n].reshape(lead + (run, 1, n)), A[lo : lo + run * n].reshape(run, n, p))
+            for lo, _, run, n in _runs(counts)]
+    return np.concatenate(sums or [np.zeros(lead + (0, 1, p))], axis=-3)[..., 0, :]
+
+
+def _gather_block(problem: ShardedProblem, rows, X_anchor, counts, steps: int, out: dict) -> tuple:
+    """(rows, targets, anchor residuals :func:`_residuals`) of ``steps``
+    steps of the segments ``counts`` at ``X_anchor``: ``rows`` holds the
+    steps' index rows one after another, gathered into ``out`` with a
+    leading steps axis, or is a slice every step reads in place."""
+    p = problem.param_dim
+    if isinstance(rows, slice):
+        A, y = problem.aug[rows], problem.y[rows]  # a slice is a view, not a copy
     else:  # 'clip' gathers straight into the kept rows, where 'raise' would copy them first
-        A = np.take(problem.aug, rows, axis=0, out=_kept(out, "aug", (len(rows), p)), mode="clip")
-        y = np.take(problem.y, rows, out=_kept(out, "y", (len(rows),)), mode="clip")
-    ra = _kept(out, "anchor", (steps * n_rows,))
-    for lo, c, run, n in _runs(counts):
-        Ab, yb = (A, y) if shared else (A.reshape(steps, n_rows, p)[:, lo : lo + run * n].reshape(steps, run, n, p),
-                                        y.reshape(steps, n_rows)[:, lo : lo + run * n].reshape(steps, run, n))
-        za = np.matmul(Ab, x_anchor[c : c + run, :, None])[..., 0]
-        ra.reshape(steps, n_rows)[:, lo : lo + run * n] = _pointwise_residual(problem.task, za, yb).reshape(steps, -1)
-    return A, y, ra
+        A = np.take(problem.aug, rows, axis=0, out=_kept(out, "aug", (len(rows), p)), mode="clip").reshape(steps, -1, p)
+        y = np.take(problem.y, rows, out=_kept(out, "y", (len(rows),)), mode="clip").reshape(steps, -1)
+    return A, y, _residuals(problem, A, y, X_anchor, counts)
 
 
-def gradient_deltas(problem: ShardedProblem, rows, x, x_anchor, counts, out=None) -> np.ndarray:
-    """Per-sample gradient differences grad f_j(x) - grad f_j(x_anchor) of C
-    cells, one row per sample: the residual difference r(a'x) - r(a'x_anchor)
-    times a.
-
-    ``x`` and ``x_anchor`` are (C, p).  ``rows`` is an index array of
-    stacked rows of ``problem.aug`` (unchecked), of which cell c owns the
-    next ``counts[c]``, a slice of ``problem.aug`` that every cell reads in
-    place (each count is then its length), or one step of a
-    :func:`_gather_block` for these cells, whose anchor residuals are used.
-    Each maximal run of consecutive cells with equal counts (one run under
-    ``fixed`` and ``full``) forms its residuals in one stacked
-    ``np.matmul``, a broadcast one over a shared slice: one mat-vec per cell
-    on the cell's own rows, so the deltas are bit-identical to a call for
-    that cell alone.  ``out``, if given, is a dict in which a repeated
-    caller keeps the gathered rows and targets, anchor residuals and deltas,
-    each grown only when a call needs more rows than any before; the result
-    is then a view into it, valid until the next call with it.
+def gradient_deltas(problem: ShardedProblem, rows, x, x_anchor, out=None) -> np.ndarray:
+    """Per-sample gradient differences grad f_j(x) - grad f_j(x_anchor) on
+    ``rows`` of ``problem.aug`` (an index array, unchecked, or a slice read
+    in place), one row per sample: r(a'x) - r(a'x_anchor), each side one
+    mat-vec over the rows, times a.  ``out``, if given, is a dict in which a
+    repeated caller keeps the deltas, grown only when a call needs more rows
+    than any before; the result is then a view into it, valid until the next
+    call with it.  ``lemma1``'s range envelope reads the deltas; the weight
+    estimates sum them per segment without forming them (:func:`_segment_sums`).
     """
-    buffers, gathered = {} if out is None else out, isinstance(rows, tuple)
-    x, xa, counts = np.asarray(x, dtype=float), np.asarray(x_anchor, dtype=float), np.asarray(counts)
-    size = len(rows[1]) if gathered else len(problem.y[rows]) if isinstance(rows, slice) else len(rows)
-    shared = isinstance(rows, slice) or gathered and size != counts.sum()  # a slice, or a block's
-    if (x.shape != (counts.size, problem.param_dim) or xa.shape != x.shape
-            or not ((counts == size).all() if shared else counts.sum() == size)):
-        raise ValueError(f"need one point of length {problem.param_dim} per cell and counts matching the rows")
-    A, y, ra = rows if gathered else _gather_block(problem, rows, xa, counts, 1, buffers)
-    p, deltas = problem.param_dim, _kept(buffers, "deltas", (counts.sum(), problem.param_dim))
-    for lo, c, run, n in _runs(counts):
-        Ac, yc = (A, y) if shared else (A[lo : lo + run * n].reshape(run, n, p), y[lo : lo + run * n].reshape(run, n))
-        r = _pointwise_residual(problem.task, np.matmul(Ac, x[c : c + run, :, None])[:, :, 0], yc)
-        r -= ra[lo : lo + run * n].reshape(run, n)
-        np.multiply(r[:, :, None], Ac, out=deltas[lo : lo + run * n].reshape(run, n, p))
-    return deltas
+    x, xa, A, y = _check_x(problem, x), _check_x(problem, x_anchor), problem.aug[rows], problem.y[rows]
+    r = _pointwise_residual(problem.task, A @ x, y) - _pointwise_residual(problem.task, A @ xa, y)
+    return np.multiply(r[:, None], A, out=_kept({} if out is None else out, "deltas", A.shape))
 
 
 def shard_loss(problem: ShardedProblem, shard_id: int, x) -> float:

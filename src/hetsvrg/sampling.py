@@ -242,7 +242,7 @@ def subsample_sizes(problem, x, x_anchor, config: EstimationConfig, out=None) ->
         return sizes.copy()
     if config.subsample_policy == "fixed":
         return config.size_for_shard(sizes)
-    deltas = prob.gradient_deltas(problem, slice(None), [x], [x_anchor], [problem.n_total], out)
+    deltas = prob.gradient_deltas(problem, slice(None), x, x_anchor, out)
     chosen = np.zeros(problem.m_workers, dtype=int)
     for m, (range_norm, mean_norm) in enumerate(zip(*_segment_bounds(deltas, sizes))):
         try:
@@ -471,14 +471,15 @@ def estimate_shard_weight(problem, shard_id: int, x, x_anchor, n_m: int, rng) ->
     ``rng.choice(shard size, n_m, replace=False)``, and returns
     || mean_j (grad f_j(x) - grad f_j(x_anchor)) ||_2 over the draw.  With
     ``n_m`` equal to the shard size this is the exact difference norm.  This
-    is one segment of the optimizer's batched estimate.
+    is one segment of the optimizer's batched estimate, bit for bit.
     """
     shard = problem.shard(shard_id)
     if not 1 <= n_m <= shard.size:
         raise ValueError(f"n_m must be in [1, {shard.size}], got {n_m}")
-    rows = np.sort(rng.choice(shard.size, n_m, replace=False)) + problem.offsets[shard_id]
-    deltas = prob.gradient_deltas(problem, rows, np.reshape(x, (1, -1)), np.reshape(x_anchor, (1, -1)), [n_m])
-    return float(np.linalg.norm(np.add.reduce(deltas) / n_m))
+    rows, counts = np.sort(rng.choice(shard.size, n_m, replace=False)) + problem.offsets[shard_id], [n_m]
+    A, y, ra = prob._gather_block(problem, rows, np.reshape(x_anchor, (1, -1)), counts, 1, {})
+    r = prob._residuals(problem, A[0], y[0], np.reshape(x, (1, -1)), counts) - ra[0]
+    return float(np.linalg.norm(prob._segment_sums(r, A[0], counts) / n_m, axis=1)[0])  # the batch's norm
 
 
 def _inverse_cdf(probabilities: np.ndarray, u) -> np.ndarray:

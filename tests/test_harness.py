@@ -169,7 +169,8 @@ class TestSpecProperty:
                 spec = harness.ExperimentSpec(
                     preset=preset, algorithms=tuple(lists["algorithms"]), eta_grid=tuple(lists["etas"]),
                     seeds=tuple(lists["seeds"]), epochs=1, inner_iters=inner, group_size=group_size,
-                    eval_every=eval_every, out_dir=str(out), csv_path=str(data), task=prob.LINEAR,
+                    eval_every=eval_every, out_dir=str(out),
+                    **(dict(csv_path=str(data), task=prob.LINEAR) if preset == "custom_csv" else {}),
                     estimation=smp.EstimationConfig(subsample_policy=policy, fixed_n=fixed_n),
                     m_workers=m_workers, samples_total=samples_total, dim=dim,
                 )
@@ -560,6 +561,18 @@ class TestCli:
         assert "seed entries must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("preset", ["linear", "logistic"])
+    @pytest.mark.parametrize("dataset", [("--csv",), ("--task",), ("--csv", "--task")])
+    def test_dataset_options_under_a_synthetic_preset_make_no_output_dir(self, preset, dataset, tmp_path, capsys):
+        # --csv and --task were once ignored here, and the synthetic preset ran
+        values = {"--csv": str(tmp_path / "missing.csv"), "--task": prob.LOGISTIC}
+        rc = cli.main(["run", "--preset", preset, *(v for flag in dataset for v in (flag, values[flag])),
+                       "--epochs", "1", "--inner", "2", "--algos", "svrg", "--etas", "0.1",
+                       "--out", str(tmp_path / "oc")])
+        assert rc == 1
+        assert "csv_path and task are both needed under custom_csv" in capsys.readouterr().err
+        assert not (tmp_path / "oc").exists()
+
     @pytest.mark.parametrize("flag", ["--lambda", "--eta", "--lbar", "--lmax", "--tau"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_rates_rejects_non_finite_inputs(self, flag, value, capsys):
@@ -616,14 +629,23 @@ class TestCli:
 
     @pytest.mark.parametrize("flag", [flag for flag, _, _ in cli._RUN_OPTIONS])
     def test_run_option_reads_the_same_from_flag_and_file(self, flag, tmp_path, monkeypatch):
-        value = RUN_OPTION_VALUES[flag]
-        specs = [run_spec(monkeypatch, ["run", flag, value])]
+        # --csv and --task are taken by --preset custom alone, which needs both: each is read
+        # beside the other, and its spec differs from the one with another value of it
+        value, (context, other) = RUN_OPTION_VALUES[flag], DATASET_CONTEXT.get(flag, ((), ["run"]))
+        specs = [run_spec(monkeypatch, ["run", *context, flag, value])]
         for key in (flag[2:].replace("-", "_"), flag[2:]):
             cfg = tmp_path / "sweep.conf"
             cfg.write_text(f"{key} = {value}\n")
-            specs.append(run_spec(monkeypatch, ["run", "--config", str(cfg)]))
-        assert specs[0] == specs[1] == specs[2] != run_spec(monkeypatch, ["run"])
+            specs.append(run_spec(monkeypatch, ["run", *context, "--config", str(cfg)]))
+        assert specs[0] == specs[1] == specs[2] != run_spec(monkeypatch, other)
 
+
+# the options --csv and --task are read beside (both under --preset custom), and a run with another value of each
+CUSTOM = ("--preset", "custom", "--etas", "0.1")
+DATASET_CONTEXT = {
+    "--csv": ((*CUSTOM, "--task", "linear"), ["run", *CUSTOM, "--task", "linear", "--csv", "other.csv"]),
+    "--task": ((*CUSTOM, "--csv", "data.csv"), ["run", *CUSTOM, "--csv", "data.csv", "--task", "linear"]),
+}
 
 # one value for each run option, none of them its default
 RUN_OPTION_VALUES = {

@@ -804,38 +804,83 @@ class TestEstimateWeights:
     @pytest.mark.parametrize("preset_name", ["linear_synthetic", "logistic_synthetic"])
     def test_full_policy_reads_rows_in_place_exactly(self, preset_name):
         # under ``full`` every cell reads problem.aug in place; the deltas
-        # equal those of the gathered rows (every row once per cell) exactly,
-        # and so do those of a block's rows read in place
+        # (lemma1's full pass) equal those of the gathered rows exactly, and
+        # the segment sums of a block's rows read in place, broadcast over
+        # the cells, equal those of the gathered rows (every row once per
+        # cell), one segment per (cell, worker)
         spec = harness.ExperimentSpec(preset=preset_name, algorithms=("asd_svrg",), eta_grid=(0.1,), seeds=(1,))
         p = harness.make_problem(spec, seed=1)
         rng = np.random.default_rng(8)
         x, anchor = rng.normal(size=(3, p.param_dim)), rng.normal(size=(3, p.param_dim))
-        counts = np.full(3, p.n_total)
-        in_place = prob.gradient_deltas(p, slice(None), x, anchor, counts)
-        gathered = prob.gradient_deltas(p, np.tile(np.arange(p.n_total), 3), x, anchor, counts)
-        block = prob.gradient_deltas(p, prob._gather_block(p, slice(None), anchor, counts, 5, {}), x, anchor, counts)
-        assert np.array_equal(in_place, gathered) and np.array_equal(in_place, block)
-        starts = (np.arange(3)[:, None] * p.n_total + p.offsets[:-1]).ravel()  # each (cell, worker) segment
-        assert (np.linalg.norm(np.add.reduceat(in_place, starts), axis=1) > 0.0).all()
+        for xc, ac in zip(x, anchor):
+            in_place = prob.gradient_deltas(p, slice(None), xc, ac)
+            assert np.array_equal(in_place, prob.gradient_deltas(p, np.arange(p.n_total), xc, ac))
+        # gathered: one segment per (cell, worker), each at its cell's points
+        tiled, segments = np.tile(np.arange(p.n_total), 3), np.tile(p.sizes, 3)
+        A, y, ra = prob._gather_block(p, tiled, np.repeat(anchor, p.m_workers, axis=0), segments, 1, {})
+        r = prob._residuals(p, A[0], y[0], np.repeat(x, p.m_workers, axis=0), segments) - ra[0]
+        stacked = prob._segment_sums(r, A[0], segments)
+        # in place: the shards are the segments, each read by every cell, for every step of the block
+        at = np.broadcast_to(anchor[:, None], (3, p.m_workers, p.param_dim))
+        A, y, ra = prob._gather_block(p, slice(None), at, p.sizes, 5, {})
+        r = prob._residuals(p, A, y, np.broadcast_to(x[:, None], at.shape), p.sizes) - ra
+        broadcast = prob._segment_sums(r, A, p.sizes)
+        assert broadcast.shape == (3, p.m_workers, p.param_dim)
+        assert np.array_equal(broadcast.reshape(-1, p.param_dim), stacked)
+        assert (np.linalg.norm(broadcast, axis=-1) > 0.0).all()
 
 
-def fresh_gradient_deltas(problem, rows, x, x_anchor, counts, out=None):
-    """The deltas as formed before the estimator kept its arrays: a fresh
-    gather (for one step of a gathered block, fresh copies of its rows) and
-    a fresh result every call, with both residual sides formed from the
-    points (``out`` and a block's anchor residuals are ignored)."""
-    block = isinstance(rows, tuple)
-    A, y = (np.array(rows[0]), np.array(rows[1])) if block else (problem.aug[rows], problem.y[rows])
-    x, xa, counts = np.asarray(x, dtype=float), np.asarray(x_anchor, dtype=float), np.asarray(counts)
-    shared = isinstance(rows, slice) or block and len(y) != counts.sum()  # every cell reads the same rows
-    starts = np.zeros_like(counts) if shared else np.cumsum(counts) - counts
-    deltas, lo = np.empty((counts.sum(), A.shape[1])), 0
-    for start, n, xc, xac in zip(starts, counts, x, xa):
-        Ac, yc = A[start : start + n], y[start : start + n]
-        r = prob._pointwise_residual(problem.task, Ac @ xc, yc) - prob._pointwise_residual(problem.task, Ac @ xac, yc)
-        np.multiply(r[:, None], Ac, out=deltas[lo : lo + n])
-        lo += n
-    return deltas
+class TestShardWeightIsOneSegment:
+    """``sampling.estimate_shard_weight`` is one segment of the optimizer's
+    batched estimate, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        task=st.sampled_from(prob.TASKS),
+        shard_sizes=st.lists(st.integers(1, 30), min_size=1, max_size=5),
+        dim=st.integers(1, 6),
+        whole=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_estimators_weight(self, task, shard_sizes, dim, whole, seed):
+        """On ragged shards, with k = 1 row of every shard or k = the shard
+        size, the estimator's drawer made to return the rows
+        ``estimate_shard_weight`` draws with the same generator: each cell's
+        weight of each worker is the function's value at the cell's points.
+        At k = the shard size the ``full`` policy, which reads the rows in
+        place, gives the same bits."""
+        rng = np.random.default_rng(seed)
+        shards = [prob.Shard(m, 1.0 + 0.5 * rng.normal(size=(n, dim)),
+                             rng.normal(size=n) if task == prob.LINEAR else (rng.random(n) < 0.5).astype(float))
+                  for m, n in enumerate(shard_sizes)]
+        p = prob.ShardedProblem(shards, task)
+        k = max(shard_sizes) if whole else 1
+
+        def draw(hashes, sizes_of_shards, sizes):
+            return np.concatenate([np.sort(np.random.default_rng([seed, m]).choice(sizes_of_shards[m], n, False))
+                                   for row in sizes for m, n in enumerate(row) if n])
+
+        policies = ["fixed", "full"] if whole else ["fixed"]
+        for policy in policies:
+            est = smp.EstimationConfig(subsample_policy=policy, fixed_n=k)
+            config = optim.OptimizerConfig(eta=0.1, epochs=1, inner_iters=6, estimation=est,
+                                           distribution_mode="adaptive")
+            cells = [optim._Cell(replace(config, seed=(seed, i)), rng.normal(size=p.param_dim), 1.0) for i in range(3)]
+            for c in cells:
+                c.x = c.anchor + rng.normal(size=p.param_dim)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(smp, "_draw_subsamples", draw)
+                got = optim._weight_estimator(p, config, 1, cells)(2, cells)
+            for c, weights in zip(cells, got):
+                want = [smp.estimate_shard_weight(p, m, c.x, c.anchor, min(k, n), np.random.default_rng([seed, m]))
+                        for m, n in enumerate(shard_sizes)]
+                assert weights.tobytes() == np.array(want).tobytes()
+
+
+def fresh_kept(buffers, key, shape):
+    """A new array for every kept one, filled with nan, so a read of an
+    entry the call did not write shows in the result."""
+    return np.full(shape, np.nan)
 
 
 class FreshGathers(np.ndarray):
@@ -855,8 +900,9 @@ class FreshGathers(np.ndarray):
 
 
 class TestRowBuffers:
-    """ASD's weight estimator gathers each step's subsample rows and writes
-    their deltas into arrays it keeps for the epoch."""
+    """ASD's weight estimator gathers each step's subsample rows into arrays
+    it keeps for the epoch, and sums each segment's gradient differences
+    without writing them out."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -893,31 +939,29 @@ class TestRowBuffers:
                 got.append(estimate(t, live))
             return got
 
-        kept = []
+        summed = []
         with pytest.MonkeyPatch.context() as mp:
-            real = prob.gradient_deltas
+            real = prob._segment_sums
 
-            def spy(*args):
-                kept.append(args[-1])
-                return real(*args)
+            def spy(r, A, counts):
+                summed.append((r, A))
+                return real(r, A, counts)
 
-            mp.setattr(prob, "gradient_deltas", spy)
+            mp.setattr(prob, "_segment_sums", spy)
             shipped = run()
-            mp.setattr(prob, "gradient_deltas", fresh_gradient_deltas)
+            mp.setattr(prob, "_kept", fresh_kept)
             fresh = run()
-        assert all(np.array_equal(a, b) for a, b in zip(shipped, fresh))  # no later step overwrote a result
-        buffers = [array for out in kept for array in out.values()]
-        assert kept and buffers
-        assert not any(np.shares_memory(w, b) for w in shipped for b in buffers)
+        assert all(np.array_equal(a, b) for a, b in zip(shipped, fresh))  # no step read a stale or unwritten row
+        assert len(summed) == 2 * len(steps)
+        assert not any(np.shares_memory(w, b) for w in shipped for args in summed for b in args)
 
-    @pytest.mark.parametrize("policy,per_epoch", [("fixed", 2), ("full", 1), ("lemma1", 3)])
+    @pytest.mark.parametrize("policy,per_epoch", [("fixed", 1), ("full", 0), ("lemma1", 2)])
     def test_row_arrays_made_per_epoch_not_per_step(self, policy, per_epoch, monkeypatch):
         """For a grid that keeps its cells, the arrays of width p are made
-        once per epoch: under ``fixed`` the rows and their deltas, under
-        ``full`` the deltas of rows read in place, and under ``lemma1`` the
-        full passes' deltas (one shard stack), then the step's rows and the
-        deltas, grown to the cells' whole shards, which lemma1 takes here.
-        No gather makes a fresh array.  So the per-step allocation, whose
+        once per epoch: under ``fixed`` the rows, under ``full`` none (rows
+        read in place), and under ``lemma1`` the full passes' deltas (one
+        shard stack), then the step's rows.  No step writes its deltas out,
+        and no gather makes a fresh array.  So the per-step allocation, whose
         pages were faulted in again on every step, cannot creep back."""
         p = prob.generate_heterogeneous(prob.LOGISTIC, 4, 200, 6, 2.0, seed=2)
         p.aug, p.y = p.aug.view(FreshGathers), p.y.view(FreshGathers)
@@ -942,8 +986,9 @@ class TestRowBuffers:
 
 def block_free_weights(p, est, seed, k, t, x, anchor):
     """One cell's weights at step t as one step alone makes them: its own
-    draw, a fresh gather of its rows, both residual sides formed, and one
-    mat-vec over all its rows for each side."""
+    draw, then for each worker's segment alone a fresh gather of its rows,
+    both residual sides formed, one mat-vec over its rows for each side and
+    one (1 x k) @ (k x p) product of their difference and its rows."""
     sizes = smp.subsample_sizes(p, x, anchor, est)
     workers = np.flatnonzero(sizes)
     counts = sizes[workers]
@@ -952,12 +997,13 @@ def block_free_weights(p, est, seed, k, t, x, anchor):
     else:
         local = smp._draw_subsamples([smp._key_hash(seed + (optim._CH_WEIGHTS, k, t))], p.sizes, sizes[None])
         rows = local + np.repeat(p.offsets[workers], counts)
-    A, y = p.aug[rows], p.y[rows]
-    deltas = (prob._pointwise_residual(p.task, A @ x, y) - prob._pointwise_residual(p.task, A @ anchor, y))[:, None] * A
-    weights = np.zeros(p.m_workers)
+    weights, sums = np.zeros(p.m_workers), []
+    for lo, n in zip(np.cumsum(counts) - counts, counts):  # each worker's segment alone
+        A, y = p.aug[rows[lo : lo + n]], p.y[rows[lo : lo + n]]
+        r = prob._pointwise_residual(p.task, A @ x, y) - prob._pointwise_residual(p.task, A @ anchor, y)
+        sums.append(r @ A)
     if counts.size:
-        means = np.add.reduceat(deltas, np.cumsum(counts) - counts, axis=0) / counts[:, None]
-        weights[workers] = np.linalg.norm(means, axis=1)
+        weights[workers] = np.linalg.norm(np.array(sums) / counts[:, None], axis=1)
     return weights
 
 

@@ -1,8 +1,10 @@
 """Gradients, smoothness metadata, generation, and CSV round-trips."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hetsvrg import comm, optim
@@ -578,3 +580,78 @@ class TestBatchedEvaluation:
                 assert (row.epoch, row.step) == (2, t)
                 assert solo_bytes(row.train_loss, row.test_loss, row.test_accuracy) == solo_bytes(
                     train, *prob.test_metrics(p, x))
+
+
+def segment_rows(task, counts, p, cells, seed):
+    """(r, A): rows A for the ``counts`` segments, their scales spread over
+    2**-8 to 2**8, and the (cells, rows) residual differences of ``task``
+    at ``cells`` pairs of random points on them."""
+    rng = np.random.default_rng(seed)
+    n = int(sum(counts))
+    A = rng.normal(size=(n, p)) * 2.0 ** rng.integers(-8, 9, size=(n, 1))
+    y = rng.normal(size=n) if task == prob.LINEAR else (rng.random(n) < 0.5).astype(float)
+    x, anchor = rng.normal(size=(2, cells, p))
+    return prob._pointwise_residual(task, x @ A.T, y) - prob._pointwise_residual(task, anchor @ A.T, y), A
+
+
+# ragged counts, some of 0 or 1 rows, or no segment at all; or equal counts
+segment_counts = st.lists(st.integers(0, 40), max_size=8) | st.builds(
+    lambda n, s: [n] * s, st.integers(1, 40), st.integers(1, 8))
+
+
+class TestSegmentSums:
+    """``problem._segment_sums``: each segment's sum of r_j a_j as one
+    (1 x k) @ (k x p) product, equal runs stacked in one ``np.matmul``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(task=st.sampled_from(prob.TASKS), counts=segment_counts, p=st.integers(1, 12), cells=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @example(task=prob.LOGISTIC, counts=[1, 1, 1], p=5, cells=1, seed=0)  # k = 1
+    @example(task=prob.LINEAR, counts=[], p=3, cells=2, seed=0)  # no segment
+    def test_matches_fsum_of_per_sample_products(self, task, counts, p, cells, seed):
+        """Each coordinate is within gamma_(k+2) * sum_j |r_j a_j| of the
+        correctly rounded sum (``math.fsum``) of the per-sample products,
+        gamma_n = n u / (1 - n u), u = 2**-53: gamma_k bounds a length-k dot
+        product (Higham, Accuracy and Stability of Numerical Algorithms,
+        Eq. 3.5), and one u each the rounded products and the rounded
+        reference.  A segment of 0 rows sums to exactly 0."""
+        r, A = segment_rows(task, counts, p, cells, seed)
+        sums = prob._segment_sums(r, A, counts)
+        assert sums.shape == (cells, len(counts), p)
+        u, lo = 2.0**-53, 0
+        for s, k in enumerate(counts):
+            products = r[:, lo : lo + k, None] * A[lo : lo + k]
+            for c in range(cells):
+                for i in range(p):
+                    want = math.fsum(products[c, :, i])
+                    bound = (k + 2) * u / (1 - (k + 2) * u) * math.fsum(np.abs(products[c, :, i]))
+                    assert abs(sums[c, s, i] - want) <= bound
+            lo += k
+
+    @settings(max_examples=200, deadline=None)
+    @given(task=st.sampled_from(prob.TASKS), counts=segment_counts, before=segment_counts, p=st.integers(1, 12),
+           cells=st.integers(1, 3), shift=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
+    @example(task=prob.LINEAR, counts=[9, 9], before=[9, 9, 9], p=6, cells=1, shift=1, seed=0)  # one run of 5
+    @example(task=prob.LOGISTIC, counts=[1], before=[1, 4], p=1, cells=2, shift=3, seed=0)  # k = 1, p = 1
+    def test_each_sum_is_its_segment_alone(self, task, counts, before, p, cells, shift, seed):
+        """Each segment's sum is ``r_s @ A_s`` for that segment alone, bit for
+        bit: inside a longer block, whose segments before it stack in the
+        same products where their counts match, and with its rows and
+        residuals copied ``shift`` floats into new buffers.  With more than
+        one row of r, every row reads the same rows, broadcast."""
+        r, A = segment_rows(task, before + counts, p, cells, seed)
+
+        def shifted(a):
+            out = np.empty(a.size + shift)[shift:].reshape(a.shape)
+            out[...] = a
+            return out
+
+        head = int(sum(before))
+        whole = prob._segment_sums(r, A, before + counts)
+        alone = prob._segment_sums(shifted(r[:, head:]), shifted(A[head:]), counts)
+        lo = head
+        for s, k in enumerate(counts):
+            for c in range(cells):
+                want = (r[c, lo : lo + k] @ A[lo : lo + k]).tobytes()
+                assert whole[c, len(before) + s].tobytes() == want == alone[c, s].tobytes()
+            lo += k

@@ -283,7 +283,7 @@ class TestEstimateShardWeight:
             cfg = smp.EstimationConfig(tau=tau, subsample_policy="lemma1")
             expected = []
             for m in range(p.m_workers):
-                deltas = prob.gradient_deltas(p, slice(p.offsets[m], p.offsets[m + 1]), [x], [anchor], [p.sizes[m]])
+                deltas = prob.gradient_deltas(p, slice(p.offsets[m], p.offsets[m + 1]), x, anchor)
                 range_norm = np.linalg.norm(deltas.max(axis=0) - deltas.min(axis=0))
                 mean_norm = np.linalg.norm(deltas.mean(axis=0))
                 expected.append(min(p.shard(m).size, smp.subsample_size(cfg, p.param_dim, range_norm, mean_norm)))
