@@ -350,15 +350,15 @@ def pc_sample_cells(weights, R: int, ledgers, rngs) -> np.ndarray:
 
 def server_broadcast(ledger: CommLedger, payload_scalars: int, m_workers: int) -> None:
     """Server pushes ``payload_scalars`` values to each of ``m_workers`` workers (one round)."""
-    if payload_scalars < 0:
-        raise ValueError("payload_scalars must be nonnegative")
+    if payload_scalars < 0 or m_workers < 0:
+        raise ValueError("payload_scalars and m_workers must be nonnegative")
     ledger.server_worker_scalars += m_workers * payload_scalars
     ledger.parallel_rounds += 1
 
 
 def server_gather(ledger: CommLedger, payload_scalars: int, m_workers: int) -> None:
     """Each of ``m_workers`` workers pushes ``payload_scalars`` values to the server (one round)."""
-    if payload_scalars < 0:
-        raise ValueError("payload_scalars must be nonnegative")
+    if payload_scalars < 0 or m_workers < 0:
+        raise ValueError("payload_scalars and m_workers must be nonnegative")
     ledger.worker_server_scalars += m_workers * payload_scalars
     ledger.parallel_rounds += 1

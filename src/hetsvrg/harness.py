@@ -123,6 +123,8 @@ class ExperimentSpec:
             raise ValueError("custom_csv has no default grid; pass eta_grid explicitly")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        for seed in self.seeds:  # _cell_seed's int() would run 1.5 as seed 1
+            comm._count(seed, "seeds")
         if any(len(set(v)) != len(v) for v in (self.algorithms, self.eta_grid or (), self.seeds)):
             raise ValueError("algorithms, eta_grid and seeds must not repeat an entry")  # each cell runs once
         if (self.csv_path, self.task).count(None) != (0 if self.preset == "custom_csv" else 2):
@@ -132,7 +134,7 @@ class ExperimentSpec:
                 _configs(self, algorithm, seed)
         if not (math.isfinite(self.growth_base) and self.growth_base > 0):
             raise ValueError("growth_base must be finite and positive")
-        shape = {k: getattr(self, k) for k in _SHAPE_FIELDS if getattr(self, k) is not None}
+        shape = {k: comm._count(getattr(self, k), k) for k in _SHAPE_FIELDS if getattr(self, k) is not None}
         if any(v < 1 for v in shape.values()):
             raise ValueError("m_workers, samples_total and dim must be at least 1")
         if self.preset == "custom_csv" and shape:

@@ -100,6 +100,8 @@ class OptimizerConfig:
     eval_every: int = 1
 
     def __post_init__(self):
+        for name in ("epochs", "inner_iters", "group_size", "eval_every"):  # 1.5 or 2.0 is a ValueError
+            object.__setattr__(self, name, comm._count(getattr(self, name), name))
         if not (math.isfinite(self.eta) and self.eta >= 0):
             raise ValueError("eta must be finite and nonnegative")
         if self.epochs < 1 or self.inner_iters < 1 or self.group_size < 1:
@@ -115,7 +117,7 @@ class OptimizerConfig:
 
 def _seed_tuple(seed) -> tuple[int, ...]:
     parts = seed if isinstance(seed, (tuple, list)) else (seed,)
-    out = tuple(int(v) for v in parts)
+    out = tuple(comm._count(v, "seed") for v in parts)
     if any(v < 0 for v in out):
         raise ValueError("seed entries must be nonnegative integers")
     return out

@@ -27,6 +27,11 @@ the products in one ``np.matmul`` (``np.matmul(A, X[:, :, None])``, A
 shared or one per point or segment), which runs each item's mat-vec as the
 BLAS call it alone would make, so each value is bit-identical to its call alone.
 
+The logistic loss's softplus uses numpy's vectorised ``exp`` and ``log1p``
+(``_softplus``), so its losses and their reports move in the last bits
+against ``np.logaddexp`` and nothing else moves; like BLAS, these SIMD
+kernels may round differently on another CPU, never from run to run.
+
 For linear regression the objective is an exact quadratic, so ``full_loss``
 and the test loss of ``test_metrics`` are read from quadratic forms cached on
 the problem, in O(p**2) per call (p = dim + 1), not from a pass over the
@@ -194,11 +199,27 @@ def _check_x(problem: ShardedProblem, x) -> np.ndarray:
     return x
 
 
+def _softplus(z: np.ndarray) -> np.ndarray:
+    """log(1 + e^z) as max(z, 0) + log1p(e^-|z|), the split
+    ``np.logaddexp(0, z)`` makes, with numpy's vectorised ``exp`` and
+    ``log1p``: within 2 ulp of it, equal at +-inf and nan.  -|z| is
+    min(z, -z), which keeps a nan's sign bit (a sum of two nans of opposite
+    signs takes either one's, by SIMD lane)."""
+    soft = np.exp(np.minimum(z, -z))
+    np.log1p(soft, out=soft)
+    soft += np.maximum(z, 0.0)
+    return soft
+
+
 def _pointwise_loss(task: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(z - y)**2, or log(1 + e^z) - y*z through :func:`_softplus`: the
+    logistic train and test losses and their reports differ from
+    ``np.logaddexp``'s in the last bits, and no stream, draw, iterate or
+    ledger moves (no step reads a loss).  Like BLAS, the SIMD kernels may
+    round differently on another CPU; on one machine runs stay byte-identical."""
     if task == LINEAR:
         return (z - y) ** 2
-    # log(1 + e^z) - y*z, stable for large |z|
-    return np.logaddexp(0.0, z) - y * z
+    return _softplus(z) - y * z
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import comm
 from . import problem as prob
 
 
@@ -177,8 +178,10 @@ class EstimationConfig:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.subsample_policy not in SUBSAMPLE_POLICIES:
             raise ValueError(f"subsample_policy must be one of {SUBSAMPLE_POLICIES}")
-        if self.fixed_n is not None and self.fixed_n < 1:
-            raise ValueError("fixed_n must be at least 1")
+        if self.fixed_n is not None:
+            object.__setattr__(self, "fixed_n", comm._count(self.fixed_n, "fixed_n"))
+            if self.fixed_n < 1:
+                raise ValueError("fixed_n must be at least 1")
 
     def size_for_shard(self, shard_size):
         """Subsample size under the fixed policy, capped at the shard size;

@@ -234,6 +234,14 @@ class TestServerPrimitives:
         with pytest.raises(ValueError):
             comm.server_broadcast(comm.CommLedger(), -1, 4)
 
+    @pytest.mark.parametrize("primitive", [comm.server_broadcast, comm.server_gather])
+    def test_negative_worker_count_rejected(self, primitive):
+        # (3, -2) then (2, -5) once left the ledger at (0, -10, -6, 2)
+        ledger = comm.CommLedger()
+        with pytest.raises(ValueError, match="m_workers must be nonnegative"):
+            primitive(ledger, 3, -2)
+        assert ledger.snapshot() == (0, 0, 0, 0)
+
 
 class TestValidation:
     def test_all_zero_weights(self):

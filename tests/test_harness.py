@@ -78,6 +78,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="must not repeat"):
             tiny_spec(tmp_path, **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("seeds", (1.5,)), ("seeds", (1, np.float64(2.0))), ("epochs", 1.5), ("eval_every", 1.5),
+        ("inner_iters", 9.5), ("group_size", 1.0), ("m_workers", 4.0), ("samples_total", 99.5), ("dim", 2.5),
+    ])
+    def test_non_integer_field_rejected(self, tmp_path, field, value):
+        # seeds=(1.5,) once ran as seed 1 and eval_every=1.5 recorded too few rows
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            tiny_spec(tmp_path / "o", **{field: value})
+        assert not (tmp_path / "o").exists()
+
     def test_custom_needs_path_and_task(self, tmp_path):
         with pytest.raises(ValueError):
             tiny_spec(tmp_path, preset="custom_csv")

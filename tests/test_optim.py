@@ -4,6 +4,7 @@ import csv
 import math
 import re
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -962,8 +963,15 @@ class TestRowBuffers:
         read in place), and under ``lemma1`` the full passes' deltas (one
         shard stack), then the step's rows.  No step writes its deltas out,
         and no gather makes a fresh array.  So the per-step allocation, whose
-        pages were faulted in again on every step, cannot creep back."""
-        p = prob.generate_heterogeneous(prob.LOGISTIC, 4, 200, 6, 2.0, seed=2)
+        pages were faulted in again on every step, cannot creep back.
+
+        However an array is made (``np.empty``, a ufunc or ``np.matmul``
+        result, ``np.concatenate``, a fancy-index gather), numpy reports its
+        buffer to ``tracemalloc``: only the epoch's first ``estimate(t,
+        live)`` call, which makes the kept arrays, may allocate at its peak
+        as many bytes as the step's rows (``_segment_sums``' A) hold.  p = 31
+        puts that far above the step's arrays of a float per (cell, row)."""
+        p = prob.generate_heterogeneous(prob.LOGISTIC, 4, 200, 30, 2.0, seed=2)
         p.aug, p.y = p.aug.view(FreshGathers), p.y.view(FreshGathers)
         made, real = [], np.empty
 
@@ -972,16 +980,43 @@ class TestRowBuffers:
                 made.append(tuple(shape))
             return real(shape, *args, **kwargs)
 
+        calls, real_estimator, real_sums = [], optim._weight_estimator, prob._segment_sums
+
+        def estimator(*args):
+            estimate = real_estimator(*args)
+
+            def measured(t, live):  # (bytes at the call's peak, bytes of the step's rows)
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                weights = estimate(t, live)
+                calls[-1][0] = tracemalloc.get_traced_memory()[1] - before
+                return weights
+
+            return measured
+
+        def segment_sums(r, A, counts):
+            calls.append([None, A.nbytes])
+            return real_sums(r, A, counts)
+
         monkeypatch.setattr(np, "empty", empty)
+        monkeypatch.setattr(optim, "_weight_estimator", estimator)
+        monkeypatch.setattr(prob, "_segment_sums", segment_sums)
         FreshGathers.count = 0
         epochs = 2
         base = optim.OptimizerConfig(eta=0.01, epochs=epochs, inner_iters=6, group_size=2,
                                      estimation=smp.EstimationConfig(subsample_policy=policy),
                                      distribution_mode="adaptive")
-        grid = optim.run_grid(p, [replace(base, eta=0.01 * (i + 1), seed=(1, i)) for i in range(3)])
+        tracemalloc.start()
+        try:
+            grid = optim.run_grid(p, [replace(base, eta=0.01 * (i + 1), seed=(1, i)) for i in range(3)])
+        finally:
+            tracemalloc.stop()
         assert not any(diverged for _, diverged in grid)
         assert len(made) == epochs * per_epoch
         assert FreshGathers.count == 0
+        assert len(calls) == epochs * (base.inner_iters - 1)  # every cell live from t = 2 on
+        wide = [i for i, (peak, rows) in enumerate(calls) if peak >= rows]
+        assert wide == [k * (base.inner_iters - 1) for k in range(epochs)][: epochs * bool(per_epoch)]
 
 
 def block_free_weights(p, est, seed, k, t, x, anchor):
@@ -1188,6 +1223,22 @@ class TestConfigValidation:
         ]:
             with pytest.raises(ValueError):
                 optim.OptimizerConfig(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 1.5), ("inner_iters", 3.5), ("group_size", 2.0), ("eval_every", 1.5), ("seed", 1.5),
+        ("seed", (2, 1.5)), ("epochs", np.float64(2.0)),
+    ])
+    def test_non_integer_counts_and_seeds_rejected(self, field, value):
+        # each once crashed inside the loop (epochs, inner_iters, group_size)
+        # or was truncated: eval_every=1.5 recorded 1 row of 3, seed=1.5 ran as 1
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            optim.OptimizerConfig(**{**dict(eta=0.1, epochs=1, inner_iters=4), field: value})
+
+    def test_numpy_integers_are_read_as_int(self):
+        config = optim.OptimizerConfig(eta=0.1, epochs=np.int64(2), inner_iters=np.int32(4), group_size=np.uint8(2),
+                                       eval_every=np.int64(2), seed=np.int64(3))
+        assert [type(getattr(config, f)) for f in ("epochs", "inner_iters", "group_size", "eval_every")] == [int] * 4
+        assert optim._seed_tuple(config.seed) == (3,)
 
 
 class TestTheoreticalRate:

@@ -582,6 +582,62 @@ class TestBatchedEvaluation:
                     train, *prob.test_metrics(p, x))
 
 
+def ulps(a, b):
+    """Distance in units in the last place between arrays of nonnegative floats."""
+    return np.abs(np.asarray(a).view(np.int64) - np.asarray(b).view(np.int64))
+
+
+# finite logits from +-5e-324 (subnormals included) through +-1e308, and the
+# range where log1p(e^-|z|) is neither 0 nor below one ulp of |z|
+finite_logits = st.floats(-1e308, 1e308) | st.floats(-800.0, 800.0) | st.floats(-40.0, 40.0)
+
+
+class TestSoftplus:
+    """``problem._softplus``, the logistic loss's log(1 + e^z), against
+    ``np.logaddexp(0, z)`` (which ``_loss_of_sample`` keeps as the oracle)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(z=st.lists(finite_logits, min_size=1, max_size=70))
+    @example(z=[0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 745.2, -745.2, 36.8, -36.8])
+    def test_within_two_ulp_of_logaddexp(self, z):
+        z = np.array(z)
+        soft = prob._softplus(z)
+        assert soft.dtype == float and soft.shape == z.shape
+        assert ulps(soft, np.logaddexp(0.0, z)).max() <= 2
+
+    def test_within_two_ulp_over_a_dense_sweep(self):
+        mags = np.logspace(-323.3, 308, 200_001)
+        z = np.concatenate([mags, -mags, np.linspace(-800.0, 800.0, 200_001)])
+        assert ulps(prob._softplus(z), np.logaddexp(0.0, z)).max() <= 2
+
+    def test_non_finite_logits_match_logaddexp(self):
+        z = np.array([np.inf, -np.inf, np.nan, -np.float64(np.nan)])
+        with np.errstate(invalid="ignore"):
+            oracle = np.logaddexp(0.0, z)
+        np.testing.assert_array_equal(oracle, [np.inf, 0.0, np.nan, np.nan])
+        assert prob._softplus(z).tobytes() == oracle.tobytes()  # a nan keeps its sign bit
+
+    @settings(max_examples=300, deadline=None)
+    @given(cells=st.integers(1, 6), n=st.integers(0, 70), shift=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
+    def test_each_row_of_a_stack_is_that_row_alone(self, cells, n, shift, seed):
+        """The batched losses evaluate a (C, N) stack of logits and a cell's
+        row must have the bits it has alone, at any length and alignment
+        (the kernels are SIMD with masked tails), a nan's sign bit included
+        (a point holding an inf or a nan gives nan logits of either sign)."""
+        rng = np.random.default_rng(seed)
+        Z = rng.normal(size=(cells, n)) * 2.0 ** rng.integers(-4, 10, size=(cells, n))
+        odd = rng.random((cells, n)) < 0.2
+        Z[odd] = rng.choice([np.inf, -np.inf, np.nan, -np.float64(np.nan)], size=odd.sum())
+        y = (rng.random(n) < 0.5).astype(float)
+        with np.errstate(invalid="ignore"):
+            stacked = prob._pointwise_loss(prob.LOGISTIC, Z, y)
+            for row, z in zip(stacked, Z):
+                moved = np.empty(n + shift)[shift:]  # the row alone, another offset into a new buffer
+                moved[:] = z
+                assert row.tobytes() == prob._pointwise_loss(prob.LOGISTIC, z, y).tobytes()
+                assert row.tobytes() == prob._pointwise_loss(prob.LOGISTIC, moved, y).tobytes()
+
+
 def segment_rows(task, counts, p, cells, seed):
     """(r, A): rows A for the ``counts`` segments, their scales spread over
     2**-8 to 2**8, and the (cells, rows) residual differences of ``task``

@@ -203,6 +203,16 @@ class TestSubsampleSize:
         with pytest.raises(ValueError):
             smp.EstimationConfig(fixed_n=0)
 
+    @pytest.mark.parametrize("fixed_n", [2.5, np.float64(3.0), 3.0])
+    def test_non_integer_fixed_n_rejected(self, fixed_n):
+        # the drawer once failed on it with a numpy casting TypeError
+        with pytest.raises(ValueError, match="fixed_n must be an integer"):
+            smp.EstimationConfig(fixed_n=fixed_n)
+
+    def test_numpy_integer_fixed_n_is_read_as_int(self):
+        cfg = smp.EstimationConfig(fixed_n=np.int64(5))
+        assert type(cfg.fixed_n) is int and cfg.size_for_shard(50) == 5
+
     def test_fixed_policy_size(self):
         cfg = smp.EstimationConfig()
         assert cfg.size_for_shard(50) == 16
