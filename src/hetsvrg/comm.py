@@ -348,17 +348,23 @@ def pc_sample_cells(weights, R: int, ledgers, rngs) -> np.ndarray:
     return draws
 
 
-def server_broadcast(ledger: CommLedger, payload_scalars: int, m_workers: int) -> None:
-    """Server pushes ``payload_scalars`` values to each of ``m_workers`` workers (one round)."""
+def _server_scalars(payload_scalars: int, m_workers: int) -> int:
+    """Scalars of one server round: ``payload_scalars`` for each of
+    ``m_workers`` workers, both nonnegative counts (see ``_count``), else
+    ``ValueError`` before any ledger is charged."""
+    payload_scalars, m_workers = _count(payload_scalars, "payload_scalars"), _count(m_workers, "m_workers")
     if payload_scalars < 0 or m_workers < 0:
         raise ValueError("payload_scalars and m_workers must be nonnegative")
-    ledger.server_worker_scalars += m_workers * payload_scalars
+    return m_workers * payload_scalars
+
+
+def server_broadcast(ledger: CommLedger, payload_scalars: int, m_workers: int) -> None:
+    """Server pushes ``payload_scalars`` values to each of ``m_workers`` workers (one round)."""
+    ledger.server_worker_scalars += _server_scalars(payload_scalars, m_workers)
     ledger.parallel_rounds += 1
 
 
 def server_gather(ledger: CommLedger, payload_scalars: int, m_workers: int) -> None:
     """Each of ``m_workers`` workers pushes ``payload_scalars`` values to the server (one round)."""
-    if payload_scalars < 0 or m_workers < 0:
-        raise ValueError("payload_scalars and m_workers must be nonnegative")
-    ledger.worker_server_scalars += m_workers * payload_scalars
+    ledger.worker_server_scalars += _server_scalars(payload_scalars, m_workers)
     ledger.parallel_rounds += 1

@@ -4,7 +4,7 @@ A sweep runs every (algorithm, eta, seed) cell on a shared dataset and a
 shared all-zeros initial parameter vector, writes one trace CSV per cell plus
 a report CSV, and summarises the best learning rate per algorithm.  Every
 step size of every algorithm of one seed, SGD's included, is stepped
-together in one call of the optimizers' shared loop.  Diverged cells are
+together in one ``optim.run_grid`` call.  Diverged cells are
 recorded, never fatal, and cannot perturb other cells: every cell derives
 its random streams from (seed, algorithm, eta) alone, and its run is
 bit-identical to its run alone.
@@ -28,6 +28,7 @@ ALGORITHMS = ("sgd", "svrg_uniform", "svrg_importance", "asd_svrg")
 PRESETS = ("linear_synthetic", "logistic_synthetic", "custom_csv")
 
 _ALGO_CODE = {name: i for i, name in enumerate(ALGORITHMS)}
+_MODE = {"sgd": "sgd", "svrg_uniform": "uniform", "svrg_importance": "lipschitz_importance", "asd_svrg": "adaptive"}
 
 # Preset shapes for the two synthetic tasks.
 PRESET_PROBLEMS = {
@@ -227,10 +228,10 @@ def _cell_seed(seed: int, algorithm: str, eta: float) -> tuple[int, int, int]:
 def _configs(spec: ExperimentSpec, algorithm: str, seed: int) -> list:
     """The optimizer config of every step size of one (algorithm, seed);
     each carries the spec's L2, which only an SGD cell reads."""
-    mode = {"asd_svrg": "adaptive", "svrg_importance": "lipschitz_importance"}.get(algorithm, "uniform")
     base = optim.OptimizerConfig(
         eta=0.0, epochs=spec.epochs, inner_iters=spec.inner_iters, group_size=spec.group_size,
-        estimation=spec.estimation, distribution_mode=mode, eval_every=spec.eval_every, l2_for_sgd=spec.l2_for_sgd,
+        estimation=spec.estimation, distribution_mode=_MODE[algorithm], eval_every=spec.eval_every,
+        l2_for_sgd=spec.l2_for_sgd,
     )
     return [replace(base, eta=eta, seed=_cell_seed(seed, algorithm, eta)) for eta in spec.grid_for(algorithm)]
 
@@ -238,10 +239,9 @@ def _configs(spec: ExperimentSpec, algorithm: str, seed: int) -> list:
 def _run_seed(problem, spec: ExperimentSpec, seed: int, x0) -> list:
     """(trace, diverged) of every step size of each algorithm of one seed,
     one list per entry of ``spec.algorithms``: every cell of the seed, SGD's
-    included, steps in one call of the optimizers' shared loop."""
+    included, steps in one ``optim.run_grid`` call."""
     grids = [_configs(spec, algorithm, seed) for algorithm in spec.algorithms]
-    sgd = [algorithm == "sgd" for algorithm, grid in zip(spec.algorithms, grids) for _ in grid]
-    outcomes = iter(optim._grid(problem, [config for grid in grids for config in grid], x0, sgd))
+    outcomes = iter(optim.run_grid(problem, [config for grid in grids for config in grid], x0))
     return [[next(outcomes) for _ in grid] for grid in grids]
 
 

@@ -1,28 +1,29 @@
 """Optimizer loops over the simulated cluster, plus convergence-factor calculators.
 
 The three optimizers share the trace format, the communication ledger and
-one loop (``_vr_loop``); they differ only in a per-algorithm ``draw``, which
-picks each inner step's workers, charges the messages that takes and gives
-the sampling probabilities.  ``run_sgd`` is the plain baseline with optional
-L2: one uniformly drawn worker per step, no anchor.  Uniform, importance-
-sampled and adaptive SVRG share the epoch prologue, the anchors and one
-direction function (``_direction``).  ``run_svrg`` draws from a
-distribution fixed for the whole run (uniform, or proportional to per-shard
-smoothness); ``run_asd_svrg`` re-estimates per-worker weights from
-subsampled gradient differences at every inner step and samples through the
-tree protocol.  ``run_grid`` steps the cells of a step-size grid together,
-and a sweep steps every algorithm's cells of one seed in the same loop: each
-kind of cell keeps its own ``draw`` for its own cells, and the loop merges
-their picks.  The loop is the same, with one cell for a solo run, and only
-the per-call glue is batched over cells: the divergence guard's initial
-loss and the first epoch's anchor gradients (every cell starts at x0), the
-weight estimates of each step, whose subsample draws, row gathers and
-anchor residuals are made once per block of steps (one step under
-``lemma1``), each segment's sum one stacked product, ASD's tree protocol,
-one ``comm.pc_sample_cells`` call a step, the fixed-draw and SGD picks,
-drawn for every cell and step of an epoch at once, and each step's guard
-and evaluation (``_observe``).  ASD's first step of an epoch starts at the
-anchor, where every estimate is 0, so it samples uniformly.
+one loop (``_vr_loop``); they differ only in their distribution mode's
+``draw``, which picks each inner step's workers, charges the messages that
+takes and gives the sampling probabilities.  ``run_sgd`` (mode ``sgd``) is
+the plain baseline with optional L2: one uniformly drawn worker per step, no
+anchor.  Uniform, importance-sampled and adaptive SVRG share the epoch
+prologue, the anchors and one direction function (``_direction``).
+``run_svrg`` draws from a distribution fixed for the whole run (uniform, or
+proportional to per-shard smoothness); ``run_asd_svrg`` re-estimates
+per-worker weights from subsampled gradient differences at every inner step
+and samples through the tree protocol.  ``run_grid`` steps the cells of a
+step-size grid together, and a sweep steps every algorithm's cells of one
+seed in the same ``run_grid`` call: each mode keeps its own ``draw`` for its
+own cells, and the loop merges their picks.  The loop is the same, with one
+cell for a solo run, and only the per-call glue is batched over cells: the
+divergence guard's initial loss and the first epoch's anchor gradients
+(every cell starts at x0), the weight estimates of each step, whose
+subsample draws, row gathers and anchor residuals are made once per block of
+steps (one step under ``lemma1``), each segment's sum one stacked product,
+ASD's tree protocol, one ``comm.pc_sample_cells`` call a step, the
+fixed-draw and SGD picks, drawn for every cell and step of an epoch at once,
+and each step's guard and evaluation (``_observe``).  ASD's first step of an
+epoch starts at the anchor, where every estimate is 0, so it samples
+uniformly.
 
 Every random decision is keyed by (seed, channel, epoch, step, worker), so
 runs are bit-reproducible and neither other workers nor other cells can
@@ -69,7 +70,7 @@ class RateUndefined(ValueError):
     """A convergence-factor denominator is not positive."""
 
 
-DISTRIBUTION_MODES = ("uniform", "lipschitz_importance", "adaptive")
+DISTRIBUTION_MODES = ("uniform", "lipschitz_importance", "adaptive", "sgd")
 _DIVERGENCE_FACTOR = 1e6  # the guard trips above this multiple of the train loss at x0
 
 # rng stream channels; combined with (epoch, step, worker) tags
@@ -84,9 +85,10 @@ _CH_SGD = 5
 class OptimizerConfig:
     """Shared knobs for all optimizer loops.
 
-    ``group_size`` draws per inner step are averaged, so the fixed-sampling
-    and adaptive runs compare at equal per-step gradient budgets; group_size=1
-    is the textbook single-draw loop.
+    ``distribution_mode`` names a cell's draw; only ``sgd`` reads
+    ``l2_for_sgd``.  ``group_size`` draws per inner step are averaged, so the
+    fixed-sampling and adaptive runs compare at equal per-step gradient
+    budgets; group_size=1 is the textbook single-draw loop.
     """
 
     eta: float
@@ -166,11 +168,11 @@ class _Cell:
     """One run's state: its seed, ledger, iterate and epoch anchor, its trace
     rows and the limit of its divergence guard (both kept by ``_observe``),
     and its outcome once it has one.  ``initial`` is the train loss at
-    ``x0``, which the guard scales; ``kind`` names the cell's draw, its
-    distribution mode unless it runs SGD."""
+    ``x0``, which the guard scales; the config's distribution mode names the
+    cell's draw."""
 
-    def __init__(self, config, x0, initial: float, kind: str | None = None):
-        self.config, self.kind = config, kind or config.distribution_mode
+    def __init__(self, config, x0, initial: float):
+        self.config = config
         self.seed = _seed_tuple(config.seed)
         self.ledger = comm.CommLedger()
         self.rows: list[TraceRow] = []
@@ -210,32 +212,32 @@ def _direction(problem, x, anchor_grads, g_anchor, picks, probs, R: int) -> np.n
     return step_dir / R + g_anchor
 
 
-def _vr_loop(problem, configs, x0, sgd=None) -> list:
+def _vr_loop(problem, configs, x0) -> list:
     """The loop, stepping the cells of ``configs`` (equal but for eta, seed,
-    distribution mode and, for SGD, L2) together; ``sgd[i]`` says whether
-    config i runs SGD.  Returns each cell's ``RunTrace``, or the ``Diverged``
-    with its partial trace.  A cell drops out at the (k, t) where its guard
-    trips, and every product of its iterates is its own, so each cell's run
-    is bit-identical to its run alone.  Each kind of cell (SGD, or a
-    distribution mode) has one draw: ``draw(k, cells)`` returns the epoch's
-    ``step(t, live)`` for that kind's live cells, which samples each cell's
-    workers, charges the messages that takes and returns per cell the sorted
-    (worker, multiplicity) pairs and every worker's sampling probability
-    (None for SGD); the kinds' picks are merged in cell order.  The guard
-    and evaluation serve every cell, the prologue and anchors the variance-
-    reduced ones: an SGD cell steps along its drawn worker's gradient."""
+    distribution mode and, for ``sgd`` cells, L2) together.  Returns each
+    cell's ``RunTrace``, or the ``Diverged`` with its partial trace.  A cell
+    drops out at the (k, t) where its guard trips, and every product of its
+    iterates is its own, so each cell's run is bit-identical to its run
+    alone.  Each distribution mode has one draw: ``draw(k, cells)`` returns
+    the epoch's ``step(t, live)`` for that mode's live cells, which samples
+    each cell's workers, charges the messages that takes and returns per
+    cell the sorted (worker, multiplicity) pairs and every worker's sampling
+    probability (None for ``sgd``); the modes' picks are merged in cell
+    order.  The guard and evaluation serve every cell, the prologue and
+    anchors the variance-reduced ones: an ``sgd`` cell steps along its drawn
+    worker's gradient."""
     M, p, first = problem.m_workers, problem.param_dim, configs[0]
     R, T = first.group_size, first.inner_iters
     x0 = np.zeros(p) if x0 is None else prob._check_x(problem, x0).copy()
     initial = prob.full_loss(problem, x0)  # every cell starts at x0
-    kinds = [_SGD if s else c.distribution_mode for c, s in zip(configs, sgd or [False] * len(configs))]
-    cells = live = [_Cell(config, x0, initial, kind) for config, kind in zip(configs, kinds)]
-    draws = {kind: _DRAWS[kind](problem, configs[kinds.index(kind)]) for kind in dict.fromkeys(kinds)}
+    modes = [c.distribution_mode for c in configs]
+    cells = live = [_Cell(config, x0, initial) for config in configs]
+    draws = {mode: _DRAWS[mode](problem, configs[modes.index(mode)]) for mode in dict.fromkeys(modes)}
 
     for k in range(1, first.epochs + 1):
         at_anchor = {}  # cells whose anchor is one array (every cell's x0 at first) share its gradients
         for c in live:
-            if c.kind == _SGD:
+            if c.config.distribution_mode == "sgd":
                 continue
             # prologue: anchor out, shard gradients in, full gradient out
             comm.server_broadcast(c.ledger, p, M)
@@ -246,15 +248,15 @@ def _vr_loop(problem, configs, x0, sgd=None) -> list:
                 at_anchor[id(c.anchor)] = grads, np.mean(grads, axis=0)
             c.anchor_grads, c.g_anchor = at_anchor[id(c.anchor)]
             c.iterates = [c.x]  # x is rebound every step, never written in place
-        groups = [(kind, [c for c in live if c.kind == kind]) for kind in draws]
-        groups = [(draws[kind](k, mine), mine) for kind, mine in groups if mine]  # (step, its live cells)
+        groups = [(mode, [c for c in live if c.config.distribution_mode == mode]) for mode in draws]
+        groups = [(draws[mode](k, mine), mine) for mode, mine in groups if mine]  # (step, its live cells)
         for t in range(1, T + 1):
             drawn = {}
             for step, mine in groups:
                 drawn.update(zip(mine, step(t, mine)))
             for c in live:
                 picks, probs = drawn[c]
-                if c.kind == _SGD:
+                if c.config.distribution_mode == "sgd":
                     grad = prob.shard_gradient(problem, picks[0][0], c.x) + c.config.l2_for_sgd * c.x
                     c.x = c.x - c.config.eta * grad
                 else:
@@ -268,7 +270,7 @@ def _vr_loop(problem, configs, x0, sgd=None) -> list:
                 return [c.outcome for c in cells]
             groups = [(step, kept) for step, mine in groups if (kept := [c for c in mine if c.outcome is None])]
         for c in live:
-            if c.kind != _SGD:  # the next epoch starts at its anchor
+            if c.config.distribution_mode != "sgd":  # the next epoch starts at its anchor
                 c.x = c.anchor = c.iterates[int(sampling._stream(c.seed + (_CH_ANCHOR, k)).integers(len(c.iterates)))]
 
     for c in live:
@@ -276,8 +278,8 @@ def _vr_loop(problem, configs, x0, sgd=None) -> list:
     return [c.outcome for c in cells]
 
 
-def _solo(problem, config, x0, sgd: bool = False) -> RunTrace:
-    (outcome,) = _vr_loop(problem, [config], x0, [sgd])
+def _solo(problem, config, x0) -> RunTrace:
+    (outcome,) = _vr_loop(problem, [config], x0)
     if isinstance(outcome, Diverged):
         raise outcome
     return outcome
@@ -320,10 +322,10 @@ def run_svrg(problem, config: OptimizerConfig, x0=None) -> RunTrace:
     proportionally to the per-shard smoothness constants.  Each inner step
     averages ``group_size`` independent draws, and the parameters go to the
     sampled workers only; the epoch anchor is a uniformly random iterate of
-    the epoch.
+    the epoch.  Modes ``adaptive`` and ``sgd`` are a ``ValueError``.
     """
-    if config.distribution_mode == "adaptive":
-        raise ValueError("run_svrg supports uniform / lipschitz_importance, got 'adaptive'")
+    if config.distribution_mode in ("adaptive", "sgd"):
+        raise ValueError(f"run_svrg supports uniform / lipschitz_importance, got {config.distribution_mode!r}")
     return _solo(problem, config, x0)
 
 
@@ -437,20 +439,16 @@ def run_asd_svrg(problem, config: OptimizerConfig, x0=None) -> RunTrace:
 
 
 def run_grid(problem, configs, x0=None) -> list[tuple[RunTrace, bool]]:
-    """``run_asd_svrg`` (adaptive mode) or ``run_svrg`` for every config of
-    the list, all stepped together in one loop; returns (trace, diverged)
-    per config, in order, each bit-identical to the solo run's, a diverged
-    cell's trace partial.  The configs may differ in eta, seed and
-    ``distribution_mode``, and in nothing else, else ``ValueError``."""
+    """The solo run of its mode (``run_sgd``, ``run_svrg`` or
+    ``run_asd_svrg``) for every config of the list, all stepped together in
+    one loop; returns (trace, diverged) per config, in order, each
+    bit-identical to the solo run's, a diverged cell's trace partial.  The
+    configs may differ in eta, seed and ``distribution_mode``, and in
+    nothing else (``l2_for_sgd`` included), else ``ValueError``."""
     if not configs or len({replace(c, eta=0.0, seed=0, distribution_mode="uniform") for c in configs}) != 1:
         raise ValueError("run_grid needs one or more configs that differ only in eta and seed "
                          "(and distribution_mode)")
-    return _grid(problem, configs, x0)
-
-
-def _grid(problem, configs, x0, sgd=None) -> list[tuple[RunTrace, bool]]:
-    """(trace, diverged) of every cell of one ``_vr_loop`` call, in order."""
-    return [(o.trace, True) if isinstance(o, Diverged) else (o, False) for o in _vr_loop(problem, configs, x0, sgd)]
+    return [(o.trace, True) if isinstance(o, Diverged) else (o, False) for o in _vr_loop(problem, configs, x0)]
 
 
 def _sgd_draw(problem, config: OptimizerConfig):
@@ -473,12 +471,12 @@ def _sgd_draw(problem, config: OptimizerConfig):
 def run_sgd(problem, config: OptimizerConfig, x0=None) -> RunTrace:
     """Constant-step SGD over uniformly drawn workers, with optional L2 on the
     update (never on the recorded loss).  Traced on the same (epoch, step)
-    grid as the variance-reduced runs for comparability."""
-    return _solo(problem, config, x0, sgd=True)
+    grid as the variance-reduced runs for comparability.  Runs mode ``sgd``
+    whatever the config's mode, so every mode gives the same run."""
+    return _solo(problem, replace(config, distribution_mode="sgd"), x0)
 
 
-_SGD = "sgd"  # the kind of an SGD cell, beside the distribution modes
-_DRAWS = {_SGD: _sgd_draw, "uniform": _svrg_draw, "lipschitz_importance": _svrg_draw, "adaptive": _asd_draw}
+_DRAWS = {"uniform": _svrg_draw, "lipschitz_importance": _svrg_draw, "adaptive": _asd_draw, "sgd": _sgd_draw}
 
 
 RATE_KINDS = ("svrg_uniform", "svrg_importance", "asd_main", "asd_lemma4", "asd_appendix")
@@ -490,7 +488,8 @@ class RateParams:
 
     ``l_max`` is only consumed by the uniform-sampling rate, ``tau`` only by
     the main adaptive rate; the contraction bounds a convergent run only when
-    the returned value is below 1.
+    the returned value is below 1.  ``T`` and ``R`` are stored as ``int``;
+    1.5 or 100.0 is a ``ValueError``.
     """
 
     lam: float
@@ -502,6 +501,8 @@ class RateParams:
     l_max: float | None = None
 
     def __post_init__(self):
+        for name in ("T", "R"):
+            object.__setattr__(self, name, comm._count(getattr(self, name), name))
         if not all(math.isfinite(v) for v in (self.lam, self.l_bar, self.eta, self.tau, self.l_max) if v is not None):
             raise ValueError("lam, l_bar, eta, tau and l_max must be finite")
         if self.lam <= 0 or self.l_bar <= 0 or self.eta <= 0:

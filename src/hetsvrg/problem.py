@@ -55,6 +55,8 @@ from functools import cached_property
 import numpy as np
 from scipy.special import expit
 
+from . import comm
+
 LINEAR = "linear_regression"
 LOGISTIC = "logistic_regression"
 TASKS = (LINEAR, LOGISTIC)
@@ -76,6 +78,7 @@ class Shard:
     """
 
     def __init__(self, worker_id: int, X, y):
+        worker_id = comm._count(worker_id, "worker_id")  # int() would run 0.7 as worker 0
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
         if X.shape[0] == 0:
@@ -84,7 +87,7 @@ class Shard:
             raise ValueError(
                 f"shard {worker_id}: {X.shape[0]} feature rows vs {y.shape[0]} targets"
             )
-        self.worker_id = int(worker_id)
+        self.worker_id = worker_id
         self.X = X
         self.y = y
 
@@ -500,10 +503,14 @@ def generate_heterogeneous(
     0.1 of the clean target sd), sign of the logit for classification.  A
     deterministic 80/20 split by index is applied before sharding; the
     held-out fifth cycles through the worker feature scales so that it covers
-    the same mixture.  Fully reproducible given ``seed``.
+    the same mixture.  Fully reproducible given ``seed``.  ``m_workers``,
+    ``samples_total`` and ``dim`` must be integers (see ``comm._count``).
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
+    m_workers = comm._count(m_workers, "m_workers")
+    samples_total = comm._count(samples_total, "samples_total")
+    dim = comm._count(dim, "dim")
     if m_workers < 1 or dim < 1 or samples_total < 1:
         raise ValueError("m_workers, dim and samples_total must be positive")
     if growth_base <= 0:

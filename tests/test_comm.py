@@ -242,6 +242,24 @@ class TestServerPrimitives:
             primitive(ledger, 3, -2)
         assert ledger.snapshot() == (0, 0, 0, 0)
 
+    @pytest.mark.parametrize("primitive", [comm.server_broadcast, comm.server_gather])
+    @pytest.mark.parametrize("payload, workers, name", [(2.5, 3, "payload_scalars"), (3, 1.5, "m_workers"),
+                                                        (np.float64(2.0), 3, "payload_scalars"), (2, "3", "m_workers")])
+    def test_counts_must_be_integers(self, primitive, payload, workers, name):
+        # broadcast (2.5, 3) then gather (3, 1.5) once left the ledger at (0, 4.5, 7.5, 2)
+        ledger = comm.CommLedger()
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            primitive(ledger, payload, workers)
+        assert ledger.snapshot() == (0, 0, 0, 0)
+
+    def test_numpy_integer_counts_charge_python_ints(self):
+        ledger = comm.CommLedger()
+        comm.server_broadcast(ledger, np.int64(10), np.int32(8))
+        comm.server_gather(ledger, np.uint8(3), np.int64(2))
+        assert ledger.snapshot() == (0, 6, 80, 2)
+        assert all(type(v) is int for v in ledger.snapshot())
+        assert ledger.csv_row("step") == "step,0,6,80,2"
+
 
 class TestValidation:
     def test_all_zero_weights(self):

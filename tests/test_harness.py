@@ -292,6 +292,24 @@ class TestRunExperiment:
                 name = harness._trace_name(algorithm, eta, 1)
                 assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes(), name
 
+    def test_one_public_run_grid_call_per_seed(self, tmp_path, monkeypatch):
+        """Every cell of a seed, SGD's included, steps in one ``optim.run_grid``
+        call, in the order of ``spec.algorithms`` and each algorithm's grid."""
+        calls = []
+        run_grid = optim.run_grid
+        monkeypatch.setattr(optim, "run_grid",
+                            lambda p, configs, x0=None: calls.append(configs) or run_grid(p, configs, x0))
+        spec = tiny_spec(tmp_path, algorithms=harness.ALGORITHMS, seeds=(1, 2))
+        report = harness.run_experiment(spec)
+        assert len(calls) == len(spec.seeds)
+        modes = {"sgd": "sgd", "svrg_uniform": "uniform", "svrg_importance": "lipschitz_importance",
+                 "asd_svrg": "adaptive"}
+        for seed, configs in zip(spec.seeds, calls):
+            cells = [(a, eta) for a in spec.algorithms for eta in spec.grid_for(a)]
+            assert [(c.seed, c.distribution_mode) for c in configs] == [
+                (harness._cell_seed(seed, a, eta), modes[a]) for a, eta in cells]
+        assert len(report.rows) == sum(map(len, calls)) == 2 * 4 * 2
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         harness.run_experiment(tiny_spec(a_dir))

@@ -187,6 +187,12 @@ class TestRunSvrg:
         trace = optim.run_svrg(p, cfg)
         assert [(r.epoch, r.step) for r in trace.rows] == [(1, 5), (1, 10), (2, 5), (2, 10)]
 
+    @pytest.mark.parametrize("mode", ["sgd", "adaptive"])
+    def test_rejects_the_modes_it_does_not_run(self, mode):
+        cfg = optim.OptimizerConfig(eta=0.01, epochs=1, inner_iters=1, distribution_mode=mode)
+        with pytest.raises(ValueError, match=f"got '{mode}'"):
+            optim.run_svrg(preset(), cfg)
+
 
 class TestRunAsdSvrg:
     def test_requires_adaptive_mode(self):
@@ -332,6 +338,17 @@ class TestRunSgd:
         assert trace.final_x.tobytes() == x.tobytes()
         assert [r.train_loss for r in trace.rows] == losses
 
+    def test_every_input_mode_gives_the_same_run(self, tmp_path):
+        """``run_sgd`` runs mode ``sgd`` whatever mode its config names, so
+        every mode writes the same trace bytes, final iterate and ledger."""
+        p = prob.generate_heterogeneous(prob.LINEAR, 4, 80, 4, 2.0, seed=3)
+        base = optim.OptimizerConfig(eta=0.02, epochs=2, inner_iters=5, group_size=2, seed=(6, 2), l2_for_sgd=0.1)
+        outputs = set()
+        for mode in optim.DISTRIBUTION_MODES:
+            trace = optim.run_sgd(p, replace(base, distribution_mode=mode))
+            outputs.add((trace_bytes(trace, tmp_path, f"{mode}.csv"), trace.final_x.tobytes(), trace.ledger.snapshot()))
+        assert len(outputs) == 1
+
     def test_ledger_schedule(self):
         p = prob.generate_heterogeneous(prob.LINEAR, 8, 100, 9, 1.5, seed=0)
         cfg = optim.OptimizerConfig(eta=1e-4, epochs=2, inner_iters=3, seed=0)
@@ -341,11 +358,10 @@ class TestRunSgd:
         assert trace.ledger.parallel_rounds == 12
 
 
-def solo_outcome(problem, config, sgd=False):
-    """(trace, diverged) of one config run alone, as a sweep records it;
-    ``sgd`` runs it through ``run_sgd``."""
-    runner = optim.run_asd_svrg if config.distribution_mode == "adaptive" else optim.run_svrg
-    runner = optim.run_sgd if sgd else runner
+def solo_outcome(problem, config):
+    """(trace, diverged) of one config run alone, as a sweep records it,
+    through the runner of its distribution mode."""
+    runner = {"sgd": optim.run_sgd, "adaptive": optim.run_asd_svrg}.get(config.distribution_mode, optim.run_svrg)
     try:
         return runner(problem, config), False
     except optim.Diverged as exc:
@@ -463,7 +479,7 @@ class TestRunGrid:
         m=st.integers(1, 5),
         r_share=st.floats(0.0, 1.0),
         policy=st.sampled_from(smp.SUBSAMPLE_POLICIES),
-        cells=st.lists(st.tuples(st.sampled_from(("sgd", *optim.DISTRIBUTION_MODES)), st.floats(-3.0, 1.0)),
+        cells=st.lists(st.tuples(st.sampled_from(optim.DISTRIBUTION_MODES), st.floats(-3.0, 1.0)),
                        min_size=1, max_size=7),
         l2=st.floats(0.01, 2.0),
         explode_at=st.none() | st.integers(0, 7),
@@ -481,26 +497,47 @@ class TestRunGrid:
         distribution modes (etas up to 10, and maybe one SGD cell at an
         exploding eta, which diverges at its first step), each write the
         trace CSV, final iterate, diverged flag and ledger of their solo
-        ``run_sgd`` / ``run_svrg`` / ``run_asd_svrg`` runs, byte for byte."""
+        ``run_sgd`` / ``run_svrg`` / ``run_asd_svrg`` runs, byte for byte.
+        The cells' L2 differs, which ``run_grid`` rejects, so they step in
+        one ``_vr_loop`` call."""
         cells = [(kind, 10.0**log_eta) for kind, log_eta in cells]
         if explode_at is not None:
             cells.insert(min(explode_at, len(cells)), ("sgd", 10.0**12))
         base = optim.OptimizerConfig(eta=0.0, epochs=2, inner_iters=4, group_size=1 + int(r_share * (m - 1)),
                                      estimation=smp.EstimationConfig(subsample_policy=policy), eval_every=eval_every)
-        configs = [replace(base, eta=eta, seed=(seed, i), l2_for_sgd=l2) if kind == "sgd"
-                   else replace(base, eta=eta, seed=(seed, i), distribution_mode=kind)
+        configs = [replace(base, eta=eta, seed=(seed, i), distribution_mode=kind,
+                           l2_for_sgd=l2 if kind == "sgd" else 0.0)
                    for i, (kind, eta) in enumerate(cells)]
-        sgd = [kind == "sgd" for kind, _ in cells]
         p = prob.generate_heterogeneous(task, m, 25 * m, 3, 2.0, seed)
-        grid = optim._grid(p, configs, None, sgd)
+        grid = [(o.trace, True) if isinstance(o, optim.Diverged) else (o, False)
+                for o in optim._vr_loop(p, configs, None)]
         assert len(grid) == len(configs)
         with tempfile.TemporaryDirectory() as out:
-            for i, (config, is_sgd, (trace, diverged)) in enumerate(zip(configs, sgd, grid)):
-                solo, solo_diverged = solo_outcome(p, config, is_sgd)
+            for i, (config, (trace, diverged)) in enumerate(zip(configs, grid)):
+                solo, solo_diverged = solo_outcome(p, config)
                 assert diverged == solo_diverged
                 assert trace_bytes(trace, out, f"grid{i}.csv") == trace_bytes(solo, out, f"solo{i}.csv")
                 assert trace.final_x.tobytes() == solo.final_x.tobytes()
                 assert trace.ledger.snapshot() == solo.ledger.snapshot()
+
+    def test_sgd_cells_run_through_run_grid(self, tmp_path):
+        """``run_grid`` takes SGD cells beside cells of the three variance-
+        reduced modes, all with one L2; one SGD cell diverges at its first
+        step and one mid-run, and every cell equals its solo run, byte for
+        byte."""
+        p = prob.generate_heterogeneous(prob.LINEAR, 4, 100, 3, 2.0, seed=2)
+        base = optim.OptimizerConfig(eta=0.0, epochs=2, inner_iters=5, group_size=2, l2_for_sgd=0.05)
+        cells = [("sgd", 0.01), ("uniform", 0.01), ("sgd", 1e12), ("adaptive", 0.05), ("lipschitz_importance", 0.02),
+                 ("sgd", 3.0)]
+        configs = [replace(base, eta=eta, distribution_mode=mode, seed=(5, i)) for i, (mode, eta) in enumerate(cells)]
+        grid = optim.run_grid(p, configs)
+        assert [diverged for _, diverged in grid] == [False, False, True, False, False, True]
+        for i, (config, (trace, diverged)) in enumerate(zip(configs, grid)):
+            solo, solo_diverged = solo_outcome(p, config)
+            assert diverged == solo_diverged
+            assert trace_bytes(trace, tmp_path, f"grid{i}.csv") == trace_bytes(solo, tmp_path, f"solo{i}.csv")
+            assert trace.final_x.tobytes() == solo.final_x.tobytes()
+            assert trace.ledger.snapshot() == solo.ledger.snapshot()
 
     def test_mode_groups_that_empty_at_different_steps_keep_every_cell_solo(self, tmp_path):
         """The linear preset under lemma1 with R = 3, modes interleaved: the
@@ -1296,3 +1333,14 @@ class TestTheoreticalRate:
             optim.theoretical_rate("asd_main", optim.RateParams(lam=1.0, l_bar=1.0, eta=0.01, T=10))
         with pytest.raises(ValueError):
             optim.theoretical_rate("nonsense", optim.RateParams(lam=1.0, l_bar=1.0, eta=0.01, T=10))
+
+    @pytest.mark.parametrize("name, bad", [("T", 1.5), ("R", 2.5), ("T", np.float64(100.0)), ("R", 4.0)])
+    def test_counts_must_be_integers(self, name, bad):
+        # T = 1.5 once gave asd_lemma4 a rate of 15.80, and R = 2.5 one of 0.2637
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            optim.RateParams(**{**dict(lam=1.0, l_bar=1.0, eta=0.01, T=100, R=4), name: bad})
+
+    def test_numpy_integer_counts_are_stored_as_int(self):
+        params = optim.RateParams(lam=1.0, l_bar=1.0, eta=0.01, T=np.int64(100), R=np.int32(4))
+        assert type(params.T) is int and type(params.R) is int
+        assert params == optim.RateParams(lam=1.0, l_bar=1.0, eta=0.01, T=100, R=4)

@@ -267,6 +267,41 @@ class TestGenerate:
         with pytest.raises(ValueError):
             prob.generate_heterogeneous("poisson", 2, 100, 3, 2.0, seed=0)
 
+    @pytest.mark.parametrize("name, bad", [("m_workers", 2.5), ("samples_total", 100.5), ("dim", 2.5),
+                                           ("dim", np.float64(4.0)), ("m_workers", "2")])
+    def test_shape_must_be_integers(self, name, bad):
+        shape = {"m_workers": 2, "samples_total": 100, "dim": 3, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            prob.generate_heterogeneous(prob.LINEAR, **shape, growth_base=2.0, seed=0)
+
+    def test_numpy_integer_shape_matches_python_ints(self):
+        a = prob.generate_heterogeneous(prob.LINEAR, np.int64(3), np.int32(60), np.int64(2), 2.0, seed=4)
+        b = prob.generate_heterogeneous(prob.LINEAR, 3, 60, 2, 2.0, seed=4)
+        assert a.m_workers == 3 and a.dim == 2
+        np.testing.assert_array_equal(a.aug, b.aug)
+        np.testing.assert_array_equal(a.test_y, b.test_y)
+
+
+class TestShardWorkerId:
+    @pytest.mark.parametrize("bad", [0.7, 1.9, np.float64(0.0), "0"])
+    def test_worker_id_must_be_an_integer(self, bad):
+        # int() once ran 0.7 as worker 0 and 1.9 as worker 1
+        with pytest.raises(ValueError, match="worker_id must be an integer"):
+            prob.Shard(bad, [[1.0]], [0.0])
+
+    def test_numpy_integer_worker_id_is_stored_as_int(self):
+        shard = prob.Shard(np.int64(1), [[1.0]], [0.0])
+        assert type(shard.worker_id) is int and shard.worker_id == 1
+        p = prob.ShardedProblem([prob.Shard(np.int32(0), [[1.0]], [0.0]), shard], prob.LINEAR)
+        assert [s.worker_id for s in p.shards] == [0, 1]
+
+    @pytest.mark.parametrize("worker", ["0.7", "1.9", "1e0"])
+    def test_csv_fractional_worker_id_is_a_format_error(self, worker, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"worker_id,target,f_0\n0,1.0,2.0\n{worker},1.0,2.0\n")
+        with pytest.raises(prob.DatasetFormatError, match=":3: column 'worker_id' is not an integer"):
+            prob.load_csv(path, prob.LINEAR)
+
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
