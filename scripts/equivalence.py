@@ -32,8 +32,8 @@ whose SGD cells diverge in mid-epoch while every ASD cell steps on, and
 an ASD sweep over a saved dataset with unequal shards whose fixed
 subsample size is above half the smallest shard, where one cell diverges
 inside a block of subsample draws, and a 1500-step ASD epoch with R = 3
-whose tree-protocol seed words come from one hash of 7,500 keys (five cells
-by 1500 steps), with cells diverging in it.  The sweeps' trees have at most 64 workers and R = 4, so
+whose five cells each read one tree-protocol generator through all 1500
+steps, with cells diverging in it.  The sweeps' trees have at most 64 workers and R = 4, so
 both protocols are also called alone at M = 1000, R = 8 and M = 4096,
 R = 16 (the bench's ``protocol_wide`` shapes) and at M = 1000, R = 7, whose
 143 groups are padded to 256, and ``pc_sample_cells`` draws for 3 cells of
@@ -52,6 +52,10 @@ bits on purpose, and prints one verdict per CSV file:
   largest relative difference of each;
 * ``outcome-changed``, with the first difference found, also for a file in
   one output only.
+
+It then prints the count of each verdict over all files and, one line per
+algorithm, over the trace and figure files named after it, so a change
+that should move one algorithm's files alone can be read off those lines.
 
 The exit status is 1 if any file's outcome changed.  This compares one run
 of each side; it is no test of equivalence in distribution over seeds.
@@ -106,10 +110,10 @@ CLI_SWEEPS = {
     # epoch 1; every ASD cell, and SGD's eta 0.0025 cell, steps on
     "logistic_sgd_asd": ("--preset", "logistic", "--algos", "sgd,asd", "--etas", "0.0025,150,700", "--seeds", "1",
                          "--epochs", "2"),
-    # one epoch of 1500 steps, whose protocol seed words are one hash of
-    # the five cells' 7,500 keys on seed 1: R = 3 pads the 8 workers to 12,
-    # so dead tree nodes draw no uniforms, and the eta 3.125 and 0.625
-    # cells diverge at steps 3 and 14, leaving their rows of words unread
+    # one epoch of 1500 steps, in which each of the five cells reads one
+    # protocol generator step after step on seed 1: R = 3 pads the 8 workers
+    # to 12, so dead tree nodes draw no uniforms, and cells that diverge
+    # stop reading theirs while the others read on
     "asd_r3_blocks": ("--preset", "linear", "--algos", "asd", "--R", "3", "--inner", "1500", "--epochs", "1"),
     **{f"logistic_asd_wide/{policy}": ("--preset", "logistic", "--algos", "asd", "--estimation", policy,
                                        "--etas", "0.0025,0.025,3e6", "--seeds", "1", "--epochs", "2")
@@ -256,19 +260,40 @@ def compare_file(a: Path, b: Path) -> tuple[str, str]:
     return "bits-only", " ".join(f"{name} {value:.2e}" for name, value in worst.items() if value)
 
 
+def algorithm_of(name: str) -> str | None:
+    """The algorithm whose trace (``trace_<algorithm>_eta...``) or figure
+    (``fig_<figure>_<algorithm>``) file ``name`` is, else None."""
+    stem = Path(name).stem
+    for algorithm in harness.ALGORITHMS:
+        if stem.startswith(f"trace_{algorithm}_eta") or (stem.startswith("fig_") and stem.endswith(f"_{algorithm}")):
+            return algorithm
+    return None
+
+
 def compare(a: Path, b: Path) -> int:
     """Print the verdict on every CSV file of the outputs ``a`` and ``b``,
-    then a count of each verdict; 1 if any file's outcome changed."""
+    then a count of each verdict, over all files and over each algorithm's
+    trace and figure files; 1 if any file's outcome changed."""
     names = sorted({path.relative_to(root).as_posix() for root in (a, b) for path in root.rglob("*.csv")})
     verdicts = collections.Counter()
+    by_algorithm = {algorithm: collections.Counter() for algorithm in harness.ALGORITHMS}
     for name in names:
         if (a / name).exists() and (b / name).exists():
             verdict, detail = compare_file(a / name, b / name)
         else:
             verdict, detail = "outcome-changed", f"only in {a if (a / name).exists() else b}"
         verdicts[verdict] += 1
+        if (algorithm := algorithm_of(name)) is not None:
+            by_algorithm[algorithm][verdict] += 1
         print(f"{verdict:15s} {name}" + (f"  {detail}" if detail else ""))
-    print(", ".join(f"{verdicts[v]} {v}" for v in ("byte-identical", "bits-only", "outcome-changed")))
+
+    def tally(counts):
+        return ", ".join(f"{counts[v]} {v}" for v in ("byte-identical", "bits-only", "outcome-changed"))
+
+    print(tally(verdicts))
+    for algorithm, counts in by_algorithm.items():
+        if counts:
+            print(f"{algorithm}: {tally(counts)}")
     return 1 if verdicts["outcome-changed"] else 0
 
 

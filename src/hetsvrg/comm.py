@@ -333,7 +333,9 @@ def optimal_comm_sample(weights, R: int, ledger: CommLedger, rng) -> SampleHisto
 def pc_sample_cells(weights, R: int, ledgers, rngs) -> np.ndarray:
     """``pc_sample`` for C cells in one tree draw: ``weights`` is (C, M),
     and cell c's call is charged to ``ledgers[c]`` and reads ``rngs[c]`` as
-    its own ``pc_sample`` call would, so it draws the same workers.  Returns
+    its own ``pc_sample`` call would, so it draws the same workers, and
+    successive calls read each generator on as successive ``pc_sample``
+    calls would.  Returns
     the (C, R) drawn workers, each row in slot order.  Anything but one
     ledger and one generator per cell is a ``ValueError``, raised before any
     draw."""

@@ -142,10 +142,7 @@ class ExperimentSpec:
             raise ValueError(f"custom_csv takes its shape from the CSV; {', '.join(shape)} must be unset")
         if self.preset != "custom_csv":  # generate_heterogeneous's split, before it runs
             m_workers, samples_total, _ = _problem_shape(self)
-            train_total = samples_total - samples_total // 5
-            if train_total < m_workers:
-                raise ValueError(f"{samples_total} samples leave {train_total} training rows, "
-                                 f"fewer than {m_workers} workers")
+            prob._train_rows(samples_total, m_workers)
 
     def grid_for(self, algorithm: str) -> tuple[float, ...]:
         if self.eta_grid is not None:

@@ -25,15 +25,14 @@ and each step's guard and evaluation (``_observe``).  ASD's first step of an
 epoch starts at the anchor, where every estimate is 0, so it samples
 uniformly.
 
-Every random decision is keyed by (seed, channel, epoch, step, worker), so
-runs are bit-reproducible and neither other workers nor other cells can
-change them.  The anchor, SGD, fixed-draw and tree-protocol channels read
-``Generator``s seeded by ``SeedSequence`` of the key, one per key: a batched
-draw reads each cell's generator exactly as one call per step would.  The
-first three hash each key's ``SeedSequence`` (``sampling._stream``); the
-protocol's seed words come from one batched hash per epoch of the keys of
-every step of the cells live at its start (``sampling._seed_words``), equal
-to it bit for bit.  The weights channel is a counter hash
+Every random decision is keyed by (seed, channel, epoch), and the weights
+channel's also by step and worker, so runs are bit-reproducible and neither
+other workers nor other cells can change them.  The anchor, SGD, fixed-draw
+and tree-protocol channels read one ``Generator`` per (cell, epoch), seeded
+by ``SeedSequence`` of its key (``sampling._stream``), in step order: a
+batched draw reads each cell's generator exactly as one call per step would,
+and the protocol's ``comm.pc_sample_cells`` call of a step reads it as that
+cell's ``pc_sample`` call would.  The weights channel is a counter hash
 (``sampling._draw_subsamples``).
 
 The guard and the recorded losses come from the batched forms of
@@ -73,7 +72,7 @@ class RateUndefined(ValueError):
 DISTRIBUTION_MODES = ("uniform", "lipschitz_importance", "adaptive", "sgd")
 _DIVERGENCE_FACTOR = 1e6  # the guard trips above this multiple of the train loss at x0
 
-# rng stream channels; combined with (epoch, step, worker) tags
+# rng stream channels; combined with an epoch tag, and the weights channel's also with (step, worker)
 _CH_FIXED_DRAW = 1
 _CH_WEIGHTS = 2
 _CH_PC = 3
@@ -229,6 +228,8 @@ def _vr_loop(problem, configs, x0) -> list:
     M, p, first = problem.m_workers, problem.param_dim, configs[0]
     R, T = first.group_size, first.inner_iters
     x0 = np.zeros(p) if x0 is None else prob._check_x(problem, x0).copy()
+    if not np.isfinite(x0).all():  # else every cell would spend the prologue and a step on it, then diverge
+        raise ValueError("x0 must be finite")
     initial = prob.full_loss(problem, x0)  # every cell starts at x0
     modes = [c.distribution_mode for c in configs]
     cells = live = [_Cell(config, x0, initial) for config in configs]
@@ -388,14 +389,13 @@ def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
 
 
 def _asd_draw(problem, config: OptimizerConfig):
-    M, R, T = problem.m_workers, config.group_size, config.inner_iters
+    M, R = problem.m_workers, config.group_size
 
     def draw(k, cells):
         estimate = _weight_estimator(problem, config, k, cells)
-        # the tree protocol's seed words of every cell and step of the epoch,
-        # hashed at once: each step's generator is _stream(c.seed + (_CH_PC, k, t))'s
-        words = sampling._seed_words([c.seed + (_CH_PC, k) for c in cells], np.arange(1, T + 1, dtype=np.uint64))
-        column = {c: i for i, c in enumerate(cells)}
+        # one tree-protocol generator per cell and epoch, read at each step
+        # as successive pc_sample calls would read it
+        streams = {c: sampling._stream(c.seed + (_CH_PC, k)) for c in cells}
 
         def step(t, live):
             for c in live:
@@ -405,8 +405,7 @@ def _asd_draw(problem, config: OptimizerConfig):
             totals = np.cumsum(weights, axis=1)[:, -1]  # each cell's left-to-right sum
             flat = totals <= 0.0
             weights[flat], totals[flat] = 1.0, M  # degenerate estimates: uniform fallback
-            streams = [sampling._seeded(words[t - 1, column[c]]) for c in live]
-            draws = comm.pc_sample_cells(weights, R, [c.ledger for c in live], streams)
+            draws = comm.pc_sample_cells(weights, R, [c.ledger for c in live], [streams[c] for c in live])
             picks = _picks(draws)
             for c, mine in zip(live, picks):
                 comm.server_gather(c.ledger, R, 1)  # histogram to the server

@@ -483,6 +483,19 @@ def lipschitz_info(problem: ShardedProblem) -> LipschitzInfo:
     )
 
 
+def _train_rows(samples_total: int, m_workers: int) -> int:
+    """The training rows of ``generate_heterogeneous``'s 80/20 split of
+    ``samples_total``: all but its fifth, rounded down.  ``ValueError`` if
+    they are fewer than ``m_workers``, who need a row each."""
+    train_total = samples_total - samples_total // 5
+    if train_total < m_workers:
+        raise ValueError(
+            f"{samples_total} samples leave {train_total} training rows, "
+            f"fewer than {m_workers} workers"
+        )
+    return train_total
+
+
 def generate_heterogeneous(
     task: str,
     m_workers: int,
@@ -515,13 +528,8 @@ def generate_heterogeneous(
         raise ValueError("m_workers, dim and samples_total must be positive")
     if growth_base <= 0:
         raise ValueError("growth_base must be positive")
-    test_total = samples_total // 5
-    train_total = samples_total - test_total
-    if train_total < m_workers:
-        raise ValueError(
-            f"{samples_total} samples leave {train_total} training rows, "
-            f"fewer than {m_workers} workers"
-        )
+    train_total = _train_rows(samples_total, m_workers)
+    test_total = samples_total - train_total
 
     rng = np.random.default_rng(seed)
     x_star = rng.normal(size=dim + 1)

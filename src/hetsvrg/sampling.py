@@ -200,8 +200,12 @@ def subsample_size(config: EstimationConfig, d: int, range_norm: float, mean_nor
     has norm mean_norm.  Sampling is without replacement, so callers clamp the
     result to the population size.
     """
+    d = comm._count(d, "d")  # 2.5 is a ValueError, not a size between d = 2's and d = 3's
     if d < 1:
         raise ValueError("d must be at least 1")
+    for name, norm in (("range_norm", range_norm), ("mean_norm", mean_norm)):
+        if not math.isfinite(norm):
+            raise ValueError(f"{name} must be finite, got {norm}")
     if range_norm < 0:
         raise ValueError("range_norm must be nonnegative")
     if mean_norm <= 0:
@@ -276,105 +280,9 @@ def _key_words(key) -> list[int]:
 
 def _stream(key) -> np.random.Generator:
     """The generator of ``SeedSequence(key)``: the same state, without
-    SeedSequence's slower per-int coercion of the key.  It hashes one key per
-    call; ``_seed_words`` and ``_seeded`` build the same generators for many
-    keys at once, and this is their oracle."""
+    SeedSequence's slower per-int coercion of the key."""
     words = np.array(_key_words(key), dtype=np.uint32)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
-
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx, after O'Neill's
-# seed_seq_fe): a pool of 4 uint32 words, hashed with one running
-# multiplier, and output words hashed with another
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _mix(x, y):
-    """SeedSequence's mix of two uint32 arrays of pool words."""
-    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-    return r ^ (r >> np.uint32(16))
-
-
-def _seed_words(prefixes, tags) -> np.ndarray:
-    """The PCG64 seed words of every key ``prefixes[c] + (tags[i],)``, as a
-    C-contiguous (len(tags), len(prefixes), 4) uint64 array: row [i, c] is
-    ``SeedSequence(_key_words(key)).generate_state(4, np.uint64)`` bit for
-    bit, and ``_seeded`` makes it the generator of ``_stream(key)``.
-
-    ``tags`` is a uint64 array; each prefix is a tuple of nonnegative ints
-    (one ``_key_words`` call per prefix).  ``mix_entropy`` and
-    ``generate_state`` run call for call as in SeedSequence, each call one
-    uint32 array operation over all keys: the running hash constant depends
-    only on the call, never on the key.  A key shorter than the pool reads
-    zeros past its end, as SeedSequence does, and a word past the pool is
-    mixed into the pool of the keys that have it.
-    """
-    tags = np.asarray(tags, dtype=np.uint64)
-    heads = [_key_words(p) for p in prefixes]
-    head_len = np.array([len(w) for w in heads], dtype=np.intp)
-    high = tags >> np.uint64(32)
-    two = bool(high.any())  # a tag of 2**32 or more takes a second word
-    width = max(_POOL, int(head_len.max()) + 1 + two)
-    # word-major (word, tag, prefix), so each word of every key is one row
-    words = np.zeros((width, tags.size, len(heads)), dtype=np.uint32)
-    for c, w in enumerate(heads):
-        words[: len(w), :, c] = np.array(w, dtype=np.uint32)[:, None]
-    cols = np.arange(len(heads))
-    words[head_len, :, cols] = (tags & np.uint64(_MASK32)).astype(np.uint32)
-    if two:  # 0 past a one-word tag's end, where no call reads it
-        words[head_len + 1, :, cols] = high.astype(np.uint32)
-    words = words.reshape(width, -1)
-    lengths = (head_len + 1 + (high > 0)[:, None]).ravel()
-
-    const, mult = _INIT_A, _MULT_A
-
-    def hashmix(v):
-        nonlocal const
-        v = v ^ np.uint32(const)
-        const = const * mult & _MASK32
-        v = v * np.uint32(const)
-        return v ^ (v >> np.uint32(16))
-
-    # mix_entropy
-    pool = [hashmix(words[i]) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL, width):
-        for dst in range(_POOL):
-            pool[dst] = np.where(lengths > src, _mix(pool[dst], hashmix(words[src])), pool[dst])
-
-    # generate_state: 8 words hashed cycling through the pool, read as 4
-    # little-endian uint64 pairs
-    const, mult = _INIT_B, _MULT_B
-    state = np.array([hashmix(pool[i % _POOL]) for i in range(2 * _POOL)])
-    out = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
-    return out.reshape(tags.size, len(heads), _POOL)
-
-
-class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """Hands PCG64 a row of ``_seed_words`` as its seed state."""
-
-    def __init__(self, words):
-        # PCG64 reads the state through a raw pointer: a strided or
-        # non-native row would seed it from the wrong memory
-        if not (words.dtype == np.uint64 and words.shape == (_POOL,) and words.flags.c_contiguous):
-            raise ValueError(f"seed words must be a C-contiguous native uint64 array of {_POOL}")
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words  # PCG64 asks for 4 uint64 words
-
-
-def _seeded(words) -> np.random.Generator:
-    """The generator of ``_stream(key)`` from ``words``, the key's row of
-    ``_seed_words``, with no SeedSequence hashed; ``ValueError`` unless the
-    row is a C-contiguous native uint64 array of 4."""
-    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def _mix64(z):

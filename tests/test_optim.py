@@ -5,6 +5,7 @@ import math
 import re
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -648,14 +649,11 @@ class TestRunGrid:
 
 class TestGeneratorSchedule:
     def test_generators_built_per_key_not_per_draw(self, monkeypatch):
-        """The loops build one numpy generator per stream key and none per
-        draw, and hash a ``SeedSequence`` only for the keys they read one at
-        a time: ASD one generator per live (cell, step) for the protocol,
-        seeded from words hashed once per epoch, and one ``SeedSequence``
-        generator per (cell, epoch) for the anchor; uniform
-        SVRG one per (cell, epoch) for the fixed draws and one for the
-        anchor; SGD one per epoch.  So no per-slot or per-call construction
-        cost can creep back."""
+        """The loops build one ``SeedSequence`` generator per stream key and
+        none per step or draw: ASD one per (cell, epoch) for the protocol and
+        one for the anchor, as uniform SVRG one for the fixed draws and one
+        for the anchor; SGD one per epoch.  So no per-slot, per-step or
+        per-call construction cost can creep back."""
         p = prob.generate_heterogeneous(prob.LINEAR, 4, 120, 3, 2.0, seed=2)
         made = {"SeedSequence": 0, "Generator": 0, "default_rng": 0}
         for name in made:
@@ -666,19 +664,15 @@ class TestGeneratorSchedule:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(np.random, name, spy)
-        blocks = []
-        real_words = smp._seed_words
-        monkeypatch.setattr(smp, "_seed_words", lambda *args: blocks.append(args[1].tolist()) or real_words(*args))
         epochs, inner, cells = 2, 5, 3
         base = optim.OptimizerConfig(eta=0.01, epochs=epochs, inner_iters=inner, group_size=2)
-        for mode, seeded, per_cell in (("adaptive", epochs, epochs * inner + epochs), ("uniform", 2 * epochs, 2 * epochs)):
+        for mode in ("adaptive", "uniform"):
             for name in made:
                 made[name] = 0
             grid = optim.run_grid(p, [replace(base, eta=0.01 * (i + 1), seed=(1, i), distribution_mode=mode)
                                       for i in range(cells)])
             assert not any(diverged for _, diverged in grid)
-            assert made == {"SeedSequence": cells * seeded, "Generator": cells * per_cell, "default_rng": 0}
-        assert blocks == [list(range(1, inner + 1))] * epochs  # one hash an epoch, of steps 1..T
+            assert made == {"SeedSequence": cells * 2 * epochs, "Generator": cells * 2 * epochs, "default_rng": 0}
         for name in made:
             made[name] = 0
         optim.run_sgd(p, base)
@@ -1145,63 +1139,60 @@ class TestStreams:
         assert smp._key_hashes(h, v).tolist() == want
 
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        prefixes=st.lists(st.lists(st.integers(0, 2**96), max_size=4).filter(lambda p: len(smp._key_words(p)) <= 10),
-                          min_size=1, max_size=4),
-        tags=st.lists(st.integers(0, 2**32 + 3) | st.integers(0, 2**64 - 1), min_size=1, max_size=4),
-        n=st.integers(1, 20),
-    )
-    @example(prefixes=[[], [1], [2, 3]], tags=[0, 2**32], n=1)  # keys of 1 to 4 words
-    def test_seed_words_match_seed_sequence_of_key(self, prefixes, tags, n):
-        """One batch of keys of 1 to 12 words, short keys among them: each
-        key's row is the seed state ``SeedSequence`` makes of it, and its
-        generator is ``_stream``'s."""
-        words = smp._seed_words([tuple(q) for q in prefixes], np.array(tags, dtype=np.uint64))
-        assert words.shape == (len(tags), len(prefixes), 4) and words.flags.c_contiguous
-        for i, tag in enumerate(tags):
-            for c, prefix in enumerate(prefixes):
-                key = (*prefix, tag)
-                want = np.random.SeedSequence(smp._key_words(key)).generate_state(4, np.uint64)
-                assert words[i, c].tolist() == want.tolist()
-                got, ref = smp._seeded(words[i, c]), smp._stream(key)
-                assert got.bit_generator.state == ref.bit_generator.state
-                assert got.random(n).tobytes() == ref.random(n).tobytes()
-
-    @pytest.mark.parametrize("bad", ["strided", "byte-swapped", "short"])
-    def test_seeded_rejects_a_row_pcg64_would_misread(self, bad):
-        # PCG64 reads the state through a raw pointer; a strided row would
-        # seed it from the memory between the words, without an error
-        row = smp._seed_words([(1, 2)], np.array([3], dtype=np.uint64))[0, 0]
-        row = {"strided": np.repeat(row, 2)[::2], "byte-swapped": row.astype(">u8"), "short": row[:3]}[bad]
-        with pytest.raises(ValueError, match="C-contiguous native uint64"):
-            smp._seeded(row)
-
-
 class TestProtocolSeeds:
-    """Every tree-protocol generator of an ASD loop is seeded with its own
-    key's ``SeedSequence`` state, one per (epoch, step, live cell)."""
+    """Every ASD cell's tree-protocol draws of an epoch come from one
+    generator, built for the cells live at the epoch's start from each
+    cell's own key ``seed + (_CH_PC, k)`` and read call after call, as
+    successive ``pc_sample`` calls would read it, up to the cell's guard
+    step."""
 
     @pytest.mark.parametrize("R", [1, 3])  # R = 3 pads the 8 workers to 12
     def test_each_live_cell_step_seeds_its_own_key(self, R, monkeypatch):
-        epochs, T = 2, 7
+        epochs, T, stop = 2, 7, {1: 4, 3: 5}[R]
         configs = [optim.OptimizerConfig(eta=eta, epochs=epochs, inner_iters=T, group_size=R,
                                          distribution_mode="adaptive", seed=(9, i))
                    for i, eta in enumerate([0.01, 1e12, 0.1, 3.0])]  # 1e12 and 3.0 diverge in epoch 1
-        rows = []
-        real = smp._seeded
-        monkeypatch.setattr(smp, "_seeded", lambda words: rows.append(words.tolist()) or real(words))
+        built = []  # (key, generator) of every protocol generator, in build order
+        real_stream = smp._stream
+
+        def stream(key):
+            rng = real_stream(key)
+            if key[-2] == optim._CH_PC:
+                built.append((key, rng))
+            return rng
+
+        calls = []  # per protocol call: each cell's ledger id, generator key, and state before and after
+        real_cells = comm.pc_sample_cells
+
+        def cells_spy(weights, R, ledgers, rngs):
+            before = [rng.bit_generator.state for rng in rngs]
+            draws = real_cells(weights, R, ledgers, rngs)
+            keys = [next(key for key, g in built if g is rng) for rng in rngs]
+            calls.append(list(zip(map(id, ledgers), keys, before, [rng.bit_generator.state for rng in rngs])))
+            return draws
+
+        monkeypatch.setattr(smp, "_stream", stream)
+        monkeypatch.setattr(comm, "pc_sample_cells", cells_spy)
         outcomes = optim._vr_loop(prob.generate_heterogeneous(prob.LINEAR, 8, 160, 3, 2.0, seed=4), configs, None)
         last = []  # each cell's last (k, t): the guard's, if it tripped
         for o in outcomes:
             found = re.search(r"epoch (\d+), step (\d+)$", str(o)) if isinstance(o, optim.Diverged) else None
             last.append(tuple(map(int, found.groups())) if found else (epochs, T))
-        assert last == [(epochs, T), (1, 1), (epochs, T), (1, 5)]
-        want = [np.random.SeedSequence(smp._key_words(optim._seed_tuple(config.seed) + (optim._CH_PC, k, t)))
-                .generate_state(4, np.uint64).tolist()
-                for k in range(1, epochs + 1) for t in range(1, T + 1)
-                for config, end in zip(configs, last) if (k, t) <= end]
-        assert rows == want
+        assert last == [(epochs, T), (1, 1), (epochs, T), (1, stop)]
+        seeds = [optim._seed_tuple(config.seed) for config in configs]
+        assert [key for key, _ in built] == [seed + (optim._CH_PC, k) for k in range(1, epochs + 1)
+                                             for seed, end in zip(seeds, last) if (k, 1) <= end]
+        cell_of = [ledger for ledger, *_ in calls[0]]  # every cell draws at the first step
+        reads = [[] for _ in configs]
+        for call in calls:
+            for ledger, *read in call:
+                reads[cell_of.index(ledger)].append(read)
+        for seed, end, mine in zip(seeds, last, reads):
+            steps = [(k, t) for k in range(1, epochs + 1) for t in range(1, T + 1) if (k, t) <= end]
+            assert [key for key, *_ in mine] == [seed + (optim._CH_PC, k) for k, _ in steps]
+            for (k, t), (key, before, _), previous in zip(steps, mine, [None] + mine):
+                # a fresh generator at each epoch's first step, else where the last call left it
+                assert before == (real_stream(key).bit_generator.state if t == 1 else previous[2])
 
 
 class TestStreamPins:
@@ -1224,10 +1215,11 @@ class TestStreamPins:
         assert [smp.sample_categorical(dist, rng) for _ in range(6)] == [3, 3, 0, 1, 2, 2]
 
     def test_tree_protocol_channel(self):
+        # one generator per epoch, read by each step's call in turn
         weights = [1.0, 0.0, 2.0, 3.0, 0.5, 4.0, 1.0, 1.0]
-        rng = smp._stream(self.SEED + (optim._CH_PC, 2, 3))
-        hist = comm.pc_sample(weights, 4, comm.CommLedger(), rng)
-        assert hist.items() == [(2, 1), (3, 1), (5, 1), (7, 1)]
+        rng = smp._stream(self.SEED + (optim._CH_PC, 2))
+        hists = [comm.pc_sample(weights, 4, comm.CommLedger(), rng).items() for _ in range(3)]
+        assert hists == [[(5, 3), (6, 1)], [(3, 3), (5, 1)], [(5, 3), (6, 1)]]
 
     def test_weights_channel(self):
         # a direct draw (16 of 50), a complement draw (16 of 30), a whole
@@ -1276,6 +1268,28 @@ class TestConfigValidation:
                                        eval_every=np.int64(2), seed=np.int64(3))
         assert [type(getattr(config, f)) for f in ("epochs", "inner_iters", "group_size", "eval_every")] == [int] * 4
         assert optim._seed_tuple(config.seed) == (3,)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("mode, runner", [
+        ("uniform", optim.run_svrg),
+        ("adaptive", optim.run_asd_svrg),
+        ("uniform", optim.run_sgd),
+        ("adaptive", lambda p, c, x0: optim.run_grid(p, [c, replace(c, distribution_mode="sgd")], x0)),
+    ], ids=["run_svrg", "run_asd_svrg", "run_sgd", "run_grid"])
+    def test_non_finite_x0_rejected_before_any_cell_runs(self, mode, runner, bad, monkeypatch):
+        # such an x0 once cost the prologue and a step, with numpy
+        # RuntimeWarnings, before every cell diverged at epoch 1, step 1
+        p = prob.generate_heterogeneous(prob.LINEAR, 4, 80, 3, 2.0, seed=3)
+        x0 = np.zeros(p.param_dim)
+        x0[1] = bad
+        losses = []
+        monkeypatch.setattr(prob, "full_loss", lambda *a: losses.append(1))
+        config = optim.OptimizerConfig(eta=0.01, epochs=2, inner_iters=3, distribution_mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="x0 must be finite"):
+                runner(p, config, x0)
+        assert not losses
 
 
 class TestTheoreticalRate:

@@ -193,6 +193,20 @@ class TestSubsampleSize:
         with pytest.raises(smp.DegenerateWeights):
             smp.subsample_size(self.cfg(0.5, 0.1), d=3, range_norm=1.0, mean_norm=0.0)
 
+    @pytest.mark.parametrize("bad, match", [
+        (dict(d=2.5), "d must be an integer"),  # once a size between d = 2's and d = 3's
+        (dict(d=2.0), "d must be an integer"),
+        (dict(range_norm=math.nan), "range_norm must be finite"),
+        (dict(range_norm=math.inf), "range_norm must be finite"),
+        (dict(range_norm=-math.inf), "range_norm must be finite"),
+        (dict(mean_norm=math.nan), "mean_norm must be finite"),
+        (dict(mean_norm=math.inf), "mean_norm must be finite"),
+    ])
+    def test_rejects_a_fractional_d_and_non_finite_norms(self, bad, match):
+        args = dict(d=3, range_norm=1.0, mean_norm=0.5) | bad
+        with pytest.raises(ValueError, match=match):
+            smp.subsample_size(self.cfg(0.5, 0.1), **args)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             smp.EstimationConfig(tau=0.0)
