@@ -21,9 +21,13 @@ subsample draws, row gathers and anchor residuals are made once per block of
 steps (one step under ``lemma1``), each segment's sum one stacked product,
 ASD's tree protocol, one ``comm.pc_sample_cells`` call a step, the
 fixed-draw and SGD picks, drawn for every cell and step of an epoch at once,
-and each step's guard and evaluation (``_observe``).  ASD's first step of an
-epoch starts at the anchor, where every estimate is 0, so it samples
-uniformly.
+each step's shard gradients at the drawn workers (one
+``problem._shard_gradients`` call, which stacks shards of at most
+``_STACKED_SHARD`` rows x params, the measured crossover), its directions
+and updates (``_direction``, array expressions over the live cells), and
+its guard and evaluation (``_observe``, on the stacked iterates).  ASD's
+first step of an epoch starts at the anchor, where every estimate is 0, so
+it samples uniformly.
 
 Every random decision is keyed by (seed, channel, epoch), and the weights
 channel's also by step and worker, so runs are bit-reproducible and neither
@@ -177,38 +181,57 @@ class _Cell:
         self.rows: list[TraceRow] = []
         self.limit = _DIVERGENCE_FACTOR * max(initial, np.finfo(float).tiny)
         self.anchor = self.x = x0
+        self.anchor_grads = self.g_anchor = None  # the anchor's shard and full gradients, unless sgd
         self.outcome: RunTrace | Diverged | None = None
 
 
-def _observe(problem, k: int, t: int, cells) -> None:
-    """Guard and record step (k, t) of the live ``cells`` in one batched
-    evaluation: a cell whose train loss is not finite or exceeds its limit
-    gets a ``Diverged`` outcome with its partial trace, and every
-    ``eval_every`` steps the others append a ``TraceRow``."""
+def _observe(problem, k: int, t: int, cells, X) -> None:
+    """Guard and record step (k, t) of the live ``cells`` at their iterates
+    ``X`` in one batched evaluation: a cell whose train loss is not finite
+    or exceeds its limit gets a ``Diverged`` outcome with its partial trace,
+    and every ``eval_every`` steps the others append a ``TraceRow``."""
     kept = []
-    for c, train in zip(cells, prob._batch_full_loss(problem, [c.x for c in cells])):
+    for i, (c, train) in enumerate(zip(cells, prob._batch_full_loss(problem, X))):
         if math.isfinite(train) and train <= c.limit:
-            kept.append((c, train))
+            kept.append((i, c, train))
         else:
             trace = RunTrace(rows=c.rows, final_x=np.array(c.x), ledger=c.ledger)
             c.outcome = Diverged(f"train loss {train} exceeded the guard at epoch {k}, step {t}", trace=trace)
     if kept and t % cells[0].config.eval_every == 0:
-        losses, accs = prob._batch_test_metrics(problem, [c.x for c, _ in kept])
-        for (c, train), test_loss, test_acc in zip(kept, losses, accs):
+        losses, accs = prob._batch_test_metrics(problem, X[[i for i, _, _ in kept]])
+        for (_, c, train), test_loss, test_acc in zip(kept, losses, accs):
             c.rows.append(TraceRow(k, t, train, test_loss, test_acc, *c.ledger.snapshot()))
 
 
-def _direction(problem, x, anchor_grads, g_anchor, picks, probs, R: int) -> np.ndarray:
-    """Variance-reduced direction of one inner step: the anchor full gradient
-    plus the mean over the R draws of (grad F_m(x) - grad F_m(anchor)) /
-    (M p_m), where ``picks`` holds each drawn worker m with its multiplicity
-    and ``probs[m]`` is its sampling probability p_m."""
-    M = problem.m_workers
-    step_dir = np.zeros(problem.param_dim)
-    for m, mult in picks:
-        g_x = prob.shard_gradient(problem, m, x)
-        step_dir += mult * (g_x - anchor_grads[m]) / (M * probs[m])
-    return step_dir / R + g_anchor
+def _direction(problem, X, anchor_grads, g_anchor, picks, probs, R: int, l2=0.0, out=None) -> np.ndarray:
+    """One inner step's direction for each cell at its iterate ``X[c]``;
+    ``picks[c]`` holds its drawn workers m, ascending, with multiplicities.
+    A variance-reduced cell's is ``g_anchor[c]`` plus the mean over its R
+    draws of (grad F_m(X[c]) - anchor_grads[c][m]) / (M p_m), p_m =
+    ``probs[c][m]``; the ``sgd`` cells (``probs[c]`` None) come last, and
+    theirs is the drawn worker's gradient plus ``l2 X[c]``.  The gradients
+    are one ``problem._shard_gradients`` call (``out`` keeps its buffers);
+    a cell's sum starts at 0 and adds its picks in order, a multiplicity one
+    factor, so each row has the bits of its cell alone."""
+    C = len(X)
+    V = C - sum(p_c is None for p_c in probs)
+    # every variance-reduced cell's first pick, then its later picks by rank, then the sgd cells' picks
+    later = [(c, j) for j in range(1, R) for c in range(V) if j < len(picks[c])]
+    at = [(c, 0) for c in range(V)] + later + [(c, 0) for c in range(V, C)]
+    K, chosen = len(at) - (C - V), [picks[c][j] for c, j in at]
+    grads = prob._shard_gradients(problem, [m for m, _ in chosen], X[np.array([c for c, _ in at])], out)
+    step_dir = grads[K:] + l2 * X[V:]  # the sgd cells'
+    if V:
+        diffs = grads[:K] - np.array([anchor_grads[c][m] for (c, _), (m, _) in zip(at, chosen[:K])])
+        p_m = np.array([probs[c][m] for (c, _), (m, _) in zip(at, chosen[:K])])
+        terms = np.array([mult for _, mult in chosen[:K]])[:, None] * diffs / (problem.m_workers * p_m)[:, None]
+        total, lo = 0.0 + terms[:V], V  # every cell's first pick
+        for j in range(1, R):  # then every cell's j-th pick at once, if it has one
+            rows = [c for c, r in later if r == j]
+            total[rows] += terms[lo : lo + len(rows)]
+            lo += len(rows)
+        step_dir = np.concatenate([total / R + g_anchor, step_dir])
+    return step_dir
 
 
 def _vr_loop(problem, configs, x0) -> list:
@@ -233,8 +256,11 @@ def _vr_loop(problem, configs, x0) -> list:
     initial = prob.full_loss(problem, x0)  # every cell starts at x0
     modes = [c.distribution_mode for c in configs]
     cells = live = [_Cell(config, x0, initial) for config in configs]
-    draws = {mode: _DRAWS[mode](problem, configs[modes.index(mode)]) for mode in dict.fromkeys(modes)}
+    # the variance-reduced modes' draws first: _direction takes the sgd cells last
+    draws = {mode: _DRAWS[mode](problem, configs[modes.index(mode)])
+             for mode in sorted(dict.fromkeys(modes), key=lambda mode: mode == "sgd")}
 
+    buffers = {}  # the steps' gathered shards (problem._shard_gradients)
     for k in range(1, first.epochs + 1):
         at_anchor = {}  # cells whose anchor is one array (every cell's x0 at first) share its gradients
         for c in live:
@@ -245,31 +271,34 @@ def _vr_loop(problem, configs, x0) -> list:
             comm.server_gather(c.ledger, p, M)
             comm.server_broadcast(c.ledger, p, M)
             if id(c.anchor) not in at_anchor:
-                grads = [prob.shard_gradient(problem, m, c.anchor) for m in range(M)]
+                grads = np.array([prob.shard_gradient(problem, m, c.anchor) for m in range(M)])
                 at_anchor[id(c.anchor)] = grads, np.mean(grads, axis=0)
             c.anchor_grads, c.g_anchor = at_anchor[id(c.anchor)]
             c.iterates = [c.x]  # x is rebound every step, never written in place
         groups = [(mode, [c for c in live if c.config.distribution_mode == mode]) for mode in draws]
         groups = [(draws[mode](k, mine), mine) for mode, mine in groups if mine]  # (step, its live cells)
+        live = [c for _, mine in groups for c in mine]  # in the groups' order, so the steps' picks are in cell order
+        X, dropped = np.array([c.x for c in live]), True  # the live cells' iterates, one row each
         for t in range(1, T + 1):
-            drawn = {}
-            for step, mine in groups:
-                drawn.update(zip(mine, step(t, mine)))
-            for c in live:
-                picks, probs = drawn[c]
-                if c.config.distribution_mode == "sgd":
-                    grad = prob.shard_gradient(problem, picks[0][0], c.x) + c.config.l2_for_sgd * c.x
-                    c.x = c.x - c.config.eta * grad
-                else:
-                    c.x = c.x - c.config.eta * _direction(problem, c.x, c.anchor_grads, c.g_anchor, picks, probs, R)
-                    if t < T:
-                        c.iterates.append(c.x)
-                comm.server_gather(c.ledger, p, len(picks))  # payloads back
-            _observe(problem, k, t, live)
-            live = [c for c in live if c.outcome is None]
-            if not live:
-                return [c.outcome for c in cells]
-            groups = [(step, kept) for step, mine in groups if (kept := [c for c in mine if c.outcome is None])]
+            if dropped:  # the live cells' step sizes and anchor gradients, one entry each
+                eta = np.array([c.config.eta for c in live])[:, None]
+                anchor_grads = [c.anchor_grads for c in live]
+                g_anchor = np.array([c.g_anchor for c in live if c.g_anchor is not None])
+                l2 = np.array([c.config.l2_for_sgd for c in live if c.g_anchor is None])[:, None]
+            picks, probs = zip(*(drawn for step, mine in groups for drawn in step(t, mine)))
+            X = X - eta * _direction(problem, X, anchor_grads, g_anchor, picks, probs, R, l2, buffers)
+            for c, x, mine in zip(live, X, picks):
+                c.x = x
+                if t < T and c.config.distribution_mode != "sgd":
+                    c.iterates.append(x)
+                comm.server_gather(c.ledger, p, len(mine))  # payloads back
+            _observe(problem, k, t, live, X)
+            if dropped := any(c.outcome is not None for c in live):
+                X = X[[c.outcome is None for c in live]]
+                live = [c for c in live if c.outcome is None]
+                if not live:
+                    return [c.outcome for c in cells]
+                groups = [(step, kept) for step, mine in groups if (kept := [c for c in mine if c.outcome is None])]
         for c in live:
             if c.config.distribution_mode != "sgd":  # the next epoch starts at its anchor
                 c.x = c.anchor = c.iterates[int(sampling._stream(c.seed + (_CH_ANCHOR, k)).integers(len(c.iterates)))]

@@ -21,9 +21,10 @@ loss, the adaptive weight estimates) are one gather or one mat-vec over the
 stack.
 
 ``full_loss`` and ``test_metrics`` are the one-point cases of batched forms
-that evaluate C points in one call.  They, and the weight estimates'
-per-segment residuals and sums (``_residuals``, ``_segment_sums``), stack
-the products in one ``np.matmul`` (``np.matmul(A, X[:, :, None])``, A
+that evaluate C points in one call.  They, the weight estimates'
+per-segment residuals and sums (``_residuals``, ``_segment_sums``) and an
+optimizer step's shard gradients (``_shard_gradients``) stack the products
+in one ``np.matmul`` (``np.matmul(A, X[:, :, None])``, A
 shared or one per point or segment), which runs each item's mat-vec as the
 BLAS call it alone would make, so each value is bit-identical to its call alone.
 
@@ -361,6 +362,41 @@ def _gather_block(problem: ShardedProblem, rows, X_anchor, counts, steps: int, o
         A = np.take(problem.aug, rows, axis=0, out=_kept(out, "aug", (len(rows), p)), mode="clip").reshape(steps, -1, p)
         y = np.take(problem.y, rows, out=_kept(out, "y", (len(rows),)), mode="clip").reshape(steps, -1)
     return A, y, _residuals(problem, A, y, X_anchor, counts)
+
+
+# rows x params of the largest shard gathered for stacked gradients: stacked picks take 0.46 of the
+# per-pick time at 50 x 11, 0.62 at 30 x 101, 0.78 at 100 x 51, 1.09 at 160 x 51 and 1.6 at 250 x 51
+_STACKED_SHARD = 4096
+
+
+def _shard_gradients(problem: ShardedProblem, workers, X, out=None) -> np.ndarray:
+    """``shard_gradient(problem, workers[i], X[i])`` for each pick i, bit for
+    bit, as a (K, p) array; workers and points unchecked, repeats allowed.
+    The picks of one shard size n of at most ``_STACKED_SHARD`` rows x params
+    are gathered (from every worker's first n rows, gathered once) into
+    arrays kept in ``out`` (see :func:`_kept`) and run as two stacked
+    ``np.matmul``s, each item the BLAS call ``shard_gradient`` makes; a
+    larger shard keeps one product pair per pick."""
+    task, p, out = problem.task, problem.param_dim, {} if out is None else out
+    workers = np.asarray(workers)
+    G, sizes = np.empty_like(X), problem.sizes[workers]
+    for n in sorted(set(sizes.tolist())):
+        at = np.flatnonzero(sizes == n)
+        if n * p > _STACKED_SHARD:
+            for i in at.tolist():
+                A, y = problem.shards[workers[i]].aug, problem.shards[workers[i]].y
+                G[i] = (A.T @ _pointwise_residual(task, A @ X[i], y)) / n
+            continue
+        if n not in out:  # clipped: a smaller shard's block may run past the rows, and is never read
+            rows = problem.offsets[:-1, None] + np.arange(n)
+            out[n] = (np.take(problem.aug, rows, axis=0, out=np.empty(rows.shape + (p,)), mode="clip"),
+                      np.take(problem.y, rows, out=np.empty(rows.shape), mode="clip"))
+        picked = workers[at]
+        A = np.take(out[n][0], picked, axis=0, out=_kept(out, ("aug", n), (len(picked), n, p)), mode="clip")
+        y = np.take(out[n][1], picked, axis=0, out=_kept(out, ("y", n), (len(picked), n)), mode="clip")
+        r = _pointwise_residual(task, np.matmul(A, X[at, :, None])[..., 0], y)
+        G[at] = np.matmul(r[:, None, :], A)[:, 0] / n
+    return G
 
 
 def gradient_deltas(problem: ShardedProblem, rows, x, x_anchor, out=None) -> np.ndarray:

@@ -40,6 +40,11 @@ def shard_gradients(problem, x):
     return [prob.shard_gradient(problem, m, x) for m in range(problem.m_workers)]
 
 
+def direction(problem, x, anchor_grads, g_anchor, picks, probs, R):
+    """The loop's batched ``_direction`` for the one cell at ``x``."""
+    return optim._direction(problem, np.array([x]), [anchor_grads], [g_anchor], [picks], [probs], R)[0]
+
+
 def step_deltas(trace, prologue):
     """Per-step ledger increments (ww, ws, sw, rounds) of a one-epoch trace
     with a row per step; ``prologue`` is the ledger after the epoch prologue."""
@@ -53,14 +58,14 @@ class TestVrDirection:
         anchor = np.ones(p.param_dim)
         g = prob.full_gradient(p, anchor)
         probs = np.full(p.m_workers, 0.125)
-        v = optim._direction(p, anchor, shard_gradients(p, anchor), g, [(3, 1)], probs, 1)
+        v = direction(p, anchor, shard_gradients(p, anchor), g, [(3, 1)], probs, 1)
         np.testing.assert_array_equal(v, g)
 
     def test_single_worker_recovers_full_gradient(self):
         p = prob.generate_heterogeneous(prob.LINEAR, 1, 30, 3, 1.0, seed=0)
         rng = np.random.default_rng(1)
         x, anchor = rng.normal(size=(2, p.param_dim))
-        v = optim._direction(p, x, shard_gradients(p, anchor), prob.full_gradient(p, anchor), [(0, 1)], [1.0], 1)
+        v = direction(p, x, shard_gradients(p, anchor), prob.full_gradient(p, anchor), [(0, 1)], [1.0], 1)
         np.testing.assert_allclose(v, prob.full_gradient(p, x), rtol=1e-12, atol=1e-12)
 
     def test_unbiased_under_any_distribution(self):
@@ -72,7 +77,7 @@ class TestVrDirection:
             probs = weights / weights.sum()
             anchor_grads, g_anchor = shard_gradients(p, anchor), prob.full_gradient(p, anchor)
             mean = sum(
-                probs[m] * optim._direction(p, x, anchor_grads, g_anchor, [(m, 1)], probs, 1)
+                probs[m] * direction(p, x, anchor_grads, g_anchor, [(m, 1)], probs, 1)
                 for m in range(5)
             )
             np.testing.assert_allclose(mean, prob.full_gradient(p, x), rtol=1e-10, atol=1e-10)
@@ -93,7 +98,7 @@ class TestVrDirection:
             probs = weights / weights.sum()
             anchor_grads, g_anchor = shard_gradients(p, anchor), prob.full_gradient(p, anchor)
             mean = sum(
-                probs[m] * optim._direction(p, x, anchor_grads, g_anchor, [(m, 1)], probs, 1)
+                probs[m] * direction(p, x, anchor_grads, g_anchor, [(m, 1)], probs, 1)
                 for m in range(5)
             )
             np.testing.assert_allclose(mean, prob.full_gradient(p, x), rtol=1e-10, atol=1e-10)
@@ -106,8 +111,8 @@ class TestVrDirection:
         probs = rng.uniform(0.1, 2.0, size=5)
         probs /= probs.sum()
         args = (p, x, shard_gradients(p, anchor), prob.full_gradient(p, anchor))
-        single = [optim._direction(*args, [(m, 1)], probs, 1) for m in range(5)]
-        group = optim._direction(*args, [(0, 2), (3, 1)], probs, 3)
+        single = [direction(*args, [(m, 1)], probs, 1) for m in range(5)]
+        group = direction(*args, [(0, 2), (3, 1)], probs, 3)
         np.testing.assert_allclose(group, (2 * single[0] + single[3]) / 3, rtol=1e-12, atol=1e-12)
 
 
@@ -576,14 +581,42 @@ class TestRunGrid:
 
     def test_first_anchor_gradients_computed_once_per_grid(self, monkeypatch):
         # every cell starts at x0, so the first prologue's shard gradients
-        # serve all cells; after it, each cell's single draw costs one
+        # serve all cells; after it, each cell's single draw is one pick of
+        # the step's one stacked call
         p = prob.generate_heterogeneous(prob.LINEAR, 3, 60, 3, 2.0, seed=1)
-        calls = []
-        grad = prob.shard_gradient
+        calls, picks = [], []
+        grad, grads = prob.shard_gradient, prob._shard_gradients
         monkeypatch.setattr(prob, "shard_gradient", lambda *a, **kw: calls.append(1) or grad(*a, **kw))
+        monkeypatch.setattr(prob, "_shard_gradients", lambda *a, **kw: picks.append(len(a[1])) or grads(*a, **kw))
         base = optim.OptimizerConfig(eta=0.01, epochs=1, inner_iters=1)
         optim.run_grid(p, [replace(base, eta=eta, seed=i) for i, eta in enumerate((0.01, 0.02, 0.04))])
-        assert len(calls) == p.m_workers + 3
+        assert len(calls) == p.m_workers
+        assert picks == [3]
+
+    def test_direction_called_once_per_step_with_every_live_cell(self, monkeypatch):
+        # the step's one direction call takes every live cell, the
+        # variance-reduced ones (with their probabilities) before sgd's, and
+        # a cell drops out of it after the step its guard trips at
+        p = preset()
+        calls = []
+        direction = optim._direction
+
+        def spy(problem, X, anchor_grads, g_anchor, picks, probs, R, *rest):
+            calls.append([p_c is not None for p_c in probs])
+            assert len(X) == len(picks) == len(probs) == len(anchor_grads)
+            return direction(problem, X, anchor_grads, g_anchor, picks, probs, R, *rest)
+
+        monkeypatch.setattr(optim, "_direction", spy)
+        base = optim.OptimizerConfig(eta=0.01, epochs=2, inner_iters=6, group_size=2)
+        cells = [("sgd", 1e12), ("uniform", 0.01), ("sgd", 0.01), ("adaptive", 3.125), ("adaptive", 0.01),
+                 ("lipschitz_importance", 3.0)]
+        configs = [replace(base, distribution_mode=mode, eta=eta, seed=i) for i, (mode, eta) in enumerate(cells)]
+        runs = optim.run_grid(p, configs)
+        steps = [len(trace.rows) + 1 if diverged else 2 * 6 for trace, diverged in runs]  # steps each cell took
+        assert sum(diverged for _, diverged in runs) >= 2 and max(steps) == 2 * 6
+        expected = [sorted((mode != "sgd" for (mode, _), n in zip(cells, steps) if n >= s), reverse=True)
+                    for s in range(1, max(steps) + 1)]
+        assert calls == expected
 
     def test_initial_loss_computed_once_per_grid(self, monkeypatch):
         # every cell's divergence guard scales the same loss at x0; after

@@ -371,6 +371,36 @@ class TestEvaluation:
         assert np.isnan(loss) and np.isnan(acc)
 
 
+class TestStackedShardGradients:
+    """``_shard_gradients`` gives each pick ``shard_gradient``'s bits, for
+    shards on both sides of the stacking bound in one call."""
+
+    P = 41  # parameters; shards of at most _STACKED_SHARD // P rows are gathered and stacked
+
+    @settings(max_examples=80, deadline=None)
+    @given(task=st.sampled_from(prob.TASKS), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_shard_gradient_bit_for_bit(self, task, data, seed):
+        bound = prob._STACKED_SHARD // self.P
+        small = data.draw(st.lists(st.integers(1, bound), min_size=1, max_size=3))
+        large = data.draw(st.lists(st.integers(bound + 1, bound + 40), min_size=1, max_size=2))
+        sizes = data.draw(st.permutations(small + large))
+        M = len(sizes)
+        rng = np.random.default_rng(seed)
+        shards = []
+        for m, n in enumerate(sizes):
+            y = rng.integers(0, 2, size=n).astype(float) if task == prob.LOGISTIC else rng.normal(size=n)
+            shards.append(prob.Shard(m, rng.normal(size=(n, self.P - 1)) * rng.uniform(0.1, 3.0), y))
+        problem = prob.ShardedProblem(shards, task)
+        workers = data.draw(st.lists(st.integers(0, M - 1), min_size=1, max_size=3 * M))
+        out = {}
+        for _ in range(2):  # the second call reuses the kept buffers and shard blocks
+            X = rng.normal(size=(len(workers), self.P))
+            G = prob._shard_gradients(problem, workers, X, out)
+            assert G.shape == X.shape
+            for i, m in enumerate(workers):
+                np.testing.assert_array_equal(G[i], prob.shard_gradient(problem, m, X[i]))
+
+
 class TestStackedRows:
     def remainder_problem(self, task):
         # 3 workers over 40 training rows: the last shard holds the remainder
@@ -493,7 +523,7 @@ class TestQuadraticForm:
             direct = direct_loss(p, x)
             assume(not np.isfinite(direct) or abs(direct - recorder.limit) > 1e-6 * recorder.limit)
             recorder.x = x
-            optim._observe(p, 1, 1, [recorder])
+            optim._observe(p, 1, 1, [recorder], x[None])
             diverged = isinstance(recorder.outcome, optim.Diverged)
         assert diverged == (not np.isfinite(direct) or direct > recorder.limit)
 
@@ -598,7 +628,7 @@ class TestBatchedEvaluation:
         for c, x in zip(cells, X):
             c.x = x
         with np.errstate(all="ignore"):
-            optim._observe(p, 2, t, cells)
+            optim._observe(p, 2, t, cells, np.asarray(X, dtype=float))
             for c, x in zip(cells, X):
                 train = prob.full_loss(p, x)
                 if not np.isfinite(train) or train > c.limit:
