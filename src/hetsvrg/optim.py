@@ -21,13 +21,11 @@ subsample draws, row gathers and anchor residuals are made once per block of
 steps (one step under ``lemma1``), each segment's sum one stacked product,
 ASD's tree protocol, one ``comm.pc_sample_cells`` call a step, the
 fixed-draw and SGD picks, drawn for every cell and step of an epoch at once,
-each step's shard gradients at the drawn workers (one
-``problem._shard_gradients`` call, which stacks shards of at most
-``_STACKED_SHARD`` rows x params, the measured crossover), its directions
-and updates (``_direction``, array expressions over the live cells), and
-its guard and evaluation (``_observe``, on the stacked iterates).  ASD's
-first step of an epoch starts at the anchor, where every estimate is 0, so
-it samples uniformly.
+and each step's gradients (one ``problem._shard_gradients`` call, stacked
+up to ``_STACKED_SHARD`` rows x params), directions and updates
+(``_direction``) and guard and evaluation (``_observe``).  ASD's first step
+of an epoch starts at the anchor, where every estimate is 0, so it samples
+uniformly.
 
 Every random decision is keyed by (seed, channel, epoch), and the weights
 channel's also by step and worker, so runs are bit-reproducible and neither
@@ -49,7 +47,6 @@ presets) and are only recorded, never fed back into a step.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -181,7 +178,7 @@ class _Cell:
         self.rows: list[TraceRow] = []
         self.limit = _DIVERGENCE_FACTOR * max(initial, np.finfo(float).tiny)
         self.anchor = self.x = x0
-        self.anchor_grads = self.g_anchor = None  # the anchor's shard and full gradients, unless sgd
+        self.anchor_at = None  # its anchor's row of the epoch's anchor gradients, unless sgd
         self.outcome: RunTrace | Diverged | None = None
 
 
@@ -203,35 +200,30 @@ def _observe(problem, k: int, t: int, cells, X) -> None:
             c.rows.append(TraceRow(k, t, train, test_loss, test_acc, *c.ledger.snapshot()))
 
 
-def _direction(problem, X, anchor_grads, g_anchor, picks, probs, R: int, l2=0.0, out=None) -> np.ndarray:
-    """One inner step's direction for each cell at its iterate ``X[c]``;
-    ``picks[c]`` holds its drawn workers m, ascending, with multiplicities.
-    A variance-reduced cell's is ``g_anchor[c]`` plus the mean over its R
-    draws of (grad F_m(X[c]) - anchor_grads[c][m]) / (M p_m), p_m =
-    ``probs[c][m]``; the ``sgd`` cells (``probs[c]`` None) come last, and
-    theirs is the drawn worker's gradient plus ``l2 X[c]``.  The gradients
-    are one ``problem._shard_gradients`` call (``out`` keeps its buffers);
-    a cell's sum starts at 0 and adds its picks in order, a multiplicity one
-    factor, so each row has the bits of its cell alone."""
-    C = len(X)
-    V = C - sum(p_c is None for p_c in probs)
-    # every variance-reduced cell's first pick, then its later picks by rank, then the sgd cells' picks
-    later = [(c, j) for j in range(1, R) for c in range(V) if j < len(picks[c])]
-    at = [(c, 0) for c in range(V)] + later + [(c, 0) for c in range(V, C)]
-    K, chosen = len(at) - (C - V), [picks[c][j] for c, j in at]
-    grads = prob._shard_gradients(problem, [m for m, _ in chosen], X[np.array([c for c, _ in at])], out)
-    step_dir = grads[K:] + l2 * X[V:]  # the sgd cells'
-    if V:
-        diffs = grads[:K] - np.array([anchor_grads[c][m] for (c, _), (m, _) in zip(at, chosen[:K])])
-        p_m = np.array([probs[c][m] for (c, _), (m, _) in zip(at, chosen[:K])])
-        terms = np.array([mult for _, mult in chosen[:K]])[:, None] * diffs / (problem.m_workers * p_m)[:, None]
-        total, lo = 0.0 + terms[:V], V  # every cell's first pick
-        for j in range(1, R):  # then every cell's j-th pick at once, if it has one
-            rows = [c for c, r in later if r == j]
-            total[rows] += terms[lo : lo + len(rows)]
-            lo += len(rows)
-        step_dir = np.concatenate([total / R + g_anchor, step_dir])
-    return step_dir
+def _direction(problem, X, draws, probs, anchors, anchor_grads, g_anchor, sgd=np.empty(0, int), l2=0.0, out=None):
+    """One inner step's directions at the iterates ``X``: first the V
+    variance-reduced cells', cell c's ``g_anchor[c]`` plus the mean over its
+    R draws ``draws[c]`` (ascending) of (grad F_m(X[c]) -
+    ``anchor_grads[anchors[c], m]``) / (M ``probs[c, m]``), then the ``sgd``
+    cells', worker ``sgd[i]``'s gradient plus ``l2[i] X[V + i]``, all
+    gradients from one ``problem._shard_gradients`` call (``out`` keeps its
+    buffers).  A sum starts at 0 and adds a term per distinct worker in
+    order, its multiplicity one factor (a repeat's slot adds 0, which moves
+    no bit), so each row has the bits of its cell alone."""
+    (V, R), M = draws.shape, problem.m_workers
+    first = np.ones((V, R), bool)
+    first[:, 1:] = draws[:, 1:] != draws[:, :-1]  # each distinct worker's first slot
+    cells, ranks = np.nonzero(first)
+    workers, K = draws[cells, ranks], len(cells)
+    rows = np.concatenate([cells, np.arange(V, len(X))])  # each pick's cell
+    G = prob._shard_gradients(problem, np.concatenate([workers, sgd]), X[rows], out)
+    mult = (draws[cells] == workers[:, None]).sum(1, keepdims=True)
+    terms = np.zeros((V, R, problem.param_dim))
+    terms[cells, ranks] = mult * (G[:K] - anchor_grads[anchors[cells], workers]) / (M * probs[cells, workers])[:, None]
+    total = 0.0 + terms[:, 0]
+    for j in range(1, R):
+        total += terms[:, j]
+    return np.concatenate([total / R + g_anchor, G[K:] + l2 * X[V:]])
 
 
 def _vr_loop(problem, configs, x0) -> list:
@@ -242,12 +234,12 @@ def _vr_loop(problem, configs, x0) -> list:
     iterates is its own, so each cell's run is bit-identical to its run
     alone.  Each distribution mode has one draw: ``draw(k, cells)`` returns
     the epoch's ``step(t, live)`` for that mode's live cells, which samples
-    each cell's workers, charges the messages that takes and returns per
-    cell the sorted (worker, multiplicity) pairs and every worker's sampling
-    probability (None for ``sgd``); the modes' picks are merged in cell
-    order.  The guard and evaluation serve every cell, the prologue and
-    anchors the variance-reduced ones: an ``sgd`` cell steps along its drawn
-    worker's gradient."""
+    each cell's workers, charges the messages that takes (payloads back
+    too) and returns them, a (C, R) array ascending along each row, and
+    every worker's sampling probability, (C, M); ``sgd``'s returns a worker
+    per cell and None.  The guard and evaluation serve every cell, the
+    prologue and anchors the variance-reduced ones: an ``sgd`` cell steps
+    along its drawn worker's gradient."""
     M, p, first = problem.m_workers, problem.param_dim, configs[0]
     R, T = first.group_size, first.inner_iters
     x0 = np.zeros(p) if x0 is None else prob._check_x(problem, x0).copy()
@@ -256,13 +248,12 @@ def _vr_loop(problem, configs, x0) -> list:
     initial = prob.full_loss(problem, x0)  # every cell starts at x0
     modes = [c.distribution_mode for c in configs]
     cells = live = [_Cell(config, x0, initial) for config in configs]
-    # the variance-reduced modes' draws first: _direction takes the sgd cells last
-    draws = {mode: _DRAWS[mode](problem, configs[modes.index(mode)])
-             for mode in sorted(dict.fromkeys(modes), key=lambda mode: mode == "sgd")}
+    # one draw per mode, in DISTRIBUTION_MODES' order: sgd's last, as _direction takes its cells
+    draws = {mode: _DRAWS[mode](problem, configs[modes.index(mode)]) for mode in DISTRIBUTION_MODES if mode in modes}
 
     buffers = {}  # the steps' gathered shards (problem._shard_gradients)
     for k in range(1, first.epochs + 1):
-        at_anchor = {}  # cells whose anchor is one array (every cell's x0 at first) share its gradients
+        anchors = {}  # the cells' distinct anchor arrays (every cell's x0 at first), whose gradients they share
         for c in live:
             if c.config.distribution_mode == "sgd":
                 continue
@@ -270,28 +261,29 @@ def _vr_loop(problem, configs, x0) -> list:
             comm.server_broadcast(c.ledger, p, M)
             comm.server_gather(c.ledger, p, M)
             comm.server_broadcast(c.ledger, p, M)
-            if id(c.anchor) not in at_anchor:
-                grads = np.array([prob.shard_gradient(problem, m, c.anchor) for m in range(M)])
-                at_anchor[id(c.anchor)] = grads, np.mean(grads, axis=0)
-            c.anchor_grads, c.g_anchor = at_anchor[id(c.anchor)]
+            c.anchor_at = anchors.setdefault(id(c.anchor), (len(anchors), c.anchor))[0]
             c.iterates = [c.x]  # x is rebound every step, never written in place
+        anchor_grads = np.array([[prob.shard_gradient(problem, m, a) for m in range(M)]
+                                 for _, a in anchors.values()]).reshape(-1, M, p)  # (anchors, M, p), even 0
+        g_anchors = np.array([np.mean(g, axis=0) for g in anchor_grads]).reshape(-1, p)
         groups = [(mode, [c for c in live if c.config.distribution_mode == mode]) for mode in draws]
         groups = [(draws[mode](k, mine), mine) for mode, mine in groups if mine]  # (step, its live cells)
-        live = [c for _, mine in groups for c in mine]  # in the groups' order, so the steps' picks are in cell order
+        live = [c for _, mine in groups for c in mine]  # in the groups' order, so the steps' draws are in cell order
         X, dropped = np.array([c.x for c in live]), True  # the live cells' iterates, one row each
         for t in range(1, T + 1):
-            if dropped:  # the live cells' step sizes and anchor gradients, one entry each
-                eta = np.array([c.config.eta for c in live])[:, None]
-                anchor_grads = [c.anchor_grads for c in live]
-                g_anchor = np.array([c.g_anchor for c in live if c.g_anchor is not None])
-                l2 = np.array([c.config.l2_for_sgd for c in live if c.g_anchor is None])[:, None]
-            picks, probs = zip(*(drawn for step, mine in groups for drawn in step(t, mine)))
-            X = X - eta * _direction(problem, X, anchor_grads, g_anchor, picks, probs, R, l2, buffers)
-            for c, x, mine in zip(live, X, picks):
+            if dropped:  # the live cells' step sizes, anchors and L2s, the variance-reduced cells first
+                V = sum(c.anchor_at is not None for c in live)
+                at = np.array([c.anchor_at for c in live[:V]], int)
+                eta, g_anchor = np.array([c.config.eta for c in live])[:, None], g_anchors[at]
+                l2 = np.array([c.config.l2_for_sgd for c in live[V:]])[:, None]
+            drawn = [step(t, mine) for step, mine in groups]
+            sgd = drawn.pop()[0] if V < len(live) else np.empty(0, int)
+            picks, probs = map(np.concatenate, zip(*drawn)) if V else (np.empty((0, R), int), np.empty((0, M)))
+            X = X - eta * _direction(problem, X, picks, probs, at, anchor_grads, g_anchor, sgd, l2, buffers)
+            for c, x in zip(live, X):
                 c.x = x
-                if t < T and c.config.distribution_mode != "sgd":
+                if t < T and c.anchor_at is not None:
                     c.iterates.append(x)
-                comm.server_gather(c.ledger, p, len(mine))  # payloads back
             _observe(problem, k, t, live, X)
             if dropped := any(c.outcome is not None for c in live):
                 X = X[[c.outcome is None for c in live]]
@@ -315,10 +307,11 @@ def _solo(problem, config, x0) -> RunTrace:
     return outcome
 
 
-def _picks(draws) -> list:
-    """Each row of a (C, R) array of drawn workers as its sorted (worker,
-    multiplicity) pairs."""
-    return [[(m, len(list(g))) for m, g in itertools.groupby(row)] for row in np.sort(draws, axis=1).tolist()]
+def _sorted(draws):
+    """The drawn workers sorted along the last axis, and the number of
+    distinct workers in each row."""
+    draws = np.sort(draws, axis=-1)
+    return draws, 1 + (draws[..., 1:] != draws[..., :-1]).sum(-1)
 
 
 def _svrg_draw(problem, config: OptimizerConfig):
@@ -332,13 +325,16 @@ def _svrg_draw(problem, config: OptimizerConfig):
         # every cell's picks of the epoch at once, (cell, step, slot): each
         # cell's stream gives its steps' uniforms in order, as one call a step would
         u = np.array([sampling._stream(c.seed + (_CH_FIXED_DRAW, k)).random(shape) for c in cells])
-        draws, row = sampling._inverse_cdf(dist.probabilities, u), {c: i for i, c in enumerate(cells)}
+        draws, counts = _sorted(sampling._inverse_cdf(dist.probabilities, u))
+        row = {c: i for i, c in enumerate(cells)}
+        probs = np.broadcast_to(dist.probabilities, (len(cells), problem.m_workers))  # one row per cell
 
         def step(t, live):
-            picks = _picks(draws[[row[c] for c in live], t - 1])
-            for c, mine in zip(live, picks):
-                comm.server_broadcast(c.ledger, problem.param_dim, len(mine))  # x_{t-1} to sampled workers
-            return [(mine, dist.probabilities) for mine in picks]
+            rows = [row[c] for c in live]
+            for c, n in zip(live, counts[rows, t - 1].tolist()):
+                comm.server_broadcast(c.ledger, problem.param_dim, n)  # x_{t-1} to the sampled workers
+                comm.server_gather(c.ledger, problem.param_dim, n)  # their payloads back
+            return draws[rows, t - 1], probs[: len(live)]
 
         return step
 
@@ -435,11 +431,12 @@ def _asd_draw(problem, config: OptimizerConfig):
             flat = totals <= 0.0
             weights[flat], totals[flat] = 1.0, M  # degenerate estimates: uniform fallback
             draws = comm.pc_sample_cells(weights, R, [c.ledger for c in live], [streams[c] for c in live])
-            picks = _picks(draws)
-            for c, mine in zip(live, picks):
+            draws, counts = _sorted(draws)
+            for c, n in zip(live, counts.tolist()):
                 comm.server_gather(c.ledger, R, 1)  # histogram to the server
-                comm.server_broadcast(c.ledger, 1, len(mine))  # weight normaliser out
-            return list(zip(picks, weights / totals[:, None]))
+                comm.server_broadcast(c.ledger, 1, n)  # weight normaliser out
+                comm.server_gather(c.ledger, problem.param_dim, n)  # the sampled workers' payloads back
+            return draws, weights / totals[:, None]
 
         return step
 
@@ -484,12 +481,14 @@ def _sgd_draw(problem, config: OptimizerConfig):
 
     def draw(k, cells):
         # each cell's workers of the epoch at once: the same draws as one call a step
-        workers = {c: sampling._stream(c.seed + (_CH_SGD, k)).integers(M, size=T).tolist() for c in cells}
+        workers = np.array([sampling._stream(c.seed + (_CH_SGD, k)).integers(M, size=T) for c in cells])
+        row = {c: i for i, c in enumerate(cells)}
 
         def step(t, live):
             for c in live:
                 comm.server_broadcast(c.ledger, p, 1)  # x_{t-1} to the drawn worker
-            return [([(workers[c][t - 1], 1)], None) for c in live]
+                comm.server_gather(c.ledger, p, 1)  # its payload back
+            return workers[[row[c] for c in live], t - 1], None
 
         return step
 

@@ -288,11 +288,13 @@ def atomic_gradient(problem: ShardedProblem, shard_id: int, sample_index: int, x
 
 def shard_gradient(problem: ShardedProblem, shard_id: int, x) -> np.ndarray:
     """Mean per-sample gradient over one shard."""
-    x = _check_x(problem, x)
-    shard = problem.shard(shard_id)
-    A, y = shard.aug, shard.y
-    r = _pointwise_residual(problem.task, A @ x, y)
-    return (A.T @ r) / A.shape[0]
+    x, shard = _check_x(problem, x), problem.shard(shard_id)
+    return _gradient(problem.task, shard.aug, shard.y, x)
+
+
+def _gradient(task: str, A, y, x) -> np.ndarray:
+    """The mean of r(a'x) a over the rows of ``A``: two BLAS products."""
+    return (A.T @ _pointwise_residual(task, A @ x, y)) / A.shape[0]
 
 
 def full_gradient(problem: ShardedProblem, x) -> np.ndarray:
@@ -364,36 +366,29 @@ def _gather_block(problem: ShardedProblem, rows, X_anchor, counts, steps: int, o
     return A, y, _residuals(problem, A, y, X_anchor, counts)
 
 
-# rows x params of the largest shard gathered for stacked gradients: stacked picks take 0.46 of the
-# per-pick time at 50 x 11, 0.62 at 30 x 101, 0.78 at 100 x 51, 1.09 at 160 x 51 and 1.6 at 250 x 51
-_STACKED_SHARD = 4096
+_STACKED_SHARD = 4096  # rows x params of the largest stacked shard: the measured crossover (see README)
 
 
 def _shard_gradients(problem: ShardedProblem, workers, X, out=None) -> np.ndarray:
-    """``shard_gradient(problem, workers[i], X[i])`` for each pick i, bit for
-    bit, as a (K, p) array; workers and points unchecked, repeats allowed.
-    The picks of one shard size n of at most ``_STACKED_SHARD`` rows x params
-    are gathered (from every worker's first n rows, gathered once) into
-    arrays kept in ``out`` (see :func:`_kept`) and run as two stacked
-    ``np.matmul``s, each item the BLAS call ``shard_gradient`` makes; a
-    larger shard keeps one product pair per pick."""
+    """``shard_gradient(problem, workers[i], X[i])`` for each pick i of the
+    (K,) ``workers``, bit for bit, as a (K, p) array; unchecked, repeats
+    allowed.  The picks of one shard size n of at most ``_STACKED_SHARD``
+    rows x params are gathered straight into a flat buffer kept in ``out``
+    (:func:`_kept`; one for every size, so it holds picks x n x p floats)
+    and run as two stacked ``np.matmul``s, each item ``shard_gradient``'s
+    BLAS call; a larger shard's picks run one by one."""
     task, p, out = problem.task, problem.param_dim, {} if out is None else out
-    workers = np.asarray(workers)
     G, sizes = np.empty_like(X), problem.sizes[workers]
-    for n in sorted(set(sizes.tolist())):
-        at = np.flatnonzero(sizes == n)
+    ns = sorted(set(sizes.tolist()))
+    for n in ns:
         if n * p > _STACKED_SHARD:
-            for i in at.tolist():
-                A, y = problem.shards[workers[i]].aug, problem.shards[workers[i]].y
-                G[i] = (A.T @ _pointwise_residual(task, A @ X[i], y)) / n
+            for i in np.flatnonzero(sizes == n).tolist():
+                G[i] = _gradient(task, problem.shards[workers[i]].aug, problem.shards[workers[i]].y, X[i])
             continue
-        if n not in out:  # clipped: a smaller shard's block may run past the rows, and is never read
-            rows = problem.offsets[:-1, None] + np.arange(n)
-            out[n] = (np.take(problem.aug, rows, axis=0, out=np.empty(rows.shape + (p,)), mode="clip"),
-                      np.take(problem.y, rows, out=np.empty(rows.shape), mode="clip"))
-        picked = workers[at]
-        A = np.take(out[n][0], picked, axis=0, out=_kept(out, ("aug", n), (len(picked), n, p)), mode="clip")
-        y = np.take(out[n][1], picked, axis=0, out=_kept(out, ("y", n), (len(picked), n)), mode="clip")
+        at = np.flatnonzero(sizes == n) if len(ns) > 1 else slice(None)  # one size: a slice, no copies
+        rows = problem.offsets[workers[at], None] + np.arange(n)  # 'clip': see _gather_block
+        A = np.take(problem.aug, rows, axis=0, out=_kept(out, "aug", (rows.size * p,)).reshape(-1, n, p), mode="clip")
+        y = np.take(problem.y, rows, out=_kept(out, "y", (rows.size,)).reshape(-1, n), mode="clip")
         r = _pointwise_residual(task, np.matmul(A, X[at, :, None])[..., 0], y)
         G[at] = np.matmul(r[:, None, :], A)[:, 0] / n
     return G

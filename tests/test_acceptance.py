@@ -201,7 +201,8 @@ def test_06_direction_unbiasedness():
         anchor_grads = [prob.shard_gradient(p, m, anchor) for m in range(5)]
         g_anchor = prob.full_gradient(p, anchor)
         mean = sum(
-            probs[m] * optim._direction(p, x[None], [anchor_grads], [g_anchor], [[(m, 1)]], [probs], 1)[0]
+            probs[m] * optim._direction(p, x[None], np.array([[m]]), probs[None], np.array([0]),
+                                        np.array([anchor_grads]), g_anchor[None])[0]
             for m in range(5)
         )
         worst = max(worst, float(np.abs(mean - prob.full_gradient(p, x)).max()))

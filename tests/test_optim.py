@@ -41,8 +41,12 @@ def shard_gradients(problem, x):
 
 
 def direction(problem, x, anchor_grads, g_anchor, picks, probs, R):
-    """The loop's batched ``_direction`` for the one cell at ``x``."""
-    return optim._direction(problem, np.array([x]), [anchor_grads], [g_anchor], [picks], [probs], R)[0]
+    """The loop's batched ``_direction`` for the one cell at ``x`` whose R
+    draws are the (worker, multiplicity) ``picks``."""
+    draws = [m for m, mult in picks for _ in range(mult)]
+    assert len(draws) == R
+    return optim._direction(problem, np.array([x]), np.array([draws]), np.array([probs], dtype=float), np.array([0]),
+                            np.array([anchor_grads]), np.array([g_anchor]))[0]
 
 
 def step_deltas(trace, prologue):
@@ -601,10 +605,10 @@ class TestRunGrid:
         calls = []
         direction = optim._direction
 
-        def spy(problem, X, anchor_grads, g_anchor, picks, probs, R, *rest):
-            calls.append([p_c is not None for p_c in probs])
-            assert len(X) == len(picks) == len(probs) == len(anchor_grads)
-            return direction(problem, X, anchor_grads, g_anchor, picks, probs, R, *rest)
+        def spy(problem, X, draws, probs, anchors, anchor_grads, g_anchor, sgd, *rest):
+            calls.append([True] * len(draws) + [False] * len(sgd))
+            assert len(X) == len(draws) + len(sgd) and len(draws) == len(probs) == len(anchors) == len(g_anchor)
+            return direction(problem, X, draws, probs, anchors, anchor_grads, g_anchor, sgd, *rest)
 
         monkeypatch.setattr(optim, "_direction", spy)
         base = optim.OptimizerConfig(eta=0.01, epochs=2, inner_iters=6, group_size=2)

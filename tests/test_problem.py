@@ -395,10 +395,24 @@ class TestStackedShardGradients:
         out = {}
         for _ in range(2):  # the second call reuses the kept buffers and shard blocks
             X = rng.normal(size=(len(workers), self.P))
-            G = prob._shard_gradients(problem, workers, X, out)
+            G = prob._shard_gradients(problem, np.array(workers), X, out)
             assert G.shape == X.shape
             for i, m in enumerate(workers):
                 np.testing.assert_array_equal(G[i], prob.shard_gradient(problem, m, X[i]))
+
+    def test_buffers_hold_only_the_picks_of_one_size(self):
+        # 64 workers of 64 distinct shard sizes, all stacked: the kept
+        # buffers are one pick of the largest size, not a block per size
+        rng, p = np.random.default_rng(3), 5
+        shards = [prob.Shard(m, rng.normal(size=(m + 1, p - 1)), rng.normal(size=m + 1)) for m in range(64)]
+        problem = prob.ShardedProblem(shards, prob.LINEAR)
+        workers, X, out = np.arange(64), rng.normal(size=(64, p)), {}
+        assert 64 * p <= prob._STACKED_SHARD
+        G = prob._shard_gradients(problem, workers, X, out)
+        for i, m in enumerate(workers):
+            np.testing.assert_array_equal(G[i], prob.shard_gradient(problem, m, X[i]))
+        assert sorted(out) == ["aug", "y"]
+        assert out["aug"].size == 64 * p and out["y"].size == 64
 
 
 class TestStackedRows:
