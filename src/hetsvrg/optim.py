@@ -22,8 +22,9 @@ steps (one step under ``lemma1``), each segment's sum one stacked product,
 ASD's tree protocol, one ``comm.pc_sample_cells`` call a step, the
 fixed-draw and SGD picks, drawn for every cell and step of an epoch at once,
 and each step's gradients (one ``problem._shard_gradients`` call, stacked
-up to ``_STACKED_SHARD`` rows x params), directions and updates
-(``_direction``) and guard and evaluation (``_observe``).  ASD's first step
+up to ``_STACKED_SHARD`` rows x params, where stacking stops paying in
+measured calls), directions and updates (``_direction``) and guard and
+evaluation (``_observe``).  ASD's first step
 of an epoch starts at the anchor, where every estimate is 0, so it samples
 uniformly.
 
