@@ -17,8 +17,10 @@ own cells, and the loop merges their picks.  The loop is the same, with one
 cell for a solo run, and only the per-call glue is batched over cells: the
 divergence guard's initial loss and the first epoch's anchor gradients
 (every cell starts at x0), the weight estimates of each step, whose
-subsample draws, row gathers and anchor residuals are made once per block of
-steps (one step under ``lemma1``), each segment's sum one stacked product,
+``fixed`` subsamples are drawn once per draw block of up to ``_DRAW_SLOTS``
+slots (their sizes hold for the epoch; one step under ``lemma1``), whose row
+gathers and anchor residuals are made once per gather block of up to
+``_BLOCK_SLOTS`` slots inside it, each segment's sum one stacked product,
 ASD's tree protocol, one ``comm.pc_sample_cells`` call a step, the
 fixed-draw and SGD picks, drawn for every cell and step of an epoch at once,
 and each step's gradients (one ``problem._shard_gradients`` call, stacked
@@ -356,7 +358,8 @@ def run_svrg(problem, config: OptimizerConfig, x0=None) -> RunTrace:
     return _solo(problem, config, x0)
 
 
-_BLOCK_SLOTS = 4096  # subsample slots drawn per call, over a block of steps and the live cells
+_BLOCK_SLOTS = 4096  # subsample slots gathered per block of steps, over the live cells
+_DRAW_SLOTS = 16384  # ``fixed`` subsample slots drawn per call, over the blocks of the steps ahead
 
 
 def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
@@ -365,40 +368,54 @@ def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
     are keyed by (c.seed, weights channel, k, t), so none depends on another
     worker's or cell's, and sized by ``sampling.subsample_sizes`` (``full``
     reads every row of each shard in place and draws nothing); it answers
-    any t, though the loop asks from t = 2 on.  The subsamples of the steps
-    ahead come from one draw of at most ``_BLOCK_SLOTS`` slots (or of one
-    step, if a step needs more), for the cells live when it is drawn, and
-    are drawn again once a cell drops out; ``lemma1`` sizes depend on the
-    cells' points, so its blocks are one step long.  A block's key hashes,
-    segment layout, rows and their residuals at the anchors are made once,
-    when it is drawn (``problem._gather_block``); a step forms r(a'x) on its
-    rows and the norm of each (cell, worker) segment's mean difference, its
-    sum one product (``problem._segment_sums``; under ``full`` the segments
-    are the shards, read in place by every cell): bit for bit the value of
+    any t, though the loop asks from t = 2 on.  Two blocks run over the
+    steps ahead, for the cells live when they open, and open again once a
+    cell drops out.  A draw block holds the ``fixed`` subsamples of at most
+    ``_DRAW_SLOTS`` slots (or of one step, if a step needs more), all from
+    one ``sampling._draw_subsamples`` call on keys hashed in one array op,
+    since their sizes do not change within an epoch; ``lemma1`` sizes depend on the cells' points, so its
+    draws are one step long.  A gather block, of at most ``_BLOCK_SLOTS``
+    slots and never past its draw block, takes its steps' rows from that
+    draw: their segment layout, rows and residuals at the anchors are
+    made once, when it opens (``problem._gather_block``).  A
+    step forms r(a'x) on its rows and the norm of each (cell, worker)
+    segment's mean difference, its sum one product
+    (``problem._segment_sums``; under ``full`` the segments are the shards,
+    read in place by every cell): bit for bit the value of
     ``sampling.estimate_shard_weight`` on the same rows.  The rows (and
     ``lemma1``'s full passes) use arrays kept for the epoch."""
     est, T, full = config.estimation, config.inner_iters, config.estimation.subsample_policy == "full"
     prefix = {c: np.uint64(sampling._key_hash(c.seed + (_CH_WEIGHTS, k))) for c in cells}
     buffers = {}
-    # the open block: first and end step, cells, (cell, worker) pairs and counts, segment row counts, its rows
+    # the open gather block: first and end step, cells, (cell, worker) pairs and counts, segment row counts, its rows
     block = (0, 0, 0) + (None,) * 5
+    drawn = (0, 0, 0, None)  # the open draw block: first and end step, cells, its steps' rows in (step, cell) order
+
+    def draw(t, steps, live, sizes):
+        at = np.arange(t, t + steps, dtype=np.uint64).repeat(len(live))  # in (step, cell) order
+        return sampling._draw_subsamples(sampling._key_hashes(np.tile([prefix[c] for c in live], steps), at),
+                                         problem.sizes, np.tile(sizes, (steps, 1)))
 
     def estimate(t, live):
-        nonlocal block
+        nonlocal block, drawn
         x, anchor = np.array([c.x for c in live]), np.array([c.anchor for c in live])
         points = (len(live), -1, problem.param_dim) if full else (-1, problem.param_dim)  # (C, M, p) or (S, p)
         if t >= block[1] or len(live) != block[2]:
             sizes = np.array([sampling.subsample_sizes(problem, xc, ac, est, buffers) for xc, ac in zip(x, anchor)])
             cells, workers = np.nonzero(sizes)
             counts = sizes[cells, workers]
+            slots = int(sizes.sum())
             if full:  # every cell takes every row: read them in place, one segment per shard
                 steps, rows, segments = T + 1 - t, slice(None), problem.sizes
             else:  # one segment per (cell, worker)
-                steps = 1 if est.subsample_policy == "lemma1" else min(
-                    T + 1 - t, max(1, _BLOCK_SLOTS // max(1, int(sizes.sum()))))
-                at = np.arange(t, t + steps, dtype=np.uint64).repeat(len(live))  # in (step, cell) order
-                local = sampling._draw_subsamples(sampling._key_hashes(np.tile([prefix[c] for c in live], steps), at),
-                                                  problem.sizes, np.tile(sizes, (steps, 1)))
+                if est.subsample_policy == "lemma1":
+                    steps, local = 1, draw(t, 1, live, sizes)
+                else:
+                    if t >= drawn[1] or len(live) != drawn[2]:
+                        ahead = min(T + 1 - t, max(1, _DRAW_SLOTS // max(1, slots)))
+                        drawn = (t, t + ahead, len(live), draw(t, ahead, live, sizes))
+                    steps = min(drawn[1] - t, max(1, _BLOCK_SLOTS // max(1, slots)))
+                    local = drawn[3][(t - drawn[0]) * slots : (t + steps - drawn[0]) * slots]
                 rows, segments = local + np.tile(np.repeat(problem.offsets[workers], counts), steps), counts
             block = (t, t + steps, len(live), cells, workers, counts, segments,
                      prob._gather_block(problem, rows, anchor[cells].reshape(points), segments, steps, buffers))

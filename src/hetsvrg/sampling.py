@@ -309,6 +309,9 @@ def _key_hashes(h, v):
     return np.where(v >> np.uint64(32) > 0, _mix64((h + np.uint64(_GOLDEN)) ^ (v >> np.uint64(32))), h)
 
 
+_TABLE_ROWS_PER_SLOT = 8  # stacked rows a slot up to which a table beats the sort: the measured crossover (see README)
+
+
 def _draw_subsamples(hashes, shard_sizes, sizes) -> np.ndarray:
     """C draws of every worker's subsample (for cells, steps or both), in
     one array pass: draw c is keyed by ``hashes[c]``, the ``_key_hash`` of
@@ -327,12 +330,23 @@ def _draw_subsamples(hashes, shard_sizes, sizes) -> np.ndarray:
     u * n_m (shards below 2**53 rows, sizes below 2**32).  A worker with
     2 k_m > n_m draws the n_m - k_m rows it leaves out instead.
 
-    Each redraw round hashes only the slots it redraws and finds the
-    repeats with one ``np.sort`` of packed keys (row << b) | slot, where
-    rows are numbered across the stacked shards of the draw's segments and
-    b bits hold a slot number.  The keys are distinct, so their order is
-    the stable order of the rows.  A key must fit in 63 bits: with S the
-    sum of those shard sizes and D the slots drawn, (S - 1).bit_length() +
+    Rows are numbered across the stacked shards of the draw's segments, so
+    one array finds the repeats of every segment, and each redraw round
+    hashes only the slots it redraws.  With S those stacked rows and D the
+    slots drawn, a draw with S <= ``_TABLE_ROWS_PER_SLOT`` * D keeps an
+    owner table of S entries, each row's lowest slot: round 0 scatters
+    every slot into it with ``np.minimum.at``, and each later round looks
+    up only the slots that lost (the redrawn ones, and the holders a lower
+    redrawn slot took a row from).  The drawn rows are then the table's
+    filled entries, and a flipped segment's the empty ones, in ascending
+    order with no sort.  The bound is the measured crossover: at 4096 and
+    16384 slots the table took 0.4-0.9 of the sort's time at 2-6 stacked
+    rows a slot, about as long at 10 and 1.2-2.7 times as long at 16-62.
+    A larger S (huge shards, tiny subsamples) would not fit a table, and
+    no draw's table holds more than ``_TABLE_ROWS_PER_SLOT`` entries a
+    slot: each round then sorts packed keys (row << b) | slot,
+    b bits holding a slot number, whose order is the stable order of the
+    rows.  Such a key must fit in 63 bits: (S - 1).bit_length() +
     (D - 1).bit_length() <= 63, else ``ValueError``, raised before any
     array of slots is made.
     """
@@ -342,11 +356,11 @@ def _draw_subsamples(hashes, shard_sizes, sizes) -> np.ndarray:
         return _segment_ranks(k)
     flip = 2 * k > n
     d = np.where(flip, n - k, k)  # slots each (key, worker) segment draws
-    bits = (int(d.sum()) - 1).bit_length()
-    if (int(n.sum()) - 1).bit_length() + bits > 63:
-        raise ValueError(f"{int(d.sum())} slots over {int(n.sum())} stacked rows do not pack into 63-bit keys")
-    # rows are numbered across the segments' stacked shards, so one sort
-    # finds the repeats of every segment
+    slots, total = int(d.sum()), int(n.sum())
+    table = total <= _TABLE_ROWS_PER_SLOT * slots
+    bits = (slots - 1).bit_length()
+    if not table and (total - 1).bit_length() + bits > 63:
+        raise ValueError(f"{slots} slots over {total} stacked rows do not pack into 63-bit keys")
     stacked = _segment_starts(n)
     first, scale = np.repeat(stacked, d), np.repeat(n * 2.0**-53, d)
     seeds = _mix64(np.array(hashes, dtype=np.uint64)[cells] + (workers.astype(np.uint64) + 1) * np.uint64(_GOLDEN))
@@ -356,8 +370,30 @@ def _draw_subsamples(hashes, shard_sizes, sizes) -> np.ndarray:
         z = _mix64(counters[slots] + np.uint64(((r << 32) * _GOLDEN) & _MASK64))
         return first[slots] + ((z >> 11) * scale[slots]).astype(np.intp)
 
-    slot, mask = np.arange(d.sum()), (1 << bits) - 1
+    slot = np.arange(slots)
     rows = draw_rows(0, slice(None))
+    if table:
+        owner = np.full(total, slots)  # each row's lowest slot, or ``slots`` where none holds it
+        np.minimum.at(owner, rows, slot)
+        lost = slot[owner[rows] != slot]
+        for r in itertools.count(1):
+            if not lost.size:
+                break
+            rows[lost] = new = draw_rows(r, lost)
+            held = owner[new]
+            np.minimum.at(owner, new, lost)
+            now = owner[new]
+            # the holders a lower redrawn slot displaced (once each; an empty row's marker sorts last) ...
+            displaced = np.sort(held[now < held])
+            displaced = displaced[: np.searchsorted(displaced, slots)]
+            displaced = displaced[np.diff(displaced, prepend=-1) != 0]
+            # ... and the redrawn slots a lower one beat
+            lost = np.concatenate((lost[now != lost], displaced))
+        drawn = owner < slots
+        if flip.any():  # such a segment keeps the rows it did not draw
+            drawn ^= np.repeat(flip, n)
+        return np.flatnonzero(drawn) - np.repeat(stacked, k)
+    mask = (1 << bits) - 1
     for r in itertools.count(1):
         keys = np.sort((rows << bits) | slot)  # a repeat's lowest slot comes first
         out = keys >> bits
@@ -366,7 +402,7 @@ def _draw_subsamples(hashes, shard_sizes, sizes) -> np.ndarray:
             break
         rows[repeat] = draw_rows(r, repeat)
     order = keys & mask
-    if flip.any():  # such a segment keeps the rows it did not draw
+    if flip.any():
         left_out = np.repeat(flip, d)[order]
         flip_rows = np.repeat(stacked[flip], n[flip]) + _segment_ranks(n[flip])
         kept = np.ones(flip_rows.size, dtype=bool)

@@ -654,34 +654,49 @@ class TestRunGrid:
 
     @pytest.mark.parametrize("policy", smp.SUBSAMPLE_POLICIES)
     def test_weight_draw_block_length_changes_no_output(self, policy, monkeypatch, tmp_path):
-        """ASD's subsamples drawn one step at a time, a few steps at a time
-        and a whole epoch at once give the same trace CSVs, final iterates
-        and diverged flags; three cells diverge in the first epoch (at steps
-        2, 3 and 8 of 12), while a block is open."""
-        p = prob.generate_heterogeneous(prob.LINEAR, 4, 120, 3, 2.0, 5)
+        """ASD's subsamples drawn and gathered one step at a time, a few
+        steps at a time and a whole epoch at once, the draw bound and the
+        gather bound varied independently, give the same trace CSVs, final
+        iterates and diverged flags; three cells diverge in the first epoch
+        (at steps 3, 4 and 9 of 12), while blocks are open."""
+        p = prob.generate_heterogeneous(prob.LINEAR, 4, 120, 3, 2.0, 5)  # 16 of 24 rows a worker, 64 slots a cell
         base = optim.OptimizerConfig(eta=0.0, epochs=2, inner_iters=12, group_size=2, distribution_mode="adaptive",
                                      estimation=smp.EstimationConfig(subsample_policy=policy))
         configs = [replace(base, eta=eta, seed=(3, i)) for i, eta in enumerate((0.01, 0.3, 1.0, 3.0, 10.0))]
-        draws = []
-        draw = smp._draw_subsamples
-        monkeypatch.setattr(smp, "_draw_subsamples", lambda *a: draws.append(1) or draw(*a))
-        outputs, n_draws = [], []
-        for budget in (1, 1000, 10**9):  # one step, 3 to 7 steps, the whole epoch
-            monkeypatch.setattr(optim, "_BLOCK_SLOTS", budget)
-            draws.clear()
-            grid = optim.run_grid(p, configs)
-            outputs.append([(trace_bytes(trace, tmp_path, f"{i}.csv"), trace.final_x.tobytes(), diverged)
-                            for i, (trace, diverged) in enumerate(grid)])
-            n_draws.append(len(draws))
+        draws, gathers = [], []  # keys (steps x cells) of each draw, steps of each gather
+        draw, gather = smp._draw_subsamples, prob._gather_block
+        monkeypatch.setattr(smp, "_draw_subsamples", lambda *a: draws.append(len(a[0])) or draw(*a))
+        monkeypatch.setattr(prob, "_gather_block", lambda *a: gathers.append(a[4]) or gather(*a))
+        bounds = (1, 1000, 10**9)  # one step, 3 to 7 steps, the whole epoch
+        outputs, spans = [], {}  # spans: each run's draws and gathers, by (draw bound, gather bound)
+        for draw_slots in bounds:
+            for gather_slots in bounds:
+                monkeypatch.setattr(optim, "_DRAW_SLOTS", draw_slots)
+                monkeypatch.setattr(optim, "_BLOCK_SLOTS", gather_slots)
+                draws.clear(), gathers.clear()
+                grid = optim.run_grid(p, configs)
+                outputs.append([(trace_bytes(trace, tmp_path, f"{i}.csv"), trace.final_x.tobytes(), diverged)
+                                for i, (trace, diverged) in enumerate(grid)])
+                spans[draw_slots, gather_slots] = (list(draws), list(gathers))
+        n_draws = {run: len(d) for run, (d, _) in spans.items()}
+        n_gathers = {run: len(g) for run, (_, g) in spans.items()}
         assert [diverged for *_, diverged in outputs[0]] == [False, False, True, True, True]
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert all(out == outputs[0] for out in outputs)
         steps = 2 * 11  # the first step of each epoch estimates nothing
-        if policy == "lemma1":
-            assert n_draws == [steps] * 3
-        elif policy == "full":  # whole shards are read in place, never drawn
-            assert n_draws == [0] * 3
-        else:  # fixed draws fewer, longer blocks as the budget grows
-            assert n_draws[0] == steps > n_draws[1] > n_draws[2], n_draws
+        periods = 5  # epoch 1 from steps 2, 4, 5 and 10 (a cell fewer each), epoch 2 from step 2
+        if policy == "lemma1":  # its sizes move with the points: one step per draw and gather
+            assert set(n_draws.values()) == set(n_gathers.values()) == {steps}
+        elif policy == "full":  # whole shards are read in place, never drawn, to the end of the epoch
+            assert set(n_draws.values()) == {0} and set(n_gathers.values()) == {periods}
+        else:
+            for d in bounds:  # the draws follow the draw bound alone, and no gather spans two draws
+                assert len({n_draws[d, g] for g in bounds}) == 1
+                assert n_gathers[d, 1] == steps and n_gathers[d, 10**9] == n_draws[d, 1]
+                assert all(n_gathers[d, g] >= n_draws[d, g] for g in bounds)
+            assert n_draws[1, 1] == steps > n_draws[1000, 1] > n_draws[10**9, 1] == periods, n_draws
+            # each draw runs to the end of the epoch for the cells then live; the draw of steps 5-12
+            # holds the cell that diverges at step 9, between the gathers of steps 5-9 and 10-12
+            assert spans[10**9, 1000] == ([11 * 5, 9 * 4, 8 * 3, 3 * 2, 11 * 2], [3, 3, 5, 3, 7, 4])
 
 
 class TestGeneratorSchedule:
@@ -1026,37 +1041,53 @@ class TestRowBuffers:
 
     @pytest.mark.parametrize("policy,per_epoch", [("fixed", 1), ("full", 0), ("lemma1", 2)])
     def test_row_arrays_made_per_epoch_not_per_step(self, policy, per_epoch, monkeypatch):
-        """For a grid that keeps its cells, the arrays of width p are made
-        once per epoch: under ``fixed`` the rows, under ``full`` none (rows
-        read in place), and under ``lemma1`` the full passes' deltas (one
-        shard stack), then the step's rows.  No step writes its deltas out,
-        and no gather makes a fresh array.  So the per-step allocation, whose
-        pages were faulted in again on every step, cannot creep back.
+        """For a grid that keeps its cells, the estimator makes its arrays of
+        rows once per epoch: under ``fixed`` the rows, under ``full`` none
+        (rows read in place), and under ``lemma1`` the full passes' deltas
+        (one shard stack), then the step's rows.  No step writes its deltas
+        out, and no gather makes a fresh array.  So the per-step allocation,
+        whose pages were faulted in again on every step, cannot creep back.
 
-        However an array is made (``np.empty``, a ufunc or ``np.matmul``
-        result, ``np.concatenate``, a fancy-index gather), numpy reports its
-        buffer to ``tracemalloc``: only the epoch's first ``estimate(t,
-        live)`` call, which makes the kept arrays, may allocate at its peak
-        as many bytes as the step's rows (``_segment_sums``' A) hold.  p = 31
-        puts that far above the step's arrays of a float per (cell, row)."""
+        Two checks see the estimator's calls (``_weight_estimator`` and each
+        ``estimate(t, live)``), and nothing else of the loop.  The count is
+        of the ``np.empty`` and ``np.empty_like`` calls made in them, of any
+        rank, whose array has p as its last axis.  The ``tracemalloc`` peak
+        sees every allocation, however it is made (a 1-D buffer, a ufunc or
+        ``np.matmul`` result, ``np.concatenate``, a fancy-index gather):
+        only the epoch's first ``estimate(t, live)`` call, which makes the
+        kept arrays, may allocate at its peak as many bytes as the step's
+        rows (``_segment_sums``' A) hold.  p = 31 puts that far above the
+        step's arrays of a float per (cell, row) or per (cell, worker)."""
         p = prob.generate_heterogeneous(prob.LOGISTIC, 4, 200, 30, 2.0, seed=2)
         p.aug, p.y = p.aug.view(FreshGathers), p.y.view(FreshGathers)
-        made, real = [], np.empty
+        made, inside, real_empty, real_empty_like = [], [False], np.empty, np.empty_like
 
-        def empty(shape, *args, **kwargs):
-            if np.ndim(shape) == 1 and len(shape) == 2 and shape[1] == p.param_dim:
-                made.append(tuple(shape))
-            return real(shape, *args, **kwargs)
+        def counted(make):
+            def spy(*args, **kwargs):
+                out = make(*args, **kwargs)
+                if inside[0] and out.ndim and out.shape[-1] == p.param_dim:
+                    made.append(out.shape)
+                return out
+
+            return spy
 
         calls, real_estimator, real_sums = [], optim._weight_estimator, prob._segment_sums
 
         def estimator(*args):
-            estimate = real_estimator(*args)
+            inside[0] = True
+            try:
+                estimate = real_estimator(*args)
+            finally:
+                inside[0] = False
 
             def measured(t, live):  # (bytes at the call's peak, bytes of the step's rows)
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
-                weights = estimate(t, live)
+                inside[0] = True
+                try:
+                    weights = estimate(t, live)
+                finally:
+                    inside[0] = False
                 calls[-1][0] = tracemalloc.get_traced_memory()[1] - before
                 return weights
 
@@ -1066,7 +1097,8 @@ class TestRowBuffers:
             calls.append([None, A.nbytes])
             return real_sums(r, A, counts)
 
-        monkeypatch.setattr(np, "empty", empty)
+        monkeypatch.setattr(np, "empty", counted(real_empty))
+        monkeypatch.setattr(np, "empty_like", counted(real_empty_like))
         monkeypatch.setattr(optim, "_weight_estimator", estimator)
         monkeypatch.setattr(prob, "_segment_sums", segment_sums)
         FreshGathers.count = 0
@@ -1080,7 +1112,7 @@ class TestRowBuffers:
         finally:
             tracemalloc.stop()
         assert not any(diverged for _, diverged in grid)
-        assert len(made) == epochs * per_epoch
+        assert len(made) == epochs * per_epoch, made
         assert FreshGathers.count == 0
         assert len(calls) == epochs * (base.inner_iters - 1)  # every cell live from t = 2 on
         wide = [i for i, (peak, rows) in enumerate(calls) if peak >= rows]
@@ -1111,8 +1143,9 @@ def block_free_weights(p, est, seed, k, t, x, anchor):
 
 
 class TestBlockPath:
-    """The estimator's blocks (one draw, gather and anchor pass for several
-    steps) give every step's weights bit for bit as that step alone does."""
+    """The estimator's blocks (one draw for several gather blocks, one
+    gather and anchor pass for several steps) give every step's weights bit
+    for bit as that step alone does."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1122,13 +1155,14 @@ class TestBlockPath:
         dim=st.integers(1, 6),
         fixed_n=st.integers(1, 30),
         block_slots=st.integers(1, 400),
+        draw_slots=st.integers(1, 4000),
         first=st.sampled_from([2, 2**32 - 4]),  # the later start crosses into two-word step keys
         k=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
     def test_blocks_give_the_weights_of_single_steps(self, task, policy, shard_sizes, dim, fixed_n, block_slots,
-                                                       first, k, seed, data):
+                                                       draw_slots, first, k, seed, data):
         rng = np.random.default_rng(seed)
         shards = [prob.Shard(m, 1.0 + 0.5 * rng.normal(size=(n, dim)),
                              rng.normal(size=n) if task == prob.LINEAR else (rng.random(n) < 0.5).astype(float))
@@ -1141,9 +1175,10 @@ class TestBlockPath:
         live = cells
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optim, "_BLOCK_SLOTS", block_slots)  # blocks of a few steps
+            mp.setattr(optim, "_DRAW_SLOTS", draw_slots)  # draws of fewer or more steps than a block
             estimate = optim._weight_estimator(p, config, k, cells)
             for t in range(first, first + 10):
-                # cells drop out between steps, inside a block or at its end
+                # cells drop out between steps, inside a block or draw or at its end
                 live = [c for c in live if len(live) == 1 or data.draw(st.booleans())] or live[:1]
                 for c in live:
                     c.x = c.anchor + rng.normal(size=p.param_dim)

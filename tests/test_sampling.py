@@ -335,22 +335,27 @@ def draw_one(key, shard_sizes, sizes):
     return smp._draw_subsamples([smp._key_hash(key)], shard_sizes, np.asarray(sizes)[None])
 
 
-# ragged (shard size, subsample size) pairs: k = 0, k = 1, k = n, 2k > n and
-# n = 1 all occur, and shards far larger than any subsample
-SHARD_DRAWS = st.lists(
-    st.integers(1, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
-    | st.tuples(st.integers(61, 2**40), st.integers(0, 40)),
-    min_size=1,
-    max_size=10,
-)
+def shard_draws(largest=2**40):
+    """Ragged (shard size, subsample size) pairs: k = 0, k = 1, k = n, 2k > n
+    and n = 1 all occur, and shards of up to ``largest`` rows, far larger
+    than any subsample."""
+    return st.lists(
+        st.integers(1, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
+        | st.tuples(st.integers(61, largest), st.integers(0, 40)),
+        min_size=1,
+        max_size=10,
+    )
+
+
+SHARD_DRAWS = shard_draws()
 KEYS = st.lists(st.integers(0, 2**32 - 1) | st.integers(2**32, 2**96), min_size=1, max_size=6).map(tuple)
 
 
 @st.composite
-def key_grids(draw):
-    """C keys, M shard sizes and ragged (C, M) subsample sizes: zero rows,
-    k = n and 2k > n all occur."""
-    shard_sizes = draw(st.lists(st.integers(1, 60) | st.integers(61, 2**40), min_size=1, max_size=8))
+def key_grids(draw, largest=2**40):
+    """C keys, M shard sizes (up to ``largest`` rows) and ragged (C, M)
+    subsample sizes: zero rows, k = n and 2k > n all occur."""
+    shard_sizes = draw(st.lists(st.integers(1, 60) | st.integers(61, largest), min_size=1, max_size=8))
     keys = draw(st.lists(KEYS, min_size=1, max_size=5))
     sizes = [[draw(st.integers(0, min(n, 60))) for n in shard_sizes] for _ in keys]
     return keys, np.array(shard_sizes), np.array(sizes)
@@ -480,8 +485,20 @@ def reference_draw(hashes, shard_sizes, sizes):
     return out - np.repeat(stacked, k)
 
 
+def bench_block(seed, n, k, workers, cells, steps):
+    """A block of the estimator's draw at a benchmark's shape: ``steps``
+    steps of ``cells`` cells, each worker drawing k of its n rows."""
+    keys = [(seed, c, 2, 1, t) for t in range(2, 2 + steps) for c in range(cells)]
+    return keys, np.full(workers, n), np.full((len(keys), workers), k)
+
+
+PATHS = {"table": 2**62, "sort": 0}  # the forced side's _TABLE_ROWS_PER_SLOT
+TABLE_SHARDS = 2**12  # rows of the largest shard a forced table path draws from
+
+
 class TestDrawerReference:
-    """The packed-key drawer against the stable-argsort drawer it replaced."""
+    """The drawer, on its owner-table path and on its packed-key sort path,
+    against the stable-argsort drawer they replaced."""
 
     @settings(max_examples=300, deadline=None)
     @given(grid=key_grids())
@@ -517,6 +534,50 @@ class TestDrawerReference:
             monkeypatch.setattr(np, name, refuse)
         with pytest.raises(ValueError, match="63-bit"):
             smp._draw_subsamples([smp._key_hash((1,))], np.array(shard_sizes), np.array([sizes]))
+
+    @pytest.mark.parametrize("path", PATHS)
+    @settings(max_examples=200, deadline=None)
+    @given(grid=key_grids(largest=TABLE_SHARDS))
+    @example(grid=bench_block(33, 50, 16, 8, 5, 6))  # linear_sweep's 16 of 50: 10 redraw rounds
+    @example(grid=bench_block(55, 30, 16, 8, 4, 6))  # 16 of 30, the complement path: 13 redraw rounds
+    @example(grid=bench_block(34, 250, 25, 64, 2, 5))  # scale_asd's 25 of 250: 6 redraw rounds
+    @example(grid=([(7, 2)], np.array([1, 3, 47, 60]), np.array([[1, 0, 47, 60]])))  # whole shards only
+    def test_either_path_matches_the_reference_on_key_grids(self, path, grid):
+        keys, shard_sizes, sizes = grid
+        hashes = [smp._key_hash(key) for key in keys]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(smp, "_TABLE_ROWS_PER_SLOT", PATHS[path])
+            got = smp._draw_subsamples(hashes, shard_sizes, sizes)
+        want = reference_draw(hashes, shard_sizes, sizes)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("path", PATHS)
+    @settings(max_examples=200, deadline=None)
+    @given(key=KEYS, shards=shard_draws(largest=TABLE_SHARDS))
+    @example(key=(3, 1), shards=[(50, 16)] * 64)  # 1024 slots of one key, 16 of 50
+    @example(key=(3, 2), shards=[(30, 16)] * 64 + [(1, 1), (2, 1)])  # complement and whole shards
+    @example(key=(3, 3), shards=[(250, 25)] * 64)
+    def test_either_path_matches_the_reference_on_shard_draws(self, path, key, shards):
+        shard_sizes, sizes = np.array(shards).T
+        hashes = [smp._key_hash(key)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(smp, "_TABLE_ROWS_PER_SLOT", PATHS[path])
+            got = smp._draw_subsamples(hashes, shard_sizes, sizes[None])
+        want = reference_draw(hashes, shard_sizes, sizes[None])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shard_sizes, sizes, path", [
+        ([50] * 8, [16] * 8, "table"),  # 3.1 stacked rows a slot
+        ([30] * 8, [16] * 8, "table"),  # 16 of 30 draws the 14 it leaves out: 2.1 a slot
+        ([250] * 64, [25] * 64, "sort"),  # 10 a slot
+        ([2**40] * 10, [40] * 10, "sort"),
+    ])
+    def test_the_path_follows_stacked_rows_per_slot(self, shard_sizes, sizes, path, monkeypatch):
+        tables = []
+        full = np.full
+        monkeypatch.setattr(np, "full", lambda shape, *a, **kw: tables.append(shape) or full(shape, *a, **kw))
+        smp._draw_subsamples([smp._key_hash((1,))], np.array(shard_sizes), np.array([sizes]))
+        assert tables == ([sum(shard_sizes)] if path == "table" else [])
 
     def test_keys_of_exactly_63_bits_draw(self):
         # 2**57 stacked rows (57 bits) and 64 slots (6 bits)
