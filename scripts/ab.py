@@ -3,7 +3,7 @@
 Usage (from the repository root):
 
     python3 scripts/ab.py --base A --head B --workload W --pairs N
-                          [--seed S] [--passes P] [--json OUT]
+                          [--seed S] [--json OUT]
 
 Each side is a git revision of this repository, exported with ``git
 archive`` into a temporary directory, or a source directory holding
@@ -12,10 +12,11 @@ Pair i runs one fresh process per side, on the workload's inputs for seed
 S + i, base first in even pairs and head first in odd ones, with one BLAS
 thread and no bytecode written (``OPENBLAS_NUM_THREADS=1``,
 ``PYTHONDONTWRITEBYTECODE=1``).  A process builds the workload from its
-side's ``bench/workloads.py`` and ``src``, runs P passes back to back and
-reports the median of their CPU times, each rescaled to the reference host
-speed by ``bench/clock.py`` as the benchmark's ``run_s`` is, with the
-passes' output digests.
+side's ``bench/workloads.py`` and ``src`` and times it with that side's
+``bench/run.py`` (``run_passes`` at its minimum of three passes), so it
+reports ``run_s`` as the benchmark does: the median of the passes' CPU
+times, each rescaled to the reference host speed, with their output
+digests.
 
 It prints each side's median and quartiles of ``run_s``, the median of the
 paired ratios head / base, the pairs the head won (ran faster), and
@@ -43,24 +44,14 @@ ROOT = Path(__file__).resolve().parent.parent
 CHILD = r"""
 import json, statistics, sys, tempfile
 from pathlib import Path
-root, name, seed, passes = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+root, name, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
 sys.path[:0] = [root + "/bench", root + "/src"]
-import clock, workloads
-workload = workloads.make(name, seed)
-runs, digests, attempted, failed = [], [], 0, 0
+import run, workloads
 with tempfile.TemporaryDirectory() as tmp:
-    before = clock.calibration_s()
-    for i in range(passes):
-        out = Path(tmp) / f"pass{i}"
-        out.mkdir()
-        result = workload.run_pass(out)
-        after = clock.calibration_s()
-        runs.append(clock.rescale(result.seconds, before, after))
-        before = after
-        digests.append(result.digest)
-        attempted, failed = attempted + result.attempted, failed + result.failed
-print(json.dumps({"run_s": statistics.median(runs), "digests": sorted(set(digests)),
-                  "attempted": attempted, "failed": failed}))
+    results = [result for result, _ in run.run_passes(workloads.make(name, seed), 0, Path(tmp))]
+print(json.dumps({"run_s": statistics.median(r.scaled_s for r in results),
+                  "digests": sorted({r.digest for r in results}),
+                  "attempted": sum(r.attempted for r in results), "failed": sum(r.failed for r in results)}))
 """
 
 
@@ -87,12 +78,12 @@ def export(side: str, into: Path) -> Path:
     return dest
 
 
-def run_side(root: Path, workload: str, seed: int, passes: int) -> dict:
+def run_side(root: Path, workload: str, seed: int) -> dict:
     """One fresh process's passes over the workload in ``root``."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    done = subprocess.run([sys.executable, "-c", CHILD, str(root), workload, str(seed), str(passes)],
+    done = subprocess.run([sys.executable, "-c", CHILD, str(root), workload, str(seed)],
                           capture_output=True, text=True, env=env, cwd=root)
     if done.returncode != 0:
         sys.stderr.write(done.stderr)
@@ -115,23 +106,22 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1, help="the first pair's seed; pair i uses seed + i")
-    parser.add_argument("--passes", type=int, default=3, help="passes per process, whose median it reports")
     parser.add_argument("--json", type=Path, help="write every pair's numbers here")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.passes < 1:
-        parser.error("--pairs and --passes must be at least 1")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
 
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         roots = {"base": export(args.base, Path(tmp)), "head": export(args.head, Path(tmp))}
         pairs = []
         for i in range(args.pairs):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
-            runs = {side: run_side(roots[side], args.workload, args.seed + i, args.passes) for side in order}
+            runs = {side: run_side(roots[side], args.workload, args.seed + i) for side in order}
             pairs.append({"seed": args.seed + i, "first": order[0], **runs})
             print(f"pair {i + 1}/{args.pairs} seed {args.seed + i} ({order[0]} first): "
                   f"base {runs['base']['run_s']:.4f} s, head {runs['head']['run_s']:.4f} s", flush=True)
 
-    print(f"workload {args.workload}, {args.pairs} pairs of {args.passes} passes, run_s at the reference speed")
+    print(f"workload {args.workload}, {args.pairs} pairs, run_s at the reference speed")
     for side, label in (("base", args.base), ("head", args.head)):
         q1, med, q3 = quartiles([p[side]["run_s"] for p in pairs])
         print(f"  {side} ({label}): median {med:.4f} s, quartiles {q1:.4f} - {q3:.4f} s (IQR {q3 - q1:.4f})")
@@ -146,7 +136,7 @@ def main(argv=None) -> int:
         print(f"  failed operations: {failed}")
     if args.json is not None:
         args.json.write_text(json.dumps({"workload": args.workload, "base": args.base, "head": args.head,
-                                         "passes": args.passes, "pairs": pairs}, indent=1) + "\n")
+                                         "pairs": pairs}, indent=1) + "\n")
     return 1 if failed else 0
 
 

@@ -359,7 +359,7 @@ def run_svrg(problem, config: OptimizerConfig, x0=None) -> RunTrace:
 
 
 _BLOCK_SLOTS = 4096  # subsample slots gathered per block of steps, over the live cells
-_DRAW_SLOTS = 16384  # ``fixed`` subsample slots drawn per call, over the blocks of the steps ahead
+_DRAW_SLOTS = 16384  # ``fixed`` subsample slots drawn per call, over the blocks of the steps ahead (see README)
 
 
 def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):

@@ -383,12 +383,9 @@ def _draw_subsamples(hashes, shard_sizes, sizes) -> np.ndarray:
             held = owner[new]
             np.minimum.at(owner, new, lost)
             now = owner[new]
-            # the holders a lower redrawn slot displaced (once each; an empty row's marker sorts last) ...
-            displaced = np.sort(held[now < held])
-            displaced = displaced[: np.searchsorted(displaced, slots)]
-            displaced = displaced[np.diff(displaced, prepend=-1) != 0]
-            # ... and the redrawn slots a lower one beat
-            lost = np.concatenate((lost[now != lost], displaced))
+            # the holders a lower redrawn slot displaced (an empty row's marker is none) and the redrawn
+            # slots a lower one beat; a slot listed twice redraws the same row twice
+            lost = np.concatenate((lost[now != lost], held[(now < held) & (held < slots)]))
         drawn = owner < slots
         if flip.any():  # such a segment keeps the rows it did not draw
             drawn ^= np.repeat(flip, n)

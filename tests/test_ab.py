@@ -12,7 +12,7 @@ SCRIPT = ROOT / "scripts" / "ab.py"
 def test_a_against_itself_runs_a_pair_and_agrees(tmp_path):
     out = tmp_path / "pairs.json"
     done = subprocess.run([sys.executable, str(SCRIPT), "--base", str(ROOT), "--head", str(ROOT),
-                           "--workload", "logistic_sweep", "--pairs", "1", "--passes", "1", "--json", str(out)],
+                           "--workload", "logistic_sweep", "--pairs", "1", "--json", str(out)],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
