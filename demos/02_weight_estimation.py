@@ -18,9 +18,19 @@ rng = np.random.default_rng(7)
 x = rng.normal(size=p.param_dim)
 anchor = np.zeros(p.param_dim)
 
+# Lemma 1's concentration-driven size of each shard, from the range and the
+# mean of its per-sample gradient differences (the mean's norm is the exact
+# weight, so this costs a full pass), capped at the shard
+cfg = smp.EstimationConfig(tau=1.0 / 3.0, delta=0.05)
+sizes = []
+for m in range(p.m_workers):
+    deltas = np.array([prob.atomic_gradient(p, m, j, x) - prob.atomic_gradient(p, m, j, anchor)
+                       for j in range(p.shard(m).size)])
+    range_norm = np.linalg.norm(deltas.max(axis=0) - deltas.min(axis=0))
+    n = smp.subsample_size(cfg, p.param_dim, range_norm, np.linalg.norm(deltas.mean(axis=0)))
+    sizes.append(min(p.shard(m).size, n))
+
 print("worker | shard |  exact w_m |   n(tau=1/3) | typical estimate")
-cfg = smp.EstimationConfig(tau=1.0 / 3.0, delta=0.05, subsample_policy="lemma1")
-sizes = smp.subsample_sizes(p, x, anchor, cfg)  # the concentration-driven sizes
 for m in range(p.m_workers):
     size = p.shard(m).size
     exact = smp.estimate_shard_weight(p, m, x, anchor, size, np.random.default_rng(0))

@@ -1,4 +1,4 @@
-"""Digest every output file of seventeen fixed sweeps and of the tree protocols
+"""Digest every output file of sixteen fixed sweeps and of the tree protocols
 at wide worker counts, so that two checkouts can be shown to write
 byte-identical traces, reports and protocol draws.
 
@@ -14,17 +14,17 @@ line per file, sorted, which is also printed.  Run it in two checkouts and
 ``diff`` the two ``SHA256SUMS``: no output means every trace CSV,
 ``report.csv``, ``best.csv``, plot-data and protocol file is the same, byte
 for byte.
-The sweeps cover both presets, all four algorithms, the three subsample
+The sweeps cover both presets, all four algorithms, the two subsample
 policies, R > 1, several seeds, diverging cells, a trace thinned by
 ``--eval-every``, a linear and a logistic dataset written by
 ``problem.save_csv`` (digested too) and read back by ``--preset custom``,
 the logistic one with row counts that are not multiples of 4, a sweep
 read from a ``--config`` file (keys in both spellings, one overridden by a
 flag), a 64-worker ASD shape run through ``harness.run_experiment``, and
-logistic-preset ASD under ``lemma1`` and under ``full`` (wide rows), whose
+logistic-preset ASD under ``full`` (wide rows), whose
 largest step size diverges at epoch 1, step 10 on seed 1, so the live cells
 shrink in mid-epoch, and a linear sweep of the three variance-reduced
-algorithms under ``lemma1`` with R = 3, in which one algorithm's cells all
+algorithms under ``fixed`` with R = 3, in which one algorithm's cells all
 diverge partway through the first epoch while the others step on, an SGD
 sweep with R = 9 (above the preset's 8 workers, which SGD ignores) whose
 cells diverge at step 1 and in mid-epoch, and a logistic SGD and ASD sweep
@@ -88,20 +88,19 @@ from hetsvrg import problem as prob  # noqa: E402
 CLI_SWEEPS = {
     "linear_default": ("--preset", "linear", "--epochs", "8"),
     "logistic_all": ("--preset", "logistic", "--algos", "sgd,svrg,svrg_importance,asd", "--epochs", "2"),
-    "linear_lemma1_r3": ("--preset", "linear", "--R", "3", "--estimation", "lemma1", "--epochs", "3"),
+    "linear_fixed_r3": ("--preset", "linear", "--R", "3", "--estimation", "fixed", "--epochs", "3"),
     "asd_full_seeds12": ("--preset", "linear", "--algos", "asd", "--estimation", "full", "--seeds", "1,2",
                          "--epochs", "3"),
     "asd_fixed_r2_seed3": ("--preset", "linear", "--algos", "asd", "--estimation", "fixed", "--R", "2",
                            "--seeds", "3", "--epochs", "3"),
     "linear_eval3": ("--preset", "linear", "--algos", "sgd,svrg,svrg_importance,asd", "--eval-every", "3",
                      "--epochs", "3"),
-    # every variance-reduced mode in one loop, with lemma1's point-dependent
-    # (ragged) subsample sizes: on seed 1 svrg_uniform's cells all diverge
-    # in epoch 1 (steps 2, 10 and 27), so its mode group empties mid-epoch;
-    # the other two modes lose their eta 1.0 and 3.0 cells by step 6 and
-    # step their eta 0.3 cell through all three epochs
-    "vr_modes_lemma1_r3": ("--preset", "linear", "--algos", "svrg,svrg_importance,asd", "--estimation", "lemma1",
-                           "--R", "3", "--etas", "0.3,1.0,3.0", "--epochs", "3"),
+    # every variance-reduced mode in one loop: on seed 1 svrg_uniform's cells
+    # all diverge in epoch 1 (steps 2, 10 and 27), so its mode group empties
+    # mid-epoch; the other two modes lose their eta 1.0 and 3.0 cells by
+    # step 6 and step their eta 0.3 cell through all three epochs
+    "vr_modes_fixed_r3": ("--preset", "linear", "--algos", "svrg,svrg_importance,asd", "--estimation", "fixed",
+                          "--R", "3", "--etas", "0.3,1.0,3.0", "--epochs", "3"),
     # on seed 1 SGD's eta 1e12 cell diverges at step 1 and its eta 1.0 cell
     # at step 17, while its eta 0.025 cell steps through both epochs
     "sgd_r9": ("--preset", "linear", "--algos", "sgd", "--R", "9", "--etas", "0.025,1.0,1e12", "--seeds", "1",
@@ -115,9 +114,8 @@ CLI_SWEEPS = {
     # to 12, so dead tree nodes draw no uniforms, and cells that diverge
     # stop reading theirs while the others read on
     "asd_r3_blocks": ("--preset", "linear", "--algos", "asd", "--R", "3", "--inner", "1500", "--epochs", "1"),
-    **{f"logistic_asd_wide/{policy}": ("--preset", "logistic", "--algos", "asd", "--estimation", policy,
-                                       "--etas", "0.0025,0.025,3e6", "--seeds", "1", "--epochs", "2")
-       for policy in ("lemma1", "full")},
+    "logistic_asd_wide/full": ("--preset", "logistic", "--algos", "asd", "--estimation", "full",
+                               "--etas", "0.0025,0.025,3e6", "--seeds", "1", "--epochs", "2"),
 }
 
 

@@ -79,8 +79,6 @@ _RUN_OPTIONS = (
     ("--eval-every", "eval_every", dict(type=int)),
     ("--l2-sgd", "l2_for_sgd", dict(type=float)),
     ("--estimation", "subsample_policy", dict(choices=sampling.SUBSAMPLE_POLICIES)),
-    ("--tau", "tau", dict(type=float)),
-    ("--delta", "delta", dict(type=float)),
     ("--fixed-n", "fixed_n", dict(type=int)),
 )
 

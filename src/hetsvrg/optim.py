@@ -18,8 +18,8 @@ cell for a solo run, and only the per-call glue is batched over cells: the
 divergence guard's initial loss and the first epoch's anchor gradients
 (every cell starts at x0), the weight estimates of each step, whose
 ``fixed`` subsamples are drawn once per draw block of up to ``_DRAW_SLOTS``
-slots (their sizes hold for the epoch; one step under ``lemma1``), whose row
-gathers and anchor residuals are made once per gather block of up to
+slots (their sizes hold for the run), whose row gathers and anchor
+residuals are made once per gather block of up to
 ``_BLOCK_SLOTS`` slots inside it, each segment's sum one stacked product,
 ASD's tree protocol, one ``comm.pc_sample_cells`` call a step, the
 fixed-draw and SGD picks, drawn for every cell and step of an epoch at once,
@@ -366,67 +366,63 @@ def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
     """Epoch k's ``estimate(t, live)``: the (C, M) weight estimates of the
     live cells at their points against their anchors.  Cell c's subsamples
     are keyed by (c.seed, weights channel, k, t), so none depends on another
-    worker's or cell's, and sized by ``sampling.subsample_sizes`` (``full``
-    reads every row of each shard in place and draws nothing); it answers
-    any t, though the loop asks from t = 2 on.  Two blocks run over the
-    steps ahead, for the cells live when they open, and open again once a
-    cell drops out.  A draw block holds the ``fixed`` subsamples of at most
-    ``_DRAW_SLOTS`` slots (or of one step, if a step needs more), all from
-    one ``sampling._draw_subsamples`` call on keys hashed in one array op,
-    since their sizes do not change within an epoch; ``lemma1`` sizes depend on the cells' points, so its
-    draws are one step long.  A gather block, of at most ``_BLOCK_SLOTS``
-    slots and never past its draw block, takes its steps' rows from that
-    draw: their segment layout, rows and residuals at the anchors are
-    made once, when it opens (``problem._gather_block``).  A
-    step forms r(a'x) on its rows and the norm of each (cell, worker)
-    segment's mean difference, its sum one product
-    (``problem._segment_sums``; under ``full`` the segments are the shards,
-    read in place by every cell): bit for bit the value of
-    ``sampling.estimate_shard_weight`` on the same rows.  The rows (and
-    ``lemma1``'s full passes) use arrays kept for the epoch."""
-    est, T, full = config.estimation, config.inner_iters, config.estimation.subsample_policy == "full"
+    worker's or cell's, and sized by ``sampling.subsample_sizes``, the same
+    for every cell and step and at least 1 a worker (``full`` reads every
+    row of each shard in place and draws nothing); it answers any t, though
+    the loop asks from t = 2 on.  Two blocks run over the steps ahead, for
+    the cells live when they open.  A draw block holds the ``fixed``
+    subsamples of at most ``_DRAW_SLOTS`` slots (or of one step, if a step
+    needs more), all from one ``sampling._draw_subsamples`` call on keys
+    hashed in one array op, as (steps, cells, slots) rows; a cell that drops
+    out leaves the others' rows in it.  A gather block, of at most
+    ``_BLOCK_SLOTS`` slots and never past its draw block, takes its steps'
+    rows of the live cells from that draw, and opens again once a cell
+    drops out: their segment layout, rows and residuals at the anchors are
+    made once, when it opens (``problem._gather_block``).  A step forms
+    r(a'x) on its rows and the norm of each (cell, worker) segment's mean
+    difference, its sum one product (``problem._segment_sums``; under
+    ``full`` the segments are the shards, read in place by every cell): bit
+    for bit the value of ``sampling.estimate_shard_weight`` on the same
+    rows.  The rows use arrays kept for the epoch."""
+    est, T, M, p = config.estimation, config.inner_iters, problem.m_workers, problem.param_dim
+    full = est.subsample_policy == "full"
+    sizes = sampling.subsample_sizes(problem.sizes, est)
+    offsets = np.repeat(problem.offsets[:-1], sizes)  # each of a cell's slots' shard offset
     prefix = {c: np.uint64(sampling._key_hash(c.seed + (_CH_WEIGHTS, k))) for c in cells}
     buffers = {}
-    # the open gather block: first and end step, cells, (cell, worker) pairs and counts, segment row counts, its rows
-    block = (0, 0, 0) + (None,) * 5
-    drawn = (0, 0, 0, None)  # the open draw block: first and end step, cells, its steps' rows in (step, cell) order
+    block = (0, 0, 0, None, None, None)  # the open gather block: first and end step, cells, counts, segments, rows
+    drawn = (0, 0, None, None)  # the open draw block: first and end step, each cell's column, its (step, cell) rows
 
-    def draw(t, steps, live, sizes):
+    def draw(t, steps, live):
         at = np.arange(t, t + steps, dtype=np.uint64).repeat(len(live))  # in (step, cell) order
-        return sampling._draw_subsamples(sampling._key_hashes(np.tile([prefix[c] for c in live], steps), at),
-                                         problem.sizes, np.tile(sizes, (steps, 1)))
+        hashes = sampling._key_hashes(np.tile([prefix[c] for c in live], steps), at)
+        rows = sampling._draw_subsamples(hashes, problem.sizes, np.tile(sizes, (len(hashes), 1)))
+        return rows.reshape(steps, len(live), -1)
 
     def estimate(t, live):
         nonlocal block, drawn
-        x, anchor = np.array([c.x for c in live]), np.array([c.anchor for c in live])
-        points = (len(live), -1, problem.param_dim) if full else (-1, problem.param_dim)  # (C, M, p) or (S, p)
+        points = (len(live), M, p) if full else (-1, p)  # a point per (cell, worker): (C, M, p) or (S, p)
         if t >= block[1] or len(live) != block[2]:
-            sizes = np.array([sampling.subsample_sizes(problem, xc, ac, est, buffers) for xc, ac in zip(x, anchor)])
-            cells, workers = np.nonzero(sizes)
-            counts = sizes[cells, workers]
-            slots = int(sizes.sum())
+            anchor = np.repeat([c.anchor for c in live], M, axis=0).reshape(points)
+            counts, slots = np.tile(sizes, len(live)), int(sizes.sum()) * len(live)
             if full:  # every cell takes every row: read them in place, one segment per shard
                 steps, rows, segments = T + 1 - t, slice(None), problem.sizes
             else:  # one segment per (cell, worker)
-                if est.subsample_policy == "lemma1":
-                    steps, local = 1, draw(t, 1, live, sizes)
-                else:
-                    if t >= drawn[1] or len(live) != drawn[2]:
-                        ahead = min(T + 1 - t, max(1, _DRAW_SLOTS // max(1, slots)))
-                        drawn = (t, t + ahead, len(live), draw(t, ahead, live, sizes))
-                    steps = min(drawn[1] - t, max(1, _BLOCK_SLOTS // max(1, slots)))
-                    local = drawn[3][(t - drawn[0]) * slots : (t + steps - drawn[0]) * slots]
-                rows, segments = local + np.tile(np.repeat(problem.offsets[workers], counts), steps), counts
-            block = (t, t + steps, len(live), cells, workers, counts, segments,
-                     prob._gather_block(problem, rows, anchor[cells].reshape(points), segments, steps, buffers))
-        first, _, _, cells, workers, counts, segments, (A, y, ra) = block
+                if t >= drawn[1]:
+                    ahead = min(T + 1 - t, max(1, _DRAW_SLOTS // slots))
+                    drawn = (t, t + ahead, {c: i for i, c in enumerate(live)}, draw(t, ahead, live))
+                steps = min(drawn[1] - t, max(1, _BLOCK_SLOTS // slots))
+                local = drawn[3][t - drawn[0] : t + steps - drawn[0], [drawn[2][c] for c in live]]
+                rows, segments = (local + offsets).ravel(), counts
+            block = (t, t + steps, len(live), counts, segments,
+                     prob._gather_block(problem, rows, anchor, segments, steps, buffers))
+        first, _, _, counts, segments, (A, y, ra) = block
         if not full:  # the step's own rows of the block
             A, y, ra = A[t - first], y[t - first], ra[t - first]
-        r = prob._residuals(problem, A, y, x[cells].reshape(points), segments) - ra
-        sums = prob._segment_sums(r, A, segments).reshape(-1, problem.param_dim)
-        weights = np.zeros((len(live), problem.m_workers))
-        weights[cells, workers] = np.linalg.norm(sums / counts[:, None], axis=1)
-        return weights
+        x = np.repeat([c.x for c in live], M, axis=0).reshape(points)
+        r = prob._residuals(problem, A, y, x, segments) - ra
+        sums = prob._segment_sums(r, A, segments).reshape(-1, p)
+        return np.linalg.norm(sums / counts[:, None], axis=1).reshape(len(live), M)
 
     return estimate
 

@@ -394,21 +394,6 @@ def _shard_gradients(problem: ShardedProblem, workers, X, out=None) -> np.ndarra
     return G
 
 
-def gradient_deltas(problem: ShardedProblem, rows, x, x_anchor, out=None) -> np.ndarray:
-    """Per-sample gradient differences grad f_j(x) - grad f_j(x_anchor) on
-    ``rows`` of ``problem.aug`` (an index array, unchecked, or a slice read
-    in place), one row per sample: r(a'x) - r(a'x_anchor), each side one
-    mat-vec over the rows, times a.  ``out``, if given, is a dict in which a
-    repeated caller keeps the deltas, grown only when a call needs more rows
-    than any before; the result is then a view into it, valid until the next
-    call with it.  ``lemma1``'s range envelope reads the deltas; the weight
-    estimates sum them per segment without forming them (:func:`_segment_sums`).
-    """
-    x, xa, A, y = _check_x(problem, x), _check_x(problem, x_anchor), problem.aug[rows], problem.y[rows]
-    r = _pointwise_residual(problem.task, A @ x, y) - _pointwise_residual(problem.task, A @ xa, y)
-    return np.multiply(r[:, None], A, out=_kept({} if out is None else out, "deltas", A.shape))
-
-
 def shard_loss(problem: ShardedProblem, shard_id: int, x) -> float:
     x = _check_x(problem, x)
     shard = problem.shard(shard_id)

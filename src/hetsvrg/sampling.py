@@ -150,18 +150,17 @@ def gamma_inverse_bound(pair: PerturbedPair) -> float:
     return bound
 
 
-SUBSAMPLE_POLICIES = ("fixed", "lemma1", "full")
+SUBSAMPLE_POLICIES = ("fixed", "full")
 
 
 @dataclass(frozen=True)
 class EstimationConfig:
     """How workers estimate their gradient-difference weights.
 
-    tau : relative-error target in (0, 1].
-    delta : failure probability in (0, 1).
-    subsample_policy : ``fixed`` (capped fraction of the shard, the default),
-        ``lemma1`` (concentration-driven size from data bounds), or ``full``
-        (exact weights).
+    tau : relative-error target in (0, 1], read by :func:`subsample_size`.
+    delta : failure probability in (0, 1), read by :func:`subsample_size`.
+    subsample_policy : ``fixed`` (capped fraction of the shard, the default)
+        or ``full`` (exact weights); see :func:`subsample_sizes`.
     fixed_n : optional override of the fixed subsample size; when None the
         fixed policy uses max(16, ceil(0.1 * shard size)), capped at the shard.
     """
@@ -183,13 +182,20 @@ class EstimationConfig:
             if self.fixed_n < 1:
                 raise ValueError("fixed_n must be at least 1")
 
-    def size_for_shard(self, shard_size):
-        """Subsample size under the fixed policy, capped at the shard size;
-        elementwise for an integer array of shard sizes."""
-        sizes = np.asarray(shard_size)
-        n = self.fixed_n if self.fixed_n is not None else np.maximum(16, np.ceil(0.1 * sizes).astype(int))
-        out = np.minimum(sizes, n)
-        return out if out.ndim else int(out)
+
+def subsample_sizes(shard_sizes, config: EstimationConfig):
+    """Each shard's subsample size under ``config``'s policy, elementwise for
+    an integer array of shard sizes: the whole shard under ``full``, and
+    under ``fixed`` ``fixed_n`` or max(16, ceil(0.1 * shard size)), capped
+    at the shard.  It reads no point, so a run's sizes are one constant, at
+    least 1 for every nonempty shard."""
+    sizes = np.asarray(shard_sizes)
+    if config.subsample_policy == "full":
+        n = sizes
+    else:
+        n = config.fixed_n if config.fixed_n is not None else np.maximum(16, np.ceil(0.1 * sizes).astype(int))
+    out = np.minimum(sizes, n)
+    return out if out.ndim else int(out)
 
 
 def subsample_size(config: EstimationConfig, d: int, range_norm: float, mean_norm: float) -> int:
@@ -222,42 +228,6 @@ def _segment_starts(counts: np.ndarray) -> np.ndarray:
 def _segment_ranks(counts: np.ndarray) -> np.ndarray:
     """0, 1, .., counts[i] - 1 for every segment i, concatenated."""
     return np.arange(counts.sum()) - np.repeat(_segment_starts(counts), counts)
-
-
-def _segment_bounds(deltas: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(range_norm, mean_norm) of each run of ``counts`` consecutive delta rows."""
-    starts = _segment_starts(counts)
-    span = np.maximum.reduceat(deltas, starts, axis=0) - np.minimum.reduceat(deltas, starts, axis=0)
-    means = np.add.reduceat(deltas, starts, axis=0) / counts[:, None]
-    return np.linalg.norm(span, axis=1), np.linalg.norm(means, axis=1)
-
-
-def subsample_sizes(problem, x, x_anchor, config: EstimationConfig, out=None) -> np.ndarray:
-    """Every worker's subsample size under ``config``'s policy.
-
-    ``full`` gives the shard sizes and ``fixed`` the capped fixed size.
-    ``lemma1`` applies :func:`subsample_size`, capped at the shard, to every
-    shard's bounds: range_norm is ||b - a|| for the coordinate-wise min/max
-    envelope of its per-sample gradient differences, and mean_norm the norm of
-    their average (the exact shard weight).  The bounds of all shards come
-    from one pass over the stacked rows; a shard whose exact weight is zero
-    gets size 0; ``out`` keeps that pass's arrays, as in
-    :func:`problem.gradient_deltas`.
-    """
-    sizes = problem.sizes
-    if config.subsample_policy == "full":
-        return sizes.copy()
-    if config.subsample_policy == "fixed":
-        return config.size_for_shard(sizes)
-    deltas = prob.gradient_deltas(problem, slice(None), x, x_anchor, out)
-    chosen = np.zeros(problem.m_workers, dtype=int)
-    for m, (range_norm, mean_norm) in enumerate(zip(*_segment_bounds(deltas, sizes))):
-        try:
-            n = subsample_size(config, problem.param_dim, float(range_norm), float(mean_norm))
-        except DegenerateWeights:
-            continue  # exact weight is zero, nothing to estimate
-        chosen[m] = min(int(sizes[m]), n)
-    return chosen
 
 
 _MASK32 = 0xFFFFFFFF

@@ -150,12 +150,16 @@ def test_04_one_third_distortion_bound():
 
 def test_05_subsample_coverage():
     """Concentration-sized subsamples miss the relative-error target at most
-    delta of the time, on both synthetic presets.  Only shards sized below
-    the shard count as trials: a whole-shard estimate is exact and cannot
-    miss, and each preset has at least one subsampled shard."""
+    delta of the time, on both synthetic presets.  Each shard's size is
+    Lemma 1's ``subsample_size`` of its per-sample gradient differences
+    r(a'x) - r(a'anchor) times a: range_norm the norm of their
+    coordinate-wise max - min, mean_norm the norm of their mean.  Only
+    shards sized below the shard count as trials: a whole-shard estimate is
+    exact and cannot miss, and each preset has at least one subsampled
+    shard."""
     t0 = time.perf_counter()
     tau, delta = 1.0 / 3.0, 0.05
-    cfg = smp.EstimationConfig(tau=tau, delta=delta, subsample_policy="lemma1")
+    cfg = smp.EstimationConfig(tau=tau, delta=delta)
     rates, subsampled = {}, {}
     for name, task, total, dim in [
         ("linear", prob.LINEAR, 500, 10),
@@ -167,7 +171,13 @@ def test_05_subsample_coverage():
         rng = np.random.default_rng(123)
         fails = trials = 0
         per_shard = 2000 // p.m_workers
-        sizes = smp.subsample_sizes(p, x, anchor, cfg)  # the optimizer's lemma1 sizes
+        sizes = []
+        for m in range(p.m_workers):
+            s = p.shard(m)
+            r = prob._pointwise_residual(task, s.aug @ x, s.y) - prob._pointwise_residual(task, s.aug @ anchor, s.y)
+            deltas = r[:, None] * s.aug
+            range_norm = np.linalg.norm(deltas.max(axis=0) - deltas.min(axis=0))
+            sizes.append(smp.subsample_size(cfg, p.param_dim, range_norm, np.linalg.norm(deltas.mean(axis=0))))
         shards = [m for m in range(p.m_workers) if 0 < sizes[m] < p.shard(m).size]
         for m in shards:
             size = p.shard(m).size

@@ -634,6 +634,33 @@ class TestCli:
         assert "invalid choice" in capsys.readouterr().err
         assert not (tmp_path / "o1").exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--estimation", "lemma1"], "argument --estimation: invalid choice: 'lemma1'"),
+        (["--tau", "0.5"], "unrecognized arguments: --tau 0.5"),
+        (["--delta", "0.1"], "unrecognized arguments: --delta 0.1"),
+    ])
+    def test_removed_run_options_exit_2(self, args, message, tmp_path, capsys):
+        # the lemma1 policy and its tau and delta are gone from run; rates --tau stays
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", *args, "--out", str(tmp_path / "o1")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o1").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("estimation = lemma1", "estimation = lemma1: invalid choice (choose from fixed, full)"),
+        ("tau = 0.5", "unknown config keys: ['tau']"),
+    ])
+    def test_removed_config_keys_exit_1(self, line, message, tmp_path, capsys):
+        cfg = tmp_path / "sweep.conf"
+        cfg.write_text(f"{line}\nout = {tmp_path / 'o1'}\n")
+        rc = cli.main(["run", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "o1").exists()
+
     @pytest.mark.parametrize("key", ["estimation", "preset"])
     def test_config_value_outside_its_flags_choices_exits_1(self, key, tmp_path, capsys):
         cfg = tmp_path / "sweep.conf"
@@ -679,8 +706,7 @@ DATASET_CONTEXT = {
 RUN_OPTION_VALUES = {
     "--preset": "logistic", "--csv": "data.csv", "--task": "logistic", "--algos": "svrg,asd",
     "--etas": "0.1,0.2", "--epochs": "3", "--inner": "7", "--R": "2", "--seeds": "4,5", "--out": "elsewhere",
-    "--growth-base": "2.5", "--eval-every": "2", "--l2-sgd": "0.5", "--estimation": "lemma1", "--tau": "0.5",
-    "--delta": "0.1", "--fixed-n": "8",
+    "--growth-base": "2.5", "--eval-every": "2", "--l2-sgd": "0.5", "--estimation": "full", "--fixed-n": "8",
 }
 
 

@@ -284,7 +284,7 @@ class TestRunAsdSvrg:
         )
         assert arrival(asd, 100) < arrival(uni, 100)
 
-    @pytest.mark.parametrize("policy", ["fixed", "lemma1", "full"])
+    @pytest.mark.parametrize("policy", smp.SUBSAMPLE_POLICIES)
     def test_estimation_policies_run(self, policy):
         p = prob.generate_heterogeneous(prob.LINEAR, 4, 80, 4, 2.0, seed=3)
         cfg = optim.OptimizerConfig(
@@ -399,7 +399,7 @@ class TestRunGrid:
     )
     @example(task=prob.LINEAR, m=4, r_share=0.5, policy="fixed", mode="adaptive", eval_every=2,
              log_etas=[-2.0, -1.0], explode_at=1, seed=0)
-    @example(task=prob.LINEAR, m=3, r_share=0.0, policy="lemma1", mode="lipschitz_importance", eval_every=1,
+    @example(task=prob.LINEAR, m=3, r_share=0.0, policy="full", mode="lipschitz_importance", eval_every=1,
              log_etas=[-2.5, 0.0, 0.5], explode_at=0, seed=4)
     def test_every_cell_equals_its_solo_run(self, task, m, r_share, policy, mode, eval_every, log_etas,
                                             explode_at, seed):
@@ -457,7 +457,7 @@ class TestRunGrid:
         eval_every=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(task=prob.LINEAR, m=4, r_share=1.0, policy="lemma1", eval_every=2, seed=3,
+    @example(task=prob.LINEAR, m=4, r_share=1.0, policy="fixed", eval_every=2, seed=3,
              cells=[("adaptive", 1.0), ("uniform", -0.5), ("lipschitz_importance", 0.5), ("uniform", 1.0),
                     ("adaptive", -1.0), ("lipschitz_importance", -2.0)])
     def test_mixed_modes_equal_their_solo_runs(self, task, m, r_share, policy, cells, eval_every, seed):
@@ -499,7 +499,7 @@ class TestRunGrid:
     @example(task=prob.LINEAR, m=4, r_share=1.0, policy="fixed", l2=0.5, explode_at=2, eval_every=2, seed=3,
              cells=[("sgd", 1.0), ("adaptive", 0.5), ("uniform", -0.5), ("sgd", -2.0),
                     ("lipschitz_importance", 0.5), ("sgd", 0.3)])
-    @example(task=prob.LOGISTIC, m=3, r_share=0.5, policy="lemma1", l2=0.02, explode_at=0, eval_every=1, seed=8,
+    @example(task=prob.LOGISTIC, m=3, r_share=0.5, policy="full", l2=0.02, explode_at=0, eval_every=1, seed=8,
              cells=[("uniform", -1.0), ("sgd", -1.0), ("adaptive", -1.0)])
     def test_sgd_cells_in_a_mixed_grid_equal_their_solo_runs(self, task, m, r_share, policy, cells, l2,
                                                              explode_at, eval_every, seed):
@@ -550,13 +550,14 @@ class TestRunGrid:
             assert trace.ledger.snapshot() == solo.ledger.snapshot()
 
     def test_mode_groups_that_empty_at_different_steps_keep_every_cell_solo(self, tmp_path):
-        """The linear preset under lemma1 with R = 3, modes interleaved: the
-        cells diverge at five different steps (uniform SVRG's last at epoch
-        2, step 4, which empties its mode group while the others step on),
-        and every cell still equals its solo run."""
+        """The linear preset under ``fixed`` with R = 3, modes interleaved:
+        the cells diverge at five different steps (epoch 1, steps 5, 11, 12
+        and 29, and uniform SVRG's last at epoch 2, step 4, which empties its
+        mode group while the others step on), and every cell still equals
+        its solo run."""
         p = preset(seed=1)
         base = optim.OptimizerConfig(eta=0.0, epochs=2, inner_iters=30, group_size=3,
-                                     estimation=smp.EstimationConfig(subsample_policy="lemma1"))
+                                     estimation=smp.EstimationConfig(subsample_policy="fixed"))
         cells = [("adaptive", 1.0), ("uniform", 0.3), ("lipschitz_importance", 0.6), ("uniform", 1.0),
                  ("adaptive", 0.3), ("lipschitz_importance", 0.3), ("uniform", 3.0), ("adaptive", 0.6)]
         configs = [replace(base, eta=eta, distribution_mode=mode, seed=(1, i)) for i, (mode, eta) in enumerate(cells)]
@@ -663,12 +664,12 @@ class TestRunGrid:
         base = optim.OptimizerConfig(eta=0.0, epochs=2, inner_iters=12, group_size=2, distribution_mode="adaptive",
                                      estimation=smp.EstimationConfig(subsample_policy=policy))
         configs = [replace(base, eta=eta, seed=(3, i)) for i, eta in enumerate((0.01, 0.3, 1.0, 3.0, 10.0))]
-        draws, gathers = [], []  # keys (steps x cells) of each draw, steps of each gather
+        draws, gathers = [], []  # key hashes (steps x cells) of each draw, steps of each gather
         draw, gather = smp._draw_subsamples, prob._gather_block
-        monkeypatch.setattr(smp, "_draw_subsamples", lambda *a: draws.append(len(a[0])) or draw(*a))
+        monkeypatch.setattr(smp, "_draw_subsamples", lambda *a: draws.append(a[0].tolist()) or draw(*a))
         monkeypatch.setattr(prob, "_gather_block", lambda *a: gathers.append(a[4]) or gather(*a))
         bounds = (1, 1000, 10**9)  # one step, 3 to 7 steps, the whole epoch
-        outputs, spans = [], {}  # spans: each run's draws and gathers, by (draw bound, gather bound)
+        outputs, spans, keys = [], {}, {}  # by (draw bound, gather bound): each run's draws and gathers, its keys
         for draw_slots in bounds:
             for gather_slots in bounds:
                 monkeypatch.setattr(optim, "_DRAW_SLOTS", draw_slots)
@@ -677,26 +678,29 @@ class TestRunGrid:
                 grid = optim.run_grid(p, configs)
                 outputs.append([(trace_bytes(trace, tmp_path, f"{i}.csv"), trace.final_x.tobytes(), diverged)
                                 for i, (trace, diverged) in enumerate(grid)])
-                spans[draw_slots, gather_slots] = (list(draws), list(gathers))
+                spans[draw_slots, gather_slots] = ([len(d) for d in draws], list(gathers))
+                keys[draw_slots, gather_slots] = [h for d in draws for h in d]
+        # no (cell, step) key is drawn twice: a cell that drops out leaves the others' draws
+        assert all(len(set(run)) == len(run) for run in keys.values())
         n_draws = {run: len(d) for run, (d, _) in spans.items()}
         n_gathers = {run: len(g) for run, (_, g) in spans.items()}
         assert [diverged for *_, diverged in outputs[0]] == [False, False, True, True, True]
         assert all(out == outputs[0] for out in outputs)
         steps = 2 * 11  # the first step of each epoch estimates nothing
         periods = 5  # epoch 1 from steps 2, 4, 5 and 10 (a cell fewer each), epoch 2 from step 2
-        if policy == "lemma1":  # its sizes move with the points: one step per draw and gather
-            assert set(n_draws.values()) == set(n_gathers.values()) == {steps}
-        elif policy == "full":  # whole shards are read in place, never drawn, to the end of the epoch
+        if policy == "full":  # whole shards are read in place, never drawn, to the end of the epoch
             assert set(n_draws.values()) == {0} and set(n_gathers.values()) == {periods}
         else:
             for d in bounds:  # the draws follow the draw bound alone, and no gather spans two draws
                 assert len({n_draws[d, g] for g in bounds}) == 1
-                assert n_gathers[d, 1] == steps and n_gathers[d, 10**9] == n_draws[d, 1]
+                assert n_gathers[d, 1] == steps and n_gathers[d, 10**9] >= n_draws[d, 1]
                 assert all(n_gathers[d, g] >= n_draws[d, g] for g in bounds)
-            assert n_draws[1, 1] == steps > n_draws[1000, 1] > n_draws[10**9, 1] == periods, n_draws
-            # each draw runs to the end of the epoch for the cells then live; the draw of steps 5-12
-            # holds the cell that diverges at step 9, between the gathers of steps 5-9 and 10-12
-            assert spans[10**9, 1000] == ([11 * 5, 9 * 4, 8 * 3, 3 * 2, 11 * 2], [3, 3, 5, 3, 7, 4])
+            assert n_draws[1, 1] == steps > n_draws[1000, 1] > n_draws[10**9, 1] == 2, n_draws
+            assert n_gathers[10**9, 10**9] == periods  # a gather opens again where a cell drops out
+            # each draw runs to the end of the epoch for the cells live at its start, and the cells that
+            # drop out at steps 4, 5 and 10 leave the others' rows in it; the gathers of steps 2-4, 4-6,
+            # 5-9 and 10-12 take the live cells' rows from the first
+            assert spans[10**9, 1000] == ([11 * 5, 11 * 2], [3, 3, 5, 3, 7, 4])
 
 
 class TestGeneratorSchedule:
@@ -830,10 +834,7 @@ def reference_weights(p, x, anchor, est, seed, k, t):
     norm of the mean of its per-sample gradient differences on those
     indices."""
     out = []
-    for m, size in enumerate(smp.subsample_sizes(p, x, anchor, est)):
-        if size == 0:  # lemma1 skips a worker whose exact weight is zero
-            out.append(0.0)
-            continue
+    for m, size in enumerate(smp.subsample_sizes(p.sizes, est)):
         alone = np.zeros((1, p.m_workers), dtype=int)
         alone[0, m] = size
         local = smp._draw_subsamples([smp._key_hash(seed + (optim._CH_WEIGHTS, k, t))], p.sizes, alone)
@@ -847,8 +848,7 @@ class TestEstimateWeights:
 
     def problem(self, task):
         # shard sizes 40, 40, 47 (a remainder shard); worker 1 has an all-zero
-        # first feature, so moving only that coordinate leaves it at weight 0;
-        # features centred away from 0 keep lemma1's sizes below the shard sizes
+        # first feature, so moving only that coordinate leaves it at weight 0
         rng = np.random.default_rng(12)
         shards = []
         for m, n in enumerate([40, 40, 47]):
@@ -860,7 +860,7 @@ class TestEstimateWeights:
         return prob.ShardedProblem(shards, task)
 
     @pytest.mark.parametrize("task", prob.TASKS)
-    @pytest.mark.parametrize("policy", ["fixed", "lemma1", "full"])
+    @pytest.mark.parametrize("policy", smp.SUBSAMPLE_POLICIES)
     def test_batched_matches_per_shard(self, task, policy):
         # two cells in one call, each at its own point, anchor and seed
         p = self.problem(task)
@@ -887,18 +887,14 @@ class TestEstimateWeights:
 
     @pytest.mark.parametrize("preset_name", ["linear_synthetic", "logistic_synthetic"])
     def test_full_policy_reads_rows_in_place_exactly(self, preset_name):
-        # under ``full`` every cell reads problem.aug in place; the deltas
-        # (lemma1's full pass) equal those of the gathered rows exactly, and
-        # the segment sums of a block's rows read in place, broadcast over
-        # the cells, equal those of the gathered rows (every row once per
-        # cell), one segment per (cell, worker)
+        # under ``full`` every cell reads problem.aug in place: the segment
+        # sums of a block's rows read in place, broadcast over the cells,
+        # equal those of the gathered rows (every row once per cell), one
+        # segment per (cell, worker)
         spec = harness.ExperimentSpec(preset=preset_name, algorithms=("asd_svrg",), eta_grid=(0.1,), seeds=(1,))
         p = harness.make_problem(spec, seed=1)
         rng = np.random.default_rng(8)
         x, anchor = rng.normal(size=(3, p.param_dim)), rng.normal(size=(3, p.param_dim))
-        for xc, ac in zip(x, anchor):
-            in_place = prob.gradient_deltas(p, slice(None), xc, ac)
-            assert np.array_equal(in_place, prob.gradient_deltas(p, np.arange(p.n_total), xc, ac))
         # gathered: one segment per (cell, worker), each at its cell's points
         tiled, segments = np.tile(np.arange(p.n_total), 3), np.tile(p.sizes, 3)
         A, y, ra = prob._gather_block(p, tiled, np.repeat(anchor, p.m_workers, axis=0), segments, 1, {})
@@ -1039,13 +1035,12 @@ class TestRowBuffers:
         assert len(summed) == 2 * len(steps)
         assert not any(np.shares_memory(w, b) for w in shipped for args in summed for b in args)
 
-    @pytest.mark.parametrize("policy,per_epoch", [("fixed", 1), ("full", 0), ("lemma1", 2)])
+    @pytest.mark.parametrize("policy,per_epoch", [("fixed", 1), ("full", 0)])
     def test_row_arrays_made_per_epoch_not_per_step(self, policy, per_epoch, monkeypatch):
         """For a grid that keeps its cells, the estimator makes its arrays of
         rows once per epoch: under ``fixed`` the rows, under ``full`` none
-        (rows read in place), and under ``lemma1`` the full passes' deltas
-        (one shard stack), then the step's rows.  No step writes its deltas
-        out, and no gather makes a fresh array.  So the per-step allocation,
+        (rows read in place).  No step writes its per-row differences out,
+        and no gather makes a fresh array.  So the per-step allocation,
         whose pages were faulted in again on every step, cannot creep back.
 
         Two checks see the estimator's calls (``_weight_estimator`` and each
@@ -1124,22 +1119,18 @@ def block_free_weights(p, est, seed, k, t, x, anchor):
     draw, then for each worker's segment alone a fresh gather of its rows,
     both residual sides formed, one mat-vec over its rows for each side and
     one (1 x k) @ (k x p) product of their difference and its rows."""
-    sizes = smp.subsample_sizes(p, x, anchor, est)
-    workers = np.flatnonzero(sizes)
-    counts = sizes[workers]
+    counts = smp.subsample_sizes(p.sizes, est)
     if est.subsample_policy == "full":
         rows = np.arange(p.n_total)
     else:
-        local = smp._draw_subsamples([smp._key_hash(seed + (optim._CH_WEIGHTS, k, t))], p.sizes, sizes[None])
-        rows = local + np.repeat(p.offsets[workers], counts)
-    weights, sums = np.zeros(p.m_workers), []
+        local = smp._draw_subsamples([smp._key_hash(seed + (optim._CH_WEIGHTS, k, t))], p.sizes, counts[None])
+        rows = local + np.repeat(p.offsets[:-1], counts)
+    sums = []
     for lo, n in zip(np.cumsum(counts) - counts, counts):  # each worker's segment alone
         A, y = p.aug[rows[lo : lo + n]], p.y[rows[lo : lo + n]]
         r = prob._pointwise_residual(p.task, A @ x, y) - prob._pointwise_residual(p.task, A @ anchor, y)
         sums.append(r @ A)
-    if counts.size:
-        weights[workers] = np.linalg.norm(np.array(sums) / counts[:, None], axis=1)
-    return weights
+    return np.linalg.norm(np.array(sums) / counts[:, None], axis=1)
 
 
 class TestBlockPath:

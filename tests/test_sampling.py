@@ -13,6 +13,28 @@ from hetsvrg import problem as prob
 from hetsvrg import sampling as smp
 
 
+def shard_deltas(p, m, x, anchor):
+    """Shard m's per-sample gradient differences r(a'x) - r(a'anchor) times a, one row per sample."""
+    s = p.shard(m)
+    r = prob._pointwise_residual(p.task, s.aug @ x, s.y) - prob._pointwise_residual(p.task, s.aug @ anchor, s.y)
+    return r[:, None] * s.aug
+
+
+def lemma1_sizes(p, x, anchor, cfg):
+    """Lemma 1's subsample size of every shard at x against the anchor,
+    capped at the shard: :func:`sampling.subsample_size` of its
+    :func:`shard_deltas`, range_norm the norm of their coordinate-wise
+    max - min and mean_norm the norm of their mean (the exact shard
+    weight)."""
+    sizes = []
+    for m in range(p.m_workers):
+        deltas = shard_deltas(p, m, x, anchor)
+        range_norm = np.linalg.norm(deltas.max(axis=0) - deltas.min(axis=0))
+        n = smp.subsample_size(cfg, p.param_dim, range_norm, np.linalg.norm(deltas.mean(axis=0)))
+        sizes.append(min(p.shard(m).size, n))
+    return sizes
+
+
 def random_pair(rng, m=6, max_rel=0.3):
     """A strictly positive base and a perturbation bounded by max_rel * w."""
     w = rng.uniform(0.5, 5.0, size=m)
@@ -225,22 +247,25 @@ class TestSubsampleSize:
 
     def test_numpy_integer_fixed_n_is_read_as_int(self):
         cfg = smp.EstimationConfig(fixed_n=np.int64(5))
-        assert type(cfg.fixed_n) is int and cfg.size_for_shard(50) == 5
+        assert type(cfg.fixed_n) is int and smp.subsample_sizes(50, cfg) == 5
 
     def test_fixed_policy_size(self):
         cfg = smp.EstimationConfig()
-        assert cfg.size_for_shard(50) == 16
-        assert cfg.size_for_shard(500) == 50
-        assert cfg.size_for_shard(10) == 10
-        assert smp.EstimationConfig(fixed_n=5).size_for_shard(50) == 5
+        assert smp.subsample_sizes(50, cfg) == 16
+        assert smp.subsample_sizes(500, cfg) == 50
+        assert smp.subsample_sizes(10, cfg) == 10
+        assert smp.subsample_sizes(50, smp.EstimationConfig(fixed_n=5)) == 5
+        assert smp.subsample_sizes(50, smp.EstimationConfig(subsample_policy="full", fixed_n=5)) == 50
 
     @settings(max_examples=200, deadline=None)
     @given(sizes=st.lists(st.integers(1, 2**40), min_size=1, max_size=20), fixed_n=st.none() | st.integers(1, 300))
     def test_fixed_sizes_match_per_shard_rule(self, sizes, fixed_n):
         cfg = smp.EstimationConfig(fixed_n=fixed_n)
         expected = [min(n, fixed_n or max(16, math.ceil(0.1 * n))) for n in sizes]
-        assert cfg.size_for_shard(np.array(sizes)).tolist() == expected
-        assert [cfg.size_for_shard(n) for n in sizes] == expected
+        assert smp.subsample_sizes(np.array(sizes), cfg).tolist() == expected
+        assert [smp.subsample_sizes(n, cfg) for n in sizes] == expected
+        full = smp.EstimationConfig(subsample_policy="full", fixed_n=fixed_n)
+        assert smp.subsample_sizes(np.array(sizes), full).tolist() == sizes
 
 
 class TestEstimateShardWeight:
@@ -276,17 +301,17 @@ class TestEstimateShardWeight:
     @pytest.mark.parametrize("delta", [0.05, 0.1])
     def test_concentration_coverage(self, tau, delta):
         # empirical failure rate of the relative-error guarantee stays below
-        # delta, on shards whose lemma1 sizes (20 to 124 of 200 rows) make the
-        # estimate a real subsample; features centred away from 0 keep the
-        # sizes below the shard size
+        # delta, on shards whose Lemma 1 sizes (20 to 124 of 200 rows) make
+        # the estimate a real subsample; features centred away from 0 keep
+        # the sizes below the shard size
         rng = np.random.default_rng(12)
         shards = [
             prob.Shard(m, 2.0 + 0.2 * 1.5**m * rng.normal(size=(200, 3)), rng.normal(size=200)) for m in range(4)
         ]
         p = prob.ShardedProblem(shards, prob.LINEAR)
-        cfg = smp.EstimationConfig(tau=tau, delta=delta, subsample_policy="lemma1")
+        cfg = smp.EstimationConfig(tau=tau, delta=delta)
         x, anchor = np.random.default_rng(1).normal(size=p.param_dim), np.zeros(p.param_dim)
-        sizes = smp.subsample_sizes(p, x, anchor, cfg)
+        sizes = lemma1_sizes(p, x, anchor, cfg)
         for m in (0, 1):
             size = p.shard(m).size
             n = int(sizes[m])
@@ -298,20 +323,25 @@ class TestEstimateShardWeight:
             )
             assert fails / 2000 <= delta
 
-    def test_lemma_bounds_match_brute_force(self):
-        # lemma1 sizes from a brute-force range / mean over each shard's rows,
-        # on a preset whose sizes span 1 to the shard size
+    def test_shipped_drawer_coverage(self):
+        # acceptance check 05's linear preset, point, tau, delta and draws per
+        # shard, drawn by the optimizer's drawer: its Lemma 1 sizes 1, 1, 3
+        # and 21 of 50 rows miss the relative-error target at most delta of
+        # the time, the estimate the norm of the drawn rows' mean difference
+        tau, delta = 1.0 / 3.0, 0.05
         p = prob.generate_heterogeneous(prob.LINEAR, 8, 500, 10, 3.0, seed=42)
         x, anchor = np.random.default_rng(7).normal(size=p.param_dim), np.zeros(p.param_dim)
-        for tau in (0.2, 1.0 / 3.0, 1.0):
-            cfg = smp.EstimationConfig(tau=tau, subsample_policy="lemma1")
-            expected = []
-            for m in range(p.m_workers):
-                deltas = prob.gradient_deltas(p, slice(p.offsets[m], p.offsets[m + 1]), x, anchor)
-                range_norm = np.linalg.norm(deltas.max(axis=0) - deltas.min(axis=0))
-                mean_norm = np.linalg.norm(deltas.mean(axis=0))
-                expected.append(min(p.shard(m).size, smp.subsample_size(cfg, p.param_dim, range_norm, mean_norm)))
-            assert smp.subsample_sizes(p, x, anchor, cfg).tolist() == expected
+        sizes = np.array(lemma1_sizes(p, x, anchor, smp.EstimationConfig(tau=tau, delta=delta)))
+        sizes[sizes == p.sizes] = 0  # a whole-shard estimate is exact and cannot miss
+        assert sizes.tolist() == [1, 1, 3, 21, 0, 0, 0, 0]
+        draws = 2000 // p.m_workers
+        rows = smp._draw_subsamples([smp._key_hash((42, t)) for t in range(draws)], p.sizes, np.tile(sizes, (draws, 1)))
+        workers = np.flatnonzero(sizes)
+        for m, drawn in zip(workers, np.split(rows.reshape(draws, -1), np.cumsum(sizes[workers])[:-1], axis=1)):
+            deltas = shard_deltas(p, m, x, anchor)
+            exact = np.linalg.norm(deltas.mean(axis=0))
+            estimates = np.linalg.norm(deltas[drawn].mean(axis=1), axis=1)
+            assert np.mean(np.abs(estimates - exact) > tau * exact) <= delta
 
     def test_matches_subsample_gradient_difference(self):
         # the estimate is the norm of the mean per-sample gradient difference
