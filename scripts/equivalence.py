@@ -1,4 +1,4 @@
-"""Digest every output file of sixteen fixed sweeps and of the tree protocols
+"""Digest every output file of seventeen fixed sweeps and of the tree protocols
 at wide worker counts, so that two checkouts can be shown to write
 byte-identical traces, reports and protocol draws.
 
@@ -21,6 +21,7 @@ policies, R > 1, several seeds, diverging cells, a trace thinned by
 the logistic one with row counts that are not multiples of 4, a sweep
 read from a ``--config`` file (keys in both spellings, one overridden by a
 flag), a 64-worker ASD shape run through ``harness.run_experiment``, and
+linear-preset ASD under ``fixed`` with every subsample its whole shard,
 logistic-preset ASD under ``full`` (wide rows), whose
 largest step size diverges at epoch 1, step 10 on seed 1, so the live cells
 shrink in mid-epoch, and a linear sweep of the three variance-reduced
@@ -91,6 +92,11 @@ CLI_SWEEPS = {
     "linear_fixed_r3": ("--preset", "linear", "--R", "3", "--estimation", "fixed", "--epochs", "3"),
     "asd_full_seeds12": ("--preset", "linear", "--algos", "asd", "--estimation", "full", "--seeds", "1,2",
                          "--epochs", "3"),
+    # the linear preset's shards hold 50 rows, so every fixed subsample is its
+    # whole shard: the estimator reads the rows in place, as under full, and
+    # each file equals its asd_full_seeds12 twin byte for byte
+    "asd_whole_fixed": ("--preset", "linear", "--algos", "asd", "--estimation", "fixed", "--fixed-n", "50",
+                        "--seeds", "1,2", "--epochs", "3"),
     "asd_fixed_r2_seed3": ("--preset", "linear", "--algos", "asd", "--estimation", "fixed", "--R", "2",
                            "--seeds", "3", "--epochs", "3"),
     "linear_eval3": ("--preset", "linear", "--algos", "sgd,svrg,svrg_importance,asd", "--eval-every", "3",

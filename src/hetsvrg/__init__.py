@@ -45,7 +45,6 @@ from .sampling import (
     decompose_perturbed,
     estimate_shard_weight,
     gamma_inverse_bound,
-    optimal_distribution,
     sample_categorical,
     subsample_size,
 )

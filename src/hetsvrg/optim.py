@@ -17,8 +17,9 @@ own cells, and the loop merges their picks.  The loop is the same, with one
 cell for a solo run, and only the per-call glue is batched over cells: the
 divergence guard's initial loss and the first epoch's anchor gradients
 (every cell starts at x0), the weight estimates of each step, whose
-``fixed`` subsamples are drawn once per draw block of up to ``_DRAW_SLOTS``
-slots (their sizes hold for the run), whose row gathers and anchor
+subsamples are drawn once per draw block of up to ``_DRAW_SLOTS`` slots
+(their sizes hold for the run; where each is its whole shard, its rows are
+read in place and nothing is drawn), whose row gathers and anchor
 residuals are made once per gather block of up to
 ``_BLOCK_SLOTS`` slots inside it, each segment's sum one stacked product,
 ASD's tree protocol, one ``comm.pc_sample_cells`` call a step, the
@@ -367,30 +368,29 @@ def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
     live cells at their points against their anchors.  Cell c's subsamples
     are keyed by (c.seed, weights channel, k, t), so none depends on another
     worker's or cell's, and sized by ``sampling.subsample_sizes``, the same
-    for every cell and step and at least 1 a worker (``full`` reads every
-    row of each shard in place and draws nothing); it answers any t, though
-    the loop asks from t = 2 on.  Two blocks run over the steps ahead, for
-    the cells live when they open.  A draw block holds the ``fixed``
-    subsamples of at most ``_DRAW_SLOTS`` slots (or of one step, if a step
-    needs more), all from one ``sampling._draw_subsamples`` call on keys
-    hashed in one array op, as (steps, cells, slots) rows; a cell that drops
-    out leaves the others' rows in it.  A gather block, of at most
-    ``_BLOCK_SLOTS`` slots and never past its draw block, takes its steps'
-    rows of the live cells from that draw, and opens again once a cell
-    drops out: their segment layout, rows and residuals at the anchors are
-    made once, when it opens (``problem._gather_block``).  A step forms
-    r(a'x) on its rows and the norm of each (cell, worker) segment's mean
-    difference, its sum one product (``problem._segment_sums``; under
-    ``full`` the segments are the shards, read in place by every cell): bit
-    for bit the value of ``sampling.estimate_shard_weight`` on the same
-    rows.  The rows use arrays kept for the epoch."""
-    est, T, M, p = config.estimation, config.inner_iters, problem.m_workers, problem.param_dim
-    full = est.subsample_policy == "full"
-    sizes = sampling.subsample_sizes(problem.sizes, est)
+    for every cell and step and at least 1 a worker; when every size is its
+    whole shard, every cell reads every row in place and nothing is drawn.
+    It answers any t, though the loop asks from t = 2 on.  Two blocks run
+    over the steps ahead, for the cells live when they open.  A draw block
+    holds the subsamples of at most ``_DRAW_SLOTS`` slots (or of one step,
+    if a step needs more), all from one ``sampling._draw_subsamples`` call
+    on keys hashed in one array op, as (steps, cells, slots) rows; a cell
+    that drops out leaves the others' rows in it.  A gather block, of at
+    most ``_BLOCK_SLOTS`` slots and never past its draw block, takes its
+    steps' rows of the live cells from that draw, and opens again once a
+    cell drops out: their rows and residuals at the anchors are made once,
+    when it opens (``problem._gather_block``).  A step forms r(a'x) on its
+    rows and the norm of each (cell, worker) segment's mean difference, its
+    sum one product (``problem._segment_sums``): bit for bit the value of
+    ``sampling.estimate_shard_weight`` on the same rows.  The rows use
+    arrays kept for the epoch."""
+    T, M, p = config.inner_iters, problem.m_workers, problem.param_dim
+    sizes = sampling.subsample_sizes(problem.sizes, config.estimation)
+    whole = (sizes == problem.sizes).all()
     offsets = np.repeat(problem.offsets[:-1], sizes)  # each of a cell's slots' shard offset
     prefix = {c: np.uint64(sampling._key_hash(c.seed + (_CH_WEIGHTS, k))) for c in cells}
     buffers = {}
-    block = (0, 0, 0, None, None, None)  # the open gather block: first and end step, cells, counts, segments, rows
+    block = (0, 0, 0, None)  # the open gather block: first and end step, cells, rows
     drawn = (0, 0, None, None)  # the open draw block: first and end step, each cell's column, its (step, cell) rows
 
     def draw(t, steps, live):
@@ -401,28 +401,24 @@ def _weight_estimator(problem, config: OptimizerConfig, k: int, cells):
 
     def estimate(t, live):
         nonlocal block, drawn
-        points = (len(live), M, p) if full else (-1, p)  # a point per (cell, worker): (C, M, p) or (S, p)
         if t >= block[1] or len(live) != block[2]:
-            anchor = np.repeat([c.anchor for c in live], M, axis=0).reshape(points)
-            counts, slots = np.tile(sizes, len(live)), int(sizes.sum()) * len(live)
-            if full:  # every cell takes every row: read them in place, one segment per shard
-                steps, rows, segments = T + 1 - t, slice(None), problem.sizes
-            else:  # one segment per (cell, worker)
+            anchor = np.repeat([c.anchor for c in live], M, axis=0).reshape(len(live), M, p)
+            if whole:  # the segments are the shards, each read by every cell
+                steps, rows = T + 1 - t, slice(None)
+            else:
+                slots = int(sizes.sum()) * len(live)
                 if t >= drawn[1]:
                     ahead = min(T + 1 - t, max(1, _DRAW_SLOTS // slots))
                     drawn = (t, t + ahead, {c: i for i, c in enumerate(live)}, draw(t, ahead, live))
                 steps = min(drawn[1] - t, max(1, _BLOCK_SLOTS // slots))
-                local = drawn[3][t - drawn[0] : t + steps - drawn[0], [drawn[2][c] for c in live]]
-                rows, segments = (local + offsets).ravel(), counts
-            block = (t, t + steps, len(live), counts, segments,
-                     prob._gather_block(problem, rows, anchor, segments, steps, buffers))
-        first, _, _, counts, segments, (A, y, ra) = block
-        if not full:  # the step's own rows of the block
+                rows = (drawn[3][t - drawn[0] : t + steps - drawn[0], [drawn[2][c] for c in live]] + offsets).ravel()
+            block = (t, t + steps, len(live), prob._gather_block(problem, rows, anchor, sizes, steps, buffers))
+        first, _, _, (A, y, ra) = block
+        if not whole:  # the step's own rows of the block
             A, y, ra = A[t - first], y[t - first], ra[t - first]
-        x = np.repeat([c.x for c in live], M, axis=0).reshape(points)
-        r = prob._residuals(problem, A, y, x, segments) - ra
-        sums = prob._segment_sums(r, A, segments).reshape(-1, p)
-        return np.linalg.norm(sums / counts[:, None], axis=1).reshape(len(live), M)
+        x = np.repeat([c.x for c in live], M, axis=0).reshape(len(live), M, p)
+        r = prob._residuals(problem, A, y, x, sizes) - ra
+        return np.linalg.norm(prob._segment_sums(r, A, sizes) / sizes[:, None], axis=-1)
 
     return estimate
 

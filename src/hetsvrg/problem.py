@@ -326,11 +326,11 @@ def _runs(counts):
 
 def _residuals(problem: ShardedProblem, A, y, X, counts) -> np.ndarray:
     """r(a'x) on the (..., N) rows of ``A`` and ``y`` in segments of
-    ``counts`` rows, segment s at ``X[..., s, :]`` (leading axes on A or on X,
-    not both): a (..., N) array.  Each run of equal counts is one stacked
-    ``np.matmul``, one mat-vec per segment, so a segment's residuals have
-    the bits of its call alone (a mat-vec's value for a row depends on the
-    rows it is called with)."""
+    ``counts`` rows, segment s at ``X[..., s, :]`` (the leading axes of A and
+    X broadcast, the longer of them the result's): a (..., N) array.  Each
+    run of equal counts is one stacked ``np.matmul``, one mat-vec per
+    segment, so a segment's residuals have the bits of its call alone (a
+    mat-vec's value for a row depends on the rows it is called with)."""
     p, lead = problem.param_dim, max(A.shape[:-2], X.shape[:-2], key=len)
     r = np.empty(lead + y.shape[-1:])
     for lo, s, run, n in _runs(counts):
@@ -341,13 +341,15 @@ def _residuals(problem: ShardedProblem, A, y, X, counts) -> np.ndarray:
 
 
 def _segment_sums(r: np.ndarray, A: np.ndarray, counts) -> np.ndarray:
-    """Sum_j r_j a_j over each segment of ``counts`` rows of the (N, p) ``A``
-    for every row of the (..., N) ``r``: a (..., S, p) array.  Segment s is
-    one (1 x k) @ (k x p) product, each run of equal counts one stacked
-    ``np.matmul``, so each sum is ``r_s @ A_s`` alone, bit for bit, at any
-    offset and in any stack; a segment of 0 rows sums to 0."""
-    lead, p = r.shape[:-1], A.shape[1]
-    sums = [np.matmul(r[..., lo : lo + run * n].reshape(lead + (run, 1, n)), A[lo : lo + run * n].reshape(run, n, p))
+    """Sum_j r_j a_j over each segment of ``counts`` rows of the (..., N, p)
+    ``A`` for every row of the (..., N) ``r``, leading axes broadcast: a
+    (..., S, p) array.  Segment s is one (1 x k) @ (k x p) product, each run
+    of equal counts one stacked ``np.matmul``, so each sum is ``r_s @ A_s``
+    alone, bit for bit, at any offset and in any stack; a segment of 0 rows
+    sums to 0."""
+    lead, p = r.shape[:-1], A.shape[-1]
+    sums = [np.matmul(r[..., lo : lo + run * n].reshape(lead + (run, 1, n)),
+                      A[..., lo : lo + run * n, :].reshape(A.shape[:-2] + (run, n, p)))
             for lo, _, run, n in _runs(counts)]
     return np.concatenate(sums or [np.zeros(lead + (0, 1, p))], axis=-3)[..., 0, :]
 
@@ -355,14 +357,15 @@ def _segment_sums(r: np.ndarray, A: np.ndarray, counts) -> np.ndarray:
 def _gather_block(problem: ShardedProblem, rows, X_anchor, counts, steps: int, out: dict) -> tuple:
     """(rows, targets, anchor residuals :func:`_residuals`) of ``steps``
     steps of the segments ``counts`` at ``X_anchor``: ``rows`` holds the
-    steps' index rows one after another, gathered into ``out`` with a
-    leading steps axis, or is a slice every step reads in place."""
-    p = problem.param_dim
+    steps' index rows one after another, each step's split along the
+    anchors' leading axes (one row set per point set), gathered into ``out``
+    with a leading steps axis, or is a slice every step reads in place."""
+    p, lead = problem.param_dim, (steps,) + X_anchor.shape[:-2]
     if isinstance(rows, slice):
         A, y = problem.aug[rows], problem.y[rows]  # a slice is a view, not a copy
     else:  # 'clip' gathers straight into the kept rows, where 'raise' would copy them first
-        A = np.take(problem.aug, rows, axis=0, out=_kept(out, "aug", (len(rows), p)), mode="clip").reshape(steps, -1, p)
-        y = np.take(problem.y, rows, out=_kept(out, "y", (len(rows),)), mode="clip").reshape(steps, -1)
+        A = np.take(problem.aug, rows, axis=0, out=_kept(out, "aug", (len(rows), p)), mode="clip").reshape(*lead, -1, p)
+        y = np.take(problem.y, rows, out=_kept(out, "y", (len(rows),)), mode="clip").reshape(*lead, -1)
     return A, y, _residuals(problem, A, y, X_anchor, counts)
 
 

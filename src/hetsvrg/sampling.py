@@ -1,9 +1,10 @@
 """Categorical weight machinery for adaptive worker selection.
 
-Covers the variance-minimizing sampling distribution, subsample-based
-estimation of per-worker gradient-difference norms (with the concentration
-driven sample-size rule), and the decomposition of a noisily-estimated
-categorical distribution into (1 - gamma) * exact + gamma * residual.
+Covers categorical distributions (the variance-minimizing one weights each
+worker by its gradient-difference norm), subsample-based estimation of those
+norms (with the concentration-driven sample-size rule), and the decomposition
+of a noisily-estimated categorical distribution into (1 - gamma) * exact +
+gamma * residual.
 """
 
 from __future__ import annotations
@@ -53,19 +54,6 @@ class Categorical:
 
     def __len__(self) -> int:
         return self.weights.size
-
-
-def optimal_distribution(diff_norms) -> Categorical:
-    """Variance-minimizing worker distribution: probabilities proportional to
-    the shard gradient-difference norms.
-
-    Raises DegenerateWeights when every norm is zero (the minimisation target
-    is 0/0 there; callers substitute the uniform distribution).
-    """
-    norms = np.asarray(diff_norms, dtype=float).ravel()
-    if np.any(norms < 0):
-        raise ValueError("gradient-difference norms cannot be negative")
-    return Categorical.from_weights(norms)
 
 
 @dataclass(frozen=True)
@@ -157,24 +145,16 @@ SUBSAMPLE_POLICIES = ("fixed", "full")
 class EstimationConfig:
     """How workers estimate their gradient-difference weights.
 
-    tau : relative-error target in (0, 1], read by :func:`subsample_size`.
-    delta : failure probability in (0, 1), read by :func:`subsample_size`.
     subsample_policy : ``fixed`` (capped fraction of the shard, the default)
         or ``full`` (exact weights); see :func:`subsample_sizes`.
     fixed_n : optional override of the fixed subsample size; when None the
         fixed policy uses max(16, ceil(0.1 * shard size)), capped at the shard.
     """
 
-    tau: float = 1.0 / 3.0
-    delta: float = 0.05
     subsample_policy: str = "fixed"
     fixed_n: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError(f"tau must be in (0, 1], got {self.tau}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.subsample_policy not in SUBSAMPLE_POLICIES:
             raise ValueError(f"subsample_policy must be one of {SUBSAMPLE_POLICIES}")
         if self.fixed_n is not None:
@@ -198,17 +178,23 @@ def subsample_sizes(shard_sizes, config: EstimationConfig):
     return out if out.ndim else int(out)
 
 
-def subsample_size(config: EstimationConfig, d: int, range_norm: float, mean_norm: float) -> int:
-    """Sample count guaranteeing relative error tau with probability 1 - delta.
+def subsample_size(d: int, range_norm: float, mean_norm: float, *, tau: float, delta: float) -> int:
+    """Lemma 1's sample count, guaranteeing relative error ``tau`` in (0, 1]
+    with probability 1 - ``delta``, ``delta`` in (0, 1).
 
     Evaluates ceil( (1/tau^2) * ||b-a||^2 / (2 ||mu||^2) * log(2d / delta) )
     for d-dimensional vectors whose coordinates span range_norm and whose mean
     has norm mean_norm.  Sampling is without replacement, so callers clamp the
-    result to the population size.
+    result to the population size.  No run reads it: a run's sizes come from
+    :func:`subsample_sizes`.
     """
     d = comm._count(d, "d")  # 2.5 is a ValueError, not a size between d = 2's and d = 3's
     if d < 1:
         raise ValueError("d must be at least 1")
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(f"tau must be in (0, 1], got {tau}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
     for name, norm in (("range_norm", range_norm), ("mean_norm", mean_norm)):
         if not math.isfinite(norm):
             raise ValueError(f"{name} must be finite, got {norm}")
@@ -216,7 +202,7 @@ def subsample_size(config: EstimationConfig, d: int, range_norm: float, mean_nor
         raise ValueError("range_norm must be nonnegative")
     if mean_norm <= 0:
         raise DegenerateWeights("mean norm is zero; the relative-error target is undefined")
-    n = (range_norm**2) / (2.0 * mean_norm**2) / config.tau**2 * math.log(2.0 * d / config.delta)
+    n = (range_norm**2) / (2.0 * mean_norm**2) / tau**2 * math.log(2.0 * d / delta)
     # tolerate float noise at integer boundaries before rounding up
     return max(1, math.ceil(n - 1e-9))
 
@@ -322,8 +308,6 @@ def _draw_subsamples(hashes, shard_sizes, sizes) -> np.ndarray:
     """
     cells, workers = np.nonzero(sizes)
     n, k = np.asarray(shard_sizes)[workers], sizes[cells, workers]
-    if (k == n).all():  # every segment takes its whole shard (the ``full`` policy)
-        return _segment_ranks(k)
     flip = 2 * k > n
     d = np.where(flip, n - k, k)  # slots each (key, worker) segment draws
     slots, total = int(d.sum()), int(n.sum())

@@ -159,7 +159,6 @@ def test_05_subsample_coverage():
     shard."""
     t0 = time.perf_counter()
     tau, delta = 1.0 / 3.0, 0.05
-    cfg = smp.EstimationConfig(tau=tau, delta=delta)
     rates, subsampled = {}, {}
     for name, task, total, dim in [
         ("linear", prob.LINEAR, 500, 10),
@@ -177,7 +176,8 @@ def test_05_subsample_coverage():
             r = prob._pointwise_residual(task, s.aug @ x, s.y) - prob._pointwise_residual(task, s.aug @ anchor, s.y)
             deltas = r[:, None] * s.aug
             range_norm = np.linalg.norm(deltas.max(axis=0) - deltas.min(axis=0))
-            sizes.append(smp.subsample_size(cfg, p.param_dim, range_norm, np.linalg.norm(deltas.mean(axis=0))))
+            sizes.append(smp.subsample_size(p.param_dim, range_norm, np.linalg.norm(deltas.mean(axis=0)),
+                                            tau=tau, delta=delta))
         shards = [m for m in range(p.m_workers) if 0 < sizes[m] < p.shard(m).size]
         for m in shards:
             size = p.shard(m).size

@@ -867,7 +867,7 @@ class TestEstimateWeights:
         rng = np.random.default_rng(4)
         anchor = rng.normal(size=p.param_dim)
         first_only = anchor + 0.7 * np.eye(p.param_dim)[0]
-        est = smp.EstimationConfig(tau=0.5, subsample_policy=policy, fixed_n=20)
+        est = smp.EstimationConfig(subsample_policy=policy, fixed_n=20)
         x = np.array([first_only, rng.normal(size=p.param_dim)])
         anchors = np.array([anchor, anchor + rng.normal(size=p.param_dim)])
         seeds = [self.SEED, (5,)]
@@ -884,6 +884,26 @@ class TestEstimateWeights:
                 np.testing.assert_allclose(got[c], ref, rtol=1e-12, atol=0.0)
         assert got[1, 1] > 0.0
         assert optim._weight_estimator(p, config, 2, cells)(5, cells)[0, 1] == 0.0
+
+    @pytest.mark.parametrize("task, etas", [(prob.LINEAR, (0.01, 0.3, 1.0)), (prob.LOGISTIC, (0.01, 1.0, 3e7))])
+    def test_fixed_whole_shards_equal_full_without_drawing(self, task, etas, monkeypatch, tmp_path):
+        """The estimator reads the sizes, not the policy: a ``fixed`` grid
+        whose ``fixed_n`` is at least every shard reads each shard in place,
+        as ``full`` does, and draws nothing.  With R = 2 and its largest
+        step size diverging in mid-epoch, every cell's trace rows, final x
+        and ledger equal the ``full`` grid's byte for byte."""
+        p = prob.generate_heterogeneous(task, 4, 120, 3, 2.0, 5)
+        base = optim.OptimizerConfig(eta=0.0, epochs=2, inner_iters=10, group_size=2, distribution_mode="adaptive")
+        draws, draw = [], smp._draw_subsamples
+        monkeypatch.setattr(smp, "_draw_subsamples", lambda *a: draws.append(a) or draw(*a))
+        runs = []
+        for est in (smp.EstimationConfig(subsample_policy="full"), smp.EstimationConfig(fixed_n=int(p.sizes.max()))):
+            grid = optim.run_grid(p, [replace(base, eta=e, seed=(4, i), estimation=est) for i, e in enumerate(etas)])
+            runs.append([(trace_bytes(trace, tmp_path, f"{i}.csv"), trace.final_x.tobytes(), trace.ledger.snapshot(),
+                          diverged) for i, (trace, diverged) in enumerate(grid)])
+        assert [diverged for *_, diverged in runs[0]] == [False, False, True]
+        assert runs[1] == runs[0]
+        assert draws == []
 
     @pytest.mark.parametrize("preset_name", ["linear_synthetic", "logistic_synthetic"])
     def test_full_policy_reads_rows_in_place_exactly(self, preset_name):
@@ -927,8 +947,8 @@ class TestShardWeightIsOneSegment:
         size, the estimator's drawer made to return the rows
         ``estimate_shard_weight`` draws with the same generator: each cell's
         weight of each worker is the function's value at the cell's points.
-        At k = the shard size the ``full`` policy, which reads the rows in
-        place, gives the same bits."""
+        At k = the shard size both policies read the rows in place, with no
+        draw, and give the same bits."""
         rng = np.random.default_rng(seed)
         shards = [prob.Shard(m, 1.0 + 0.5 * rng.normal(size=(n, dim)),
                              rng.normal(size=n) if task == prob.LINEAR else (rng.random(n) < 0.5).astype(float))
@@ -1001,7 +1021,7 @@ class TestRowBuffers:
         # the live cells shrink between steps, so the kept arrays hold stale
         # rows past the ones a step writes
         p = prob.generate_heterogeneous(task, workers, samples, dim, 2.0, seed=seed)
-        est = smp.EstimationConfig(tau=0.5, subsample_policy=policy, fixed_n=fixed_n)
+        est = smp.EstimationConfig(subsample_policy=policy, fixed_n=fixed_n)
         config = optim.OptimizerConfig(eta=0.1, epochs=3, inner_iters=8, estimation=est,
                                        distribution_mode="adaptive")
         rng = np.random.default_rng(seed)
@@ -1159,7 +1179,7 @@ class TestBlockPath:
                              rng.normal(size=n) if task == prob.LINEAR else (rng.random(n) < 0.5).astype(float))
                   for m, n in enumerate(shard_sizes)]
         p = prob.ShardedProblem(shards, task)
-        est = smp.EstimationConfig(tau=0.5, subsample_policy=policy, fixed_n=fixed_n)
+        est = smp.EstimationConfig(subsample_policy=policy, fixed_n=fixed_n)
         config = optim.OptimizerConfig(eta=0.1, epochs=3, inner_iters=first + 9, estimation=est,
                                        distribution_mode="adaptive")
         cells = [optim._Cell(replace(config, seed=(seed, i)), rng.normal(size=p.param_dim), 1.0) for i in range(3)]

@@ -765,16 +765,23 @@ class TestSegmentSums:
 
     @settings(max_examples=200, deadline=None)
     @given(task=st.sampled_from(prob.TASKS), counts=segment_counts, before=segment_counts, p=st.integers(1, 12),
-           cells=st.integers(1, 3), shift=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
-    @example(task=prob.LINEAR, counts=[9, 9], before=[9, 9, 9], p=6, cells=1, shift=1, seed=0)  # one run of 5
-    @example(task=prob.LOGISTIC, counts=[1], before=[1, 4], p=1, cells=2, shift=3, seed=0)  # k = 1, p = 1
-    def test_each_sum_is_its_segment_alone(self, task, counts, before, p, cells, shift, seed):
+           cells=st.integers(1, 3), shift=st.integers(0, 7), per_cell=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(task=prob.LINEAR, counts=[9, 9], before=[9, 9, 9], p=6, cells=1, shift=1, per_cell=False,
+             seed=0)  # one run of 5
+    @example(task=prob.LOGISTIC, counts=[1], before=[1, 4], p=1, cells=2, shift=3, per_cell=False,
+             seed=0)  # k = 1, p = 1
+    @example(task=prob.LINEAR, counts=[5, 5], before=[5], p=4, cells=3, shift=2, per_cell=True,
+             seed=0)  # one run of 3, a row set per cell
+    def test_each_sum_is_its_segment_alone(self, task, counts, before, p, cells, shift, per_cell, seed):
         """Each segment's sum is ``r_s @ A_s`` for that segment alone, bit for
         bit: inside a longer block, whose segments before it stack in the
         same products where their counts match, and with its rows and
         residuals copied ``shift`` floats into new buffers.  With more than
-        one row of r, every row reads the same rows, broadcast."""
+        one row of r, every row reads the same rows, broadcast, or with
+        ``per_cell`` its own rows, an A of shape ``r.shape[:-1] + (N, p)``."""
         r, A = segment_rows(task, before + counts, p, cells, seed)
+        if per_cell:  # each cell's rows their own scaling of the shared ones
+            A = A * np.random.default_rng(seed).choice([0.25, 1.0, 3.0], size=(cells, 1, p))
 
         def shifted(a):
             out = np.empty(a.size + shift)[shift:].reshape(a.shape)
@@ -783,10 +790,11 @@ class TestSegmentSums:
 
         head = int(sum(before))
         whole = prob._segment_sums(r, A, before + counts)
-        alone = prob._segment_sums(shifted(r[:, head:]), shifted(A[head:]), counts)
+        alone = prob._segment_sums(shifted(r[:, head:]), shifted(A[..., head:, :]), counts)
         lo = head
         for s, k in enumerate(counts):
             for c in range(cells):
-                want = (r[c, lo : lo + k] @ A[lo : lo + k]).tobytes()
+                rows = A[c] if per_cell else A
+                want = (r[c, lo : lo + k] @ rows[lo : lo + k]).tobytes()
                 assert whole[c, len(before) + s].tobytes() == want == alone[c, s].tobytes()
             lo += k

@@ -20,7 +20,7 @@ def shard_deltas(p, m, x, anchor):
     return r[:, None] * s.aug
 
 
-def lemma1_sizes(p, x, anchor, cfg):
+def lemma1_sizes(p, x, anchor, tau, delta):
     """Lemma 1's subsample size of every shard at x against the anchor,
     capped at the shard: :func:`sampling.subsample_size` of its
     :func:`shard_deltas`, range_norm the norm of their coordinate-wise
@@ -30,7 +30,7 @@ def lemma1_sizes(p, x, anchor, cfg):
     for m in range(p.m_workers):
         deltas = shard_deltas(p, m, x, anchor)
         range_norm = np.linalg.norm(deltas.max(axis=0) - deltas.min(axis=0))
-        n = smp.subsample_size(cfg, p.param_dim, range_norm, np.linalg.norm(deltas.mean(axis=0)))
+        n = smp.subsample_size(p.param_dim, range_norm, np.linalg.norm(deltas.mean(axis=0)), tau=tau, delta=delta)
         sizes.append(min(p.shard(m).size, n))
     return sizes
 
@@ -44,17 +44,17 @@ def random_pair(rng, m=6, max_rel=0.3):
 
 class TestOptimalDistribution:
     def test_equal_norms_give_uniform(self):
-        dist = smp.optimal_distribution([1.0, 1.0, 1.0, 1.0])
+        dist = smp.Categorical.from_weights([1.0, 1.0, 1.0, 1.0])
         np.testing.assert_allclose(dist.probabilities, 0.25)
 
     def test_direct_normalisation(self):
-        dist = smp.optimal_distribution([1.0, 3.0])
+        dist = smp.Categorical.from_weights([1.0, 3.0])
         np.testing.assert_allclose(dist.probabilities, [0.25, 0.75])
 
     def test_beats_every_simplex_grid_point(self):
         # second-moment objective sum(g_m^2 / p_m) minimised over the 3-simplex
         norms = np.array([1.0, 2.0, 5.0])
-        dist = smp.optimal_distribution(norms)
+        dist = smp.Categorical.from_weights(norms)
 
         def objective(p):
             return float(np.sum(norms**2 / p))
@@ -73,7 +73,7 @@ class TestOptimalDistribution:
             norms = rng.uniform(0.0, 3.0, size=5)
             if norms.sum() == 0:
                 continue
-            dist = smp.optimal_distribution(norms)
+            dist = smp.Categorical.from_weights(norms)
             uniform = np.full(5, 0.2)
             with np.errstate(divide="ignore"):
                 at_opt = np.sum(norms**2 / dist.probabilities, where=norms > 0)
@@ -82,11 +82,11 @@ class TestOptimalDistribution:
 
     def test_all_zero_signals_degenerate(self):
         with pytest.raises(smp.DegenerateWeights):
-            smp.optimal_distribution([0.0, 0.0])
+            smp.Categorical.from_weights([0.0, 0.0])
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            smp.optimal_distribution([1.0, -0.1])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            smp.Categorical.from_weights([1.0, -0.1])
 
     def test_overflowing_total_rejected(self):
         # finite weights whose sum overflows would give all-zero probabilities,
@@ -194,26 +194,23 @@ class TestGammaInverseBound:
 
 
 class TestSubsampleSize:
-    def cfg(self, tau, delta):
-        return smp.EstimationConfig(tau=tau, delta=delta)
-
     def test_unit_case(self):
-        n = smp.subsample_size(self.cfg(1.0, 2.0 / math.e), d=1, range_norm=math.sqrt(2), mean_norm=1.0)
+        n = smp.subsample_size(d=1, range_norm=math.sqrt(2), mean_norm=1.0, tau=1.0, delta=2.0 / math.e)
         assert n == 1
 
     def test_halving_tau_quadruples(self):
-        base = smp.subsample_size(self.cfg(1.0, 2.0 / math.e), d=1, range_norm=math.sqrt(2), mean_norm=1.0)
-        quad = smp.subsample_size(self.cfg(0.5, 2.0 / math.e), d=1, range_norm=math.sqrt(2), mean_norm=1.0)
+        base = smp.subsample_size(d=1, range_norm=math.sqrt(2), mean_norm=1.0, tau=1.0, delta=2.0 / math.e)
+        quad = smp.subsample_size(d=1, range_norm=math.sqrt(2), mean_norm=1.0, tau=0.5, delta=2.0 / math.e)
         assert quad == 4 * base
 
     def test_third_tau_example(self):
-        n = smp.subsample_size(self.cfg(1.0 / 3.0, 0.05), d=10, range_norm=math.sqrt(2), mean_norm=1.0)
+        n = smp.subsample_size(d=10, range_norm=math.sqrt(2), mean_norm=1.0, tau=1.0 / 3.0, delta=0.05)
         assert n == math.ceil(9 * math.log(400))
         assert n == 54
 
     def test_zero_mean_signals_degenerate(self):
         with pytest.raises(smp.DegenerateWeights):
-            smp.subsample_size(self.cfg(0.5, 0.1), d=3, range_norm=1.0, mean_norm=0.0)
+            smp.subsample_size(d=3, range_norm=1.0, mean_norm=0.0, tau=0.5, delta=0.1)
 
     @pytest.mark.parametrize("bad, match", [
         (dict(d=2.5), "d must be an integer"),  # once a size between d = 2's and d = 3's
@@ -227,13 +224,16 @@ class TestSubsampleSize:
     def test_rejects_a_fractional_d_and_non_finite_norms(self, bad, match):
         args = dict(d=3, range_norm=1.0, mean_norm=0.5) | bad
         with pytest.raises(ValueError, match=match):
-            smp.subsample_size(self.cfg(0.5, 0.1), **args)
+            smp.subsample_size(**args, tau=0.5, delta=0.1)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            smp.EstimationConfig(tau=0.0)
-        with pytest.raises(ValueError):
-            smp.EstimationConfig(delta=1.0)
+        for tau, delta in ((0.0, 0.05), (1.5, 0.05), (0.5, 0.0), (0.5, 1.0)):
+            with pytest.raises(ValueError, match="tau must be|delta must be"):
+                smp.subsample_size(d=3, range_norm=1.0, mean_norm=0.5, tau=tau, delta=delta)
+        with pytest.raises(TypeError):  # Lemma 1's inputs, not a run's: no config carries them
+            smp.EstimationConfig(tau=0.5)
+        with pytest.raises(TypeError):  # and subsample_size has no defaults for them
+            smp.subsample_size(d=3, range_norm=1.0, mean_norm=0.5)
         with pytest.raises(ValueError):
             smp.EstimationConfig(subsample_policy="guess")
         with pytest.raises(ValueError):
@@ -309,9 +309,8 @@ class TestEstimateShardWeight:
             prob.Shard(m, 2.0 + 0.2 * 1.5**m * rng.normal(size=(200, 3)), rng.normal(size=200)) for m in range(4)
         ]
         p = prob.ShardedProblem(shards, prob.LINEAR)
-        cfg = smp.EstimationConfig(tau=tau, delta=delta)
         x, anchor = np.random.default_rng(1).normal(size=p.param_dim), np.zeros(p.param_dim)
-        sizes = lemma1_sizes(p, x, anchor, cfg)
+        sizes = lemma1_sizes(p, x, anchor, tau, delta)
         for m in (0, 1):
             size = p.shard(m).size
             n = int(sizes[m])
@@ -331,7 +330,7 @@ class TestEstimateShardWeight:
         tau, delta = 1.0 / 3.0, 0.05
         p = prob.generate_heterogeneous(prob.LINEAR, 8, 500, 10, 3.0, seed=42)
         x, anchor = np.random.default_rng(7).normal(size=p.param_dim), np.zeros(p.param_dim)
-        sizes = np.array(lemma1_sizes(p, x, anchor, smp.EstimationConfig(tau=tau, delta=delta)))
+        sizes = np.array(lemma1_sizes(p, x, anchor, tau, delta))
         sizes[sizes == p.sizes] = 0  # a whole-shard estimate is exact and cannot miss
         assert sizes.tolist() == [1, 1, 3, 21, 0, 0, 0, 0]
         draws = 2000 // p.m_workers
