@@ -19,18 +19,24 @@ times, each rescaled to the reference host speed, with their output
 digests.
 
 It prints each side's median and quartiles of ``run_s``, the median of the
-paired ratios head / base, the pairs the head won (ran faster), and
-whether both sides wrote the same digests in every pair.  ``--json`` also
-writes every pair's numbers.  The exit status is 1 if a process failed or
-a pass failed its workload's checks, else 0; differing digests are
-reported, not failed, since a change may move bits on purpose.
+paired ratios head / base with a 95% interval (Hodges-Lehmann over the
+pairs' log ratios), the pairs the head won (ran faster), whether the gain
+rule holds (the head faster in at least nine tenths of the pairs, and the
+medians further apart than the base's interquartile range), and whether
+both sides wrote the same digests in every pair.  ``--json`` also writes
+every pair's numbers, the interval and the rule's verdict.  The exit
+status is 1 if a process failed or a pass failed its workload's checks,
+else 0; differing digests are reported, not failed, since a change may
+move bits on purpose.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -99,6 +105,40 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def ratio_interval(ratios: list[float], level: float = 0.95) -> tuple[float, float, float]:
+    """(low, high, confidence): the Hodges-Lehmann interval for the centre
+    of the pairs' log ratios, mapped back to ratios.  Of the n(n + 1) / 2
+    Walsh averages (x_i + x_j) / 2, i <= j, sorted, it keeps the c-th from
+    each end, where c - 1 is the largest signed-rank count whose lower tail,
+    under the exact null distribution, is at most (1 - level) / 2.  The
+    confidence is the level that c attains; with too few pairs to reach
+    ``level``, c is 1 and the interval spans every Walsh average."""
+    logs = [math.log(r) for r in ratios]
+    n = len(logs)
+    walsh = sorted((logs[i] + logs[j]) / 2 for i in range(n) for j in range(i, n))
+    ways = [1] + [0] * len(walsh)  # ways[t]: subsets of the ranks 1..n summing to t
+    for rank in range(1, n + 1):
+        for t in range(len(walsh), rank - 1, -1):
+            ways[t] += ways[t - rank]
+    tail = [count / 2**n for count in itertools.accumulate(ways)]  # P(count <= t)
+    c = 1
+    while tail[c] <= (1 - level) / 2:
+        c += 1
+    return math.exp(walsh[c - 1]), math.exp(walsh[-c]), 1 - 2 * tail[c - 1]
+
+
+def gain_rule(base: list[float], head: list[float]) -> dict:
+    """Whether the head's ``run_s`` beats the base's: faster in at least
+    nine tenths of the pairs (ties count for neither), and a median gap
+    larger than the base's interquartile range."""
+    won = sum(h < b for b, h in zip(base, head))
+    needed = math.ceil(0.9 * len(base))
+    q1, base_median, q3 = quartiles(base)
+    gap = base_median - statistics.median(head)
+    return {"met": won >= needed and gap > q3 - q1, "won": won, "needed": needed,
+            "gap_s": gap, "base_iqr_s": q3 - q1}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--base", required=True, help="git revision or source directory")
@@ -126,17 +166,23 @@ def main(argv=None) -> int:
         q1, med, q3 = quartiles([p[side]["run_s"] for p in pairs])
         print(f"  {side} ({label}): median {med:.4f} s, quartiles {q1:.4f} - {q3:.4f} s (IQR {q3 - q1:.4f})")
     ratios = [p["head"]["run_s"] / p["base"]["run_s"] for p in pairs]
-    won = sum(p["head"]["run_s"] < p["base"]["run_s"] for p in pairs)
+    low, high, confidence = ratio_interval(ratios)
+    rule = gain_rule([p["base"]["run_s"] for p in pairs], [p["head"]["run_s"] for p in pairs])
     agree = sum(len(p["base"]["digests"]) == 1 and p["base"]["digests"] == p["head"]["digests"] for p in pairs)
     print(f"  median ratio head/base: {statistics.median(ratios):.4f} ({statistics.median(ratios) - 1:+.1%})")
-    print(f"  pairs won by head: {won} of {args.pairs}")
+    print(f"  interval of the ratio: {low:.4f} - {high:.4f} at {confidence:.1%} confidence (Hodges-Lehmann)")
+    print(f"  pairs won by head: {rule['won']} of {args.pairs}")
+    print(f"  gain rule: {'met' if rule['met'] else 'not met'} (needs {rule['needed']} pairs won; "
+          f"median gap {rule['gap_s']:.4f} s against base IQR {rule['base_iqr_s']:.4f} s)")
     print(f"  digests agree: {'yes' if agree == args.pairs else 'no'} ({agree} of {args.pairs} pairs)")
     failed = sum(p[side]["failed"] for p in pairs for side in ("base", "head"))
     if failed:
         print(f"  failed operations: {failed}")
     if args.json is not None:
+        interval = {"low": low, "high": high, "confidence": confidence}
         args.json.write_text(json.dumps({"workload": args.workload, "base": args.base, "head": args.head,
-                                         "pairs": pairs}, indent=1) + "\n")
+                                         "ratio_interval": interval, "gain_rule": rule, "pairs": pairs},
+                                        indent=1) + "\n")
     return 1 if failed else 0
 
 

@@ -170,12 +170,13 @@ def _cmd_protocol_test(args) -> int:
     else:
         weights = [float(i + 1) for i in range(args.M)]
     protocol = comm.pc_sample if args.protocol == "pc" else comm.optimal_comm_sample
+    w = np.array(weights)  # converted once, not on every call
     rng = np.random.default_rng(args.seed)
     ledger = comm.CommLedger()
     counts = np.zeros(args.M)
     calls = max(1, args.draws // args.R)
     for _ in range(calls):
-        hist = protocol(weights, args.R, ledger, rng)
+        hist = protocol(w, args.R, ledger, rng)
         for worker, mult in hist.items():
             counts[worker] += mult
     n = counts.sum()

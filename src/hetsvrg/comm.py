@@ -137,15 +137,6 @@ def _group_column(groups: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _group_starts(groups: int, R: int) -> np.ndarray:
-    """The first flat index, R * group, of each of R queries per group, as
-    a read-only (groups * R,) array: where ``_upper_bound`` starts them."""
-    starts = np.repeat(np.arange(0, groups * R, R), R)
-    starts.flags.writeable = False
-    return starts
-
-
-@functools.lru_cache(maxsize=64)
 def _level_order(cells: int, groups: int) -> np.ndarray:
     """For every node of ``_tree_draw``'s level-major order (each level's
     nodes, cell by cell), its index in the (cell, node) order, where each
@@ -162,8 +153,8 @@ def _level_order(cells: int, groups: int) -> np.ndarray:
 def _tree_draw(w: np.ndarray, R: int, topo: Topology, rngs) -> np.ndarray:
     """The R candidates that reach the root of the sampling tree of each of
     C cells, as a (C, R) array, in O(log G) array operations over the G
-    groups of all cells at once, plus ceil(log2 R) + 1 gathers over their
-    padded slots for the leaf draws.  ``w`` is (C, M).
+    groups of all cells at once, plus ceil(log2 R) + 1 gathers over the
+    C * R root slots for their leaf draws.  ``w`` is (C, M).
 
     A cell's tree has 2G - 1 nodes: its G groups, then each merge level in
     receiver order.  Cell c's live nodes (those with a positive total) read
@@ -171,10 +162,12 @@ def _tree_draw(w: np.ndarray, R: int, topo: Topology, rngs) -> np.ndarray:
     its draws are those of its tree run one node at a time: each live group
     spends its R uniforms on inverse-CDF leaf draws, then each live merge
     its R coin flips, keeping the sender's candidate where ``u <
-    sender_total / total``.  A leaf draw counts its group's cumulative sums
-    ``<= u * total`` with ``_upper_bound``.  The nodes are kept level by
-    level, cell by cell within a level, so every sum and draw stays within
-    one cell.
+    sender_total / total``.  A coin flip reads only node totals, never a
+    candidate, so the merges run first, on group indices, and find the
+    group each root slot comes from; only those C * R leaf draws are made,
+    each counting its group's cumulative sums ``<= u * total`` with
+    ``_upper_bound``.  The nodes are kept level by level, cell by cell
+    within a level, so every sum and draw stays within one cell.
     """
     cells = w.shape[0]
     padded_workers = topo.padded_workers
@@ -209,49 +202,48 @@ def _tree_draw(w: np.ndarray, R: int, topo: Topology, rngs) -> np.ndarray:
         by_cell[order] = totals
         u = np.concatenate([_rng_uniforms(rng, t, R) for rng, t in zip(rngs, by_cell.reshape(cells, -1))])[order]
 
-    # leaf stage: the count of cum <= u in a group is its first entry whose
-    # cum exceeds u, always a positive one; u == total falls back to the
-    # group's last positive entry.  One upper bound per group answers every
-    # group of every cell at once, in ceil(log2 R) + 1 gathers over the
-    # padded slots, with no arithmetic on cum.
-    row = _group_column(rows)
-    if R == 1:
-        cand = row  # a one-worker group always draws its worker
-    else:
-        first = _upper_bound(cum, u[:rows] * totals[:rows, None])
-        last = R * row + (R - 1) - (padded[:, ::-1] > 0.0).argmax(axis=1)[:, None]
-        cand = np.minimum(first, last)
-
-    # a dead merge has sender total 0 and so threshold 0: it never takes the
-    # sender.  5e-324 is the smallest positive double, so flooring with it
-    # leaves every live total as it is and only keeps 0 / 0 away.
+    # merges first, on groups: each root slot's group, starting from each
+    # slot's own.  A dead merge has sender total 0 and so threshold 0: it
+    # never takes the sender.  5e-324 is the smallest positive double, so
+    # flooring with it leaves every live total as it is and only keeps 0 / 0
+    # away.
     take_sender = u[rows:] < (totals[:-cells:2] / np.maximum(totals[rows:], 5e-324))[:, None]
+    group = _group_column(rows)
     lo, n = 0, rows // 2
     while n >= cells:
-        cand = np.where(take_sender[lo : lo + n], cand[0::2], cand[1::2])
+        group = np.where(take_sender[lo : lo + n], group[0::2], group[1::2])
         lo, n = lo + n, n // 2
+    if R == 1:
+        cand = group  # a one-worker group always draws its worker
+    else:
+        # leaf stage, for the root slots only: slot j of group g draws with
+        # u[g, j].  The count of cum <= u * total is the group's first entry
+        # whose cum exceeds it, always a positive one; u * total == total
+        # falls back to the group's last positive entry.  ``group`` is (C, 1)
+        # when no merge ran (one group a cell); every array below broadcasts
+        # it to (C, R).
+        start = R * group
+        first = _upper_bound(cum, start, u.take(start + np.arange(R)) * totals[group])
+        cand = np.minimum(first, start + (R - 1) - (padded[group, ::-1] > 0.0).argmax(axis=-1))
     # candidates index the cells' stacked padded rows
     return cand - padded_workers * _group_column(cells) if cells > 1 else cand
 
 
-def _upper_bound(cum: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """For (rows, R) ``cum``, each row sorted, and (rows, R) queries ``q``,
-    the flat index R * i + (the count of cum[i] <= q[i, j]): what
-    ``np.searchsorted(cum[i], q[i], side="right")`` gives, offset by row
-    i's start.  A branchless upper bound (Khuong and Morin, "Array Layouts
-    for Comparison-Based Searching", 2017) halves every query's range
-    [first, first + n] at once, so it takes ceil(log2 R) + 1 gathers; the
+def _upper_bound(cum: np.ndarray, start: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """For (rows, R) ``cum``, each row sorted, queries ``q`` and their rows'
+    flat starts ``start`` (R * i for a query of row i, broadcastable to
+    ``q``), the flat index start + (the count of cum[i] <= q): what
+    ``np.searchsorted(cum[i], q, side="right")`` gives, offset by row i's
+    start.  A branchless upper bound (Khuong and Morin, "Array Layouts for
+    Comparison-Based Searching", 2017) halves every query's range [first,
+    first + n] at once, so it takes ceil(log2 R) + 1 gathers; the
     comparisons are exact, so the counts are too."""
-    rows, R = cum.shape
-    flat, q = cum.ravel(), q.ravel()
-    first = _group_starts(rows, R).copy()
-    n = R
+    flat, first, n = cum.ravel(), start, cum.shape[1]
     while n > 1:
         half = n // 2
-        first += half * (flat[half - 1 :].take(first) <= q)
+        first = first + half * (flat[half - 1 :].take(first) <= q)
         n -= half
-    first += flat.take(first) <= q
-    return first.reshape(rows, R)
+    return first + (flat.take(first) <= q)
 
 
 def _rng_uniforms(rng, totals: np.ndarray, R: int) -> np.ndarray:
@@ -335,10 +327,9 @@ def pc_sample_cells(weights, R: int, ledgers, rngs) -> np.ndarray:
     and cell c's call is charged to ``ledgers[c]`` and reads ``rngs[c]`` as
     its own ``pc_sample`` call would, so it draws the same workers, and
     successive calls read each generator on as successive ``pc_sample``
-    calls would.  Returns
-    the (C, R) drawn workers, each row in slot order.  Anything but one
-    ledger and one generator per cell is a ``ValueError``, raised before any
-    draw."""
+    calls would.  Returns the (C, R) drawn workers, each row in slot order.
+    Anything but one ledger and one generator per cell is a ``ValueError``,
+    raised before any draw."""
     w = _checked_weights(weights, ndim=2)
     R = _count(R, "R")  # Topology rejects R < 1
     if not len(ledgers) == len(rngs) == w.shape[0]:

@@ -468,6 +468,32 @@ class TestCli:
         assert "within 4 sigma" in out
         assert comm_header_in(out)
 
+    @pytest.mark.parametrize("protocol", ["pc", "optimal"])
+    def test_protocol_test_passes_one_array(self, protocol, capsys, monkeypatch):
+        """The weights reach the protocol as one float array, made once,
+        and the table and ledger row are those of a run passing the list."""
+        argv = ["protocol-test", "--M", "1000", "--R", "8", "--draws", "8000", "--protocol", protocol]
+        name = "pc_sample" if protocol == "pc" else "optimal_comm_sample"
+        real = getattr(comm, name)
+        seen = []
+
+        def spy(weights, R, ledger, rng):
+            seen.append(weights)
+            return real(weights, R, ledger, rng)
+
+        def as_list(weights, R, ledger, rng):
+            return real(weights.tolist(), R, ledger, rng)
+
+        monkeypatch.setattr(cli.comm, name, spy)
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert len(seen) == 1000 and all(w is seen[0] for w in seen)
+        assert isinstance(seen[0], np.ndarray) and seen[0].dtype == float
+        monkeypatch.setattr(cli.comm, name, as_list)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out
+        assert f"{protocol}_x1000," in out
+
     @pytest.mark.parametrize("args, flag", [
         (("--M", "8", "--R", "0"), "--R"),
         (("--M", "-3", "--R", "2"), "--M"),

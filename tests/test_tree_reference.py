@@ -339,7 +339,7 @@ class TestLeafSearch:
         on_sum = rng.random((rows, R)) < boundary_share
         q[on_sum] = np.take_along_axis(cum, rng.integers(0, R, (rows, R)), axis=1)[on_sum]
         q[:, 0] = cum[:, -1]
-        got = comm._upper_bound(cum, q)
+        got = comm._upper_bound(cum, R * np.arange(rows)[:, None], q)
         assert got.shape == (rows, R)
         assert np.array_equal(got, complex_key_leaf_search(cum, q))
 
@@ -349,7 +349,7 @@ class TestLeafSearch:
         # total; the count is then R, past the group, as before
         cum = np.array([[0.0, total, total, total], [total / 2, total / 2, total, total]])
         q = (1.0 - 2.0**-53) * cum[:, -1:] * np.ones((1, 4))
-        assert np.array_equal(comm._upper_bound(cum, q), complex_key_leaf_search(cum, q))
+        assert np.array_equal(comm._upper_bound(cum, np.array([[0], [4]]), q), complex_key_leaf_search(cum, q))
 
 
 class TestWideTrees:
@@ -377,3 +377,66 @@ class TestWideTrees:
         ref_replay = ScriptedRng(replay.values)
         assert sequential_pc(weights, R, comm.CommLedger(), ref_replay) == _histogram(draws[0].tolist())
         assert ref_replay.used == len(ref_replay.values)
+
+
+def _check_cells(rows, R, seed, boundary_share):
+    """One ``_tree_draw`` over the cells ``rows``, each fed its own live
+    nodes' uniforms, some of them 0 and the largest double below 1, draws
+    for every cell what ``sequential_pc`` draws from those uniforms, and
+    reads every one of them."""
+    rng = np.random.default_rng(seed)
+    replays = []
+    for weights in rows:
+        u = rng.random((int(_live_nodes(weights, R).sum()), R))
+        edge = rng.random(u.shape) < boundary_share
+        u[edge] = rng.choice(BOUNDARY_U, size=int(edge.sum()))
+        replays.append(ScriptedRng(u.ravel().tolist()))
+    draws = comm._tree_draw(np.array(rows), R, comm.Topology(len(rows[0]), R), replays)
+    assert draws.shape == (len(rows), R)
+    for weights, replay, drawn in zip(rows, replays, draws):
+        assert replay.used == len(replay.values)
+        ref_replay = ScriptedRng(replay.values)
+        assert sequential_pc(weights, R, comm.CommLedger(), ref_replay) == _histogram(drawn.tolist())
+        assert ref_replay.used == len(ref_replay.values)
+
+
+class TestRootSlots:
+    """The merges run first, on groups, and the leaf search only for the
+    C * R slots that reach the cells' roots."""
+
+    @pytest.mark.parametrize("shape", [(1000, 8), (4096, 16)])  # protocol_wide's shapes
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_wide_cells_match_the_sequential_tree(self, shape, tied):
+        m, R = shape
+        rows = [_wide_weights(m, seed, 0.3, tied) for seed in range(4)]
+        rows[1][: m // 2] = 0.0  # dead groups and dead merges
+        rows[2][:] = 0.0
+        rows[2][m // 3] = 2.0  # one live leaf: every merge is one-sided
+        _check_cells([w.tolist() for w in rows], R, m + R, 0.2)
+
+    @pytest.mark.parametrize("cells", [1, 3])
+    @pytest.mark.parametrize("R", [2, 5, 16])
+    def test_single_group_cells(self, R, cells):
+        """M = R > 1: each cell is one group, so no merge level runs and the
+        cells' (C, 1) group column must still give R slots each."""
+        rows = [_wide_weights(R, seed, 0.4, seed % 2 == 0).tolist() for seed in range(cells)]
+        _check_cells(rows, R, R, 0.3)
+
+    def test_searches_the_root_slots_only(self, monkeypatch):
+        searched, upper_bound = [], comm._upper_bound
+
+        def spy(cum, start, q):
+            found = upper_bound(cum, start, q)
+            searched.append(found.size)
+            return found
+
+        monkeypatch.setattr(comm, "_upper_bound", spy)
+        w = _wide_weights(4096, 5, 0.1, False)
+        for protocol in (comm.pc_sample, comm.optimal_comm_sample):
+            protocol(w, 16, comm.CommLedger(), np.random.default_rng(0))
+        assert searched == [16, 16]
+        cells = 3
+        searched.clear()
+        comm.pc_sample_cells(np.tile(w, (cells, 1)), 16, [comm.CommLedger() for _ in range(cells)],
+                             [np.random.default_rng(c) for c in range(cells)])
+        assert searched == [cells * 16]
