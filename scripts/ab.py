@@ -105,14 +105,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def ratio_interval(ratios: list[float], level: float = 0.95) -> tuple[float, float, float]:
-    """(low, high, confidence): the Hodges-Lehmann interval for the centre
-    of the pairs' log ratios, mapped back to ratios.  Of the n(n + 1) / 2
-    Walsh averages (x_i + x_j) / 2, i <= j, sorted, it keeps the c-th from
-    each end, where c - 1 is the largest signed-rank count whose lower tail,
-    under the exact null distribution, is at most (1 - level) / 2.  The
-    confidence is the level that c attains; with too few pairs to reach
-    ``level``, c is 1 and the interval spans every Walsh average."""
+def ratio_interval(ratios: list[float]) -> tuple[float, float, float]:
+    """(low, high, confidence): the 95% Hodges-Lehmann interval for the
+    centre of the pairs' log ratios, mapped back to ratios.  Of the
+    n(n + 1) / 2 Walsh averages (x_i + x_j) / 2, i <= j, sorted, it keeps
+    the c-th from each end, where c - 1 is the largest signed-rank count
+    whose lower tail, under the exact null distribution, is at most 0.025.
+    The confidence is the one that c attains; with too few pairs to reach
+    95%, c is 1 and the interval spans every Walsh average."""
     logs = [math.log(r) for r in ratios]
     n = len(logs)
     walsh = sorted((logs[i] + logs[j]) / 2 for i in range(n) for j in range(i, n))
@@ -122,7 +122,7 @@ def ratio_interval(ratios: list[float], level: float = 0.95) -> tuple[float, flo
             ways[t] += ways[t - rank]
     tail = [count / 2**n for count in itertools.accumulate(ways)]  # P(count <= t)
     c = 1
-    while tail[c] <= (1 - level) / 2:
+    while tail[c] <= 0.025:
         c += 1
     return math.exp(walsh[c - 1]), math.exp(walsh[-c]), 1 - 2 * tail[c - 1]
 

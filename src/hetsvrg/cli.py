@@ -180,7 +180,7 @@ def _cmd_protocol_test(args) -> int:
         for worker, mult in hist.items():
             counts[worker] += mult
     n = counts.sum()
-    exact = np.asarray(weights) / sum(weights)
+    exact = w / sum(weights)
     empirical = counts / n
     tol = 4.0 * np.sqrt(exact * (1 - exact) / n)
     print("worker,exact,empirical,abs_dev,tolerance_4sigma")

@@ -264,11 +264,25 @@ def cell_cases(draw):
     return rows, R
 
 
+def _one_group(R, cells):
+    """``cells`` rows of R weights in {0, 1, 2}: zeros and ties, each row
+    with a positive weight."""
+    return [[float((i + c) % 3) for i in range(R)] for c in range(cells)]
+
+
 class TestCellAxis:
     @settings(max_examples=200, deadline=None)
     @given(cell_cases(), st.integers(0, 2**32 - 1), st.floats(0.0, 0.5))
     @example(([[1.0, 0.0, 2.0, 0.0, 3.0], [0.0, 0.0, 0.0, 0.0, 1.0], [4.0, 4.0, 0.0, 1.0, 0.0]], 2), 1, 0.0)
     @example(([[0.0, 1.0, 1.0, 2.0, 0.0, 0.0, 5.0], [3.0] * 7], 3), 2, 0.3)  # M = 7 not 2**h * R
+    # M = R > 1: each cell is one group, so no merge level widens the group
+    # column to R slots
+    @example((_one_group(2, 1), 2), 3, 0.3).via("one group, R = 2")
+    @example((_one_group(2, 3), 2), 4, 0.3).via("three one-group cells, R = 2")
+    @example((_one_group(5, 1), 5), 5, 0.3).via("one group, R = 5")
+    @example((_one_group(5, 3), 5), 6, 0.3).via("three one-group cells, R = 5")
+    @example((_one_group(16, 1), 16), 7, 0.3).via("one group, R = 16")
+    @example((_one_group(16, 3), 16), 8, 0.3).via("three one-group cells, R = 16")
     def test_every_cell_matches_the_sequential_tree(self, case, seed, boundary_share):
         """One draw over C cells gives, for every cell, the histogram the
         sequential protocols give when a stub generator replays that cell's
@@ -355,72 +369,48 @@ class TestLeafSearch:
 class TestWideTrees:
     @settings(max_examples=12, deadline=None)
     @given(st.integers(1, 4096).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, min(m, 64)))),
-           st.integers(0, 2**32 - 1), st.floats(0.1, 0.5), st.booleans(), st.floats(0.0, 0.5))
-    @example((4096, 16), 1, 0.1, False, 0.1)
-    @example((1000, 7), 2, 0.3, True, 0.2)  # 143 groups padded to 256
-    @example((4095, 64), 3, 0.5, True, 0.5)  # the last group is padded
-    def test_tree_draw_matches_the_sequential_tree(self, shape, seed, zero_share, tied, boundary_share):
-        """``_tree_draw`` at protocol_wide's shapes and beyond, fed the live
-        nodes' uniforms, some of them 0 and the largest double below 1,
-        draws what ``sequential_pc`` draws and reads exactly those uniforms."""
+           st.integers(1, 3), st.integers(0, 2**32 - 1), st.floats(0.1, 0.5), st.booleans(),
+           st.floats(0.0, 0.5))
+    @example((4096, 16), 1, 1, 0.1, False, 0.1)
+    @example((1000, 7), 1, 2, 0.3, True, 0.2)  # 143 groups padded to 256
+    @example((4095, 64), 1, 3, 0.5, True, 0.5)  # the last group is padded
+    @example((1000, 8), 3, 4, 0.3, True, 0.2).via("protocol_wide's (1000, 8), padded to 1024, three cells")
+    @example((4096, 16), 3, 5, 0.3, False, 0.2).via("protocol_wide's (4096, 16), three cells")
+    def test_tree_draw_matches_the_sequential_tree(self, shape, cells, seed, zero_share, tied, boundary_share):
+        """``_tree_draw`` over 1 to 3 cells at protocol_wide's shapes and
+        beyond, each cell fed its live nodes' uniforms, some of them 0 and
+        the largest double below 1, draws for every cell what
+        ``sequential_pc`` draws and reads exactly those uniforms.  The
+        second cell's first half is zero (dead groups and dead merges), the
+        third has one live leaf (every merge is one-sided)."""
         m, R = shape
-        weights = _wide_weights(m, seed, zero_share, tied).tolist()
-        topo = comm.Topology(m, R)
+        rows = [_wide_weights(m, seed + c, zero_share, tied) for c in range(cells)]
+        if cells > 1:
+            rows[1][: m // 2] = 0.0
+            if not rows[1].any():
+                rows[1][-1] = 1.0
+        if cells > 2:
+            rows[2][:] = 0.0
+            rows[2][m // 3] = 2.0
         rng = np.random.default_rng(seed)
-        live = _live_nodes(weights, R)
-        u = rng.random((int(live.sum()), R))
-        edge = rng.random(u.shape) < boundary_share
-        u[edge] = rng.choice(BOUNDARY_U, size=int(edge.sum()))
-        replay = ScriptedRng(u.ravel().tolist())
-        draws = comm._tree_draw(np.array([weights]), R, topo, [replay])
-        assert replay.used == len(replay.values)
-        ref_replay = ScriptedRng(replay.values)
-        assert sequential_pc(weights, R, comm.CommLedger(), ref_replay) == _histogram(draws[0].tolist())
-        assert ref_replay.used == len(ref_replay.values)
-
-
-def _check_cells(rows, R, seed, boundary_share):
-    """One ``_tree_draw`` over the cells ``rows``, each fed its own live
-    nodes' uniforms, some of them 0 and the largest double below 1, draws
-    for every cell what ``sequential_pc`` draws from those uniforms, and
-    reads every one of them."""
-    rng = np.random.default_rng(seed)
-    replays = []
-    for weights in rows:
-        u = rng.random((int(_live_nodes(weights, R).sum()), R))
-        edge = rng.random(u.shape) < boundary_share
-        u[edge] = rng.choice(BOUNDARY_U, size=int(edge.sum()))
-        replays.append(ScriptedRng(u.ravel().tolist()))
-    draws = comm._tree_draw(np.array(rows), R, comm.Topology(len(rows[0]), R), replays)
-    assert draws.shape == (len(rows), R)
-    for weights, replay, drawn in zip(rows, replays, draws):
-        assert replay.used == len(replay.values)
-        ref_replay = ScriptedRng(replay.values)
-        assert sequential_pc(weights, R, comm.CommLedger(), ref_replay) == _histogram(drawn.tolist())
-        assert ref_replay.used == len(ref_replay.values)
+        replays = []
+        for weights in rows:
+            u = rng.random((int(_live_nodes(weights.tolist(), R).sum()), R))
+            edge = rng.random(u.shape) < boundary_share
+            u[edge] = rng.choice(BOUNDARY_U, size=int(edge.sum()))
+            replays.append(ScriptedRng(u.ravel().tolist()))
+        draws = comm._tree_draw(np.array(rows), R, comm.Topology(m, R), replays)
+        assert draws.shape == (cells, R)
+        for weights, replay, drawn in zip(rows, replays, draws):
+            assert replay.used == len(replay.values)
+            ref_replay = ScriptedRng(replay.values)
+            assert sequential_pc(weights.tolist(), R, comm.CommLedger(), ref_replay) == _histogram(drawn.tolist())
+            assert ref_replay.used == len(ref_replay.values)
 
 
 class TestRootSlots:
     """The merges run first, on groups, and the leaf search only for the
     C * R slots that reach the cells' roots."""
-
-    @pytest.mark.parametrize("shape", [(1000, 8), (4096, 16)])  # protocol_wide's shapes
-    @pytest.mark.parametrize("tied", [False, True])
-    def test_wide_cells_match_the_sequential_tree(self, shape, tied):
-        m, R = shape
-        rows = [_wide_weights(m, seed, 0.3, tied) for seed in range(4)]
-        rows[1][: m // 2] = 0.0  # dead groups and dead merges
-        rows[2][:] = 0.0
-        rows[2][m // 3] = 2.0  # one live leaf: every merge is one-sided
-        _check_cells([w.tolist() for w in rows], R, m + R, 0.2)
-
-    @pytest.mark.parametrize("cells", [1, 3])
-    @pytest.mark.parametrize("R", [2, 5, 16])
-    def test_single_group_cells(self, R, cells):
-        """M = R > 1: each cell is one group, so no merge level runs and the
-        cells' (C, 1) group column must still give R slots each."""
-        rows = [_wide_weights(R, seed, 0.4, seed % 2 == 0).tolist() for seed in range(cells)]
-        _check_cells(rows, R, R, 0.3)
 
     def test_searches_the_root_slots_only(self, monkeypatch):
         searched, upper_bound = [], comm._upper_bound
