@@ -361,12 +361,9 @@ def grid_best_from_rows(rows: list[CellResult], algorithm: str) -> tuple[float, 
     best_eta = max(pool, key=lambda e: (-score(e), e))
     cells = pool[best_eta]
     metrics = {
-        "median_regret": score(best_eta),
         "median_final_train_loss": float(np.median([r.final_train_loss for r in cells])),
-        "median_final_test_loss": float(np.median([r.final_test_loss for r in cells])),
         "median_epochs_to_threshold": float(np.median(
             [math.inf if r.epochs_to_threshold is None else r.epochs_to_threshold for r in cells])),
-        "cells": cells,
     }
     return best_eta, metrics
 

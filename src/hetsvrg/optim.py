@@ -23,22 +23,22 @@ read in place and nothing is drawn), whose row gathers and anchor
 residuals are made once per gather block of up to
 ``_BLOCK_SLOTS`` slots inside it, each segment's sum one stacked product,
 ASD's tree protocol, one ``comm.pc_sample_cells`` call a step, the
-fixed-draw and SGD picks, drawn for every cell and step of an epoch at once,
-and each step's gradients (one ``problem._shard_gradients`` call, stacked
-up to ``_STACKED_SHARD`` rows x params, where stacking stops paying in
-measured calls), directions and updates (``_direction``) and guard and
-evaluation (``_observe``).  ASD's first step
-of an epoch starts at the anchor, where every estimate is 0, so it samples
-uniformly.
+fixed-draw and SGD picks, drawn for every cell and step of an epoch at once
+and replayed step by step by one ``_replay``, and each step's gradients (one
+``problem._shard_gradients`` call, stacked up to ``_STACKED_SHARD`` rows x
+params, where stacking stops paying in measured calls), directions and
+updates (``_direction``) and guard and evaluation (``_observe``).  ASD's
+first step of an epoch starts at the anchor, where every estimate is 0, so
+it samples uniformly.
 
 Every random decision is keyed by (seed, channel, epoch), and the weights
 channel's also by step and worker, so runs are bit-reproducible and neither
 other workers nor other cells can change them.  The anchor, SGD, fixed-draw
-and tree-protocol channels read one ``Generator`` per (cell, epoch), seeded
-by ``SeedSequence`` of its key (``sampling._stream``), in step order: a
-batched draw reads each cell's generator exactly as one call per step would,
-and the protocol's ``comm.pc_sample_cells`` call of a step reads it as that
-cell's ``pc_sample`` call would.  The weights channel is a counter hash
+and tree-protocol channels read one ``Generator`` per (cell, epoch),
+``np.random.default_rng`` of its key, in step order: a batched draw reads
+each cell's generator exactly as one call per step would, and the
+protocol's ``comm.pc_sample_cells`` call of a step reads it as that cell's
+``pc_sample`` call would.  The weights channel is a counter hash
 (``sampling._draw_subsamples``).
 
 The guard and the recorded losses come from the batched forms of
@@ -240,10 +240,10 @@ def _vr_loop(problem, configs, x0) -> list:
     the epoch's ``step(t, live)`` for that mode's live cells, which samples
     each cell's workers, charges the messages that takes (payloads back
     too) and returns them, a (C, R) array ascending along each row, and
-    every worker's sampling probability, (C, M); ``sgd``'s returns a worker
-    per cell and None.  The guard and evaluation serve every cell, the
-    prologue and anchors the variance-reduced ones: an ``sgd`` cell steps
-    along its drawn worker's gradient."""
+    every worker's sampling probability, (C, M); ``sgd``'s picks are (C, 1),
+    and its probabilities go unread.  The guard and evaluation serve every
+    cell, the prologue and anchors the variance-reduced ones: an ``sgd``
+    cell steps along its drawn worker's gradient."""
     M, p, first = problem.m_workers, problem.param_dim, configs[0]
     R, T = first.group_size, first.inner_iters
     x0 = np.zeros(p) if x0 is None else prob._check_x(problem, x0).copy()
@@ -281,7 +281,7 @@ def _vr_loop(problem, configs, x0) -> list:
                 eta, g_anchor = np.array([c.config.eta for c in live])[:, None], g_anchors[at]
                 l2 = np.array([c.config.l2_for_sgd for c in live[V:]])[:, None]
             drawn = [step(t, mine) for step, mine in groups]
-            sgd = drawn.pop()[0] if V < len(live) else np.empty(0, int)
+            sgd = drawn.pop()[0][:, 0] if V < len(live) else np.empty(0, int)
             picks, probs = map(np.concatenate, zip(*drawn)) if V else (np.empty((0, R), int), np.empty((0, M)))
             X = X - eta * _direction(problem, X, picks, probs, at, anchor_grads, g_anchor, sgd, l2, buffers)
             for c, x in zip(live, X):
@@ -297,7 +297,7 @@ def _vr_loop(problem, configs, x0) -> list:
                 groups = [(step, kept) for step, mine in groups if (kept := [c for c in mine if c.outcome is None])]
         for c in live:
             if c.config.distribution_mode != "sgd":  # the next epoch starts at its anchor
-                c.x = c.anchor = c.iterates[int(sampling._stream(c.seed + (_CH_ANCHOR, k)).integers(len(c.iterates)))]
+                c.x = c.anchor = c.iterates[np.random.default_rng(c.seed + (_CH_ANCHOR, k)).integers(len(c.iterates))]
 
     for c in live:
         c.outcome = RunTrace(rows=c.rows, final_x=c.x, ledger=c.ledger)
@@ -318,31 +318,37 @@ def _sorted(draws):
     return draws, 1 + (draws[..., 1:] != draws[..., :-1]).sum(-1)
 
 
-def _svrg_draw(problem, config: OptimizerConfig):
-    if config.distribution_mode == "uniform":
-        dist = sampling.Categorical.uniform(problem.m_workers)
-    else:
-        dist = sampling.Categorical.from_weights(prob.lipschitz_info(problem).per_shard)
-    shape = (config.inner_iters, config.group_size)
+def _replay(problem, probs, epoch):
+    """The draw of a mode that samples every step from the one distribution
+    ``probs`` (M,): ``epoch(c, k)`` gives cell c's (T, R) picks of epoch k,
+    sorted, with the probability rows, once an epoch, and the step replays
+    each live cell's row t - 1, charging x_{t-1} out to its distinct picked
+    workers and their payloads back."""
 
     def draw(k, cells):
-        # every cell's picks of the epoch at once, (cell, step, slot): each
-        # cell's stream gives its steps' uniforms in order, as one call a step would
-        u = np.array([sampling._stream(c.seed + (_CH_FIXED_DRAW, k)).random(shape) for c in cells])
-        draws, counts = _sorted(sampling._inverse_cdf(dist.probabilities, u))
+        draws, counts = _sorted(np.array([epoch(c, k) for c in cells]))
         row = {c: i for i, c in enumerate(cells)}
-        probs = np.broadcast_to(dist.probabilities, (len(cells), problem.m_workers))  # one row per cell
+        rows = np.broadcast_to(probs, (len(cells), problem.m_workers))  # one row per cell
 
         def step(t, live):
-            rows = [row[c] for c in live]
-            for c, n in zip(live, counts[rows, t - 1].tolist()):
+            at = [row[c] for c in live]
+            for c, n in zip(live, counts[at, t - 1].tolist()):
                 comm.server_broadcast(c.ledger, problem.param_dim, n)  # x_{t-1} to the sampled workers
                 comm.server_gather(c.ledger, problem.param_dim, n)  # their payloads back
-            return draws[rows, t - 1], probs[: len(live)]
+            return draws[at, t - 1], rows[: len(live)]
 
         return step
 
     return draw
+
+
+def _svrg_draw(problem, config: OptimizerConfig):
+    w = np.ones(problem.m_workers) if config.distribution_mode == "uniform" else prob.lipschitz_info(problem).per_shard
+    probs = sampling.Categorical.from_weights(w).probabilities
+    shape = (config.inner_iters, config.group_size)
+    # each cell's stream gives its steps' uniforms in order, as one call a step would
+    return _replay(problem, probs, lambda c, k: sampling._inverse_cdf(
+        probs, np.random.default_rng(c.seed + (_CH_FIXED_DRAW, k)).random(shape)))
 
 
 def run_svrg(problem, config: OptimizerConfig, x0=None) -> RunTrace:
@@ -430,11 +436,9 @@ def _asd_draw(problem, config: OptimizerConfig):
         estimate = _weight_estimator(problem, config, k, cells)
         # one tree-protocol generator per cell and epoch, read at each step
         # as successive pc_sample calls would read it
-        streams = {c: sampling._stream(c.seed + (_CH_PC, k)) for c in cells}
+        streams = {c: np.random.default_rng(c.seed + (_CH_PC, k)) for c in cells}
 
         def step(t, live):
-            for c in live:
-                comm.server_broadcast(c.ledger, problem.param_dim, M)  # x_{t-1} to every worker
             # at t = 1 every cell stands at its anchor, where every estimate is exactly 0
             weights = estimate(t, live) if t > 1 else np.zeros((len(live), M))
             totals = np.cumsum(weights, axis=1)[:, -1]  # each cell's left-to-right sum
@@ -443,6 +447,7 @@ def _asd_draw(problem, config: OptimizerConfig):
             draws = comm.pc_sample_cells(weights, R, [c.ledger for c in live], [streams[c] for c in live])
             draws, counts = _sorted(draws)
             for c, n in zip(live, counts.tolist()):
+                comm.server_broadcast(c.ledger, problem.param_dim, M)  # x_{t-1} to every worker
                 comm.server_gather(c.ledger, R, 1)  # histogram to the server
                 comm.server_broadcast(c.ledger, 1, n)  # weight normaliser out
                 comm.server_gather(c.ledger, problem.param_dim, n)  # the sampled workers' payloads back
@@ -487,22 +492,10 @@ def run_grid(problem, configs, x0=None) -> list[tuple[RunTrace, bool]]:
 
 
 def _sgd_draw(problem, config: OptimizerConfig):
-    M, p, T = problem.m_workers, problem.param_dim, config.inner_iters
-
-    def draw(k, cells):
-        # each cell's workers of the epoch at once: the same draws as one call a step
-        workers = np.array([sampling._stream(c.seed + (_CH_SGD, k)).integers(M, size=T) for c in cells])
-        row = {c: i for i, c in enumerate(cells)}
-
-        def step(t, live):
-            for c in live:
-                comm.server_broadcast(c.ledger, p, 1)  # x_{t-1} to the drawn worker
-                comm.server_gather(c.ledger, p, 1)  # its payload back
-            return workers[[row[c] for c in live], t - 1], None
-
-        return step
-
-    return draw
+    M, T = problem.m_workers, config.inner_iters
+    # one worker a step, drawn as one call a step would; the loop reads no probability
+    return _replay(problem, np.full(M, 1 / M),
+                   lambda c, k: np.random.default_rng(c.seed + (_CH_SGD, k)).integers(M, size=(T, 1)))
 
 
 def run_sgd(problem, config: OptimizerConfig, x0=None) -> RunTrace:

@@ -221,26 +221,6 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's increment, 2**64 / golden ratio
 
 
-def _key_words(key) -> list[int]:
-    """The uint32 words ``SeedSequence`` makes of a tuple of nonnegative ints:
-    each int's little-endian 32-bit words, at least one per int."""
-    words = []
-    for v in key:
-        words.append(v & _MASK32)
-        v >>= 32
-        while v:
-            words.append(v & _MASK32)
-            v >>= 32
-    return words
-
-
-def _stream(key) -> np.random.Generator:
-    """The generator of ``SeedSequence(key)``: the same state, without
-    SeedSequence's slower per-int coercion of the key."""
-    words = np.array(_key_words(key), dtype=np.uint32)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
-
-
 def _mix64(z):
     """SplitMix64's finaliser, a bijection of 64-bit words; works on a
     Python int below 2**64 and elementwise on a uint64 array."""
@@ -250,11 +230,17 @@ def _mix64(z):
 
 
 def _key_hash(key, h: int = 0) -> int:
-    """The counter-hash seed of ``key``: its ``_key_words`` folded onto ``h``
-    with SplitMix64's increment and finaliser.  Folding a key's tail onto the
-    hash of its prefix gives the hash of the whole key."""
-    for w in _key_words(key):
-        h = _mix64(((h + _GOLDEN) & _MASK64) ^ w)
+    """The counter-hash seed of ``key``, a tuple of nonnegative ints: the
+    uint32 words ``SeedSequence`` makes of it, each int's little-endian
+    32-bit words, at least one per int, folded onto ``h`` with SplitMix64's
+    increment and finaliser.  Folding a key's tail onto the hash of its
+    prefix gives the hash of the whole key."""
+    for v in key:
+        while True:  # v's words, the lowest first
+            h = _mix64(((h + _GOLDEN) & _MASK64) ^ (v & _MASK32))
+            v >>= 32
+            if not v:
+                break
     return h
 
 

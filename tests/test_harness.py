@@ -468,6 +468,30 @@ class TestCli:
         assert "within 4 sigma" in out
         assert comm_header_in(out)
 
+    def test_protocol_test_passes_a_correct_sampler_at_wide_m(self, capsys):
+        # thousands of workers, many expecting less than one draw: one
+        # pooled test, where a 4-sigma bound per worker tripped on some
+        rc = cli.main(["protocol-test", "--M", "4096", "--R", "16", "--draws", "32000"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert "within 4 sigma: chi-square" in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("bias, args, err", [
+        (np.square, ("--M", "8", "--R", "2"), "error: marginals off beyond 4 sigma: chi-square"),
+        (lambda w: w + (w == 0), ("--M", "4", "--R", "2", "--weights", "1,0,2,3"),
+         "error: draws on zero-weight workers [1]\n"),
+    ])
+    def test_protocol_test_fails_a_wrong_sampler(self, bias, args, err, capsys, monkeypatch):
+        # one drawing by squared weight, and one putting mass on a zero-weight worker
+        real = comm.pc_sample
+        monkeypatch.setattr(cli.comm, "pc_sample", lambda w, R, ledger, rng: real(bias(w), R, ledger, rng))
+        rc = cli.main(["protocol-test", *args, "--draws", "4000"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith(err)
+        assert comm_header_in(captured.out)  # the table and ledger row still print
+
     @pytest.mark.parametrize("protocol", ["pc", "optimal"])
     def test_protocol_test_passes_one_array(self, protocol, capsys, monkeypatch):
         """The weights reach the protocol as one float array, made once,
