@@ -14,20 +14,27 @@ thread and no bytecode written (``OPENBLAS_NUM_THREADS=1``,
 ``PYTHONDONTWRITEBYTECODE=1``).  A process builds the workload from its
 side's ``bench/workloads.py`` and ``src`` and times it with that side's
 ``bench/run.py`` (``run_passes`` at its minimum of three passes), so it
-reports ``run_s`` as the benchmark does: the median of the passes' CPU
-times, each rescaled to the reference host speed, with their output
-digests.
+reports two of the benchmark's metrics as the benchmark computes them:
+``run_s``, the median of the passes' CPU times, each rescaled to the
+reference host speed, and ``peak_rss_mb``, the process's ``ru_maxrss`` in
+MB once its passes are done; and its output digests.
 
-It prints each side's median and quartiles of ``run_s``, the median of the
-paired ratios head / base with a 95% interval (Hodges-Lehmann over the
-pairs' log ratios), the pairs the head won (ran faster), whether the gain
-rule holds (the head faster in at least nine tenths of the pairs, and the
-medians further apart than the base's interquartile range), and whether
-both sides wrote the same digests in every pair.  ``--json`` also writes
-every pair's numbers, the interval and the rule's verdict.  The exit
-status is 1 if a process failed or a pass failed its workload's checks,
-else 0; differing digests are reported, not failed, since a change may
-move bits on purpose.
+For each metric it prints each side's median and quartiles, the median of
+the paired ratios head / base with a 95% interval (Hodges-Lehmann over the
+pairs' log ratios), the pairs the head won (read lower), and whether the
+gain rule holds (the head lower in at least nine tenths of the pairs, and
+the medians further apart than the base's interquartile range); then
+whether both sides wrote the same digests in every pair.  ``--json`` also
+writes every pair's numbers and, per metric, the interval and the rule's
+verdict.  The exit status is 1 if a process failed or a pass failed its
+workload's checks, else 0; differing digests are reported, not failed,
+since a change may move bits on purpose.
+
+The interval treats the pairs as independent.  A shared host's speed
+drifts over a set, which the interval does not model: on a shared 2-core
+VM an A/A set (one side against itself, 16 pairs of ``linear_sweep``) read
++6.3% with an interval that excluded 1.  Run an A/A set on the same host
+before trusting a borderline interval.
 """
 
 from __future__ import annotations
@@ -47,8 +54,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# each metric's unit and the decimals it is printed with
+METRICS = {"run_s": ("s", 4), "peak_rss_mb": ("MB", 2)}
+
 CHILD = r"""
-import json, statistics, sys, tempfile
+import json, resource, statistics, sys, tempfile
 from pathlib import Path
 root, name, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
 sys.path[:0] = [root + "/bench", root + "/src"]
@@ -56,6 +66,7 @@ import run, workloads
 with tempfile.TemporaryDirectory() as tmp:
     results = [result for result, _ in run.run_passes(workloads.make(name, seed), 0, Path(tmp))]
 print(json.dumps({"run_s": statistics.median(r.scaled_s for r in results),
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
                   "digests": sorted({r.digest for r in results}),
                   "attempted": sum(r.attempted for r in results), "failed": sum(r.failed for r in results)}))
 """
@@ -93,7 +104,7 @@ def run_side(root: Path, workload: str, seed: int) -> dict:
                           capture_output=True, text=True, env=env, cwd=root)
     if done.returncode != 0:
         sys.stderr.write(done.stderr)
-        return {"run_s": float("nan"), "digests": [], "attempted": 0, "failed": 1, "crashed": True}
+        return {**dict.fromkeys(METRICS, float("nan")), "digests": [], "attempted": 0, "failed": 1, "crashed": True}
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -128,15 +139,27 @@ def ratio_interval(ratios: list[float]) -> tuple[float, float, float]:
 
 
 def gain_rule(base: list[float], head: list[float]) -> dict:
-    """Whether the head's ``run_s`` beats the base's: faster in at least
-    nine tenths of the pairs (ties count for neither), and a median gap
-    larger than the base's interquartile range."""
+    """Whether the head's values beat the base's: lower in at least nine
+    tenths of the pairs (ties count for neither), and a median gap larger
+    than the base's interquartile range."""
     won = sum(h < b for b, h in zip(base, head))
     needed = math.ceil(0.9 * len(base))
     q1, base_median, q3 = quartiles(base)
     gap = base_median - statistics.median(head)
     return {"met": won >= needed and gap > q3 - q1, "won": won, "needed": needed,
-            "gap_s": gap, "base_iqr_s": q3 - q1}
+            "gap": gap, "base_iqr": q3 - q1}
+
+
+def summary(pairs: list[dict], metric: str) -> dict:
+    """Each side's quartiles of ``metric``, the median and interval of the
+    paired ratios head / base, and the gain rule's verdict."""
+    base, head = ([p[side][metric] for p in pairs] for side in ("base", "head"))
+    ratios = [h / b for b, h in zip(base, head)]
+    low, high, confidence = ratio_interval(ratios)
+    return {**{side: dict(zip(("q1", "median", "q3"), quartiles(values))) for side, values in (("base", base), ("head", head))},
+            "median_ratio": statistics.median(ratios),
+            "ratio_interval": {"low": low, "high": high, "confidence": confidence},
+            "gain_rule": gain_rule(base, head)}
 
 
 def main(argv=None) -> int:
@@ -159,30 +182,33 @@ def main(argv=None) -> int:
             runs = {side: run_side(roots[side], args.workload, args.seed + i) for side in order}
             pairs.append({"seed": args.seed + i, "first": order[0], **runs})
             print(f"pair {i + 1}/{args.pairs} seed {args.seed + i} ({order[0]} first): "
-                  f"base {runs['base']['run_s']:.4f} s, head {runs['head']['run_s']:.4f} s", flush=True)
+                  f"base {runs['base']['run_s']:.4f} s {runs['base']['peak_rss_mb']:.2f} MB, "
+                  f"head {runs['head']['run_s']:.4f} s {runs['head']['peak_rss_mb']:.2f} MB", flush=True)
 
-    print(f"workload {args.workload}, {args.pairs} pairs, run_s at the reference speed")
-    for side, label in (("base", args.base), ("head", args.head)):
-        q1, med, q3 = quartiles([p[side]["run_s"] for p in pairs])
-        print(f"  {side} ({label}): median {med:.4f} s, quartiles {q1:.4f} - {q3:.4f} s (IQR {q3 - q1:.4f})")
-    ratios = [p["head"]["run_s"] / p["base"]["run_s"] for p in pairs]
-    low, high, confidence = ratio_interval(ratios)
-    rule = gain_rule([p["base"]["run_s"] for p in pairs], [p["head"]["run_s"] for p in pairs])
+    print(f"workload {args.workload}, {args.pairs} pairs (run_s at the reference speed)")
+    metrics = {metric: summary(pairs, metric) for metric in METRICS}
+    for metric, stats in metrics.items():
+        unit, digits = METRICS[metric]
+        print(f"  {metric}:")
+        for side, label in (("base", args.base), ("head", args.head)):
+            q = stats[side]
+            print(f"    {side} ({label}): median {q['median']:.{digits}f} {unit}, quartiles {q['q1']:.{digits}f} - "
+                  f"{q['q3']:.{digits}f} {unit} (IQR {q['q3'] - q['q1']:.{digits}f})")
+        ratio, interval, rule = stats["median_ratio"], stats["ratio_interval"], stats["gain_rule"]
+        print(f"    median ratio head/base: {ratio:.4f} ({ratio - 1:+.1%})")
+        print(f"    interval of the ratio: {interval['low']:.4f} - {interval['high']:.4f} at "
+              f"{interval['confidence']:.1%} confidence (Hodges-Lehmann)")
+        print(f"    pairs won by head: {rule['won']} of {args.pairs}")
+        print(f"    gain rule: {'met' if rule['met'] else 'not met'} (needs {rule['needed']} pairs won; median gap "
+              f"{rule['gap']:.{digits}f} {unit} against base IQR {rule['base_iqr']:.{digits}f} {unit})")
     agree = sum(len(p["base"]["digests"]) == 1 and p["base"]["digests"] == p["head"]["digests"] for p in pairs)
-    print(f"  median ratio head/base: {statistics.median(ratios):.4f} ({statistics.median(ratios) - 1:+.1%})")
-    print(f"  interval of the ratio: {low:.4f} - {high:.4f} at {confidence:.1%} confidence (Hodges-Lehmann)")
-    print(f"  pairs won by head: {rule['won']} of {args.pairs}")
-    print(f"  gain rule: {'met' if rule['met'] else 'not met'} (needs {rule['needed']} pairs won; "
-          f"median gap {rule['gap_s']:.4f} s against base IQR {rule['base_iqr_s']:.4f} s)")
     print(f"  digests agree: {'yes' if agree == args.pairs else 'no'} ({agree} of {args.pairs} pairs)")
     failed = sum(p[side]["failed"] for p in pairs for side in ("base", "head"))
     if failed:
         print(f"  failed operations: {failed}")
     if args.json is not None:
-        interval = {"low": low, "high": high, "confidence": confidence}
         args.json.write_text(json.dumps({"workload": args.workload, "base": args.base, "head": args.head,
-                                         "ratio_interval": interval, "gain_rule": rule, "pairs": pairs},
-                                        indent=1) + "\n")
+                                         "metrics": metrics, "pairs": pairs}, indent=1) + "\n")
     return 1 if failed else 0
 
 

@@ -18,7 +18,10 @@ rows, ``y`` the matching targets, and shard m owns the ``sizes[m]`` rows
 ``offsets[m]:offsets[m + 1]``.  Each shard's ``X``, ``aug`` and ``y`` are
 views into these arrays, so batched passes over all workers (the logistic
 loss, the adaptive weight estimates) are one gather or one mat-vec over the
-stack.
+stack.  The held-out rows are held once too, bias column included:
+``test_aug``, with ``test_X`` a view of its feature columns.
+:func:`generate_heterogeneous` draws every row straight into these arrays,
+so a generated problem never holds a second copy of its rows.
 
 ``full_loss`` and ``test_metrics`` are the one-point cases of batched forms
 that evaluate C points in one call.  They, the weight estimates'
@@ -54,7 +57,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
 from . import comm
 
@@ -111,23 +113,23 @@ class ShardedProblem:
 
     The shards' rows are copied once into the stacked ``aug``/``y`` arrays
     (see the module docstring) and ``shards`` holds new Shard objects viewing
-    them; the Shard objects passed in are left untouched.  The linear losses
-    are cached as quadratic forms of the training and test rows, so neither
-    may be modified after construction.
+    them; the Shard objects passed in are left untouched.  The held-out rows
+    are copied once into ``test_aug``, which ``test_X`` views.  The linear
+    losses are cached as quadratic forms of the training and test rows, so
+    neither may be modified after construction.
 
     Parameters
     ----------
     shards : list of Shard, worker ids 0..M-1 in order.
     task : ``"linear_regression"`` or ``"logistic_regression"``.
-    test_X, test_y : optional held-out rows used for test loss/accuracy.
+    test_X, test_y : optional held-out rows used for test loss/accuracy,
+        given together or not at all.
 
     Every feature and target, held-out ones included, must be finite, else
     ``ValueError``.
     """
 
     def __init__(self, shards, task, *, test_X=None, test_y=None):
-        if task not in TASKS:
-            raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
         if not shards:
             raise ValueError("need at least one shard")
         dims = {s.dim for s in shards}
@@ -136,43 +138,47 @@ class ShardedProblem:
         ids = [s.worker_id for s in shards]
         if ids != list(range(len(shards))):
             raise ValueError(f"worker ids must be 0..{len(shards) - 1} in order, got {ids}")
+        if (test_X is None) != (test_y is None):
+            missing = "test_X" if test_X is None else "test_y"
+            raise ValueError(f"held-out rows need both test_X and test_y; {missing} is missing")
+        dim, sizes = shards[0].dim, [s.size for s in shards]
+        aug, y = np.ones((sum(sizes), dim + 1)), np.concatenate([s.y for s in shards])  # ones: the bias column
+        np.concatenate([s.X for s in shards], out=aug[:, :-1])
+        test_X = np.zeros((0, dim)) if test_X is None else np.atleast_2d(np.asarray(test_X, dtype=float))
+        test_y = np.zeros(0) if test_y is None else np.asarray(test_y, dtype=float).ravel()
+        test_aug = np.hstack([test_X, np.ones((test_X.shape[0], 1))])
+        self._build(aug, y, sizes, task, test_aug, test_y)
 
-        self.m_workers = len(shards)
-        self.dim = shards[0].dim  # raw feature dimension; parameters have length dim + 1
-        self.param_dim = self.dim + 1
-        self.sizes = np.array([s.size for s in shards])
+    def _build(self, aug, y, sizes, task, test_aug, test_y) -> None:
+        """Take ``aug``/``y`` (bias-augmented training rows stacked in worker
+        order, ``sizes[m]`` rows for worker m) and ``test_aug``/``test_y`` as
+        the problem's own rows, uncopied, and validate them."""
+        if task not in TASKS:
+            raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
+        self.task = task
+        self.m_workers = len(sizes)
+        self.param_dim = aug.shape[1]
+        self.dim = self.param_dim - 1  # raw feature dimension; parameters have length dim + 1
+        self.sizes = np.array(sizes)
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
         self.n_total = int(self.offsets[-1])
-        self.aug = np.empty((self.n_total, self.param_dim))
-        self.aug[:, -1] = 1.0
-        self.y = np.empty(self.aug.shape[0])
+        self.aug, self.y = aug, y
         self.shards = []
-        for s, lo, hi in zip(shards, self.offsets[:-1], self.offsets[1:]):
-            self.aug[lo:hi, :-1] = s.X
-            self.y[lo:hi] = s.y
-            view = Shard(s.worker_id, self.aug[lo:hi, :-1], self.y[lo:hi])
-            view.aug = self.aug[lo:hi]
+        for m, (lo, hi) in enumerate(zip(self.offsets[:-1], self.offsets[1:])):
+            view = Shard(m, aug[lo:hi, :-1], y[lo:hi])
+            view.aug = aug[lo:hi]
             self.shards.append(view)
-        self.task = task
-        if test_X is None:
-            self.test_X = np.zeros((0, self.dim))
-            self.test_y = np.zeros(0)
-        else:
-            self.test_X = np.atleast_2d(np.asarray(test_X, dtype=float))
-            self.test_y = np.asarray(test_y, dtype=float).ravel()
-            if self.test_X.shape != (self.test_y.shape[0], self.dim):
-                raise ValueError("test set shape does not match the training dimension")
-        for name, rows in (("training", (self.aug, self.y)), ("held-out", (self.test_X, self.test_y))):
+        if test_aug.shape != (test_y.shape[0], self.param_dim):
+            raise ValueError("test set shape does not match the training dimension")
+        self.test_aug, self.test_y = test_aug, test_y
+        self.test_X = test_aug[:, :-1]
+        for name, rows in (("training", (self.aug, self.y)), ("held-out", (self.test_aug, self.test_y))):
             if not all(np.isfinite(a).all() for a in rows):
                 raise ValueError(f"{name} features and targets must be finite")
         if task == LOGISTIC:
             labels = np.concatenate([self.y, self.test_y])
             if not np.all((labels == 0.0) | (labels == 1.0)):
                 raise ValueError("logistic targets must be exactly 0 or 1")
-
-    @cached_property
-    def test_aug(self) -> np.ndarray:
-        return np.hstack([self.test_X, np.ones((self.test_X.shape[0], 1))])
 
     @cached_property
     def _train_form(self) -> _QuadraticLoss:
@@ -272,6 +278,8 @@ def _pointwise_residual(task: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The scalar r(z, y) such that the per-sample gradient is r * aug_row."""
     if task == LINEAR:
         return 2.0 * (z - y)
+    from scipy.special import expit  # only the logistic residual needs scipy
+
     return expit(z) - y
 
 
@@ -554,28 +562,30 @@ def generate_heterogeneous(
     x_star = rng.normal(size=dim + 1)
     scales = growth_base ** (np.arange(m_workers, dtype=float) - max(m_workers - 2, 0))
 
-    counts = [train_total // m_workers] * m_workers
-    counts[-1] += train_total % m_workers
-    train_X = [rng.normal(size=(counts[m], dim)) * scales[m] for m in range(m_workers)]
+    sizes = [train_total // m_workers] * m_workers
+    sizes[-1] += train_total % m_workers
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    aug, test_aug = np.ones((train_total, dim + 1)), np.ones((test_total, dim + 1))  # ones: the bias column
+    for m in range(m_workers):  # each shard's normals times its scale, drawn in worker order
+        np.multiply(rng.normal(size=(sizes[m], dim)), scales[m], out=aug[offsets[m] : offsets[m + 1], :-1])
     test_owner = np.arange(test_total) % m_workers
-    test_X = rng.normal(size=(test_total, dim)) * scales[test_owner][:, None]
+    np.multiply(rng.normal(size=(test_total, dim)), scales[test_owner][:, None], out=test_aug[:, :-1])
 
-    def clean_targets(X):
-        return X @ x_star[:-1] + x_star[-1]
-
-    z_train = [clean_targets(X) for X in train_X]
-    z_test = clean_targets(test_X)
+    # the clean targets, one mat-vec per shard (a row's mat-vec value depends on the rows it is called with)
+    y = np.empty(train_total)
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        y[lo:hi] = aug[lo:hi, :-1] @ x_star[:-1] + x_star[-1]
+    test_y = test_aug[:, :-1] @ x_star[:-1] + x_star[-1]
     if task == LINEAR:
-        z_all = np.concatenate(z_train + [z_test])
-        noise_sd = 0.1 * float(np.std(z_all))
-        y_train = [z + rng.normal(size=z.shape) * noise_sd for z in z_train]
-        y_test = z_test + rng.normal(size=z_test.shape) * noise_sd
+        noise_sd = 0.1 * float(np.std(np.concatenate([y, test_y])))
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            y[lo:hi] += rng.normal(size=hi - lo) * noise_sd
+        test_y += rng.normal(size=test_total) * noise_sd
     else:
-        y_train = [(z > 0).astype(float) for z in z_train]
-        y_test = (z_test > 0).astype(float)
-
-    shards = [Shard(m, train_X[m], y_train[m]) for m in range(m_workers)]
-    return ShardedProblem(shards, task, test_X=test_X, test_y=y_test)
+        y, test_y = (y > 0).astype(float), (test_y > 0).astype(float)
+    problem = ShardedProblem.__new__(ShardedProblem)  # the arrays are the problem's own: no copy
+    problem._build(aug, y, sizes, task, test_aug, test_y)
+    return problem
 
 
 def save_csv(problem: ShardedProblem, path) -> None:

@@ -28,13 +28,20 @@ def test_a_against_itself_runs_a_pair_and_agrees(tmp_path):
     assert any(line.strip().startswith("median ratio head/base:") for line in lines)
     assert any(line.strip().startswith("interval of the ratio:") for line in lines)
     assert any(line.strip().startswith("gain rule: ") for line in lines)
+    assert [line.strip() for line in lines if line.startswith("  ") and line.strip().endswith(":")] == \
+        ["run_s:", "peak_rss_mb:"]
     record = json.loads(out.read_text())
-    assert record["ratio_interval"]["confidence"] == 0.0  # one pair: a point
-    assert record["gain_rule"]["needed"] == 1
+    assert set(record["metrics"]) == {"run_s", "peak_rss_mb"}
     (pair,) = record["pairs"]
+    for metric, stats in record["metrics"].items():
+        assert stats["ratio_interval"]["confidence"] == 0.0  # one pair: a point
+        assert stats["gain_rule"]["needed"] == 1
+        assert stats["base"]["median"] == pair["base"][metric] and stats["head"]["median"] == pair["head"][metric]
+        assert stats["median_ratio"] == pair["head"][metric] / pair["base"][metric]
     assert pair["first"] == "base" and pair["seed"] == 1
     for side in ("base", "head"):
         assert pair[side]["failed"] == 0 and pair[side]["attempted"] > 0 and pair[side]["run_s"] > 0
+        assert pair[side]["peak_rss_mb"] > 10  # the interpreter and numpy alone take more
     assert pair["base"]["digests"] == pair["head"]["digests"] and len(pair["base"]["digests"]) == 1
 
 
@@ -80,7 +87,7 @@ class TestGainRule:
         head[3] = 0.060  # one pair lost
         rule = ab.gain_rule(self.BASE, head)
         assert rule["met"] and rule["won"] == 9 and rule["needed"] == 9
-        assert rule["base_iqr_s"] == pytest.approx(0.0025)
+        assert rule["base_iqr"] == pytest.approx(0.0025)
 
     def test_not_met_with_eight_wins(self):
         head = [0.9 * b for b in self.BASE]
@@ -92,7 +99,7 @@ class TestGainRule:
         head = [b - 0.001 for b in self.BASE]  # every pair won, by less than the IQR
         rule = ab.gain_rule(self.BASE, head)
         assert rule["won"] == 10 and not rule["met"]
-        assert rule["gap_s"] == pytest.approx(0.001)
+        assert rule["gap"] == pytest.approx(0.001)
 
     def test_ties_count_for_neither_side(self):
         rule = ab.gain_rule(self.BASE, list(self.BASE))

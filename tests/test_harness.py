@@ -4,6 +4,9 @@ import csv
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -467,6 +470,21 @@ class TestCli:
         assert rc == 0
         assert "within 4 sigma" in out
         assert comm_header_in(out)
+
+    def test_a_linear_run_never_imports_scipy(self, tmp_path):
+        # scipy.special serves the logistic residual alone; importing it
+        # cost a linear run about 0.2 s of its start-up
+        script = ("import sys, hetsvrg\n"
+                  "from hetsvrg import cli\n"
+                  "rc = cli.main(['run', '--algos', 'sgd,svrg,asd', '--etas', '0.01', '--epochs', '1',\n"
+                  "               '--inner', '5', '--out', sys.argv[1]])\n"
+                  "print(rc, 'scipy.special' in sys.modules)\n")
+        src = str(Path(harness.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False"
 
     def test_protocol_test_passes_a_correct_sampler_at_wide_m(self, capsys):
         # thousands of workers, many expecting less than one draw: one

@@ -1,6 +1,7 @@
 """Gradients, smoothness metadata, generation, and CSV round-trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -456,6 +457,83 @@ class TestStackedRows:
         {"feature": X, "target": y, "test feature": test_X, "test target": test_y}[where].flat[1] = value
         with pytest.raises(ValueError, match="must be finite"):
             prob.ShardedProblem([prob.Shard(0, X, y)], prob.LINEAR, test_X=test_X, test_y=test_y)
+
+
+def per_shard_generation(task, m_workers, samples_total, dim, growth_base, seed):
+    """``generate_heterogeneous`` as it once ran, the reference for its
+    in-place draws: each shard's normals times its scale as an array of its
+    own, the same for the held-out rows, then the public constructor."""
+    train_total = samples_total - samples_total // 5
+    rng = np.random.default_rng(seed)
+    x_star = rng.normal(size=dim + 1)
+    scales = growth_base ** (np.arange(m_workers, dtype=float) - max(m_workers - 2, 0))
+    counts = [train_total // m_workers] * m_workers
+    counts[-1] += train_total % m_workers
+    train_X = [rng.normal(size=(counts[m], dim)) * scales[m] for m in range(m_workers)]
+    test_owner = np.arange(samples_total - train_total) % m_workers
+    test_X = rng.normal(size=(test_owner.size, dim)) * scales[test_owner][:, None]
+    z_train = [X @ x_star[:-1] + x_star[-1] for X in train_X]
+    z_test = test_X @ x_star[:-1] + x_star[-1]
+    if task == prob.LINEAR:
+        noise_sd = 0.1 * float(np.std(np.concatenate(z_train + [z_test])))
+        y_train = [z + rng.normal(size=z.shape) * noise_sd for z in z_train]
+        y_test = z_test + rng.normal(size=z_test.shape) * noise_sd
+    else:
+        y_train = [(z > 0).astype(float) for z in z_train]
+        y_test = (z_test > 0).astype(float)
+    shards = [prob.Shard(m, train_X[m], y_train[m]) for m in range(m_workers)]
+    return prob.ShardedProblem(shards, task, test_X=test_X, test_y=y_test)
+
+
+class TestInPlaceGeneration:
+    @pytest.mark.parametrize("task", prob.TASKS)
+    @pytest.mark.parametrize("shape", [
+        (3, 50, 4, 1.7, 5),  # 40 training rows: the last shard holds 14
+        (7, 1003, 13, 1.1, 9),  # 803 rows over 7: the last holds 119
+        (1, 37, 6, 1.3, 2),  # one worker
+        (64, 20000, 50, 1.2, 1),  # the scale_asd benchmark's shape
+    ])
+    def test_rows_match_per_shard_generation_bit_for_bit(self, task, shape):
+        got, want = prob.generate_heterogeneous(task, *shape), per_shard_generation(task, *shape)
+        for name in ("aug", "y", "test_aug", "test_X", "test_y", "sizes", "offsets"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_construction_peak_stays_near_the_rows_kept(self):
+        # the rows are drawn into the arrays the problem keeps: at most one
+        # shard's or the held-out set's draw and a finiteness mask on top
+        # (a per-shard list stacked into a copy peaked at 1.93x)
+        prob.generate_heterogeneous(prob.LINEAR, 2, 100, 3, 1.2, 1)  # warm caches
+        tracemalloc.start()
+        try:
+            p = prob.generate_heterogeneous(prob.LINEAR, 64, 20000, 50, 1.2, 1)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept >= p.aug.nbytes + p.test_aug.nbytes
+        assert peak <= 1.25 * kept
+
+    def test_held_out_rows_are_stored_once(self):
+        generated = small_problem(prob.LOGISTIC)
+        shard = prob.Shard(0, np.ones((3, 2)), [0.0, 1.0, 2.0])
+        constructed = prob.ShardedProblem([shard], prob.LINEAR, test_X=np.ones((2, 2)), test_y=[1.0, 2.0])
+        for p in (generated, constructed):
+            assert np.shares_memory(p.test_X, p.test_aug)
+            np.testing.assert_array_equal(p.test_X, p.test_aug[:, :-1])
+            np.testing.assert_array_equal(p.test_aug[:, -1], 1.0)
+        empty = prob.ShardedProblem([shard], prob.LINEAR)
+        assert empty.test_aug.shape == (0, 3) and empty.test_X.shape == (0, 2) and empty.test_y.shape == (0,)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("given, missing", [("test_X", "test_y"), ("test_y", "test_X")])
+    def test_held_out_arguments_come_together(self, rows, given, missing):
+        # test_y alone once dropped the targets; test_X alone was reported
+        # as non-finite or as a shape mismatch
+        held_out = {"test_X": np.ones((rows, 2)), "test_y": np.zeros(rows)}
+        with pytest.raises(ValueError, match=f"{missing} is missing"):
+            prob.ShardedProblem([prob.Shard(0, np.ones((3, 2)), np.zeros(3))], prob.LINEAR,
+                                **{given: held_out[given]})
 
 
 @st.composite
